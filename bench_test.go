@@ -1,13 +1,13 @@
 // Benchmarks regenerating the paper's evaluation, one family per table or
-// figure (see DESIGN.md §3 for the experiment index):
+// figure (README.md, "Benchmark", indexes the experiments):
 //
 //	BenchmarkFigure4_*   — linregr wall time per (segments, vars, version)
-//	BenchmarkFigure5_*   — linregr v0.3 per segment count
+//	BenchmarkFigure5_*   — linregr (default batch generation) per segment count
 //	BenchmarkOverhead    — §4.4(a): fixed per-query cost
 //	BenchmarkSpeedup_*   — §4.4(b): segment-count sweep
 //	BenchmarkTable2_*    — one pass of each SGD-framework model
 //	BenchmarkTable3_*    — text-analytics methods
-//	BenchmarkAblation*   — design-choice ablations called out in DESIGN.md
+//	BenchmarkAblation*   — design-choice ablations (README.md, "Benchmark")
 //
 // cmd/madbench produces the paper-shaped tables (including the simulated
 // cluster-critical-path metric); these benches give `go test -bench`
@@ -59,7 +59,7 @@ func figure4Bench(b *testing.B, segments, vars int, version linregr.Version) {
 func BenchmarkFigure4(b *testing.B) {
 	for _, segs := range []int{6, 24} {
 		for _, vars := range []int{10, 80} {
-			for _, v := range []linregr.Version{linregr.V03, linregr.V021Beta, linregr.V01Alpha} {
+			for _, v := range []linregr.Version{linregr.V03, linregr.V021Beta, linregr.V01Alpha, linregr.VBatch} {
 				b.Run(fmt.Sprintf("segs=%d/vars=%d/%v", segs, vars, v), func(b *testing.B) {
 					figure4Bench(b, segs, vars, v)
 				})
@@ -71,7 +71,7 @@ func BenchmarkFigure4(b *testing.B) {
 func BenchmarkFigure5(b *testing.B) {
 	for _, segs := range []int{6, 12, 18, 24} {
 		b.Run(fmt.Sprintf("segs=%d/vars=40", segs), func(b *testing.B) {
-			figure4Bench(b, segs, 40, linregr.V03)
+			figure4Bench(b, segs, 40, linregr.VBatch)
 		})
 	}
 }
@@ -244,7 +244,7 @@ func BenchmarkTable3(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (README.md, "Benchmark") ---
 
 // BenchmarkAblationInnerLoop isolates the three historical inner loops on
 // the same data: triangular (v0.3), full square (v0.1alpha), and
@@ -499,6 +499,30 @@ func BenchmarkTrainSVMRowLane(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLinregrRun times the call a madlib.linregr statement makes —
+// linregr.Run, default (batch) generation — on the repo benchmark's
+// train_refresh shape (100k × 40, four segments). BenchmarkLinregrRunV03
+// is the row-at-a-time v0.3 transition over the same table: the results
+// are bit-identical, so the same-run ratio (gated by scripts/bench_check.sh)
+// is the batch transition plus the blocked XᵀX kernel in isolation.
+func benchLinregrRun(b *testing.B, opts ...linregr.Option) {
+	db := engine.Open(4)
+	tbl, err := datagen.NewRegression(1, 100_000, 40, 0.1).LoadRegression(db, "reg")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := linregr.Run(db, tbl, "y", "x", opts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkLinregrRun(b *testing.B)    { benchLinregrRun(b) }
+func BenchmarkLinregrRunV03(b *testing.B) { benchLinregrRun(b, linregr.WithVersion(linregr.V03)) }
 
 // BenchmarkSQLSelectAgg measures the SQL front-end's parse+plan+execute
 // overhead for a grouped filtered aggregate against the same query issued

@@ -1,5 +1,6 @@
 // Command madbench regenerates the paper's evaluation tables and figures
-// (DESIGN.md §3): the Figure 4 timing table, the Figure 5 scaling series,
+// (README.md, "Benchmark"): the Figure 4 timing table — the paper's three
+// linregr generations plus this repo's batch one — the Figure 5 scaling series,
 // the Table 1 method inventory, the Table 2 SGD-model suite, the Table 3
 // text-analytics matrix, and the §4.4 overhead and speedup
 // micro-experiments.

@@ -169,7 +169,7 @@ func Mean(x []float64) float64 {
 // accumulating a row.
 func AllFinite(x []float64) bool {
 	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if v-v != 0 { // NaN for NaN and ±Inf, zero for every finite v
 			return false
 		}
 	}
@@ -197,7 +197,8 @@ func OuterProductFull(dst, x []float64) {
 // OuterProductLower accumulates only the lower triangle (j ≤ i) of
 // dst += x·xᵀ, halving the arithmetic for symmetric accumulations. This is
 // the v0.3 inner loop (`triangularView<Lower>(X_transp_X) += x * trans(x)`
-// in the paper's Listing 1).
+// in the paper's Listing 1). The product is rounded before the add (see
+// OuterProductLowerBlock4, which must stay bit-equal to four of these).
 func OuterProductLower(dst, x []float64) {
 	k := len(x)
 	if len(dst) != k*k {
@@ -207,7 +208,34 @@ func OuterProductLower(dst, x []float64) {
 		xi := x[i]
 		row := dst[i*k : i*k+i+1]
 		for j := 0; j <= i; j++ {
-			row[j] += xi * x[j]
+			row[j] += float64(xi * x[j])
+		}
+	}
+}
+
+// OuterProductLowerBlock4 accumulates the lower triangle of
+// dst += a·aᵀ + b·bᵀ + c·cᵀ + d·dᵀ in one pass: each cell is loaded once,
+// takes the four products in argument order — ((r+aᵢaⱼ)+bᵢbⱼ)+cᵢcⱼ)+dᵢdⱼ —
+// and is stored once, a quarter of the memory traffic of four
+// OuterProductLower calls with the same floating-point order and so the
+// same bits. The explicit float64 conversions round every product before
+// its add, so an FMA-fusing GOARCH (arm64, ppc64le, s390x, riscv64) cannot
+// contract x*y+z here and break that equality.
+func OuterProductLowerBlock4(dst, a, b, c, d []float64) {
+	k := len(a)
+	if len(b) != k || len(c) != k || len(d) != k || len(dst) != k*k {
+		panic(fmt.Sprintf("array: OuterProductLowerBlock4 dst %d, rows %d/%d/%d/%d", len(dst), k, len(b), len(c), len(d)))
+	}
+	for i := 0; i < k; i++ {
+		ai, bi, ci, di := a[i], b[i], c[i], d[i]
+		row := dst[i*k : i*k+i+1]
+		aj, bj, cj, dj := a[:len(row)], b[:len(row)], c[:len(row)], d[:len(row)]
+		for j, r := range row {
+			r += float64(ai * aj[j])
+			r += float64(bi * bj[j])
+			r += float64(ci * cj[j])
+			r += float64(di * dj[j])
+			row[j] = r
 		}
 	}
 }

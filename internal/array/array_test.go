@@ -2,6 +2,7 @@ package array
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -176,6 +177,54 @@ func TestOuterProductAccumulates(t *testing.T) {
 	}
 }
 
+// The blocked kernel must equal four rank-1 updates bit for bit: linregr's
+// batch generation relies on it to reproduce v0.3 exactly.
+func TestOuterProductLowerBlock4MatchesRankOne(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, k := range []int{1, 2, 7, 40} {
+		rows := make([][]float64, 4)
+		for r := range rows {
+			rows[r] = make([]float64, k)
+			for i := range rows[r] {
+				// Mixed magnitudes so every add actually rounds.
+				rows[r][i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+		}
+		want := make([]float64, k*k)
+		for i := range want {
+			want[i] = rng.NormFloat64()
+		}
+		got := Clone(want)
+		for _, x := range rows {
+			OuterProductLower(want, x)
+		}
+		OuterProductLowerBlock4(got, rows[0], rows[1], rows[2], rows[3])
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("k=%d cell %d: blocked %v != rank-1 %v", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestOuterProductLowerBlock4PanicsOnRagged(t *testing.T) {
+	x, short := make([]float64, 3), make([]float64, 2)
+	for name, call := range map[string]func(){
+		"short row": func() { OuterProductLowerBlock4(make([]float64, 9), x, x, short, x) },
+		"long row":  func() { OuterProductLowerBlock4(make([]float64, 4), short, short, short, x) },
+		"dst":       func() { OuterProductLowerBlock4(make([]float64, 8), x, x, x, x) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
 func TestArgMinArgMax(t *testing.T) {
 	x := []float64{3, 1, 2}
 	if got := ArgMin(x); got != 1 {
@@ -271,6 +320,15 @@ func BenchmarkOuterProductLower(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		OuterProductLower(dst, x)
+	}
+}
+
+func BenchmarkOuterProductLowerBlock4(b *testing.B) {
+	x := make([]float64, 80)
+	dst := make([]float64, 80*80)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		OuterProductLowerBlock4(dst, x, x, x, x)
 	}
 }
 

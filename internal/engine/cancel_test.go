@@ -50,6 +50,39 @@ func TestRunCtxCancelStopsScanEarly(t *testing.T) {
 	}
 }
 
+// A batch aggregate is cancelled at the same morsel boundaries, and a
+// cancelled scan never reaches Final.
+func TestRunCtxCancelBatchAggregateSkipsFinal(t *testing.T) {
+	db := Open(4)
+	rows := 40 * MorselRows
+	tbl := loadParallelTable(t, db, rows)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var batches atomic.Int64
+	finalized := false
+	before := db.RowsScanned()
+	_, err := db.RunCtx(ctx, tbl, FuncAggregate{
+		InitFn: func() any { return int64(0) },
+		TransitionBatchFn: func(s any, b ColBatch) any {
+			if batches.Add(1) == 2 {
+				cancel()
+			}
+			return s.(int64) + int64(b.Len())
+		},
+		MergeFn: func(a, b any) any { return a.(int64) + b.(int64) },
+		FinalFn: func(s any) (any, error) { finalized = true; return s, nil },
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if finalized {
+		t.Fatal("cancelled scan was finalized")
+	}
+	if scanned := db.RowsScanned() - before; scanned >= int64(rows) || scanned%MorselRows != 0 {
+		t.Fatalf("scanned %d of %d rows; want a whole number of morsels short of the table", scanned, rows)
+	}
+}
+
 func TestRunCtxPreCancelledScansNothing(t *testing.T) {
 	db := Open(4)
 	tbl := loadParallelTable(t, db, 2*ParallelRowThreshold)

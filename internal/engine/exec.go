@@ -16,10 +16,19 @@ import (
 //  3. Final transforms a transition state into the output value.
 //
 // Init produces the identity state handed to the first Transition call on
-// each segment. Transition may mutate and return its input state (the fast
+// each morsel. Transition may mutate and return its input state (the fast
 // path) or return a fresh one. An aggregate is correct under parallelism
 // iff Transition is insensitive to row order and Merge is associative and
 // commutative with Init as identity — properties the engine's tests check.
+//
+// An aggregate whose inner loop wants to see many rows at once (§4.1–4.2:
+// the transition as a tuned kernel over array types) also implements
+// BatchAggregate. The whole-table drivers — Run/RunCtx, RunInstrumented,
+// RunSimulated* — then hand it each morsel as typed ColBatch windows
+// instead of calling Transition per row; there is no switch to turn that
+// off. The row-taking drivers (RunFiltered, RunGroupBy*) keep calling
+// Transition, which a batch-only FuncAggregate serves with a one-row
+// ColBatch, so a batch learner writes one transition.
 type Aggregate interface {
 	Init() any
 	Transition(state any, row Row) any
@@ -27,26 +36,85 @@ type Aggregate interface {
 	Final(state any) (any, error)
 }
 
-// FuncAggregate adapts three closures (plus Init) into an Aggregate,
-// the lightweight way method packages declare UDAs.
+// BatchAggregate is an Aggregate with a batch transition: TransitionBatch
+// folds the rows of b, in row order, into state. Batches of one morsel
+// arrive in row order on one worker and never span segments, and the
+// windows are a function of the table's shape only (BatchSize-aligned
+// within each segment), never of the worker count. Folding a batch must
+// equal folding its rows one at a time.
+type BatchAggregate interface {
+	Aggregate
+	TransitionBatch(state any, b ColBatch) any
+}
+
+// FuncAggregate adapts closures into an Aggregate, the lightweight way
+// method packages declare UDAs. Set TransitionFn, TransitionBatchFn or
+// both: whichever is missing is derived from the other (a row becomes a
+// one-row batch, a batch a loop over its rows).
 type FuncAggregate struct {
-	InitFn       func() any
-	TransitionFn func(state any, row Row) any
-	MergeFn      func(a, b any) any
-	FinalFn      func(state any) (any, error)
+	InitFn            func() any
+	TransitionFn      func(state any, row Row) any
+	TransitionBatchFn func(state any, b ColBatch) any
+	MergeFn           func(a, b any) any
+	FinalFn           func(state any) (any, error)
 }
 
 // Init implements Aggregate.
 func (f FuncAggregate) Init() any { return f.InitFn() }
 
 // Transition implements Aggregate.
-func (f FuncAggregate) Transition(state any, row Row) any { return f.TransitionFn(state, row) }
+func (f FuncAggregate) Transition(state any, row Row) any {
+	if f.TransitionFn == nil {
+		return f.TransitionBatchFn(state, ColBatch{seg: row.seg, off: row.idx, n: 1})
+	}
+	return f.TransitionFn(state, row)
+}
+
+// TransitionBatch implements BatchAggregate.
+func (f FuncAggregate) TransitionBatch(state any, b ColBatch) any {
+	if f.TransitionBatchFn != nil {
+		return f.TransitionBatchFn(state, b)
+	}
+	for i := 0; i < b.n; i++ {
+		state = f.TransitionFn(state, Row{seg: b.seg, idx: b.off + i})
+	}
+	return state
+}
 
 // Merge implements Aggregate.
 func (f FuncAggregate) Merge(a, b any) any { return f.MergeFn(a, b) }
 
 // Final implements Aggregate.
 func (f FuncAggregate) Final(state any) (any, error) { return f.FinalFn(state) }
+
+// foldRows folds rows [off, off+n) of seg into a fresh state: through the
+// batch transition, one BatchSize window at a time, when agg has one
+// (decided once per call, never per row), row by row otherwise. Every
+// whole-table driver folds its morsels (or whole segments) through here,
+// so the §4.4 harness times exactly the loop a statement runs.
+func foldRows(agg Aggregate, seg *Segment, off, n int) any {
+	state := agg.Init()
+	end := off + n
+	if ba, ok := agg.(BatchAggregate); ok {
+		for ; off < end; off += BatchSize {
+			state = ba.TransitionBatch(state, ColBatch{seg: seg, off: off, n: min(BatchSize, end-off)})
+		}
+		return state
+	}
+	for r := off; r < end; r++ {
+		state = agg.Transition(state, Row{seg: seg, idx: r})
+	}
+	return state
+}
+
+// mergeFinal merges per-morsel states left-to-right and finalizes.
+func mergeFinal(agg Aggregate, states []any) (any, error) {
+	merged := states[0]
+	for _, s := range states[1:] {
+		merged = agg.Merge(merged, s)
+	}
+	return agg.Final(merged)
+}
 
 // ParallelRowThreshold is the minimum total row count for which the
 // segment drivers spin up a worker pool. Below it the per-query
@@ -359,23 +427,14 @@ func (db *DB) RunCtx(ctx context.Context, t *Table, agg Aggregate) (any, error) 
 	ms := tableMorsels(t)
 	states := make([]any, len(ms))
 	err := db.runMorsels(ctx, t, ms, func(i int, m morsel) error {
-		state := agg.Init()
-		end := m.off + m.n
-		for r := m.off; r < end; r++ {
-			state = agg.Transition(state, Row{seg: m.seg, idx: r})
-		}
-		states[i] = state
+		states[i] = foldRows(agg, m.seg, m.off, m.n)
 		db.rowsScanned.Add(int64(m.n))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	merged := states[0]
-	for _, s := range states[1:] {
-		merged = agg.Merge(merged, s)
-	}
-	return agg.Final(merged)
+	return mergeFinal(agg, states)
 }
 
 // RunFiltered is Run restricted to rows satisfying pred
@@ -405,11 +464,7 @@ func (db *DB) RunFilteredCtx(ctx context.Context, t *Table, pred func(Row) bool,
 	if err != nil {
 		return nil, err
 	}
-	merged := states[0]
-	for _, s := range states[1:] {
-		merged = agg.Merge(merged, s)
-	}
-	return agg.Final(merged)
+	return mergeFinal(agg, states)
 }
 
 // GroupResult is one group's aggregate output.

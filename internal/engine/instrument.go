@@ -26,8 +26,10 @@ type QueryStats struct {
 	Rows int64
 }
 
-// RunInstrumented is Run with per-segment timing. Results are identical to
-// Run; only the bookkeeping differs.
+// RunInstrumented is Run with per-segment timing: each segment folds as
+// one unit through the same fold helper Run uses per morsel, so the timed
+// loop is the loop a statement runs. Results are identical to Run up to
+// the per-morsel merge order; only the bookkeeping differs.
 func (db *DB) RunInstrumented(t *Table, agg Aggregate) (any, QueryStats, error) {
 	db.queries.Add(1)
 	start := time.Now()
@@ -35,11 +37,7 @@ func (db *DB) RunInstrumented(t *Table, agg Aggregate) (any, QueryStats, error) 
 	segTimes := make([]time.Duration, len(t.segs))
 	err := db.parallelSegments(context.Background(), t, func(i int, seg *Segment) error {
 		segStart := time.Now()
-		state := agg.Init()
-		for r := 0; r < seg.n; r++ {
-			state = agg.Transition(state, Row{seg: seg, idx: r})
-		}
-		states[i] = state
+		states[i] = foldRows(agg, seg, 0, seg.n)
 		segTimes[i] = time.Since(segStart)
 		db.rowsScanned.Add(int64(seg.n))
 		return nil
@@ -48,22 +46,12 @@ func (db *DB) RunInstrumented(t *Table, agg Aggregate) (any, QueryStats, error) 
 	if err != nil {
 		return nil, qs, err
 	}
-	merged := states[0]
-	for _, s := range states[1:] {
-		merged = agg.Merge(merged, s)
-	}
-	v, err := agg.Final(merged)
+	v, err := mergeFinal(agg, states)
 	qs.WallTime = time.Since(start)
-	var rows int64
-	for _, seg := range t.segs {
-		rows += int64(seg.n)
-	}
-	qs.Rows = rows
+	qs.Rows = t.Count()
 	for _, d := range segTimes {
 		qs.TotalSegmentTime += d
-		if d > qs.MaxSegmentTime {
-			qs.MaxSegmentTime = d
-		}
+		qs.MaxSegmentTime = max(qs.MaxSegmentTime, d)
 	}
 	return v, qs, err
 }
@@ -86,20 +74,12 @@ func (db *DB) RunSimulatedDetailed(t *Table, agg Aggregate) (any, SimulatedBreak
 	states := make([]any, len(t.segs))
 	for i, seg := range t.segs {
 		segStart := time.Now()
-		state := agg.Init()
-		for r := 0; r < seg.n; r++ {
-			state = agg.Transition(state, Row{seg: seg, idx: r})
-		}
-		states[i] = state
+		states[i] = foldRows(agg, seg, 0, seg.n)
 		bd.SegmentTimes[i] = time.Since(segStart)
 		db.rowsScanned.Add(int64(seg.n))
 	}
 	mergeStart := time.Now()
-	merged := states[0]
-	for _, s := range states[1:] {
-		merged = agg.Merge(merged, s)
-	}
-	v, err := agg.Final(merged)
+	v, err := mergeFinal(agg, states)
 	bd.Tail = time.Since(mergeStart)
 	return v, bd, err
 }
@@ -111,34 +91,16 @@ func (db *DB) RunSimulatedDetailed(t *Table, agg Aggregate) (any, SimulatedBreak
 // (tiny) merge/final tail. Use this when the host machine has fewer cores
 // than the configured segment count and wall-time speedup would saturate.
 func (db *DB) RunSimulated(t *Table, agg Aggregate) (any, QueryStats, error) {
-	db.queries.Add(1)
 	start := time.Now()
-	var qs QueryStats
-	states := make([]any, len(t.segs))
-	for i, seg := range t.segs {
-		segStart := time.Now()
-		state := agg.Init()
-		for r := 0; r < seg.n; r++ {
-			state = agg.Transition(state, Row{seg: seg, idx: r})
-		}
-		states[i] = state
-		d := time.Since(segStart)
+	v, bd, err := db.RunSimulatedDetailed(t, agg)
+	qs := QueryStats{Rows: t.Count()}
+	for _, d := range bd.SegmentTimes {
 		qs.TotalSegmentTime += d
-		if d > qs.MaxSegmentTime {
-			qs.MaxSegmentTime = d
-		}
-		qs.Rows += int64(seg.n)
-		db.rowsScanned.Add(int64(seg.n))
+		qs.MaxSegmentTime = max(qs.MaxSegmentTime, d)
 	}
-	mergeStart := time.Now()
-	merged := states[0]
-	for _, s := range states[1:] {
-		merged = agg.Merge(merged, s)
-	}
-	v, err := agg.Final(merged)
 	// Merge and final run on the coordinator after the slowest segment in
 	// a real cluster, so they are added to the critical path.
-	qs.MaxSegmentTime += time.Since(mergeStart)
+	qs.MaxSegmentTime += bd.Tail
 	qs.WallTime = time.Since(start)
 	return v, qs, err
 }

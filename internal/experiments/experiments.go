@@ -4,11 +4,12 @@
 // benchmarks and the cmd/madbench harness, so numbers in EXPERIMENTS.md
 // are reproducible from either entry point.
 //
-// Substitution note (DESIGN.md §1): the paper ran 10M rows on a 24-core
-// Greenplum cluster where every segment owns a processor. This harness
-// runs scaled row counts and reports, alongside wall time, the simulated
-// cluster time (`engine.RunSimulated`): each segment is timed in isolation
-// and the critical path is the slowest segment plus the merge/final tail.
+// Substitution note (README.md, "Benchmark"): the paper ran 10M rows on a
+// 24-core Greenplum cluster where every segment owns a processor. This
+// harness runs scaled row counts and reports, alongside wall time, the
+// simulated cluster time (`engine.RunSimulated`): each segment is timed in
+// isolation, through the fold helper every statement's scan uses, and the
+// critical path is the slowest segment plus the merge/final tail.
 // On a host with fewer cores than segments, wall-clock speedup saturates
 // at the core count while the simulated metric reproduces the cluster's
 // near-linear speedup.
@@ -55,7 +56,8 @@ type Figure4Config struct {
 	Segments []int
 	// Vars lists independent-variable counts (paper: 10..320).
 	Vars []int
-	// Versions lists implementations (paper: v0.3, v0.2.1beta, v0.1alpha).
+	// Versions lists implementations (paper: v0.3, v0.2.1beta, v0.1alpha;
+	// default: those three plus this repo's batch generation).
 	Versions []linregr.Version
 	// Trials per cell; the median is reported (default 3).
 	Trials int
@@ -75,7 +77,7 @@ func (c *Figure4Config) Defaults() {
 		c.Vars = []int{10, 20, 40, 80, 160, 320}
 	}
 	if c.Versions == nil {
-		c.Versions = []linregr.Version{linregr.V03, linregr.V021Beta, linregr.V01Alpha}
+		c.Versions = figure4Versions
 	}
 	if c.Trials == 0 {
 		c.Trials = 3
@@ -84,6 +86,11 @@ func (c *Figure4Config) Defaults() {
 		c.Seed = 42
 	}
 }
+
+// figure4Versions are Figure 4's columns: the paper's three historical
+// row-at-a-time generations, then the batch generation every statement
+// runs today.
+var figure4Versions = []linregr.Version{linregr.V03, linregr.V021Beta, linregr.V01Alpha, linregr.VBatch}
 
 // Figure4Row is one cell of the Figure 4 table.
 type Figure4Row struct {
@@ -144,7 +151,6 @@ func Figure4(cfg Figure4Config) ([]Figure4Row, error) {
 // FormatFigure4 renders the rows in the layout of the paper's Figure 4:
 // one line per (segments, vars) with a column per version.
 func FormatFigure4(rows []Figure4Row) string {
-	versions := []linregr.Version{linregr.V03, linregr.V021Beta, linregr.V01Alpha}
 	cell := map[string]time.Duration{}
 	segSet := map[int]bool{}
 	varSet := map[int]bool{}
@@ -159,11 +165,15 @@ func FormatFigure4(rows []Figure4Row) string {
 	vars := sortedKeys(varSet)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 4: linregr simulated-cluster execution times (%d rows)\n", rowCount)
-	fmt.Fprintf(&b, "%-10s %-10s %12s %12s %12s\n", "# segments", "# vars", "v0.3", "v0.2.1beta", "v0.1alpha")
+	fmt.Fprintf(&b, "%-10s %-10s", "# segments", "# vars")
+	for _, v := range figure4Versions {
+		fmt.Fprintf(&b, " %12s", v)
+	}
+	b.WriteByte('\n')
 	for _, s := range segs {
 		for _, k := range vars {
 			fmt.Fprintf(&b, "%-10d %-10d", s, k)
-			for _, v := range versions {
+			for _, v := range figure4Versions {
 				d, ok := cell[fmt.Sprintf("%d/%d/%v", s, k, v)]
 				if !ok {
 					fmt.Fprintf(&b, " %12s", "-")
@@ -177,11 +187,12 @@ func FormatFigure4(rows []Figure4Row) string {
 	return b.String()
 }
 
-// Figure5 returns the v0.3 series of Figure 5 (time vs. #vars, one series
-// per segment count).
+// Figure5 returns the Figure 5 series (time vs. #vars, one series per
+// segment count) for the default generation: the batch transition, timed
+// through the fold helper a madlib.linregr statement runs.
 func Figure5(cfg Figure4Config) ([]Figure4Row, error) {
 	cfg.Defaults()
-	cfg.Versions = []linregr.Version{linregr.V03}
+	cfg.Versions = []linregr.Version{linregr.VBatch}
 	return Figure4(cfg)
 }
 
@@ -198,7 +209,7 @@ func FormatFigure5(rows []Figure4Row) string {
 	segs := sortedKeys(segSet)
 	vars := sortedKeys(varSet)
 	var b strings.Builder
-	b.WriteString("Figure 5: linregr v0.3 simulated time vs #vars per segment count\n")
+	b.WriteString("Figure 5: linregr (default batch generation, engine fold helper) simulated time vs #vars per segment count\n")
 	fmt.Fprintf(&b, "%-10s", "# vars")
 	for _, s := range segs {
 		fmt.Fprintf(&b, " %12s", fmt.Sprintf("%d segs", s))
@@ -285,7 +296,8 @@ type SpeedupRow struct {
 	Ideal float64
 }
 
-// Speedup sweeps segment counts at fixed data size (v0.3, k=80).
+// Speedup sweeps segment counts at fixed data size (default batch
+// generation through the engine's shared fold helper, k=80).
 func Speedup(rows int, segments []int) ([]SpeedupRow, error) {
 	if rows == 0 {
 		rows = 40000
@@ -325,7 +337,7 @@ func Speedup(rows int, segments []int) ([]SpeedupRow, error) {
 // FormatSpeedup renders the speedup table.
 func FormatSpeedup(rows []SpeedupRow) string {
 	var b strings.Builder
-	b.WriteString("Parallel speedup (linregr v0.3, k=80, simulated cluster time)\n")
+	b.WriteString("Parallel speedup (linregr default batch generation via the engine fold helper, k=80, simulated cluster time)\n")
 	fmt.Fprintf(&b, "%-10s %12s %10s %10s\n", "# segments", "time", "speedup", "ideal")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-10d %12s %10.2f %10.2f\n", r.Segments, formatDur(r.SimTime), r.Speedup, r.Ideal)

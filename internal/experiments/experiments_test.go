@@ -16,6 +16,9 @@ import (
 //  2. v0.1alpha beats v0.3 at small k, v0.3 wins at large k;
 //  3. time grows superlinearly in k;
 //  4. more segments → less simulated time (near-linear).
+//
+// and this repo's addition to it: the batch generation, which folds four
+// rows per pass over XᵀX, beats v0.3 at large k.
 func TestFigure4ShapeHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
@@ -118,6 +121,11 @@ func checkFigure4Shape(t *testing.T) (issues []string, stable bool) {
 		if a, v := get(segs, 160, linregr.V01Alpha), get(segs, 160, linregr.V03); v >= a {
 			badf("segs=%d k=160: v0.3 (%v) should beat alpha (%v)", segs, v, a)
 		}
+		// The fourth column: same arithmetic as v0.3, a quarter of the
+		// passes over the k×k state.
+		if bt, v := get(segs, 160, linregr.VBatch), get(segs, 160, linregr.V03); bt >= v {
+			badf("segs=%d k=160: batch (%v) should beat v0.3 (%v)", segs, bt, v)
+		}
 		// Superlinear growth in k: 16× more vars ⇒ much more than 16× time.
 		if t10, t160 := get(segs, 10, linregr.V03), get(segs, 160, linregr.V03); t160 < 20*t10 {
 			badf("segs=%d: growth %v→%v not superlinear", segs, t10, t160)
@@ -133,7 +141,7 @@ func checkFigure4Shape(t *testing.T) (issues []string, stable bool) {
 	}
 	// Rendering includes every version column.
 	rendered := FormatFigure4(rows)
-	for _, col := range []string{"v0.3", "v0.2.1beta", "v0.1alpha"} {
+	for _, col := range []string{"v0.3", "v0.2.1beta", "v0.1alpha", "batch"} {
 		if !strings.Contains(rendered, col) {
 			t.Fatalf("rendered table missing %q:\n%s", col, rendered)
 		}

@@ -160,6 +160,12 @@ func seed(db *engine.DB, t *engine.Table, ci int, opts Options) ([][]float64, er
 	return nil, fmt.Errorf("kmeans: unknown seeding %d", opts.Seeding)
 }
 
+// The seeding passes give every morsel its own RNG, seeded from the
+// user's seed and the morsel's position in (segment, offset) order — a
+// function of the table's shape only, never of which worker starts first
+// — so a fixed seed repeats bit for bit at any GOMAXPROCS. The seeds are
+// the ones a sequential scan used to hand out in order.
+
 // seedRandom reservoir-samples k points in one aggregate pass.
 func seedRandom(db *engine.DB, t *engine.Table, ci, k int, seedVal int64) ([][]float64, error) {
 	type reservoir struct {
@@ -167,24 +173,23 @@ func seedRandom(db *engine.DB, t *engine.Table, ci, k int, seedVal int64) ([][]f
 		pts  [][]float64
 		seen int64
 	}
-	segSeed := atomic.Int64{}
-	segSeed.Store(seedVal)
-	v, err := db.Run(t, engine.FuncAggregate{
-		InitFn: func() any {
-			return &reservoir{rng: rand.New(rand.NewSource(segSeed.Add(1)))}
+	v, err := db.RunBatched(t,
+		func(morsel int) any {
+			return &reservoir{rng: rand.New(rand.NewSource(seedVal + 1 + int64(morsel)))}
 		},
-		TransitionFn: func(s any, row engine.Row) any {
+		func(s any, b engine.ColBatch) error {
 			st := s.(*reservoir)
-			st.seen++
-			x := row.Vector(ci)
-			if len(st.pts) < k {
-				st.pts = append(st.pts, array.Clone(x))
-			} else if j := st.rng.Int63n(st.seen); j < int64(k) {
-				st.pts[j] = array.Clone(x)
+			for _, x := range b.Vectors(ci) {
+				st.seen++
+				if len(st.pts) < k {
+					st.pts = append(st.pts, array.Clone(x))
+				} else if j := st.rng.Int63n(st.seen); j < int64(k) {
+					st.pts[j] = array.Clone(x)
+				}
 			}
-			return st
+			return nil
 		},
-		MergeFn: func(a, b any) any {
+		func(a, b any) any {
 			sa, sb := a.(*reservoir), b.(*reservoir)
 			// Merge two reservoirs: weighted subsampling keeps uniformity
 			// approximately; exactness is unnecessary for seeding.
@@ -198,13 +203,11 @@ func seedRandom(db *engine.DB, t *engine.Table, ci, k int, seedVal int64) ([][]f
 			}
 			sa.seen = total
 			return sa
-		},
-		FinalFn: func(s any) (any, error) { return s.(*reservoir).pts, nil },
-	})
+		})
 	if err != nil {
 		return nil, err
 	}
-	pts := v.([][]float64)
+	pts := v.(*reservoir).pts
 	if len(pts) < k {
 		return nil, ErrNoData
 	}
@@ -220,46 +223,45 @@ func seedPlusPlus(db *engine.DB, t *engine.Table, ci, k int, seedVal int64) ([][
 		return nil, err
 	}
 	centroids := first
-	segSeed := atomic.Int64{}
-	segSeed.Store(seedVal + 1000)
 	type wr struct {
 		rng  *rand.Rand
 		best []float64
 		key  float64 // A-Res key: u^(1/w); max wins
 	}
-	for len(centroids) < k {
+	morsels := int64(db.ScanMorsels(t))
+	for pass := int64(0); len(centroids) < k; pass++ {
 		chosen := centroids
-		v, err := db.Run(t, engine.FuncAggregate{
-			InitFn: func() any {
-				return &wr{rng: rand.New(rand.NewSource(segSeed.Add(1))), key: -1}
+		passSeed := seedVal + 1001 + pass*morsels
+		v, err := db.RunBatched(t,
+			func(morsel int) any {
+				return &wr{rng: rand.New(rand.NewSource(passSeed + int64(morsel))), key: -1}
 			},
-			TransitionFn: func(s any, row engine.Row) any {
+			func(s any, b engine.ColBatch) error {
 				st := s.(*wr)
-				x := row.Vector(ci)
-				_, d2 := Closest(chosen, x)
-				if d2 <= 0 {
-					return st
+				for _, x := range b.Vectors(ci) {
+					_, d2 := Closest(chosen, x)
+					if d2 <= 0 {
+						continue
+					}
+					key := math.Pow(st.rng.Float64(), 1/d2)
+					if key > st.key {
+						st.key = key
+						st.best = array.Clone(x)
+					}
 				}
-				key := math.Pow(st.rng.Float64(), 1/d2)
-				if key > st.key {
-					st.key = key
-					st.best = array.Clone(x)
-				}
-				return st
+				return nil
 			},
-			MergeFn: func(a, b any) any {
+			func(a, b any) any {
 				sa, sb := a.(*wr), b.(*wr)
 				if sb.key > sa.key {
 					return sb
 				}
 				return sa
-			},
-			FinalFn: func(s any) (any, error) { return s.(*wr).best, nil },
-		})
+			})
 		if err != nil {
 			return nil, err
 		}
-		best, _ := v.([]float64)
+		best := v.(*wr).best
 		if best == nil {
 			// All remaining points coincide with existing centroids;
 			// duplicate one arbitrarily so K centroids exist.

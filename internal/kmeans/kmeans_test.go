@@ -3,6 +3,7 @@ package kmeans
 import (
 	"errors"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -274,6 +275,46 @@ func BenchmarkAssignmentTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(db, tbl, "coords", Options{K: 8, Seed: 1, MaxIterations: 10, Pattern: AssignmentTable}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// A fixed seed must repeat bit for bit however the scan workers race:
+// this is madlib.kmeans(coords, 5, 7) at the repo benchmark's pts size,
+// repeated with a four-worker pool. The clusters overlap (std 8 on a
+// lattice of pitch 2), so where Lloyd's iteration ends depends on where
+// the seeding starts. Before the per-morsel seeds were derived from the
+// morsel's position, the seeding RNGs were handed out in worker start
+// order and the centroids drifted between runs.
+func TestFixedSeedRepeatsUnderWorkerPool(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	db := engine.Open(4)
+	tbl, err := datagen.NewClusters(3, 20000, 5, 8, 8).Load(db, "pts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.ScanWorkers(tbl) < 2 {
+		t.Fatal("table too small to engage the worker pool")
+	}
+	var first *Result
+	for run := 0; run < 20; run++ {
+		res, err := Run(db, tbl, "coords", Options{K: 5, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = res
+			continue
+		}
+		if res.Iterations != first.Iterations {
+			t.Fatalf("run %d: %d iterations, first run %d", run, res.Iterations, first.Iterations)
+		}
+		for j, c := range res.Centroids {
+			for d, v := range c {
+				if math.Float64bits(v) != math.Float64bits(first.Centroids[j][d]) {
+					t.Fatalf("run %d: centroid %d[%d] = %v, first run %v", run, j, d, v, first.Centroids[j][d])
+				}
+			}
 		}
 	}
 }

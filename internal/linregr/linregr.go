@@ -5,8 +5,10 @@
 // pseudo-inverse and reports the full inference record (coefficients, R²,
 // standard errors, t statistics, p-values, condition number).
 //
-// Three historical implementations are provided, reproducing the §4.4
-// performance study:
+// Four generations of the transition are provided. The three historical
+// ones reproduce the §4.4 performance study row at a time, and their
+// relative timings (Figure 4) are the per-row abstraction-layer overheads
+// the paper profiles:
 //
 //   - V01Alpha — "an implementation in C that computes the outer-vector
 //     products xᵢxᵢᵀ as a simple nested loop": bypasses the AnyType
@@ -19,6 +21,17 @@
 //   - V03 — the Eigen generation: zero-copy vector mapping through the
 //     abstraction layer and a lower-triangular symmetric update
 //     (triangularView<Lower>), then a symmetric pseudo-inverse solve.
+//
+// VBatch is the default, and what SQL, the facade and the benchmarks run.
+// It is V03's arithmetic behind a batch transition (engine.BatchAggregate):
+// y and x are read straight off the column lanes, so nothing is boxed per
+// row, and surviving rows go to the blocked rank-4 kernel
+// array.OuterProductLowerBlock4 four at a time, which touches each cell of
+// XᵀX once per four rows instead of once per row. The kernel adds the
+// four products in row order, so VBatch is bit-identical to V03 — which
+// therefore doubles as its differential oracle — and about twice as fast at
+// k=40. It has no row transition; the engine's row-taking drivers
+// (RunGroupBy) hand it one-row batches.
 package linregr
 
 import (
@@ -38,12 +51,15 @@ func init() {
 	core.RegisterMethod(core.MethodInfo{Name: "linregr", Title: "Linear Regression", Category: core.Supervised})
 }
 
-// Version selects one of the three historical implementations.
+// Version selects one of the four implementation generations.
 type Version int
 
 const (
-	// V03 is the current implementation (default).
-	V03 Version = iota
+	// VBatch is the batch-transition, blocked-kernel implementation
+	// (default).
+	VBatch Version = iota
+	// V03 is the last row-at-a-time implementation, VBatch's oracle.
+	V03
 	// V01Alpha is the original plain-C-style implementation.
 	V01Alpha
 	// V021Beta is the slow untuned-library implementation.
@@ -53,6 +69,8 @@ const (
 // String returns the paper's version label.
 func (v Version) String() string {
 	switch v {
+	case VBatch:
+		return "batch"
 	case V03:
 		return "v0.3"
 	case V01Alpha:
@@ -121,7 +139,7 @@ type state struct {
 	ySum       float64
 	ySquareSum float64
 	xtY        []float64 // Xᵀy, length k
-	xtX        []float64 // XᵀX, k×k row-major (lower triangle only for V03)
+	xtX        []float64 // XᵀX, k×k row-major (lower triangle only for V03/VBatch)
 	lowerOnly  bool
 	err        error
 }
@@ -140,6 +158,10 @@ func (s *state) accumulate(y float64, x []float64) {
 	array.Axpy(y, x, s.xtY)
 }
 
+func widthError(got, want int) error {
+	return fmt.Errorf("linregr: row has %d independent variables, expected %d", got, want)
+}
+
 type config struct {
 	version Version
 	// gate and alloc exist so benchmarks can observe the v0.2.1beta
@@ -153,6 +175,45 @@ type Option func(*config)
 
 // WithVersion selects the implementation generation.
 func WithVersion(v Version) Option { return func(c *config) { c.version = v } }
+
+// transitionBatch is VBatch's only transition: V03's screening, width
+// check and accumulation order over the y/x lanes of one batch, with the
+// XᵀX update deferred until four rows are in hand. An error stops the
+// batch at the offending row, as V03 stops folding there.
+func transitionBatch(yIdx, xIdx int) func(any, engine.ColBatch) any {
+	return func(s any, b engine.ColBatch) any {
+		st := s.(*state)
+		if st.err != nil {
+			return st
+		}
+		ys := b.Floats(yIdx)
+		var blk [4][]float64
+		n := 0
+		for i, x := range b.Vectors(xIdx) {
+			y := ys[i]
+			if math.IsNaN(y) || !array.AllFinite(x) {
+				continue
+			}
+			if st.k == 0 {
+				st.init(len(x), true)
+			}
+			if len(x) != st.k {
+				st.err = widthError(len(x), st.k)
+				break
+			}
+			st.accumulate(y, x)
+			blk[n] = x
+			if n++; n == len(blk) {
+				array.OuterProductLowerBlock4(st.xtX, blk[0], blk[1], blk[2], blk[3])
+				n = 0
+			}
+		}
+		for _, x := range blk[:n] {
+			array.OuterProductLower(st.xtX, x)
+		}
+		return st
+	}
+}
 
 // newAggregate builds the UDA for the configured version. yIdx and xIdx are
 // resolved column indexes; bind is the abstraction-layer binding used by
@@ -195,7 +256,7 @@ func newAggregate(cfg *config, bind *core.Binding, yIdx, xIdx int) engine.Aggreg
 			st.init(len(x), cfg.version == V03)
 		}
 		if len(x) != st.k {
-			st.err = fmt.Errorf("linregr: row has %d independent variables, expected %d", len(x), st.k)
+			st.err = widthError(len(x), st.k)
 			return st
 		}
 		st.accumulate(y, x)
@@ -253,12 +314,17 @@ func newAggregate(cfg *config, bind *core.Binding, yIdx, xIdx int) engine.Aggreg
 		return finalize(st)
 	}
 
-	return engine.FuncAggregate{
-		InitFn:       func() any { return &state{} },
-		TransitionFn: transition,
-		MergeFn:      merge,
-		FinalFn:      final,
+	agg := engine.FuncAggregate{
+		InitFn:  func() any { return &state{} },
+		MergeFn: merge,
+		FinalFn: final,
 	}
+	if cfg.version == VBatch {
+		agg.TransitionBatchFn = transitionBatch(yIdx, xIdx)
+	} else {
+		agg.TransitionFn = transition
+	}
+	return agg
 }
 
 // finalize is the final function of Listing 2: invert XᵀX, compute the

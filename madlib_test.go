@@ -35,8 +35,8 @@ func TestTable1Inventory(t *testing.T) {
 	if lin.R2 < 0.95 {
 		t.Fatalf("linregr R² = %v", lin.R2)
 	}
-	// All three versions agree through the facade.
-	for _, v := range []madlib.LinRegrVersion{madlib.V01Alpha, madlib.V021Beta} {
+	// All historical versions agree with the default through the facade.
+	for _, v := range []madlib.LinRegrVersion{madlib.V03, madlib.V01Alpha, madlib.V021Beta} {
 		alt, err := db.LinRegrWithVersion("reg", "y", "x", v)
 		if err != nil {
 			t.Fatal(err)

@@ -37,6 +37,12 @@
 # MIN_SPEEDUP_TRAIN times faster than SQLPredictRowLane in the same
 # run.
 #
+# linregr — the paper's own hot path — is gated relative only: LinregrRun
+# (the default batch generation: batch transition + blocked XᵀX kernel)
+# must stay at least 1.6 times faster than LinregrRunV03, the
+# bit-identical row-at-a-time v0.3 transition, in the same run. Both are
+# recorded in BENCH_sql.json by bench_sql.sh.
+#
 # Usage: scripts/bench_check.sh [benchtime] [max_ratio]
 #   benchtime defaults to 0.5s; max_ratio defaults to 1.25 (25% slack for
 #   shared-runner noise). MIN_SPEEDUP overrides the relative gate
@@ -74,7 +80,9 @@ echo "$wout"
 predict_pattern=$(for n in $PREDICT_GATED $PREDICT_COMPANIONS; do printf 'Benchmark%s|' "$n"; done | sed 's/|$//')
 pout=$(go test -run '^$' -bench "^($predict_pattern)\$" -benchtime "$BENCHTIME" .)
 echo "$pout"
-out=$(printf '%s\n%s\n%s\n%s\n' "$out" "$tout" "$wout" "$pout")
+lout=$(go test -run '^$' -bench '^BenchmarkLinregrRun(V03)?$' -benchtime "$BENCHTIME" .)
+echo "$lout"
+out=$(printf '%s\n%s\n%s\n%s\n%s\n' "$out" "$tout" "$wout" "$pout" "$lout")
 
 ns_of() {
   echo "$out" | awk -v bench="BenchmarkSQLSelectAgg/$1" -v flat="Benchmark$1" '
@@ -128,7 +136,8 @@ for pair in \
   "SQLLeftJoinAgg SQLLeftJoinAggRowLane $MIN_SPEEDUP" \
   "TrainLogregrIGD TrainLogregrIGDRowLane $MIN_SPEEDUP_TRAIN" \
   "TrainSVM TrainSVMRowLane $MIN_SPEEDUP_TRAIN" \
-  "SQLPredictBatch SQLPredictRowLane $MIN_SPEEDUP_TRAIN"; do
+  "SQLPredictBatch SQLPredictRowLane $MIN_SPEEDUP_TRAIN" \
+  "LinregrRun LinregrRunV03 1.6"; do
   set -- $pair
   batch_ns=$(ns_of "$1")
   row_ns=$(ns_of "$2")

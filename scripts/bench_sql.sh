@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # bench_sql.sh — run the SQL front-end overhead benchmarks plus the
-# training-harness, wire-server and model-serving (predict) benchmarks
-# and record ns/op, B/op and allocs/op per variant to BENCH_sql.json,
-# so the perf trajectory of the declarative surface (paper §4.4a), the
-# igd training lanes and the predict scoring lanes is tracked across
-# PRs in version control.
+# training-harness, wire-server, model-serving (predict) and linregr
+# (batch generation vs v0.3) benchmarks and record ns/op, B/op and
+# allocs/op per variant to BENCH_sql.json, so the perf trajectory of
+# the declarative surface (paper §4.4a), the igd training lanes, the
+# predict scoring lanes and the paper's own linregr hot path is tracked
+# across PRs in version control.
 #
 # Usage: scripts/bench_sql.sh [benchtime]
 #   benchtime defaults to 1x (a smoke run); use e.g. 2s for stable numbers.
@@ -20,6 +21,8 @@ wout=$(go test -run '^$' -bench '^BenchmarkPGWire' -benchmem -benchtime "$BENCHT
 echo "$wout"
 pout=$(go test -run '^$' -bench '^BenchmarkSQLPredict' -benchmem -benchtime "$BENCHTIME" .)
 echo "$pout"
+lout=$(go test -run '^$' -bench '^BenchmarkLinregrRun' -benchmem -benchtime "$BENCHTIME" .)
+echo "$lout"
 
 # Environment metadata, so committed numbers can be judged against the
 # machine that produced them (ns/op from a 2-core runner is not
@@ -28,7 +31,7 @@ go_version=$(go env GOVERSION)
 num_cpu=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)
 gomaxprocs="${GOMAXPROCS:-$num_cpu}"
 
-printf '%s\n%s\n%s\n%s\n' "$out" "$tout" "$wout" "$pout" | awk -v benchtime="$BENCHTIME" \
+printf '%s\n%s\n%s\n%s\n%s\n' "$out" "$tout" "$wout" "$pout" "$lout" | awk -v benchtime="$BENCHTIME" \
   -v go_version="$go_version" -v num_cpu="$num_cpu" -v gomaxprocs="$gomaxprocs" '
   BEGIN {
     printf "{\n  \"benchmark\": \"BenchmarkSQLSelectAgg\",\n"
@@ -37,7 +40,7 @@ printf '%s\n%s\n%s\n%s\n' "$out" "$tout" "$wout" "$pout" | awk -v benchtime="$BE
     printf "  \"results\": {\n"
     n = 0
   }
-  /^BenchmarkSQLSelectAgg\// || /^BenchmarkTrain/ || /^BenchmarkPGWire/ || /^BenchmarkSQLPredict/ {
+  /^BenchmarkSQLSelectAgg\// || /^BenchmarkTrain/ || /^BenchmarkPGWire/ || /^BenchmarkSQLPredict/ || /^BenchmarkLinregrRun/ {
     name = $1
     sub(/^BenchmarkSQLSelectAgg\//, "", name)
     sub(/^Benchmark/, "", name)
