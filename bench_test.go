@@ -584,8 +584,9 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 		}
 		reportCounterDeltas(b, base, []string{"sql_plan_cache_hits"}, []string{"planhit/op"})
 	})
-	// The same cached plan forced onto the per-row closure lane: the
-	// batch-vs-row delta is the vectorization win in isolation.
+	// The same statement in oracle mode: the same executor and morsel
+	// driver with every consumer lowered to its row closure, so the
+	// delta is kernels against closures in isolation.
 	b.Run("SQLRowLane", func(b *testing.B) {
 		rowSess := sqlfe.NewSession(db)
 		rowSess.SetBatchExecution(false)
@@ -730,9 +731,11 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 			[]string{"planhit/op", "joinhit/op"})
 	})
 	// Columnar projection: a filtered multi-item scan whose output rows
-	// are gathered column-wise on the batch lane. The row-lane companion
-	// runs the identical cached plan through per-row closures — the
-	// batch/row delta is the projection-materializer win in isolation.
+	// are gathered column-wise. The RowLane companion runs the statement
+	// in oracle mode — same executor, same per-batch output cell arrays,
+	// the filter and the three items as row closures — so the delta is
+	// the column kernels against the closures and no longer includes the
+	// materializer.
 	const projQuery = `SELECT g, g + 1, v FROM t WHERE v > 0.5`
 	const projRows = 4990
 	b.Run("SQLProjScan", func(b *testing.B) {
@@ -871,33 +874,43 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 			}
 		}
 	})
+	// The same grouped filtered aggregate written by hand against
+	// RunGroupByBatched, the driver the SQL plan runs: what the statement
+	// would cost with no front end at all.
 	b.Run("EngineDirect", func(b *testing.B) {
 		b.ReportAllocs()
 		type acc struct {
 			n   int64
 			sum float64
 		}
-		agg := engine.FuncAggregate{
-			InitFn: func() any { return &acc{} },
-			TransitionFn: func(s any, row engine.Row) any {
-				a := s.(*acc)
-				a.n++
-				a.sum += row.Float(1)
-				return a
-			},
-			MergeFn: func(x, y any) any {
-				a, c := x.(*acc), y.(*acc)
-				a.n += c.n
-				a.sum += c.sum
-				return a
-			},
-			FinalFn: func(s any) (any, error) { return s, nil },
-		}
 		for i := 0; i < b.N; i++ {
-			groups, err := db.RunGroupByKey(tbl,
-				func(row engine.Row) bool { return row.Float(1) > 0.25 },
-				func(row engine.Row) engine.GroupKey { return engine.GroupKey{Int: row.Int(0)} },
-				agg)
+			groups, err := db.RunGroupByBatched(tbl,
+				func(int) any { return map[engine.GroupKey]any{} },
+				func(state any, cb engine.ColBatch) error {
+					m := state.(map[engine.GroupKey]any)
+					gs, vs := cb.Ints(0), cb.Floats(1)
+					for j, v := range vs {
+						if v <= 0.25 {
+							continue
+						}
+						k := engine.GroupKey{Int: gs[j]}
+						a, ok := m[k].(*acc)
+						if !ok {
+							a = &acc{}
+							m[k] = a
+						}
+						a.n++
+						a.sum += v
+					}
+					return nil
+				},
+				func(state any) map[engine.GroupKey]any { return state.(map[engine.GroupKey]any) },
+				func(x, y any) any {
+					a, c := x.(*acc), y.(*acc)
+					a.n += c.n
+					a.sum += c.sum
+					return a
+				})
 			if err != nil {
 				b.Fatal(err)
 			}

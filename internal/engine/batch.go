@@ -140,8 +140,8 @@ func (db *DB) RunBatchedCtx(ctx context.Context, t *Table,
 // kernel maintains a per-morsel map from GroupKey to group state inside
 // its morsel state (filled by process), groups extracts that map once
 // the morsel is exhausted, and the engine merges the per-morsel maps
-// key-by-key in morsel order using merge. As with RunGroupByKey, group
-// states are returned unfinalized per key; the caller finalizes.
+// key-by-key in morsel order using merge. Group states are returned
+// unfinalized per key; the caller finalizes.
 func (db *DB) RunGroupByBatched(t *Table,
 	newState func(morselIdx int) any,
 	process func(state any, b ColBatch) error,

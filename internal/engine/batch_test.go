@@ -99,7 +99,7 @@ func TestRunBatchedMatchesRun(t *testing.T) {
 
 func TestRunGroupByBatchedMatchesRunGroupByKey(t *testing.T) {
 	db, tbl := loadBatchTable(t, 4, 2*BatchSize+123)
-	want, err := db.RunGroupByKey(tbl, nil,
+	want, err := db.RunGroupByKey(tbl,
 		func(row Row) GroupKey { return GroupKey{Int: row.Int(1) % 5} },
 		batchSumAgg)
 	if err != nil {

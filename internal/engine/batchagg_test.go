@@ -60,14 +60,12 @@ func TestBatchOnlyAggregateMatchesRowTwin(t *testing.T) {
 	db := Open(3)
 	rows := 3*MorselRows + 2*BatchSize + 13 // split segments, ragged last batch
 	tbl := loadParallelTable(t, db, rows)
-	pred := func(r Row) bool { return r.Int(0)%3 != 0 }
 	key := func(r Row) GroupKey { return GroupKey{Int: r.Int(0)} }
 
 	drivers := map[string]func(agg Aggregate) (any, error){
-		"Run":         func(agg Aggregate) (any, error) { return db.Run(tbl, agg) },
-		"RunFiltered": func(agg Aggregate) (any, error) { return db.RunFiltered(tbl, pred, agg) },
+		"Run": func(agg Aggregate) (any, error) { return db.Run(tbl, agg) },
 		"RunGroupByKey": func(agg Aggregate) (any, error) {
-			return db.RunGroupByKey(tbl, pred, key, agg)
+			return db.RunGroupByKey(tbl, key, agg)
 		},
 		"RunInstrumented": func(agg Aggregate) (any, error) {
 			v, _, err := db.RunInstrumented(tbl, agg)

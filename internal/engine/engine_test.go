@@ -18,6 +18,26 @@ func sumAgg(col int) Aggregate {
 	}
 }
 
+// countWhere counts the rows satisfying pred with a plain Run.
+func countWhere(t *testing.T, db *DB, tbl *Table, pred func(Row) bool) int64 {
+	t.Helper()
+	v, err := db.Run(tbl, FuncAggregate{
+		InitFn: func() any { return int64(0) },
+		TransitionFn: func(s any, r Row) any {
+			if pred(r) {
+				return s.(int64) + 1
+			}
+			return s
+		},
+		MergeFn: func(a, b any) any { return a.(int64) + b.(int64) },
+		FinalFn: func(s any) (any, error) { return s, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.(int64)
+}
+
 func fill(t *testing.T, tbl *Table, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
@@ -149,19 +169,6 @@ func TestSegmentInvarianceProperty(t *testing.T) {
 	}
 }
 
-func TestRunFiltered(t *testing.T) {
-	db := Open(4)
-	tbl, _ := db.CreateTable("t", Schema{{Name: "x", Kind: Float}})
-	fill(t, tbl, 10)
-	got, err := db.RunFiltered(tbl, func(r Row) bool { return r.Float(0) >= 5 }, sumAgg(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(float64) != 5+6+7+8+9 {
-		t.Fatalf("filtered sum = %v", got)
-	}
-}
-
 func TestRunGroupBy(t *testing.T) {
 	db := Open(4)
 	tbl, _ := db.CreateTable("t", Schema{{Name: "g", Kind: String}, {Name: "x", Kind: Float}})
@@ -270,11 +277,7 @@ func TestUpdateInt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := db.CountWhere(tbl, func(r Row) bool { return r.Int(1) == 1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
+	if n := countWhere(t, db, tbl, func(r Row) bool { return r.Int(1) == 1 }); n != 3 {
 		t.Fatalf("cluster-1 count = %d", n)
 	}
 	if err := db.UpdateInt(tbl, "x", func(Row) int64 { return 0 }); !errors.Is(err, ErrType) {
@@ -307,8 +310,7 @@ func TestGenerateSeries(t *testing.T) {
 	if tbl.Count() != 10 {
 		t.Fatalf("series count = %d", tbl.Count())
 	}
-	n, _ := db.CountWhere(tbl, func(r Row) bool { return r.Int(0) >= 4 })
-	if n != 7 {
+	if n := countWhere(t, db, tbl, func(r Row) bool { return r.Int(0) >= 4 }); n != 7 {
 		t.Fatalf("count >= 4: %d", n)
 	}
 	// Replacing an existing series is allowed.

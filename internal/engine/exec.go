@@ -26,9 +26,9 @@ import (
 // BatchAggregate. The whole-table drivers — Run/RunCtx, RunInstrumented,
 // RunSimulated* — then hand it each morsel as typed ColBatch windows
 // instead of calling Transition per row; there is no switch to turn that
-// off. The row-taking drivers (RunFiltered, RunGroupBy*) keep calling
-// Transition, which a batch-only FuncAggregate serves with a one-row
-// ColBatch, so a batch learner writes one transition.
+// off. The row-taking driver (RunGroupBy) keeps calling Transition, which
+// a batch-only FuncAggregate serves with a one-row ColBatch, so a batch
+// learner writes one transition.
 type Aggregate interface {
 	Init() any
 	Transition(state any, row Row) any
@@ -437,36 +437,6 @@ func (db *DB) RunCtx(ctx context.Context, t *Table, agg Aggregate) (any, error) 
 	return mergeFinal(agg, states)
 }
 
-// RunFiltered is Run restricted to rows satisfying pred
-// (SELECT agg(...) FROM t WHERE pred).
-func (db *DB) RunFiltered(t *Table, pred func(Row) bool, agg Aggregate) (any, error) {
-	return db.RunFilteredCtx(context.Background(), t, pred, agg)
-}
-
-// RunFilteredCtx is RunFiltered with cancellation at morsel boundaries.
-func (db *DB) RunFilteredCtx(ctx context.Context, t *Table, pred func(Row) bool, agg Aggregate) (any, error) {
-	db.queries.Add(1)
-	ms := tableMorsels(t)
-	states := make([]any, len(ms))
-	err := db.runMorsels(ctx, t, ms, func(i int, m morsel) error {
-		state := agg.Init()
-		end := m.off + m.n
-		for r := m.off; r < end; r++ {
-			row := Row{seg: m.seg, idx: r}
-			if pred(row) {
-				state = agg.Transition(state, row)
-			}
-		}
-		states[i] = state
-		db.rowsScanned.Add(int64(m.n))
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeFinal(agg, states)
-}
-
 // GroupResult is one group's aggregate output.
 type GroupResult struct {
 	Key   string
@@ -487,38 +457,16 @@ type GroupKey struct {
 
 // RunGroupBy executes SELECT key, agg(...) FROM t GROUP BY key. The key
 // function projects each row to a group key. Partial per-key states are
-// built segment-parallel and merged across segments, mirroring a parallel
+// built morsel-parallel and merged in morsel order, mirroring a parallel
 // hash aggregate.
 func (db *DB) RunGroupBy(t *Table, key func(Row) string, agg Aggregate) (map[string]any, error) {
-	return db.RunGroupByFiltered(t, nil, key, agg)
+	return runGroupBy(context.Background(), db, t, key, agg)
 }
 
-// RunGroupByKeyCtx is RunGroupByKey with cancellation at morsel
-// boundaries.
-func (db *DB) RunGroupByKeyCtx(ctx context.Context, t *Table, pred func(Row) bool, key func(Row) GroupKey, agg Aggregate) (map[GroupKey]any, error) {
-	return runGroupBy(ctx, db, t, pred, key, agg)
-}
-
-// RunGroupByFiltered is RunGroupBy restricted to rows satisfying pred
-// (SELECT key, agg(...) FROM t WHERE pred GROUP BY key). A nil pred keeps
-// every row. Filtering happens before grouping, so groups whose rows are
-// all rejected do not appear in the output — the SQL front-end relies on
-// this for WHERE + GROUP BY queries.
-func (db *DB) RunGroupByFiltered(t *Table, pred func(Row) bool, key func(Row) string, agg Aggregate) (map[string]any, error) {
-	return runGroupBy(context.Background(), db, t, pred, key, agg)
-}
-
-// RunGroupByKey is RunGroupByFiltered with a GroupKey-valued key function:
-// the allocation-free grouping path for hot aggregates. An int64 group
-// column keys as GroupKey{Int: v}, a string column as GroupKey{Str: s};
-// composite keys pack into Str.
-func (db *DB) RunGroupByKey(t *Table, pred func(Row) bool, key func(Row) GroupKey, agg Aggregate) (map[GroupKey]any, error) {
-	return runGroupBy(context.Background(), db, t, pred, key, agg)
-}
-
-// runGroupBy is the shared parallel hash-aggregate skeleton under both
-// RunGroupByFiltered (string keys) and RunGroupByKey (struct keys).
-func runGroupBy[K comparable](ctx context.Context, db *DB, t *Table, pred func(Row) bool, key func(Row) K, agg Aggregate) (map[K]any, error) {
+// runGroupBy is the parallel hash-aggregate skeleton under RunGroupBy,
+// generic in the key so the engine's tests can run it over GroupKey as
+// the row-at-a-time reference for RunGroupByBatched.
+func runGroupBy[K comparable](ctx context.Context, db *DB, t *Table, key func(Row) K, agg Aggregate) (map[K]any, error) {
 	db.queries.Add(1)
 	ms := tableMorsels(t)
 	partials := make([]map[K]any, len(ms))
@@ -527,9 +475,6 @@ func runGroupBy[K comparable](ctx context.Context, db *DB, t *Table, pred func(R
 		end := m.off + m.n
 		for r := m.off; r < end; r++ {
 			row := Row{seg: m.seg, idx: r}
-			if pred != nil && !pred(row) {
-				continue
-			}
 			k := key(row)
 			state, ok := local[k]
 			if !ok {
@@ -626,14 +571,9 @@ func (db *DB) SelectInto(dst string, t *Table, pred func(Row) bool, cols []strin
 	return db.selectInto(context.Background(), dst, t, pred, cols, t.temp)
 }
 
-// SelectIntoTemp is SelectInto into a uniquely named temporary table
-// (prefix_tmp_N), the staging pattern driver functions use (§3.1.2).
-func (db *DB) SelectIntoTemp(prefix string, t *Table, pred func(Row) bool, cols []string) (*Table, error) {
-	return db.selectInto(context.Background(), db.nextTempName(prefix), t, pred, cols, true)
-}
-
-// SelectIntoTempCtx is SelectIntoTemp with cancellation at segment
-// boundaries.
+// SelectIntoTempCtx is SelectInto into a uniquely named temporary table
+// (prefix_tmp_N), the staging pattern driver functions use (§3.1.2),
+// with cancellation at segment boundaries.
 func (db *DB) SelectIntoTempCtx(ctx context.Context, prefix string, t *Table, pred func(Row) bool, cols []string) (*Table, error) {
 	return db.selectInto(ctx, db.nextTempName(prefix), t, pred, cols, true)
 }
@@ -754,18 +694,4 @@ func (db *DB) UpdateFloat(t *Table, col string, fn func(Row) float64) error {
 	})
 	t.version.Add(1) // after the rewrite completes; see Insert
 	return err
-}
-
-// CountWhere returns the number of rows satisfying pred.
-func (db *DB) CountWhere(t *Table, pred func(Row) bool) (int64, error) {
-	v, err := db.RunFiltered(t, pred, FuncAggregate{
-		InitFn:       func() any { return int64(0) },
-		TransitionFn: func(s any, _ Row) any { return s.(int64) + 1 },
-		MergeFn:      func(a, b any) any { return a.(int64) + b.(int64) },
-		FinalFn:      func(s any) (any, error) { return s, nil },
-	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(int64), nil
 }

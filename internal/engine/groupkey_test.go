@@ -1,8 +1,16 @@
 package engine
 
 import (
+	"context"
 	"testing"
 )
+
+// RunGroupByKey is runGroupBy over GroupKey: the row-at-a-time keyed
+// hash aggregate, kept for the tests as the reference RunGroupByBatched
+// (the driver SQL runs) is checked against.
+func (db *DB) RunGroupByKey(t *Table, key func(Row) GroupKey, agg Aggregate) (map[GroupKey]any, error) {
+	return runGroupBy(context.Background(), db, t, key, agg)
+}
 
 func TestRunGroupByKey(t *testing.T) {
 	db := Open(4)
@@ -17,7 +25,7 @@ func TestRunGroupByKey(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	groups, err := db.RunGroupByKey(tbl, nil,
+	groups, err := db.RunGroupByKey(tbl,
 		func(r Row) GroupKey { return GroupKey{Int: r.Int(0)} }, sumAgg(1))
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +34,7 @@ func TestRunGroupByKey(t *testing.T) {
 		t.Fatalf("groups = %d", len(groups))
 	}
 	// Cross-check against the string-keyed path on identical data.
-	strGroups, err := db.RunGroupByFiltered(tbl, nil,
+	strGroups, err := db.RunGroupBy(tbl,
 		func(r Row) string { return string(rune('a' + r.Int(0))) }, sumAgg(1))
 	if err != nil {
 		t.Fatal(err)
@@ -37,23 +45,8 @@ func TestRunGroupByKey(t *testing.T) {
 			t.Fatalf("key %v: keyed sum %v != string-keyed sum %v", k, v, sv)
 		}
 	}
-	// Filtered: only even group ids survive.
-	groups, err = db.RunGroupByKey(tbl,
-		func(r Row) bool { return r.Int(0)%2 == 0 },
-		func(r Row) GroupKey { return GroupKey{Int: r.Int(0)} }, sumAgg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 4 {
-		t.Fatalf("filtered groups = %d", len(groups))
-	}
-	for k := range groups {
-		if k.Int%2 != 0 {
-			t.Fatalf("odd group %v survived the filter", k)
-		}
-	}
 	// Composite keys via the Str field co-group correctly.
-	groups, err = db.RunGroupByKey(tbl, nil,
+	groups, err = db.RunGroupByKey(tbl,
 		func(r Row) GroupKey { return GroupKey{Int: r.Int(0) % 2, Str: "s"} }, sumAgg(1))
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +89,7 @@ func TestRunGroupByKeyAllocs(t *testing.T) {
 	}
 	key := func(r Row) GroupKey { return GroupKey{Int: r.Int(0)} }
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := db.RunGroupByKey(tbl, nil, key, agg); err != nil {
+		if _, err := db.RunGroupByKey(tbl, key, agg); err != nil {
 			t.Fatal(err)
 		}
 	})

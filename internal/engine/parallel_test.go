@@ -60,7 +60,7 @@ func TestPooledSegmentsMatchSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqGroups, err := db.RunGroupByKey(tbl, nil,
+	seqGroups, err := db.RunGroupByKey(tbl,
 		func(r Row) GroupKey { return GroupKey{Int: r.Int(0)} }, sumFloatAgg())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestPooledSegmentsMatchSequential(t *testing.T) {
 		if par != seq {
 			t.Fatalf("trial %d: pooled sum %v != sequential %v", trial, par, seq)
 		}
-		parGroups, err := db.RunGroupByKey(tbl, nil,
+		parGroups, err := db.RunGroupByKey(tbl,
 			func(r Row) GroupKey { return GroupKey{Int: r.Int(0)} }, sumFloatAgg())
 		if err != nil {
 			t.Fatal(err)
@@ -224,9 +224,7 @@ func TestTableVersion(t *testing.T) {
 		t.Fatal("InsertHashed did not bump the version")
 	}
 	v2 := tbl.Version()
-	if _, err := db.CountWhere(tbl, func(Row) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
+	countWhere(t, db, tbl, func(Row) bool { return true })
 	if tbl.Version() != v2 {
 		t.Fatal("a read-only query bumped the version")
 	}

@@ -84,9 +84,12 @@ func TestAssignmentTablePattern(t *testing.T) {
 	}
 	// The assignment column must now hold the final clustering: every
 	// point's stored id must be the closest centroid.
-	bad, err := db.CountWhere(tbl, func(r engine.Row) bool {
-		j, _ := Closest(res.Centroids, r.Vector(0))
-		return r.Int(1) != int64(j)
+	bad := 0
+	err = db.ForEachSegment(tbl, func(_ int, r engine.Row) error {
+		if j, _ := Closest(res.Centroids, r.Vector(0)); r.Int(1) != int64(j) {
+			bad++
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -330,6 +332,82 @@ func TestCancelMidScan(t *testing.T) {
 	}
 	if cell(r, 0, 0) != fmt.Sprint(total) {
 		t.Fatalf("count = %q", cell(r, 0, 0))
+	}
+}
+
+// TestCancelRowClosureScan cancels a scan whose predicate has no batch
+// kernel (a Vector operand: it runs as a row closure inside the batch
+// executor, and used to run on a segment-granular driver). The
+// CancelRequest is sent once the scan is under way; the statement ends
+// with 57014 short of a full scan, and latches, temp tables and
+// goroutines are back at their baseline on a still usable connection.
+func TestCancelRowClosureScan(t *testing.T) {
+	_, db, addr := startServer(t, Config{})
+	c := dialT(t, addr)
+	const total = 400_000
+	if _, err := c.Query(`CREATE TABLE big (i bigint, v double precision[])`); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := db.Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < total; i++ {
+		if err := tbl.Insert(int64(i), []float64{float64(i % 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables := db.TableNames()
+	goroutines := runtime.NumGoroutine()
+	before := db.RowsScanned()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Query(`SELECT i FROM big WHERE array_get(v, 1) >= 0`)
+		errc <- err
+	}()
+	for deadline := time.Now().Add(10 * time.Second); db.RowsScanned() == before && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Microsecond)
+	}
+	if err := c.Cancel(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err = <-errc:
+	case <-time.After(30 * time.Second):
+		t.Fatal("query did not return after cancel")
+	}
+	var we *WireError
+	if errors.As(err, &we) {
+		if we.Code != "57014" {
+			t.Fatalf("sqlstate = %q (%s), want 57014", we.Code, we.Message)
+		}
+		if scanned := db.RowsScanned() - before; scanned >= total {
+			t.Fatalf("scanned %d rows, want < %d (cancel did not stop the scan)", scanned, total)
+		}
+	} else if err != nil {
+		t.Fatalf("unexpected error: %v", err)
+	} // else: the scan finished before the cancel landed — legal race.
+
+	// A write takes the exclusive latch the scan shared; the connection
+	// and its session still serve it.
+	if _, err := c.Query(`INSERT INTO big VALUES (-1, ARRAY[0])`); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Query(`SELECT count(*) FROM big`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell(r, 0, 0) != fmt.Sprint(total+1) {
+		t.Fatalf("count = %q", cell(r, 0, 0))
+	}
+	if got := db.TableNames(); !reflect.DeepEqual(got, tables) {
+		t.Fatalf("catalog after cancel = %v, want %v", got, tables)
+	}
+	for i := 0; runtime.NumGoroutine() > goroutines && i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > goroutines {
+		t.Fatalf("%d goroutines after cancel, %d before", got, goroutines)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,10 +13,12 @@ import (
 )
 
 // Differential harness: every generated query runs through two sessions
-// over the same database — one on the vectorized column-batch lane, one
-// forced onto the per-row lane — and the results (rows, column names,
-// tags, errors) must be identical. The row lane is the semantic oracle;
-// the generator is seeded, so failures reproduce.
+// over the same database — one lowering each consumer to its native
+// batch kernel where it has one, one in oracle mode
+// (SetBatchExecution(false): every consumer lowered to its row closure)
+// — and the results (rows, column names, tags, error text) must be
+// identical. Both run the same executors, so the comparison is kernels
+// against closures; the generator is seeded, so failures reproduce.
 
 // newDiffDB loads a mixed-type table exercising the edge values the
 // kernels must agree on: zeros (division), negative zero and negatives
@@ -155,16 +156,32 @@ func (g *exprGen) aggExpr() string {
 	}
 }
 
-// groupErrPrefix strips the engine's "group <key>: " wrapper: which
-// group surfaces a row-lane aggregate error depends on map iteration
-// order, so only the underlying error is comparable.
-var groupErrPrefix = regexp.MustCompile(`^group [^:]*: `)
-
-func normalizeErr(err error) string {
+func errText(err error) string {
 	if err == nil {
 		return ""
 	}
-	return groupErrPrefix.ReplaceAllString(err.Error(), "")
+	return err.Error()
+}
+
+// nativeLane reports whether the session lowers at least one consumer of
+// the query to a native batch kernel (EXPLAIN's lane line is not "row").
+func nativeLane(t *testing.T, sess *Session, query string) bool {
+	t.Helper()
+	pl, err := sess.planStmt(mustParseStmt(t, query))
+	if err != nil {
+		t.Fatalf("plan %q: %v", query, err)
+	}
+	defer pl.release(sess.db)
+	return planLane(pl) != "row"
+}
+
+func mustParseStmt(t *testing.T, query string) Statement {
+	t.Helper()
+	st, err := ParseStatement(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
 func formatResult(res *Result) string {
@@ -174,14 +191,14 @@ func formatResult(res *Result) string {
 	return res.Format()
 }
 
-// runDiffQuery executes one query on both lanes and fails on any
-// divergence. It returns whether the batch session actually planned the
-// vectorized lane (so callers can require coverage).
+// runDiffQuery executes one query in both modes and fails on any
+// divergence. It returns whether the batch session lowered an aggregate
+// query natively (so callers can require coverage).
 func runDiffQuery(t *testing.T, batchSess, rowSess *Session, query string) bool {
 	t.Helper()
 	bRes, bErr := batchSess.Query(query)
 	rRes, rErr := rowSess.Query(query)
-	if normalizeErr(bErr) != normalizeErr(rErr) {
+	if errText(bErr) != errText(rErr) {
 		t.Fatalf("query %q:\n  batch err: %v\n  row err:   %v", query, bErr, rErr)
 	}
 	if bErr != nil {
@@ -199,8 +216,8 @@ func runDiffQuery(t *testing.T, batchSess, rowSess *Session, query string) bool 
 	if err != nil {
 		return false
 	}
-	ap, ok := pl.(*aggPlan)
-	return ok && ap.batch != nil
+	_, ok := pl.(*aggPlan)
+	return ok && planLane(pl) != "row"
 }
 
 func TestBatchLaneDifferential(t *testing.T) {
@@ -294,52 +311,40 @@ func TestBatchLaneDifferentialEdges(t *testing.T) {
 	}
 }
 
-// TestBatchLaneFallback proves the planner rejects the vectorized lane
-// for shapes it cannot execute — and that results still match the
-// row-only session.
+// TestBatchLaneFallback runs the aggregate shapes with no native lowering
+// — they fold through the row aggregate inside the batch executor — and
+// pins which of them still report the row lane (no consumer native).
 func TestBatchLaneFallback(t *testing.T) {
 	db := newDiffDB(t, 200)
 	batchSess := NewSession(db)
 	rowSess := NewSession(db)
 	rowSess.SetBatchExecution(false)
-	fallbacks := []string{
+	fallbacks := []struct {
+		query  string
+		native bool
+	}{
 		// Vector column in an aggregate argument.
-		`SELECT count(array_get(v, 1)) FROM d`,
-		// Vector-valued group key.
-		`SELECT v, count(*) FROM d GROUP BY v`,
+		{`SELECT count(array_get(v, 1)) FROM d`, false},
+		// Vector-valued group key: generic key fill, native count(*).
+		{`SELECT v, count(*) FROM d GROUP BY v`, true},
 		// min/max over bool stays boxed.
-		`SELECT min(b), max(b) FROM d`,
+		{`SELECT min(b), max(b) FROM d`, false},
 	}
-	for _, q := range fallbacks {
-		st, err := ParseStatement(q)
-		if err != nil {
-			t.Fatal(err)
+	for _, f := range fallbacks {
+		if got := nativeLane(t, batchSess, f.query); got != f.native {
+			t.Fatalf("query %q: native lane = %v, want %v", f.query, got, f.native)
 		}
-		pl, err := batchSess.planStmt(st)
-		if err != nil {
-			t.Fatalf("plan %q: %v", q, err)
-		}
-		if ap, ok := pl.(*aggPlan); ok && ap.batch != nil {
-			t.Fatalf("query %q unexpectedly planned the batch lane", q)
-		}
-		bRes, bErr := batchSess.Query(q)
-		rRes, rErr := rowSess.Query(q)
-		if normalizeErr(bErr) != normalizeErr(rErr) {
-			t.Fatalf("query %q: batch err %v, row err %v", q, bErr, rErr)
-		}
-		if bErr == nil && formatResult(bRes) != formatResult(rRes) {
-			t.Fatalf("query %q: fallback results diverge", q)
-		}
+		runDiffQuery(t, batchSess, rowSess, f.query)
 	}
-	// Shapes that used to fall back but now vectorize: text min/max and
-	// madlib scalar aggregates. Both lanes must still agree.
+	// Text min/max lower natively; madlib scalar aggregates fold rows
+	// beside a vectorized WHERE. Both modes must still agree.
 	promoted := []string{
 		`SELECT min(s), max(s) FROM d`,
 		`SELECT g, min(s) FROM d WHERE f > 0 GROUP BY g`,
-		`SELECT madlib.fmcount(s) FROM d`,
-		`SELECT g, madlib.quantile(f, 0.5) FROM d GROUP BY g`,
 		`SELECT madlib.quantile(f, 0.25), count(*), min(s) FROM d WHERE i <> 0`,
 	}
+	runDiffQuery(t, batchSess, rowSess, `SELECT madlib.fmcount(s) FROM d`)
+	runDiffQuery(t, batchSess, rowSess, `SELECT g, madlib.quantile(f, 0.5) FROM d GROUP BY g`)
 	for _, q := range promoted {
 		if !runDiffQuery(t, batchSess, rowSess, q) {
 			t.Fatalf("query %q should now plan the batch lane", q)
@@ -347,28 +352,24 @@ func TestBatchLaneFallback(t *testing.T) {
 	}
 }
 
-// TestSetBatchExecutionReplansPrepared proves the lane toggle reaches
+// TestSetBatchExecutionReplansPrepared proves the oracle toggle reaches
 // prepared statements: after SetBatchExecution(false) an EXECUTE must
-// replan onto the row lane, not keep the stored batch plan.
+// replan onto row closures, not keep the stored native plan.
 func TestSetBatchExecutionReplansPrepared(t *testing.T) {
 	db := newDiffDB(t, 100)
 	s := NewSession(db)
 	if _, err := s.Exec(`PREPARE q AS SELECT g, avg(f) FROM d GROUP BY g`); err != nil {
 		t.Fatal(err)
 	}
-	lane := func() *batchAggLane {
+	lane := func() string {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		pl := s.prepared["q"].plan
-		if pl == nil {
-			return nil
-		}
-		return pl.(*aggPlan).batch
+		return planLane(s.prepared["q"].plan)
 	}
 	if _, err := s.Query(`EXECUTE q`); err != nil {
 		t.Fatal(err)
 	}
-	if lane() == nil {
+	if lane() != "batch" {
 		t.Fatal("prepared plan should start on the batch lane")
 	}
 	s.SetBatchExecution(false)
@@ -376,7 +377,7 @@ func TestSetBatchExecutionReplansPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lane() != nil {
+	if lane() != "row" {
 		t.Fatal("EXECUTE after SetBatchExecution(false) kept the batch lane")
 	}
 	s.SetBatchExecution(true)
@@ -384,7 +385,7 @@ func TestSetBatchExecutionReplansPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lane() == nil {
+	if lane() != "batch" {
 		t.Fatal("EXECUTE after re-enabling did not return to the batch lane")
 	}
 	if formatResult(got) != formatResult(want) {
@@ -405,23 +406,16 @@ func TestBatchLanePrepared(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The prepared plan on the batch session must use the batch lane.
-	st, err := ParseStatement(`SELECT g, avg(f), count(*) FROM d WHERE f > $1 GROUP BY g`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := batchSess.planStmt(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ap, ok := pl.(*aggPlan); !ok || ap.batch == nil {
-		t.Fatal("parameterized comparison did not plan the batch lane")
+	// The parameterized comparison has a native kernel: it alone puts a
+	// bool max (no kernel of its own) on the batch lane.
+	if !nativeLane(t, batchSess, `SELECT max(b) FROM d WHERE f > $1`) {
+		t.Fatal("parameterized comparison did not lower to its batch kernel")
 	}
 	for _, arg := range []string{"-5", "0", "12.25", "1e18", "'nope'"} {
 		q := fmt.Sprintf("EXECUTE q(%s)", arg)
 		bRes, bErr := batchSess.Query(q)
 		rRes, rErr := rowSess.Query(q)
-		if normalizeErr(bErr) != normalizeErr(rErr) {
+		if errText(bErr) != errText(rErr) {
 			t.Fatalf("EXECUTE q(%s): batch err %v, row err %v", arg, bErr, rErr)
 		}
 		if bErr == nil && formatResult(bRes) != formatResult(rRes) {
@@ -451,80 +445,88 @@ func newJoinDiffDB(t *testing.T, rows int) *engine.DB {
 	return db
 }
 
-// TestRowLaneShapesPinned pins the planner's lane decision. After the
-// NULL-aware kernel work the batch lane covers LEFT JOIN scans and
-// aggregates (validity bitmaps over the padded side), DISTINCT, and
-// the window input gather; the remaining row-only shapes are
-// Vector-typed operands, bool min/max, scalar function calls over
-// possibly-NULL arguments, and parameter-vs-nullable comparisons.
+// TestRowLaneShapesPinned pins the lowering decisions. Every planned
+// scan, aggregate and window carries a batch program and runs on its one
+// batch executor; what varies is which consumers lowered to native
+// kernels. The lane reads "row" only when none did: Vector-typed
+// operands, bool min/max and scalar function calls over possibly-NULL
+// arguments lower to row-closure kernels, and a statement made only of
+// those is the row lane's last tenant.
 func TestRowLaneShapesPinned(t *testing.T) {
 	db := newJoinDiffDB(t, 300)
 	sess := NewSession(db)
-	plan := func(q string) stmtPlan {
+	oracle := NewSession(db)
+	oracle.SetBatchExecution(false)
+	plan := func(s *Session, q string) stmtPlan {
 		t.Helper()
-		st, err := ParseStatement(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl, err := sess.planStmt(st)
+		pl, err := s.planStmt(mustParseStmt(t, q))
 		if err != nil {
 			t.Fatalf("plan %q: %v", q, err)
 		}
 		return pl
 	}
-	// Inner-joined aggregate: batch lane over the join materialization.
-	if ap := plan(`SELECT dims.name, sum(d.f) FROM d JOIN dims ON d.g = dims.g GROUP BY dims.name`).(*aggPlan); ap.batch == nil || ap.src.join == nil {
-		t.Fatal("inner-joined aggregate must take the batch lane over a join source")
+	shapes := []struct {
+		query string
+		lane  string // planLane in the default mode
+	}{
+		// Joined sources: the kernels run over the join materialization.
+		{`SELECT dims.name, sum(d.f) FROM d JOIN dims ON d.g = dims.g GROUP BY dims.name`, "batch"},
+		{`SELECT d.i, dims.name FROM d JOIN dims ON d.g = dims.g WHERE d.f > 0`, "batch"},
+		// LEFT JOIN: validity-masked folds and NULL-boxing projection.
+		{`SELECT count(dims.name) FROM d LEFT JOIN dims ON d.g = dims.g`, "batch"},
+		{`SELECT d.i, dims.name FROM d LEFT JOIN dims ON d.g = dims.g WHERE d.f > 0`, "batch"},
+		{`SELECT DISTINCT g FROM d WHERE f > 0`, "batch"},
+		{`SELECT DISTINCT avg(f) FROM d GROUP BY g`, "batch"},
+		{`SELECT sum(f) OVER (PARTITION BY g ORDER BY i) FROM d WHERE b`, "batch"},
+		{`SELECT count(dims.name) OVER (PARTITION BY d.g ORDER BY d.i) FROM d LEFT JOIN dims ON d.g = dims.g`, "batch"},
+		{`SELECT g, sum(f) FROM d WHERE f > 0 GROUP BY g`, "batch"},
+		{`SELECT i FROM d WHERE f > 0`, "batch"},
+		{`SELECT count(*) FROM d`, "fused"},
+		// Mixed: a row-closure consumer beside a native one.
+		{`SELECT i FROM d WHERE array_get(v, 1) >= 0`, "batch"},
+		{`SELECT row_number() OVER (PARTITION BY v ORDER BY i) FROM d`, "batch"},
+		{`SELECT sum(abs(dims.g)) FROM d LEFT JOIN dims ON d.g = dims.g WHERE d.f > 0`, "batch"},
+		{`SELECT v, count(*) FROM d GROUP BY v`, "batch"},
+		{`SELECT i, g FROM d WHERE i >= $1 AND i < $1 + 10`, "batch"},
+		// No consumer has a kernel.
+		{`SELECT v FROM d WHERE array_get(v, 1) >= 0`, "row"},
+		{`SELECT sum(abs(dims.g)) FROM d LEFT JOIN dims ON d.g = dims.g`, "row"},
+		{`SELECT max(b) FROM d`, "row"},
+		{`SELECT sum(f + $1) FROM d`, "row"},
 	}
-	// Inner-joined scan: the WHERE filter vectorizes over the join output.
-	if sp := plan(`SELECT d.i, dims.name FROM d JOIN dims ON d.g = dims.g WHERE d.f > 0`).(*scanPlan); sp.batchPred == nil || sp.src.join == nil {
-		t.Fatal("inner-joined scan must vectorize its filter")
+	for _, sh := range shapes {
+		for _, s := range []*Session{sess, oracle} {
+			want := sh.lane
+			if s == oracle {
+				want = "row" // oracle mode lowers every consumer to its closure
+			}
+			pl := plan(s, sh.query)
+			if got := planLane(pl); got != want {
+				t.Errorf("%q: lane %q, want %q", sh.query, got, want)
+			}
+			var prog *batchProg
+			switch p := pl.(type) {
+			case *scanPlan:
+				prog = p.prog
+			case *aggPlan:
+				prog = p.lane.prog
+			case *windowPlan:
+				prog = p.prog
+			}
+			if prog == nil {
+				t.Errorf("%q: planned without a batch program", sh.query)
+			}
+			pl.release(db)
+		}
 	}
-	// LEFT JOIN aggregate: batch lane — count(nullable) folds with a
-	// NULL-skipping validity lane.
-	if ap := plan(`SELECT count(dims.name) FROM d LEFT JOIN dims ON d.g = dims.g`).(*aggPlan); ap.batch == nil {
-		t.Fatal("LEFT JOIN aggregate must take the batch lane")
+	// The individual lowerings behind the mixed shapes.
+	sp := plan(sess, `SELECT i, v FROM d WHERE array_get(v, 1) >= 0`).(*scanPlan)
+	if sp.nativePred || sp.nativeItems != 1 || sp.items[0].rowFn != nil || sp.items[1].rowFn == nil {
+		t.Errorf("scan lowered pred native=%v, %d native items", sp.nativePred, sp.nativeItems)
 	}
-	// LEFT JOIN scan: vectorized filter plus columnar projection; the
-	// nullable column boxes NULL where the validity bitmap is false.
-	if sp := plan(`SELECT d.i, dims.name FROM d LEFT JOIN dims ON d.g = dims.g WHERE d.f > 0`).(*scanPlan); sp.batchPred == nil || sp.projItems == nil {
-		t.Fatal("LEFT JOIN scan must vectorize its filter and projection")
-	}
-	// DISTINCT scan: batch lane; dedupe runs over the boxed output.
-	if sp := plan(`SELECT DISTINCT g FROM d WHERE f > 0`).(*scanPlan); sp.batchPred == nil || !sp.distinct {
-		t.Fatal("DISTINCT scan must take the batch lane")
-	}
-	// DISTINCT aggregate: batch lane.
-	if ap := plan(`SELECT DISTINCT avg(f) FROM d GROUP BY g`).(*aggPlan); ap.batch == nil {
-		t.Fatal("DISTINCT aggregate must take the batch lane")
-	}
-	// Window: sum/count windows gather their input on the batch lane
-	// (the per-partition fold itself stays row-at-a-time).
-	if wp := plan(`SELECT sum(f) OVER (PARTITION BY g ORDER BY i) FROM d WHERE b`).(*windowPlan); wp.batch == nil {
-		t.Fatal("window input gather must take the batch lane")
-	}
-	if wp := plan(`SELECT count(dims.name) OVER (PARTITION BY d.g ORDER BY d.i) FROM d LEFT JOIN dims ON d.g = dims.g`).(*windowPlan); wp.batch == nil {
-		t.Fatal("window gather over a LEFT JOIN must take the batch lane")
-	}
-	// Still row lane: Vector operands have no batch kernels.
-	if sp := plan(`SELECT i FROM d WHERE array_get(v, 1) >= 0`).(*scanPlan); sp.batchPred != nil || sp.projItems != nil {
-		t.Fatal("Vector predicate must keep the scan on the row lane")
-	}
-	if wp := plan(`SELECT row_number() OVER (PARTITION BY v ORDER BY i) FROM d`).(*windowPlan); wp.batch != nil {
-		t.Fatal("Vector partition key must keep the window gather on the row lane")
-	}
-	// Still row lane: scalar functions over possibly-NULL arguments (the
-	// row lane errors on NULL args; the kernels cannot reproduce that
-	// per-row, so the planner refuses).
-	if ap := plan(`SELECT sum(abs(dims.g)) FROM d LEFT JOIN dims ON d.g = dims.g`).(*aggPlan); ap.batch != nil {
-		t.Fatal("scalar function over a nullable argument must keep the row lane")
-	}
-	// Controls: plain shapes still vectorize.
-	if ap := plan(`SELECT g, sum(f) FROM d WHERE f > 0 GROUP BY g`).(*aggPlan); ap.batch == nil {
-		t.Fatal("plain aggregate lost the batch lane")
-	}
-	if sp := plan(`SELECT i FROM d WHERE f > 0`).(*scanPlan); sp.batchPred == nil {
-		t.Fatal("plain scan filter lost the batch lane")
+	ap := plan(sess, `SELECT max(b), sum(f) FROM d WHERE f > 0`).(*aggPlan)
+	if ap.lane.specs[0].bind == nil || ap.lane.specs[1].bind != nil {
+		t.Error("bool max must fold rows and sum(f) must keep its kernel")
 	}
 }
 
@@ -698,14 +700,8 @@ func TestNullBatchLaneDifferential(t *testing.T) {
 		`SELECT d.g, row_number() OVER (PARTITION BY dims.g ORDER BY d.i)` + lj + ` WHERE d.f > 0 LIMIT 120`,
 	}
 	for _, q := range windowQueries {
-		st, err := ParseStatement(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pl, err := batchSess.planStmt(st); err == nil {
-			if wp, ok := pl.(*windowPlan); !ok || wp.batch == nil {
-				t.Fatalf("query %q should plan the vectorized window gather", q)
-			}
+		if !nativeLane(t, batchSess, q) {
+			t.Fatalf("query %q should plan the vectorized window gather", q)
 		}
 		runDiffQuery(t, batchSess, rowSess, q)
 	}
@@ -825,6 +821,71 @@ func TestParallelLaneDifferential(t *testing.T) {
 					q, trial, formatResult(want), formatResult(got))
 			}
 		}
+	}
+}
+
+// TestMixedLoweringDifferential runs statements that mix native batch
+// kernels with row-closure kernels in one plan — the shapes that used to
+// send the whole statement to a second executor — in both modes, with
+// the sequential driver and with the worker pool, and requires
+// bit-identical results including error text.
+func TestMixedLoweringDifferential(t *testing.T) {
+	queries := []string{
+		// A native comparison AND-ed with a Vector operand.
+		`SELECT i, f FROM d WHERE f > 0 AND array_get(v, 1) >= 0`,
+		`SELECT count(*), sum(f) FROM d WHERE f > 0 AND array_get(v, 1) >= 0`,
+		// A columnar item beside a Vector item; an ORDER BY key over the
+		// input row beside an ordinal.
+		`SELECT i, v FROM d WHERE f > 0`,
+		`SELECT v, s FROM d WHERE b ORDER BY array_get(v, 1), 2, i LIMIT 70`,
+		`SELECT DISTINCT v, b FROM d WHERE f > 0 ORDER BY v, b`,
+		// A scalar function over a NULL-padded column folds rows behind a
+		// vectorized WHERE; without the guard the closure raises on NULL.
+		`SELECT sum(abs(dims.g)), count(*) FROM d LEFT JOIN dims ON d.g = dims.g WHERE d.f > 0 AND d.g < 5`,
+		`SELECT d.s, sum(abs(dims.g)) FROM d LEFT JOIN dims ON d.g = dims.g WHERE d.g < 5 GROUP BY d.s`,
+		`SELECT sum(abs(dims.g)) FROM d LEFT JOIN dims ON d.g = dims.g WHERE d.f > 0`,
+		// bool min/max beside native folds.
+		`SELECT max(b), min(b), sum(f), count(*) FROM d WHERE f > 0`,
+		`SELECT g, max(b), avg(f) FROM d GROUP BY g`,
+		// Vector group keys, alone and in a composite.
+		`SELECT v, count(*), sum(f) FROM d GROUP BY v`,
+		`SELECT v, g, min(s), max(b) FROM d WHERE f > 0 GROUP BY v, g`,
+		// Vector partition key under a vectorized WHERE.
+		`SELECT v, i, row_number() OVER (PARTITION BY v ORDER BY i, s, f) FROM d WHERE f > 0`,
+		`SELECT g, sum(f) OVER (PARTITION BY v, g ORDER BY array_get(v, 1), i, s, f) FROM d WHERE f > 0 ORDER BY 1, 2 LIMIT 90`,
+		// Errors raised inside a row-closure kernel.
+		`SELECT i FROM d WHERE f > 0 AND array_get(v, 2) >= 0`,
+		`SELECT i, array_get(v, 2) FROM d WHERE f > 0`,
+		`SELECT g, sum(array_get(v, 2)) FROM d WHERE f > 0 GROUP BY g`,
+		`SELECT row_number() OVER (PARTITION BY array_get(v, 2) ORDER BY i) FROM d WHERE f > 0`,
+	}
+	prepared := []struct {
+		name, text string
+		args       []string
+	}{
+		{"agg", `SELECT sum(f + $1), count(*) FROM d WHERE f > 0`, []string{"1", "0.5", "'nope'"}},
+		{"rng", `SELECT i, v FROM d WHERE i >= $1 AND i < $1 + 10`, []string{"-5", "0", "990", "1.5", "'nope'"}},
+		{"grp", `SELECT v, sum(i % $1) FROM d WHERE f > $2 GROUP BY v`, []string{"7, 0", "0, 0", "3, 'x'"}},
+	}
+	db := newJoinDiffDB(t, engine.ParallelRowThreshold+1500)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			withGOMAXPROCS(t, procs)
+			batchSess := NewSession(db)
+			rowSess := NewSession(db)
+			rowSess.SetBatchExecution(false)
+			for _, q := range queries {
+				runDiffQuery(t, batchSess, rowSess, q)
+			}
+			for _, p := range prepared {
+				for _, sess := range []*Session{batchSess, rowSess} {
+					mustExec(t, sess, fmt.Sprintf("PREPARE %s AS %s", p.name, p.text))
+				}
+				for _, arg := range p.args {
+					runDiffQuery(t, batchSess, rowSess, fmt.Sprintf("EXECUTE %s(%s)", p.name, arg))
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package sql
 import (
 	"math"
 	"strings"
+	"sync"
 
 	"madlib/internal/engine"
 )
@@ -18,11 +19,12 @@ import (
 // short-circuiting) matches the row lane exactly.
 //
 // Not every expression has a batch lowering — Vector-typed operands,
-// madlib calls, and $n parameters outside comparison positions fall back
-// to the row lane. compileBatch* functions therefore return ok=false
-// rather than errors: the row-lane compile has already type-checked the
-// expression, so a false here only means "use the row lane", never "the
-// query is invalid".
+// madlib calls, and $n parameters outside comparison positions do not.
+// compileBatch* functions therefore return ok=false rather than errors:
+// the closure compile has already type-checked the expression, so a
+// false here only means "this consumer runs its row closure inside the
+// batch executor" (lowering, exec_batch.go), never "the query is
+// invalid".
 
 // selVec is a selection vector: the batch-local indices (0..Len-1) of
 // the rows a kernel must evaluate, in row order.
@@ -98,23 +100,18 @@ type batchCompiler struct {
 }
 
 // batchProg records the scratch-slot footprint of a fully compiled batch
-// pipeline; it is the factory for per-segment batchEval instances.
+// pipeline; it is the factory for per-morsel batchEval instances. pool
+// recycles its plan's per-morsel state (a morselScratch, or the
+// aggregate executor's batchMorselState) and the scratch lanes in it
+// across executions, so a cached plan's steady state allocates only its
+// output.
 type batchProg struct {
 	nFloat, nInt, nStr, nBool, nSel int
+	pool                            sync.Pool
 }
 
 func newBatchCompiler(schema engine.Schema) *batchCompiler {
 	return &batchCompiler{schema: schema, colIdx: colIndexMap(schema), prog: &batchProg{}, matchedIdx: -1}
-}
-
-// newBatchCompilerNullable is newBatchCompiler for a source with
-// NULL-padded columns (LEFT JOIN output): kernels over the columns
-// marked nullable carry validity derived from the matchedIdx marker.
-func newBatchCompilerNullable(schema engine.Schema, nullable []bool, matchedIdx int) *batchCompiler {
-	bc := newBatchCompiler(schema)
-	bc.nullable = nullable
-	bc.matchedIdx = matchedIdx
-	return bc
 }
 
 func (bc *batchCompiler) floatSlot() int { s := bc.prog.nFloat; bc.prog.nFloat++; return s }
@@ -395,7 +392,8 @@ func collapseBool(c *bcompiled, bc *batchCompiler) *bcompiled {
 }
 
 // compileBatchExpr lowers e to a batch kernel; ok=false means the
-// expression has no batch lowering and the plan must use the row lane.
+// expression has no batch lowering and its consumer takes the row
+// closure instead.
 func compileBatchExpr(e Expr, bc *batchCompiler) (*bcompiled, bool) {
 	switch x := e.(type) {
 	case *Literal:
@@ -510,7 +508,7 @@ func gatherColumn(kind engine.Kind, ci int) (*bcompiled, bool) {
 				return nil
 			}}, true
 	}
-	// Vector columns stay on the row lane.
+	// Vector columns have no lane kernel.
 	return nil, false
 }
 
@@ -1381,7 +1379,7 @@ func compileBatchFuncCall(x *FuncCall, bc *batchCompiler) (*bcompiled, bool) {
 }
 
 // compileBatchPredicate lowers a WHERE clause to a boolean batch kernel;
-// ok=false falls back to the row lane. A nil WHERE compiles to (nil, true).
+// ok=false leaves it to its row closure. A nil WHERE compiles to (nil, true).
 func compileBatchPredicate(where Expr, bc *batchCompiler) (bBatchKernel, bool) {
 	if where == nil {
 		return nil, true

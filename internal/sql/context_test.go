@@ -6,7 +6,12 @@ package sql
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"madlib/internal/engine"
 )
@@ -46,6 +51,87 @@ func TestQueryContextCancelled(t *testing.T) {
 	}
 	if r.Rows[0][0].(int64) != int64(4*engine.MorselRows) {
 		t.Fatalf("count = %v", r.Rows[0][0])
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its n-th Err
+// poll on. The scan drivers poll once per morsel boundary, so a scan is
+// cancelled in mid-flight at a reproducible point.
+type cancelAfter struct {
+	context.Context
+	polls atomic.Int64
+	n     int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.polls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelAtMorselBoundary cancels the statements whose consumers lower
+// to row closures (the shapes that used to scan on segment-granular
+// drivers) in the middle of a 400k-row scan: each returns
+// context.Canceled having scanned less than one segment, and latches,
+// temp tables and goroutines are back at their baseline afterwards.
+func TestCancelAtMorselBoundary(t *testing.T) {
+	const rows = 400_000
+	s := newSession(t)
+	db := s.DB()
+	tbl, err := db.CreateTable("big", engine.Schema{
+		{Name: "i", Kind: engine.Int}, {Name: "v", Kind: engine.Vector},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := [][]float64{{0}, {1}, {2}}
+	for i := 0; i < rows; i++ {
+		if err := tbl.Insert(int64(i), vecs[i%3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perSegment := int64(rows / len(tbl.Segments()))
+	for _, procs := range []int{1, 4} {
+		for _, q := range []string{
+			`SELECT i FROM big WHERE array_get(v, 1) >= 0`,
+			`SELECT v, count(array_get(v, 1)) FROM big GROUP BY v`,
+			`SELECT row_number() OVER (PARTITION BY v ORDER BY i) FROM big WHERE array_get(v, 1) >= 0`,
+		} {
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d/%s", procs, q), func(t *testing.T) {
+				withGOMAXPROCS(t, procs)
+				tables := db.TableNames()
+				goroutines := runtime.NumGoroutine()
+				before := db.RowsScanned()
+				_, err := s.QueryContext(&cancelAfter{Context: context.Background(), n: 4}, q)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if got := db.RowsScanned() - before; got == 0 || got >= perSegment {
+					t.Fatalf("scanned %d rows before the cancel took effect, want 0 < n < %d (one segment)", got, perSegment)
+				}
+				// The shared data latch is released: a writer gets through.
+				done := make(chan error, 1)
+				go func() { done <- tbl.Insert(int64(-1), vecs[0]) }()
+				select {
+				case err := <-done:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("INSERT blocked: the cancelled scan leaked its read latch")
+				}
+				if got := db.TableNames(); !reflect.DeepEqual(got, tables) {
+					t.Fatalf("catalog after cancel = %v, want %v", got, tables)
+				}
+				for i := 0; runtime.NumGoroutine() > goroutines && i < 100; i++ {
+					time.Sleep(10 * time.Millisecond)
+				}
+				if got := runtime.NumGoroutine(); got > goroutines {
+					t.Fatalf("%d goroutines after cancel, %d before", got, goroutines)
+				}
+			})
+		}
 	}
 }
 

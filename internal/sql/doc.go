@@ -62,8 +62,8 @@
 // LEFT JOIN keeps unmatched left rows. The engine's columnar storage has
 // no NULL representation, so the join materializes a hidden boolean
 // marker column (engine.MatchedCol) and the planner compiles references
-// to right-side columns into NULL-aware closures on the row lane and
-// validity-bitmap kernels on the batch lane: on unmatched rows they
+// to right-side columns into NULL-aware row closures and
+// validity-bitmap batch kernels: on unmatched rows they
 // evaluate to SQL NULL, which propagates through arithmetic and NOT, is
 // skipped by count(x)/sum/avg/min/max (count(*) still counts the row),
 // and renders empty. Comparisons with NULL are false (three-valued logic
@@ -135,27 +135,44 @@
 //
 // # Execution lanes
 //
-// The executor is compile-once-execute-many with two lowering targets.
+// The executor is compile-once-execute-many. Every FROM-bearing SELECT
+// shape has exactly one executor, and it is batch- and morsel-driven:
+// projection scans and the window gather run on engine.ForEachBatch,
+// aggregates on engine.RunBatched / RunGroupByBatched. What varies is
+// decided one level down, per consumer: each WHERE predicate, projected
+// item (SELECT list, ORDER BY key over the input row, window PARTITION
+// BY / ORDER BY key), aggregate call and GROUP BY key lowers either to
+// a native column kernel or to a kernel that runs its compiled row
+// closure over the batch's selection vector (lowering, exec_batch.go).
+// One statement can mix the two freely — a vectorized comparison AND-ed
+// under a closure predicate, a columnar item beside a Vector item, a
+// native sum beside a row-folded bool max — and the lane is never a
+// property of the plan.
 //
-// The vectorized batch lane (compile_batch.go, exec_batch.go) is the
-// default for aggregate queries and for scan filters. The engine hands
-// kernels an engine.ColBatch — a typed, zero-copy window of up to
+// The native kernels (compile_batch.go, exec_batch.go) are what every
+// consumer takes when it can. The engine hands kernels an
+// engine.ColBatch — a typed, zero-copy window of up to
 // engine.BatchSize (1024) rows over one segment's columnar storage —
 // and compiled kernels fill whole []float64 / []int64 / []string /
 // []bool lanes per call. WHERE predicates produce selection vectors
 // (the batch-local indices of surviving rows) that every downstream
-// kernel respects, so filtered-out rows are never evaluated; AND/OR
+// consumer respects, so filtered-out rows are never evaluated; AND/OR
 // evaluate their right operand only over the sub-selection the left
-// operand did not decide, preserving the row lane's short-circuit
+// operand did not decide, preserving the closures' short-circuit
 // semantics (x <> 0 AND 1/x > 2 cannot fault). Built-in aggregates fold
-// lanes directly into the same accumulator structs the row lane uses,
-// and single-column GROUP BY keys hash through Go's specialized
-// int64/string map fast paths per segment. Ungrouped single-aggregate
-// queries whose argument is a bare column (or count) take a further
-// fused filter+aggregate path: the predicate fills one bool lane and
-// the aggregate folds the raw column lane against it — no selection
-// vector, no gather. Kernel scratch is allocated per segment and pooled
-// across executions of a cached plan.
+// lanes directly into the same accumulator structs their row-closure
+// form uses, and single-column GROUP BY keys hash through Go's
+// specialized int64/string map fast paths per morsel. Ungrouped
+// single-aggregate queries whose argument is a bare column (or count)
+// take a further fused filter+aggregate path: the predicate fills one
+// bool lane and the aggregate folds the raw column lane against it —
+// no selection vector, no gather. Scan SELECT items fill typed lanes
+// per batch and box each output cell once (NULL where the validity bit
+// is clear); SELECT DISTINCT dedupes over that boxed output, and window
+// queries gather their partition/order input through the same items
+// before the per-partition fold, which stays row-at-a-time by
+// definition. Kernel scratch is allocated per morsel and pooled across
+// executions of a cached plan.
 //
 // Execution is morsel-parallel: the engine splits every segment into
 // sub-segment morsels — batch-aligned row spans of up to
@@ -164,7 +181,8 @@
 // scan. Per-morsel states merge left-to-right in morsel order (a
 // refinement of segment order) afterwards, so results, including
 // non-associative float sums, are bit-identical to sequential
-// execution and to the row lane. Tables below
+// execution, whichever form each consumer took. Cancellation is polled
+// at every morsel boundary for every shape. Tables below
 // engine.ParallelRowThreshold (4096 rows) run inline on the calling
 // goroutine, so small tables never pay goroutine spawn costs. Sorting
 // — SELECT-level ORDER BY, window partition ordering and the grouped
@@ -176,51 +194,44 @@
 // a single core. The engine_morsels and engine_sort_parallel /
 // engine_sort_sequential counters make both decisions observable.
 //
-// The row lane lowers the same expressions to typed per-row Go closures
-// with unboxed fast paths. It is the semantic oracle (the differential
-// tests in batch_diff_test.go assert lane equivalence, including
-// division-by-zero errors and int64 overflow) and the fallback for
-// everything the batch lane does not express.
+// Join sources vectorize on both sides of the NULL divide. Inner joins
+// materialize into an ordinary NULL-free temp table that the kernels
+// scan unchanged. LEFT JOIN sources vectorize through validity bitmaps:
+// each nullable right-side column gets a per-batch validity lane
+// derived from the hidden matched marker, and the kernels are
+// NULL-aware — comparisons clear selection bits where an operand is
+// NULL, NOT re-evaluates its operand two-valued (NOT (NULL < 2) is
+// true), arithmetic propagates invalidity before it can fault (a
+// NULL-padded zero divisor raises no error), aggregates skip invalid
+// positions (count(*) still counts the row; an all-NULL sum is NULL),
+// and group keys read the raw padded lanes — exactly the closures'
+// semantics, pinned by the differential harness.
 //
-// The planner picks the lane per query at plan time. It chooses the
-// batch lane when every aggregate is a batchable built-in
-// (count/sum/avg/variance/stddev over numeric expressions, min/max
-// over numeric or text expressions, count(*)) or a registered madlib
-// aggregate (adapted by folding rows through its transition function,
-// so the WHERE clause still vectorizes and the scan still
-// parallelizes), the WHERE clause batch-compiles, and no GROUP BY key
-// is Vector-typed. Join sources vectorize on both sides of the NULL
-// divide. Inner joins materialize into an ordinary NULL-free temp
-// table that the batch kernels scan unchanged. LEFT JOIN sources
-// vectorize through validity bitmaps: each nullable right-side column
-// gets a per-batch validity lane derived from the hidden matched
-// marker, and the kernels are NULL-aware — comparisons clear
-// selection bits where an operand is NULL, NOT re-evaluates its
-// operand two-valued (NOT (NULL < 2) is true), arithmetic propagates
-// invalidity before it can fault (a NULL-padded zero divisor raises
-// no error), aggregates skip invalid positions (count(*) still counts
-// the row; an all-NULL sum is NULL), and group keys read the raw
-// padded lanes — exactly the row-lane oracle semantics, pinned by the
-// differential harness.
+// The row closures (compile.go) lower the same expressions to typed
+// per-row Go functions with unboxed fast paths. Every expression
+// compiles to them first — plan-time errors come from there — and they
+// are what a consumer runs when it has no kernel. Consumers that lower
+// to a row-closure kernel: Vector-typed operands (array literals,
+// array_get, vector columns — in predicates, projections, group keys
+// or window keys), bool min/max, $n parameters anywhere other than one
+// side of a comparison (sum(v + $1), id < $1 + 20000), scalar functions
+// over possibly-NULL arguments (the closure errors on a NULL argument;
+// a kernel cannot reproduce that per row), madlib scalar calls inside
+// expressions and registered madlib aggregates (their rows fold through
+// the aggregate's own transition function; the WHERE clause beside
+// them still vectorizes and the scan still parallelizes).
+// EXPLAIN's lane line and the sql_lane_* counters read "row" only when
+// no consumer of the statement lowered natively;
+// TestRowLaneShapesPinned pins the decisions.
 //
-// Projection also leaves the row lane: scan SELECT items compile to
-// columnar kernels that fill typed lanes per batch and box each
-// output cell once (NULL where the validity bit is clear). SELECT
-// DISTINCT dedupes over that boxed columnar output, and window
-// queries gather their partition/order input through the same kernels
-// before the per-partition fold, which stays row-at-a-time by
-// definition.
-//
-// The planner still provably falls back to the row lane for:
-// Vector-typed operands (array literals, array_get, vector columns —
-// in predicates, projections or window keys), bool min/max, $n
-// parameters anywhere other than one side of a comparison, scalar
-// functions over possibly-NULL arguments (the row lane errors on a
-// NULL argument; kernels cannot reproduce that per-row, so the
-// planner refuses), madlib scalar calls inside expressions, and any
-// expression the batch compiler cannot lower;
-// TestRowLaneShapesPinned pins that decision.
-// Session.SetBatchExecution(false) forces the row lane everywhere.
+// Session.SetBatchExecution(false) is the oracle mode: same executors,
+// same drivers, but every consumer lowers to its row closure. The
+// differential tests in batch_diff_test.go run each statement in both
+// modes, sequentially and under the worker pool, and require
+// bit-identical rows and error text (division by zero, int64 overflow,
+// NULL handling included) — kernels checked against closures, not one
+// executor against another. Table-valued madlib.* calls are driver
+// functions and keep their own staging scan.
 //
 // Each Session keeps an LRU plan cache keyed by statement text:
 // re-executing the same text skips parsing and planning entirely. The
@@ -238,9 +249,9 @@
 // SQLJoinAgg, SQLJoinAggCached, SQLProjScan, SQLLeftJoinAgg,
 // SQLWindow or SQLOrderBy entries fails) and relatively (SQLProjScan
 // and SQLLeftJoinAgg must stay at least 1.5x faster than their
-// row-lane companions measured in the same run — a same-hardware
-// ratio that holds on single-core runners, where the win is pure
-// vectorization).
+// oracle-mode companions measured in the same run — a same-hardware
+// kernel-versus-closure ratio under one driver, which holds on
+// single-core runners).
 //
 // # Types
 //
@@ -400,9 +411,10 @@
 // per-morsel states are discarded, and the statement returns the
 // context's error (context.Canceled or DeadlineExceeded) instead of
 // results. rows_scanned only advances for completed morsels, so the
-// engine's scan counters stay exact under cancellation. The gather
-// phases that are not morsel-driven — the window partition gather and
-// the join build — check the context at segment boundaries instead.
+// engine's scan counters stay exact under cancellation. The phases that
+// are not morsel-driven — the join build and a table-valued madlib
+// call's staging scan — check the context at segment boundaries
+// instead.
 // Cancellation is cooperative and cheap (one atomic load per morsel),
 // so leaving the plain forms on Background costs nothing.
 //

@@ -178,8 +178,10 @@ func (s *Session) execCreate(st *CreateTable) (*Result, error) {
 
 // execCreateTableAs runs CREATE TABLE name AS SELECT ...: the query
 // executes like any SELECT, the output column kinds are inferred from
-// the result values, and the rows land in a fresh permanent table — the
-// paper's staging pipeline (§4.1) in one statement.
+// the result values (from the plan's static kinds where a column holds
+// no value, so an empty result still creates its table), and the rows
+// land in a fresh permanent table — the paper's staging pipeline (§4.1)
+// in one statement.
 func (s *Session) execCreateTableAs(st *CreateTableAs) (*Result, error) {
 	if _, err := s.db.Table(st.Name); err == nil {
 		if st.IfNotExists {
@@ -207,7 +209,7 @@ func (s *Session) execCreateTableAs(st *CreateTableAs) (*Result, error) {
 		if !isValidColumnName(name) {
 			return nil, execErrf("CREATE TABLE AS output column %d has no usable name (%q); add an alias (AS name)", i+1, name)
 		}
-		kind, err := resultColumnKind(r.Rows, i, name)
+		kind, err := resultColumnKind(r.Rows, i, name, staticKind(pl, i))
 		if err != nil {
 			return nil, err
 		}
@@ -254,9 +256,22 @@ func isValidColumnName(name string) bool {
 	return true
 }
 
+// staticKind returns the kind of the plan's i-th output column as known
+// at plan time: ckAny where only the values tell ($n, NULL-padded LEFT
+// JOIN columns, madlib results) and for shapes that track none.
+func staticKind(pl stmtPlan, i int) ckind {
+	switch p := pl.(type) {
+	case *scanPlan:
+		return p.items[i].kind
+	case *aggPlan:
+		return p.kinds[i]
+	}
+	return ckAny
+}
+
 // resultColumnKind infers a result column's storage kind from its first
-// non-NULL value.
-func resultColumnKind(rows [][]any, i int, name string) (engine.Kind, error) {
+// non-NULL value, falling back to the plan's static kind.
+func resultColumnKind(rows [][]any, i int, name string, static ckind) (engine.Kind, error) {
 	for _, row := range rows {
 		switch row[i].(type) {
 		case nil:
@@ -274,6 +289,9 @@ func resultColumnKind(rows [][]any, i int, name string) (engine.Kind, error) {
 		default:
 			return 0, execErrf("cannot store column %q (%T) in a table", name, row[i])
 		}
+	}
+	if static != ckAny {
+		return engineKindOf(static), nil
 	}
 	return 0, execErrf("cannot infer the type of column %q: the query produced no non-NULL values (CREATE TABLE AS needs at least one row per column)", name)
 }
@@ -439,7 +457,7 @@ func (s *Session) planSelect(st *Select) (stmtPlan, error) {
 		}
 	}
 	if hasWindow {
-		pl, err := planWindowSelect(st, ps, s.batchEnabled())
+		pl, err := planWindowSelect(st, newLowering(ps, !s.batchEnabled()))
 		if err != nil {
 			return nil, err
 		}
@@ -485,19 +503,15 @@ func (s *Session) planSelect(st *Select) (stmtPlan, error) {
 			isAgg = true
 		}
 	}
-	// Lane decision: every scan and aggregate shape may try the batch
-	// lane. LEFT JOIN sources vectorize through NULL-aware kernels (the
-	// validity bitmap derived from the padding marker); DISTINCT dedupes
-	// boxed output rows, which the columnar projection produces just as
-	// well. Expressions with no batch lowering (Vector operands, madlib
-	// scalar calls, functions over possibly-NULL arguments) still fall
-	// back per plan — the row lane stays the semantic oracle.
-	batchOK := s.batchEnabled()
+	// Every shape runs on its one batch executor; which consumers run as
+	// native kernels and which as row closures is decided per consumer
+	// during lowering (all closures when the session is in oracle mode).
+	lw := newLowering(ps, !s.batchEnabled())
 	var pl stmtPlan
 	if isAgg {
-		pl, err = planAggSelect(st, ps, batchOK)
+		pl, err = planAggSelect(st, lw)
 	} else {
-		pl, err = planScanSelect(st, ps, batchOK)
+		pl, err = planScanSelect(st, lw)
 	}
 	if err != nil {
 		return nil, err
@@ -546,7 +560,7 @@ func (p *constPlan) columns() []string {
 	return cols
 }
 
-func (p *constPlan) exec(_ *Session, env *execEnv) (*Result, error) {
+func (p *constPlan) exec(s *Session, env *execEnv) (*Result, error) {
 	st := p.st
 	cols := make([]string, len(st.Items))
 	row := make([]any, len(st.Items))
@@ -574,13 +588,40 @@ func (p *constPlan) exec(_ *Session, env *execEnv) (*Result, error) {
 			}
 		}
 	}
-	rows := applyLimit([][]any{row}, st.Limit)
+	return finishSelect(s.db, cols, [][]any{row}, nil, false, nil, st.Limit)
+}
+
+// finishSelect is the tail every SELECT shape ends in: DISTINCT over the
+// boxed output rows, ORDER BY on the extracted sort keys (keys, parallel
+// to rows; desc gives each key's direction), LIMIT and the command tag.
+func finishSelect(db *engine.DB, cols []string, rows, keys [][]any, distinct bool, desc []bool, limit int64) (*Result, error) {
+	if distinct {
+		rows, keys = dedupeRows(rows, keys)
+	}
+	if len(desc) > 0 {
+		if err := sortRows(db, rows, keys, desc); err != nil {
+			return nil, err
+		}
+	}
+	if limit >= 0 && int64(len(rows)) > limit {
+		rows = rows[:limit]
+	}
 	return &Result{Cols: cols, Rows: rows, Tag: fmt.Sprintf("SELECT %d", len(rows))}, nil
 }
 
+// orderDesc extracts the direction of each ORDER BY key.
+func orderDesc(keys []OrderKey) []bool {
+	desc := make([]bool, len(keys))
+	for i, k := range keys {
+		desc[i] = k.Desc
+	}
+	return desc
+}
+
 // enginePred adapts a compiled predicate to the engine's bool-only
-// predicate contract; evaluation errors stash in errPtr and reject the
-// row, surfacing after the scan.
+// predicate contract for the table-valued plan's staging scans;
+// evaluation errors stash in errPtr and reject the row, surfacing after
+// the scan.
 func enginePred(fn boolFn, env *execEnv, errPtr *atomic.Value) func(engine.Row) bool {
 	if fn == nil {
 		return nil
@@ -596,75 +637,62 @@ func enginePred(fn boolFn, env *execEnv, errPtr *atomic.Value) func(engine.Row) 
 }
 
 // scanPlan is a planned projection scan: SELECT exprs FROM t [WHERE]
-// [ORDER BY] [LIMIT], all expressions compiled to closures. When the
-// WHERE clause also lowers to a batch kernel, the scan filters whole
-// column batches through a selection vector (batchPred non-nil); when
-// SELECT-list items lower too, the surviving rows materialize through
-// the columnar projection (projItems) — each item evaluated once per
-// batch into a typed lane and boxed column-wise — instead of one
-// compiled closure call per row per item. Items with no batch lowering
-// fall back to their row-lane itemFn individually. Join sources
-// materialize a temp table per execution; DISTINCT dedupes the boxed
-// output rows on either lane.
+// [ORDER BY] [LIMIT]. It has one executor, gatherBatches: the WHERE
+// kernel filters each column batch into a selection vector and every
+// item boxes the survivors column-wise into the output rows. Each of
+// those consumers is its native batch kernel or, where the expression
+// has none, its row closure driven over the selection (lowering). Join
+// sources materialize a temp table per execution; DISTINCT dedupes the
+// boxed output rows.
 type scanPlan struct {
 	src      *planSource
 	distinct bool
 	cols     []string
-	itemFns  []anyFn
-	pred     boolFn
 	// whereText is the resolved WHERE clause rendered back to text, kept
 	// only for EXPLAIN.
 	whereText string
 	// orderOrds[k] is the projected-column ordinal of ORDER BY key k, or
-	// -1 when the key is a compiled expression over the input row.
-	orderOrds []int
-	orderFns  []anyFn
-	desc      []bool
-	limit     int64
+	// -1 when the key is orderItems[k], an expression over the input row.
+	orderOrds  []int
+	orderItems []*projItem
+	desc       []bool
+	limit      int64
 
-	batchProg *batchProg
-	batchPred bBatchKernel
-	// projItems, when non-nil, is the columnar projection: one entry per
-	// output item, nil entries falling back to the row lane's itemFns.
-	projItems []*projItem
-	// batchPool recycles per-morsel filter/projection scratch
-	// (scanBatchState) across executions of a cached plan.
-	batchPool sync.Pool
+	prog  *batchProg
+	pred  bBatchKernel // nil = keep every row
+	items []*projItem
+	// nativePred and nativeItems count the consumers that lowered to
+	// batch kernels (not row closures); EXPLAIN's lane line reports them.
+	nativePred  bool
+	nativeItems int
 }
 
-// scanBatchState is one morsel's scratch for the vectorized scan:
-// the kernel lanes plus the predicate output and selection buffers
-// (nil when the plan has no batch predicate).
-type scanBatchState struct {
-	e       *batchEval
-	predOut []bool
-	selBuf  []int32
-}
-
-func planScanSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error) {
-	schema := ps.schema
-	cc := ps.newCompileCtx()
+func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
+	ps := lw.cc.src
 	// Expand * into column refs (join sources already expanded during
 	// resolution; ps.visible hides the outer-join marker either way).
 	var items []SelectItem
 	for _, item := range st.Items {
 		if item.Star {
-			for _, c := range schema[:ps.visible] {
+			for _, c := range ps.schema[:ps.visible] {
 				items = append(items, SelectItem{Expr: &ColumnRef{Name: c.Name}})
 			}
 			continue
 		}
 		items = append(items, item)
 	}
-	p := &scanPlan{src: ps, distinct: st.Distinct, limit: st.Limit}
+	p := &scanPlan{src: ps, distinct: st.Distinct, limit: st.Limit, desc: orderDesc(st.OrderBy)}
 	p.cols = make([]string, len(items))
-	p.itemFns = make([]anyFn, len(items))
+	p.items = make([]*projItem, len(items))
 	for i, item := range items {
-		c, err := compileExpr(item.Expr, cc)
+		pi, err := lw.item(item.Expr)
 		if err != nil {
 			return nil, err
 		}
-		p.itemFns[i] = c.a
+		if pi.rowFn == nil {
+			p.nativeItems++
+		}
+		p.items[i] = pi
 		p.cols[i] = outputName(item)
 	}
 	for _, key := range st.OrderBy {
@@ -679,7 +707,7 @@ func planScanSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error) 
 		// by that output column (ORDER BY alias; required for DISTINCT,
 		// cheaper in general).
 		if !isOrd {
-			isInput := func(name string) bool { _, in := cc.colIdx[name]; return in }
+			isInput := func(name string) bool { _, in := lw.cc.colIdx[name]; return in }
 			if oi, out := outputKeyOrdinal(key.Expr, items, p.cols, isInput); out {
 				ord, isOrd = oi, true
 			}
@@ -691,62 +719,26 @@ func planScanSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error) 
 		}
 		if isOrd {
 			p.orderOrds = append(p.orderOrds, ord)
-			p.orderFns = append(p.orderFns, nil)
-		} else {
-			// Keys compile against the input row, so sorting by
-			// non-projected columns works.
-			c, err := compileExpr(key.Expr, cc)
-			if err != nil {
-				return nil, err
-			}
-			p.orderOrds = append(p.orderOrds, -1)
-			p.orderFns = append(p.orderFns, c.a)
+			p.orderItems = append(p.orderItems, nil)
+			continue
 		}
-		p.desc = append(p.desc, key.Desc)
+		// Keys lower against the input row, so sorting by non-projected
+		// columns works.
+		pi, err := lw.item(key.Expr)
+		if err != nil {
+			return nil, err
+		}
+		p.orderOrds = append(p.orderOrds, -1)
+		p.orderItems = append(p.orderItems, pi)
 	}
 	var err error
-	p.pred, err = compilePredicate(st.Where, cc)
-	if err != nil {
+	if p.pred, p.nativePred, err = lw.predicate(st.Where); err != nil {
 		return nil, err
 	}
 	if st.Where != nil {
 		p.whereText = st.Where.String()
 	}
-	if batchOK {
-		bc := newSourceBatchCompiler(ps)
-		predOK := true
-		if st.Where != nil {
-			k, ok := compileBatchPredicate(st.Where, bc)
-			if ok && k != nil {
-				p.batchPred = k
-			} else {
-				// The WHERE clause has no batch lowering; the whole scan
-				// stays on the row lane (the batch drivers cannot interleave
-				// a row-lane predicate).
-				predOK = false
-			}
-		}
-		if predOK {
-			nBatch := 0
-			pis := make([]*projItem, len(items))
-			for i, item := range items {
-				if pi, ok := buildProjItem(item.Expr, bc); ok {
-					pis[i] = pi
-					nBatch++
-				}
-			}
-			if nBatch > 0 {
-				p.projItems = pis
-			}
-			if p.batchPred != nil || nBatch > 0 {
-				p.batchProg = bc.prog
-			} else {
-				p.batchPred = nil
-			}
-		} else {
-			p.batchPred = nil
-		}
-	}
+	p.prog = lw.bc.prog
 	return p, nil
 }
 
@@ -762,179 +754,47 @@ func (p *scanPlan) exec(s *Session, env *execEnv) (*Result, error) {
 		return nil, err
 	}
 	defer cleanup()
-	// Scan in parallel, buffering per morsel (batch lane) or per segment
-	// (row lane); either way the buffers concatenate in (segment, offset)
-	// order, so output order is deterministic and identical across lanes
-	// and worker counts.
-	batch := p.batchProg != nil
-	nBuf := len(input.Segments())
-	if batch {
-		nBuf = s.db.ScanMorsels(input)
+	rows, err := gatherBatches(s, env, input, p.prog, p.pred, p.emitBatch)
+	if err != nil {
+		return nil, err
 	}
-	bufRows := make([][][]any, nBuf)
-	bufKeys := make([][][]any, nBuf)
-	ordered := len(p.desc) > 0
-	// emit projects one surviving row into its buffer (row lane, and the
-	// batch lane's per-row fallback is emitBatch below).
-	emit := func(bufIdx int, row engine.Row) error {
-		out := make([]any, len(p.itemFns))
-		for i, fn := range p.itemFns {
-			v, err := fn(row, env)
-			if err != nil {
-				return err
-			}
-			out[i] = v
+	// emitBatch parks each row's ORDER BY keys behind its items.
+	var keys [][]any
+	if len(p.desc) > 0 {
+		w := len(p.items)
+		keys = make([][]any, len(rows))
+		for i, row := range rows {
+			rows[i], keys[i] = row[:w:w], row[w:]
 		}
-		bufRows[bufIdx] = append(bufRows[bufIdx], out)
-		if ordered {
-			keys := make([]any, len(p.desc))
-			for k := range p.desc {
-				if ord := p.orderOrds[k]; ord >= 0 {
-					keys[k] = out[ord]
-					continue
-				}
-				v, err := p.orderFns[k](row, env)
-				if err != nil {
-					return err
-				}
-				keys[k] = v
-			}
-			bufKeys[bufIdx] = append(bufKeys[bufIdx], keys)
-		}
-		return nil
 	}
-	var scanErr error
-	var predErr atomic.Value
-	if batch {
-		// Vectorized scan: evaluate the predicate per batch into a
-		// selection vector, then materialize the survivors through the
-		// columnar projection. Scratch states pool across executions of
-		// the (cached) plan.
-		states := make([]*scanBatchState, nBuf)
-		defer func() {
-			for _, st := range states {
-				if st != nil {
-					st.e.env = nil
-					p.batchPool.Put(st)
-				}
-			}
-		}()
-		scanErr = s.db.ForEachBatchCtx(env.context(), input, func(morselIdx int, b engine.ColBatch) error {
-			st := states[morselIdx]
-			if st == nil {
-				st, _ = p.batchPool.Get().(*scanBatchState)
-				if st == nil {
-					st = &scanBatchState{e: p.batchProg.newEval(env)}
-					if p.batchPred != nil {
-						st.predOut = make([]bool, engine.BatchSize)
-						st.selBuf = make([]int32, engine.BatchSize)
-					}
-				}
-				st.e.env = env
-				states[morselIdx] = st
-			}
-			sel := st.e.identSel(b.Len())
-			if p.batchPred != nil {
-				po := st.predOut[:b.Len()]
-				if err := p.batchPred(st.e, b, sel, po); err != nil {
-					return err
-				}
-				keep := st.selBuf[:0]
-				for j, ok := range po {
-					if ok {
-						keep = append(keep, int32(j))
-					}
-				}
-				sel = keep
-			}
-			if len(sel) == 0 {
-				return nil
-			}
-			return p.emitBatch(st, b, sel, env, morselIdx, bufRows, bufKeys)
-		})
-	} else {
-		pred := enginePred(p.pred, env, &predErr)
-		scanErr = s.db.ForEachSegmentCtx(env.context(), input, func(segIdx int, row engine.Row) error {
-			if pred != nil && !pred(row) {
-				return nil
-			}
-			return emit(segIdx, row)
-		})
-	}
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	if e := predErr.Load(); e != nil {
-		return nil, e.(error)
-	}
-	var rows, keys [][]any
-	for i := 0; i < nBuf; i++ {
-		rows = append(rows, bufRows[i]...)
-		keys = append(keys, bufKeys[i]...)
-	}
-	if p.distinct {
-		rows, keys = dedupeRows(rows, keys)
-	}
-	if ordered {
-		if err := sortRows(s.db, rows, keys, p.desc); err != nil {
+	return finishSelect(s.db, p.cols, rows, keys, p.distinct, p.desc, p.limit)
+}
+
+// emitBatch boxes one batch's surviving rows: each item evaluates once
+// over the selection into its column of the output rows, which share one
+// cell array per batch. The ORDER BY keys follow the items in the same
+// rows — an ordinal copies the boxed output cell, an expression over the
+// input row boxes like an item.
+func (p *scanPlan) emitBatch(e *batchEval, b engine.ColBatch, sel selVec) ([][]any, error) {
+	w := len(p.items)
+	rows := boxedRows(len(sel), w+len(p.desc))
+	for i, pi := range p.items {
+		if err := pi.box(e, b, sel, rows, i); err != nil {
 			return nil, err
 		}
 	}
-	rows = applyLimit(rows, p.limit)
-	return &Result{Cols: p.cols, Rows: rows, Tag: fmt.Sprintf("SELECT %d", len(rows))}, nil
-}
-
-// emitBatch materializes one batch's surviving rows on the batch lane:
-// columnar items box lane-at-a-time into the output rows (one backing
-// cell array per batch), per-item fallbacks evaluate row-at-a-time, and
-// ORDER BY keys fill from the boxed output or the compiled key closures.
-func (p *scanPlan) emitBatch(st *scanBatchState, b engine.ColBatch, sel selVec, env *execEnv, bufIdx int, bufRows, bufKeys [][][]any) error {
-	n := len(sel)
-	nItems := len(p.itemFns)
-	rows := make([][]any, n)
-	cells := make([]any, n*nItems)
-	for j := range rows {
-		rows[j] = cells[j*nItems : (j+1)*nItems : (j+1)*nItems]
-	}
-	for i, fn := range p.itemFns {
-		var pi *projItem
-		if p.projItems != nil {
-			pi = p.projItems[i]
-		}
-		if pi != nil {
-			if err := pi.box(st.e, b, sel, rows, i); err != nil {
-				return err
+	for k, ord := range p.orderOrds {
+		if ord < 0 {
+			if err := p.orderItems[k].box(e, b, sel, rows, w+k); err != nil {
+				return nil, err
 			}
 			continue
 		}
-		for j, idx := range sel {
-			v, err := fn(b.Row(int(idx)), env)
-			if err != nil {
-				return err
-			}
-			rows[j][i] = v
+		for _, row := range rows {
+			row[w+k] = row[ord]
 		}
 	}
-	bufRows[bufIdx] = append(bufRows[bufIdx], rows...)
-	if len(p.desc) == 0 {
-		return nil
-	}
-	for j, idx := range sel {
-		keys := make([]any, len(p.desc))
-		for k := range p.desc {
-			if ord := p.orderOrds[k]; ord >= 0 {
-				keys[k] = rows[j][ord]
-				continue
-			}
-			v, err := p.orderFns[k](b.Row(int(idx)), env)
-			if err != nil {
-				return err
-			}
-			keys[k] = v
-		}
-		bufKeys[bufIdx] = append(bufKeys[bufIdx], keys)
-	}
-	return nil
+	return rows, nil
 }
 
 // dedupeRows collapses duplicate projected rows (SELECT DISTINCT),
@@ -1046,40 +906,31 @@ func ordinal(e Expr, n int) (idx int, isOrdinal bool, err error) {
 	return int(v) - 1, true, nil
 }
 
-func applyLimit(rows [][]any, limit int64) [][]any {
-	if limit >= 0 && int64(len(rows)) > limit {
-		return rows[:limit]
-	}
-	return rows
-}
-
 // aggPlan is a planned aggregate query, with or without GROUP BY,
 // executed as a single two-phase parallel aggregate over the table
-// (§3.1.1). Aggregate arguments and the WHERE clause are compiled; group
-// keys go through the engine's keyed hash aggregate instead of a
-// formatted string per row. When every expression in the scan pipeline
-// also lowers to batch kernels, the plan additionally carries the
-// vectorized lane (batch) and executes through it; the row lane stays as
-// the semantic oracle and the fallback.
+// (§3.1.1). Its scan pipeline — WHERE, group keys, one fold per
+// aggregate call — is the lane, run by execBatch through the engine's
+// batched drivers; each consumer in it is a native batch kernel or its
+// row-closure fallback (lowering). The per-group output stage (HAVING,
+// the SELECT list, ORDER BY keys) stays on the interpreter.
 type aggPlan struct {
 	src      *planSource
-	schema   engine.Schema
 	st       *Select
 	groupIdx []int
-	builders []aggBuilder
-	calls    []*FuncCall // aggregate calls, parallel to builders
+	calls    []*FuncCall // aggregate calls, parallel to lane.specs
 	slotOf   map[*FuncCall]int
 	outNames []string
 	outCols  map[string]int
-	pred     boolFn
-	keyFn    func(engine.Row) engine.GroupKey // nil when no GROUP BY
-	batch    *batchAggLane                    // nil = row lane only
+	desc     []bool
+	// kinds are the output columns' static kinds, for CREATE TABLE AS.
+	kinds []ckind
+	lane  *batchAggLane
 }
 
-func planAggSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error) {
+func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
+	ps := lw.cc.src
 	schema := ps.schema
-	cc := ps.newCompileCtx()
-	p := &aggPlan{src: ps, schema: schema, st: st}
+	p := &aggPlan{src: ps, st: st, desc: orderDesc(st.OrderBy)}
 	// Resolve GROUP BY columns.
 	p.groupIdx = make([]int, len(st.GroupBy))
 	for i, name := range st.GroupBy {
@@ -1098,6 +949,7 @@ func planAggSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error) {
 	}
 	// Collect aggregate calls across SELECT list and ORDER BY into slots.
 	p.slotOf = map[*FuncCall]int{}
+	var specs []*batchAggSpec
 	addSlots := func(e Expr) error {
 		if exprHasNestedAgg(e) {
 			return execErrf("aggregate calls cannot be nested")
@@ -1106,12 +958,12 @@ func planAggSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error) {
 			if _, done := p.slotOf[call]; done {
 				continue
 			}
-			b, err := buildAggregate(call, cc)
+			spec, err := lw.aggregate(call)
 			if err != nil {
 				return err
 			}
-			p.slotOf[call] = len(p.builders)
-			p.builders = append(p.builders, b)
+			p.slotOf[call] = len(specs)
+			specs = append(specs, spec)
 			p.calls = append(p.calls, call)
 		}
 		return nil
@@ -1147,8 +999,13 @@ func planAggSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error) {
 		}
 	}
 	p.outNames = make([]string, len(st.Items))
+	p.kinds = make([]ckind, len(st.Items))
 	for i, item := range st.Items {
 		p.outNames[i] = outputName(item)
+		p.kinds[i] = ckAny
+		if k, err := inferKind(item.Expr, schema); err == nil {
+			p.kinds[i] = kindOf(k)
+		}
 	}
 	p.outCols = map[string]int{}
 	for i, n := range p.outNames {
@@ -1172,15 +1029,8 @@ func planAggSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error) {
 		}
 	}
 	var err error
-	p.pred, err = compilePredicate(st.Where, cc)
-	if err != nil {
+	if p.lane, err = planAggLane(st, lw, specs, p.groupIdx); err != nil {
 		return nil, err
-	}
-	if len(p.groupIdx) > 0 {
-		p.keyFn = groupKeyFn(schema, p.groupIdx)
-	}
-	if batchOK {
-		p.batch, _ = planBatchAggLane(st, ps, p.calls, p.builders, p.groupIdx)
 	}
 	return p, nil
 }
@@ -1229,51 +1079,6 @@ func (p *aggPlan) evalGroup(ms *multiState, env *execEnv) ([]any, []any, error) 
 	return row, keys, nil
 }
 
-// execRowLane runs the per-row two-phase aggregate over the input table
-// and returns one multiState per group.
-func (p *aggPlan) execRowLane(s *Session, env *execEnv, input *engine.Table) ([]*multiState, error) {
-	aggs := make([]engine.Aggregate, len(p.builders))
-	for i, b := range p.builders {
-		a, err := b(env)
-		if err != nil {
-			return nil, err
-		}
-		aggs[i] = a
-	}
-	multi := &multiAggregate{aggs: aggs, groupIdx: p.groupIdx, schema: p.schema}
-	var predErr atomic.Value
-	pred := enginePred(p.pred, env, &predErr)
-
-	if len(p.groupIdx) == 0 {
-		var v any
-		var err error
-		if pred == nil {
-			v, err = s.db.RunCtx(env.context(), input, multi)
-		} else {
-			v, err = s.db.RunFilteredCtx(env.context(), input, pred, multi)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if e := predErr.Load(); e != nil {
-			return nil, e.(error)
-		}
-		return []*multiState{v.(*multiState)}, nil
-	}
-	groups, err := s.db.RunGroupByKeyCtx(env.context(), input, pred, p.keyFn, multi)
-	if err != nil {
-		return nil, err
-	}
-	if e := predErr.Load(); e != nil {
-		return nil, e.(error)
-	}
-	states := make([]*multiState, 0, len(groups))
-	for _, v := range groups {
-		states = append(states, v.(*multiState))
-	}
-	return states, nil
-}
-
 // evalHaving applies the HAVING predicate to one finalized group.
 func (p *aggPlan) evalHaving(ms *multiState, env *execEnv) (bool, error) {
 	groupVals := make(map[string]any, len(p.st.GroupBy))
@@ -1302,12 +1107,7 @@ func (p *aggPlan) exec(s *Session, env *execEnv) (*Result, error) {
 		return nil, err
 	}
 	defer cleanup()
-	var states []*multiState
-	if p.batch != nil {
-		states, err = p.execBatch(s, env, input)
-	} else {
-		states, err = p.execRowLane(s, env, input)
-	}
+	states, err := p.execBatch(s, env, input)
 	if err != nil {
 		return nil, err
 	}
@@ -1357,53 +1157,7 @@ func (p *aggPlan) exec(s *Session, env *execEnv) (*Result, error) {
 		rows = append(rows, row)
 		keys = append(keys, kv)
 	}
-	if st.Distinct {
-		rows, keys = dedupeRows(rows, keys)
-	}
-	if len(st.OrderBy) > 0 {
-		desc := make([]bool, len(st.OrderBy))
-		for i, k := range st.OrderBy {
-			desc[i] = k.Desc
-		}
-		if err := sortRows(s.db, rows, keys, desc); err != nil {
-			return nil, err
-		}
-	}
-	rows = applyLimit(rows, st.Limit)
-	return &Result{Cols: p.outNames, Rows: rows, Tag: fmt.Sprintf("SELECT %d", len(rows))}, nil
-}
-
-// groupKeyFn builds the engine.GroupKey projection for the GROUP BY
-// columns. Single-column keys map directly into the key struct with no
-// allocation; composite (and vector) keys pack length-prefixed bytes.
-func groupKeyFn(schema engine.Schema, groupIdx []int) func(engine.Row) engine.GroupKey {
-	if len(groupIdx) == 1 {
-		gi := groupIdx[0]
-		switch schema[gi].Kind {
-		case engine.Int:
-			return func(r engine.Row) engine.GroupKey { return engine.GroupKey{Int: r.Int(gi)} }
-		case engine.String:
-			return func(r engine.Row) engine.GroupKey { return engine.GroupKey{Str: r.Str(gi)} }
-		case engine.Bool:
-			return func(r engine.Row) engine.GroupKey {
-				if r.Bool(gi) {
-					return engine.GroupKey{Int: 1}
-				}
-				return engine.GroupKey{}
-			}
-		case engine.Float:
-			return func(r engine.Row) engine.GroupKey {
-				return engine.GroupKey{Int: floatKeyBits(r.Float(gi))}
-			}
-		}
-	}
-	return func(r engine.Row) engine.GroupKey {
-		var buf []byte
-		for _, gi := range groupIdx {
-			buf = appendKeyValue(buf, schema, r, gi)
-		}
-		return engine.GroupKey{Str: string(buf)}
-	}
+	return finishSelect(s.db, p.outNames, rows, keys, st.Distinct, p.desc, st.Limit)
 }
 
 // floatKeyBits maps a float to grouping-equivalent bits: -0 collapses
@@ -1452,7 +1206,9 @@ func appendKeyValue(buf []byte, schema engine.Schema, r engine.Row, gi int) []by
 }
 
 // inferKind statically types an expression against a schema, for staging
-// computed madlib arguments into a temp-table column.
+// computed madlib arguments into a temp-table column and for an
+// aggregate query's output columns (CREATE TABLE AS over an empty
+// result). Built-in aggregate calls type by their result.
 func inferKind(e Expr, schema engine.Schema) (engine.Kind, error) {
 	switch x := e.(type) {
 	case *Literal:
@@ -1500,9 +1256,11 @@ func inferKind(e Expr, schema engine.Schema) (engine.Kind, error) {
 		switch x.Name {
 		case "sqrt", "exp", "ln", "floor", "ceil", "pow", "power", "array_get":
 			return engine.Float, nil
-		case "length", "array_length":
+		case "length", "array_length", "count":
 			return engine.Int, nil
-		case "abs":
+		case "avg", "variance", "stddev":
+			return engine.Float, nil
+		case "abs", "sum", "min", "max":
 			if len(x.Args) == 1 {
 				return inferKind(x.Args[0], schema)
 			}
@@ -1545,6 +1303,7 @@ type tvPlan struct {
 	deferred  []deferredArg
 	computed  []computedStage
 	pred      boolFn
+	desc      []bool
 }
 
 func planTableValued(st *Select, t *engine.Table, call *FuncCall) (stmtPlan, error) {
@@ -1552,7 +1311,7 @@ func planTableValued(st *Select, t *engine.Table, call *FuncCall) (stmtPlan, err
 		return nil, execErrf("GROUP BY cannot be combined with table-valued madlib functions")
 	}
 	f, _ := core.LookupSQLFunc(call.Name)
-	p := &tvPlan{name: st.From, table: t, st: st, call: call, fn: f}
+	p := &tvPlan{name: st.From, table: t, st: st, call: call, fn: f, desc: orderDesc(st.OrderBy)}
 	schema := t.Schema()
 	var err error
 	p.pred, err = compilePredicate(st.Where, newCompileCtx(schema))
@@ -1705,13 +1464,14 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*Result, error) {
 		cols[i] = c.Name
 		outCols[c.Name] = i
 	}
+	var keys [][]any
 	if len(st.OrderBy) > 0 {
 		for _, key := range st.OrderBy {
 			if _, _, err := ordinal(key.Expr, len(cols)); err != nil {
 				return nil, err
 			}
 		}
-		keys := make([][]any, len(rows))
+		keys = make([][]any, len(rows))
 		for ri, row := range rows {
 			keys[ri] = make([]any, len(st.OrderBy))
 			for k, key := range st.OrderBy {
@@ -1727,14 +1487,6 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*Result, error) {
 				keys[ri][k] = v
 			}
 		}
-		desc := make([]bool, len(st.OrderBy))
-		for i, k := range st.OrderBy {
-			desc[i] = k.Desc
-		}
-		if err := sortRows(s.db, rows, keys, desc); err != nil {
-			return nil, err
-		}
 	}
-	rows = applyLimit(rows, st.Limit)
-	return &Result{Cols: cols, Rows: rows, Tag: fmt.Sprintf("SELECT %d", len(rows))}, nil
+	return finishSelect(s.db, cols, rows, keys, false, p.desc, st.Limit)
 }

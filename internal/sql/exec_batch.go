@@ -1,24 +1,25 @@
 package sql
 
-import (
-	"sync"
+import "madlib/internal/engine"
 
-	"madlib/internal/engine"
-)
+// The aggregate executor. Every planned aggregate query carries one
+// batchAggLane and runs it through engine.RunBatched / RunGroupByBatched:
+// the WHERE kernel filters each batch into a selection vector, the group
+// keys fill a key lane, and one batchAggSpec per aggregate call folds
+// the survivors. A spec is either the call's native lowering — a typed
+// argument lane folded into an unboxed accumulator — or, where
+// compile_batch.go has no kernel for the argument (and always in oracle
+// mode), the row-lane engine.Aggregate folded row by row through updRow.
+// Both use the same accumulator structs and finalizers (numAccState,
+// fminmaxState, ...) and fold a morsel's rows in row order, and morsel
+// states merge in (segment, offset) order, so the two lowerings are
+// bit-identical.
 
-// The vectorized aggregate lane. A planned aggregate query carries (at
-// most) one batchAggLane next to its row-lane builders; the executor
-// drives it through engine.RunBatched / RunGroupByBatched when present.
-// The lane reuses the row lane's accumulator structs and finalizers
-// (numAccState, fminmaxState, ...) so both lanes produce bit-identical
-// results — per morsel, rows fold in the same order, and morsel states
-// merge in the same (segment, offset) order the row lane merges in.
-
-// batchAggSpec is one aggregate call lowered to the batch lane. At most
-// one of evalF/evalI/evalS is set for value-folding aggregates; all are
-// nil for count (which may still carry evalDiscard to surface argument
-// evaluation errors, matching count(expr) on the row lane) and for
-// madlib aggregates, which fold whole rows through updRow.
+// batchAggSpec is one aggregate call lowered for the batch executor. At
+// most one of evalF/evalI/evalS is set for value-folding aggregates; all
+// are nil for count (which may still carry evalDiscard to surface
+// argument evaluation errors, matching count(expr) on the row closure)
+// and for specs that fold whole rows through updRow.
 type batchAggSpec struct {
 	evalF func(e *batchEval, b engine.ColBatch, sel selVec) ([]float64, error)
 	evalI func(e *batchEval, b engine.ColBatch, sel selVec) ([]int64, error)
@@ -44,11 +45,15 @@ type batchAggSpec struct {
 	foldI func(st any, vals []int64)
 	foldS func(st any, vals []string)
 
-	// updRow folds one selected row directly through an engine.Aggregate
-	// transition — the adapter that lets madlib scalar aggregates ride
-	// the batch lane (vectorized WHERE, parallel morsels) while keeping
-	// their row-at-a-time transition semantics.
+	// updRow folds one selected row through an engine.Aggregate
+	// transition: the fallback fold of madlib scalar aggregates and of
+	// built-in calls with no native lowering.
 	updRow func(st any, row engine.Row) any
+	// bind, when non-nil, marks a row-folded spec not yet bound to an
+	// execution: the row-lane aggregate is built per execution (its
+	// compiled argument may read $n) and batchAggLane.bound swaps in the
+	// spec that folds through it.
+	bind aggBuilder
 
 	// argCol >= 0 marks an argument that is a bare column reference of
 	// the matching lane kind; together with fusedF/fusedI it enables the
@@ -63,10 +68,9 @@ type batchAggSpec struct {
 	final func(st any) (any, error)
 }
 
-// buildBatchAggregate lowers one built-in aggregate call to a batch
-// spec; ok=false (bool min/max, Vector-typed or dynamic arguments)
-// keeps the whole query on the row lane. Registered madlib aggregates
-// are adapted separately (buildMadlibBatchSpec).
+// buildBatchAggregate lowers one built-in aggregate call to its native
+// batch spec; ok=false (bool min/max, Vector-typed or dynamic arguments,
+// registered madlib aggregates) leaves the call to the row fold.
 func buildBatchAggregate(call *FuncCall, bc *batchCompiler) (*batchAggSpec, bool) {
 	spec, ok := buildBuiltinBatchSpec(call, bc)
 	if !ok {
@@ -362,26 +366,31 @@ func withValidity(spec *batchAggSpec, arg *bcompiled, bc *batchCompiler) *batchA
 	return spec
 }
 
-// projItem is one SELECT-list item lowered to the batch lane: a typed
-// lane evaluator plus (for possibly-NULL items) a validity evaluator.
-// The columnar projection evaluates each item once per batch over the
-// surviving selection and boxes the lane column-wise into the output
-// rows — one type switch per column per batch instead of a compiled
-// closure call per row per item. Items with no batch lowering (Vector
-// columns, $n parameters, madlib calls) stay nil and fall back to their
-// row-lane itemFn.
+// projItem is one projected expression — a SELECT item, an ORDER BY key
+// over the input row, a window PARTITION BY / ORDER BY key — lowered for
+// the batch executor. Natively it is a typed lane evaluator plus (for
+// possibly-NULL items) a validity evaluator: the item evaluates once per
+// batch over the surviving selection and boxes the lane column-wise into
+// the output rows — one type switch per column per batch. Expressions
+// with no batch kernel (Vector columns, $n arithmetic, madlib calls)
+// carry their compiled row closure in rowFn instead and box one call
+// per selected row.
 type projItem struct {
 	evalF func(e *batchEval, b engine.ColBatch, sel selVec) ([]float64, error)
 	evalI func(e *batchEval, b engine.ColBatch, sel selVec) ([]int64, error)
 	evalS func(e *batchEval, b engine.ColBatch, sel selVec) ([]string, error)
 	evalB func(e *batchEval, b engine.ColBatch, sel selVec) ([]bool, error)
 	// validE, when non-nil, marks a possibly-NULL item: invalid rows box
-	// as nil (the row lane's NULL), valid rows box the lane value.
+	// as nil (the row closure's NULL), valid rows box the lane value.
 	validE func(e *batchEval, b engine.ColBatch, sel selVec) ([]bool, error)
+	rowFn  anyFn
+	// kind is the item's static result kind, ckAny when only its values
+	// tell ($n, NULL-padded LEFT JOIN columns).
+	kind ckind
 }
 
-// buildProjItem lowers one projection expression; ok=false keeps that
-// item (alone) on the row lane.
+// buildProjItem lowers one projected expression to its native columnar
+// form; ok=false leaves it to its row closure.
 func buildProjItem(expr Expr, bc *batchCompiler) (*projItem, bool) {
 	c, ok := compileBatchExpr(expr, bc)
 	if !ok || c.paramIdx > 0 {
@@ -409,6 +418,16 @@ func buildProjItem(expr Expr, bc *batchCompiler) (*projItem, bool) {
 // box evaluates the item over sel and writes column col of the output
 // rows (rows[j] is the boxed output row of row sel[j]).
 func (pi *projItem) box(e *batchEval, b engine.ColBatch, sel selVec, rows [][]any, col int) error {
+	if pi.rowFn != nil {
+		for j, idx := range sel {
+			v, err := pi.rowFn(b.Row(int(idx)), e.env)
+			if err != nil {
+				return err
+			}
+			rows[j][col] = v
+		}
+		return nil
+	}
 	var vl []bool
 	if pi.validE != nil {
 		var err error
@@ -498,6 +517,180 @@ func newSourceBatchCompiler(ps *planSource) *batchCompiler {
 	return bc
 }
 
+// lowering lowers the consumers of one plan's scan pipeline — the WHERE
+// predicate, projected items, aggregate calls — for the batch executor.
+// Each consumer type-checks through compile.go's closures first (every
+// plan-time error comes from there), then takes its native batch kernel
+// when compile_batch.go has one, and otherwise a kernel that calls the
+// closure on each selected row. The lane is thereby decided per
+// consumer, inside the operator: a plan has one executor whatever its
+// expressions are. oracle (SetBatchExecution(false)) skips the native
+// kernels, so the differential tests compare the two lowerings under
+// one driver.
+type lowering struct {
+	cc     *compileCtx
+	bc     *batchCompiler
+	oracle bool
+}
+
+func newLowering(ps *planSource, oracle bool) *lowering {
+	return &lowering{cc: ps.newCompileCtx(), bc: newSourceBatchCompiler(ps), oracle: oracle}
+}
+
+// predicate lowers a WHERE clause; a nil clause lowers to a nil kernel
+// (keep every row). native reports whether the batch kernel was taken.
+func (lw *lowering) predicate(where Expr) (k bBatchKernel, native bool, err error) {
+	fn, err := compilePredicate(where, lw.cc)
+	if err != nil || fn == nil {
+		return nil, false, err
+	}
+	if !lw.oracle {
+		if k, ok := compileBatchPredicate(where, lw.bc); ok {
+			return k, true, nil
+		}
+	}
+	return func(e *batchEval, b engine.ColBatch, sel selVec, out []bool) error {
+		for j, idx := range sel {
+			v, err := fn(b.Row(int(idx)), e.env)
+			if err != nil {
+				return err
+			}
+			out[j] = v
+		}
+		return nil
+	}, false, nil
+}
+
+// item lowers one projected expression; rowFn is set on the result when
+// the row closure was taken.
+func (lw *lowering) item(e Expr) (*projItem, error) {
+	c, err := compileExpr(e, lw.cc)
+	if err != nil {
+		return nil, err
+	}
+	if !lw.oracle {
+		if pi, ok := buildProjItem(e, lw.bc); ok {
+			pi.kind = c.kind
+			return pi, nil
+		}
+	}
+	return &projItem{rowFn: c.a, kind: c.kind}, nil
+}
+
+// aggregate lowers one aggregate call; bind is set on the result when
+// the row fold was taken.
+func (lw *lowering) aggregate(call *FuncCall) (*batchAggSpec, error) {
+	build, err := buildAggregate(call, lw.cc)
+	if err != nil {
+		return nil, err
+	}
+	if !lw.oracle {
+		if spec, ok := buildBatchAggregate(call, lw.bc); ok {
+			return spec, nil
+		}
+	}
+	return &batchAggSpec{argCol: -1, bind: build}, nil
+}
+
+// morselScratch is one morsel's kernel scratch under every batch
+// executor: the lanes the program reserved at compile time, plus the
+// predicate's output lane and the selection vector it compresses into.
+type morselScratch struct {
+	e       *batchEval
+	predOut []bool
+	selBuf  []int32
+}
+
+// keepLane evaluates pred over the whole batch into a bool lane.
+func (ms *morselScratch) keepLane(pred bBatchKernel, b engine.ColBatch) ([]bool, error) {
+	if ms.predOut == nil {
+		ms.predOut = make([]bool, engine.BatchSize)
+		ms.selBuf = make([]int32, engine.BatchSize)
+	}
+	keep := ms.predOut[:b.Len()]
+	return keep, pred(ms.e, b, ms.e.identSel(b.Len()), keep)
+}
+
+// filter returns the rows of b that satisfy pred as a selection vector
+// (the identity selection when pred is nil).
+func (ms *morselScratch) filter(pred bBatchKernel, b engine.ColBatch) (selVec, error) {
+	if pred == nil {
+		return ms.e.identSel(b.Len()), nil
+	}
+	keep, err := ms.keepLane(pred, b)
+	if err != nil {
+		return nil, err
+	}
+	sel := ms.selBuf[:0]
+	for j, ok := range keep {
+		if ok {
+			sel = append(sel, int32(j))
+		}
+	}
+	return sel, nil
+}
+
+// gatherBatches is the executor of the row-producing plans (projection
+// scans, the window gather): morsel-parallel over input, one scratch per
+// morsel drawn from prog's pool, every batch filtered through pred and
+// fn called on the surviving selection. A morsel's batches arrive in row
+// order on one worker, so its outputs append to one buffer, and the
+// buffers concatenate in (segment, offset) order: the result is in table
+// order at any worker count.
+func gatherBatches[T any](s *Session, env *execEnv, input *engine.Table, prog *batchProg, pred bBatchKernel,
+	fn func(e *batchEval, b engine.ColBatch, sel selVec) ([]T, error)) ([]T, error) {
+	n := s.db.ScanMorsels(input)
+	bufs := make([][]T, n)
+	scratch := make([]*morselScratch, n)
+	defer func() {
+		for _, ms := range scratch {
+			if ms != nil {
+				ms.e.env = nil
+				prog.pool.Put(ms)
+			}
+		}
+	}()
+	err := s.db.ForEachBatchCtx(env.context(), input, func(mi int, b engine.ColBatch) error {
+		ms := scratch[mi]
+		if ms == nil {
+			if ms, _ = prog.pool.Get().(*morselScratch); ms == nil {
+				ms = &morselScratch{e: prog.newEval(nil)}
+			}
+			ms.e.env = env
+			scratch[mi] = ms
+		}
+		sel, err := ms.filter(pred, b)
+		if err != nil || len(sel) == 0 {
+			return err
+		}
+		out, err := fn(ms.e, b, sel)
+		bufs[mi] = append(bufs[mi], out...)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	total := 0
+	for _, buf := range bufs {
+		total += len(buf)
+	}
+	all := make([]T, 0, total)
+	for _, buf := range bufs {
+		all = append(all, buf...)
+	}
+	return all, nil
+}
+
+// boxedRows allocates n output rows of w cells over one backing array.
+func boxedRows(n, w int) [][]any {
+	rows := make([][]any, n)
+	cells := make([]any, n*w)
+	for j := range rows {
+		rows[j] = cells[j*w : (j+1)*w : (j+1)*w]
+	}
+	return rows
+}
+
 // sminmaxState is the batch lane's unboxed text min/max accumulator
 // (the row lane keeps these boxed in minmaxState; results agree because
 // string comparison is exact).
@@ -506,31 +699,9 @@ type sminmaxState struct {
 	seen bool
 }
 
-// buildMadlibBatchSpec adapts a registered madlib scalar aggregate onto
-// the batch lane by folding each selected row through the row-lane
-// aggregate instance the plan already built. The arguments of a madlib
-// aggregate are fixed at plan time (resolveFuncArgs rejects $n), so the
-// builder ignores the execution environment and the instance is safe to
-// bind here; Init still creates fresh state per segment and per group.
-// The win over the row lane is upstream: the WHERE clause vectorizes
-// and the scan parallelizes over morsels.
-func buildMadlibBatchSpec(b aggBuilder) (*batchAggSpec, bool) {
-	agg, err := b(nil)
-	if err != nil {
-		return nil, false
-	}
-	return &batchAggSpec{
-		argCol: -1,
-		init:   agg.Init,
-		updRow: agg.Transition,
-		merge:  agg.Merge,
-		final:  agg.Final,
-	}, true
-}
-
 // attachFused marks aggregate arguments that are bare column references
 // and equips the spec with fused filter+fold kernels over the raw lane.
-// planBatchAggLane promotes the spec to the fused path for ungrouped
+// planAggLane promotes the spec to the fused path for ungrouped
 // single-aggregate queries: one predicate pass, one fold pass, no
 // selection vector, no gather. Fold order is row order within the
 // segment either way, so results stay bit-identical to the unfused lane.
@@ -632,10 +803,6 @@ func attachFused(spec *batchAggSpec, call *FuncCall, bc *batchCompiler) {
 	}
 }
 
-// batchAggLane is the planned vectorized lane of an aggregate query:
-// the scratch-slot program, the WHERE kernel (nil = keep all), one spec
-// per aggregate slot (aligned with aggPlan.builders), and the grouping
-// projection.
 // batchKeyMode selects the segment-local hash-map representation for
 // the GROUP BY key. Single-column keys use Go's specialized int64 /
 // string map fast paths and convert to engine.GroupKey only once per
@@ -650,12 +817,19 @@ const (
 	keyModeGeneric
 )
 
+// batchAggLane is the compiled scan pipeline of an aggregate query: the
+// scratch-slot program, the WHERE kernel (nil = keep all), one spec per
+// aggregate slot (aligned with aggPlan.calls), and the grouping
+// projection.
 type batchAggLane struct {
 	prog     *batchProg
 	pred     bBatchKernel
 	specs    []*batchAggSpec
 	schema   engine.Schema
 	groupIdx []int
+	// native reports whether any consumer (the predicate or a spec) took
+	// its native batch kernel; EXPLAIN's lane line reads "row" otherwise.
+	native bool
 
 	// fused, when non-nil, is specs[0] of an ungrouped single-aggregate
 	// query whose argument folds straight off a column lane (or count):
@@ -666,27 +840,42 @@ type batchAggLane struct {
 	keyFillInt func(b engine.ColBatch, sel selVec, keys []int64)
 	keyFillStr func(b engine.ColBatch, sel selVec, keys []string)
 	keyFill    func(b engine.ColBatch, sel selVec, keys []engine.GroupKey)
-
-	// pool recycles batchMorselStates (and their scratch lanes) across
-	// executions of this plan, so a cached plan's steady-state execution
-	// allocates only per-group accumulators.
-	pool sync.Pool
 }
 
-// batchGroup is one group's accumulators plus the captured key values
-// (the batch counterpart of multiAggregate's keyVals capture).
+// bound returns the lane with every row-folded spec bound to this
+// execution's environment — the lane itself when it has none.
+func (ln *batchAggLane) bound(env *execEnv) (*batchAggLane, error) {
+	out := ln
+	for i, spec := range ln.specs {
+		if spec.bind == nil {
+			continue
+		}
+		agg, err := spec.bind(env)
+		if err != nil {
+			return nil, err
+		}
+		if out == ln {
+			cp := *ln
+			cp.specs = append([]*batchAggSpec(nil), ln.specs...)
+			out = &cp
+		}
+		out.specs[i] = &batchAggSpec{argCol: -1, init: agg.Init, updRow: agg.Transition, merge: agg.Merge, final: agg.Final}
+	}
+	return out, nil
+}
+
+// batchGroup is one group's accumulators plus its key values, captured
+// from the row that created the group.
 type batchGroup struct {
 	accs    []any
 	keyVals []any
 }
 
-// batchMorselState is the per-morsel execution state: the kernel scratch
-// plus top-level buffers for selection, predicate output, keys and
-// group-pointer resolution.
+// batchMorselState is the aggregate executor's per-morsel state: the
+// kernel scratch plus the key lanes, group-pointer resolution and the
+// morsel's accumulators.
 type batchMorselState struct {
-	e       *batchEval
-	selBuf  []int32
-	predOut []bool
+	morselScratch
 	intKeys []int64
 	strKeys []string
 	keys    []engine.GroupKey
@@ -699,13 +888,9 @@ type batchMorselState struct {
 }
 
 func (ln *batchAggLane) newMorselState(env *execEnv, grouped bool) *batchMorselState {
-	st, _ := ln.pool.Get().(*batchMorselState)
+	st, _ := ln.prog.pool.Get().(*batchMorselState)
 	if st == nil {
-		st = &batchMorselState{e: ln.prog.newEval(env)}
-		if ln.pred != nil {
-			st.selBuf = make([]int32, engine.BatchSize)
-			st.predOut = make([]bool, engine.BatchSize)
-		}
+		st = &batchMorselState{morselScratch: morselScratch{e: ln.prog.newEval(env)}}
 		if grouped {
 			st.grps = make([]*batchGroup, engine.BatchSize)
 			switch ln.keyMode {
@@ -768,27 +953,7 @@ func (ln *batchAggLane) releaseMorselState(st *batchMorselState) {
 	for j := range st.strKeys {
 		st.strKeys[j] = ""
 	}
-	ln.pool.Put(st)
-}
-
-// select applies the WHERE kernel to one batch and returns the surviving
-// selection (the identity selection when there is no WHERE).
-func (ln *batchAggLane) selectRows(st *batchMorselState, b engine.ColBatch) (selVec, error) {
-	sel := st.e.identSel(b.Len())
-	if ln.pred == nil {
-		return sel, nil
-	}
-	po := st.predOut[:b.Len()]
-	if err := ln.pred(st.e, b, sel, po); err != nil {
-		return nil, err
-	}
-	keep := st.selBuf[:0]
-	for j, ok := range po {
-		if ok {
-			keep = append(keep, int32(j))
-		}
-	}
-	return keep, nil
+	ln.prog.pool.Put(st)
 }
 
 // processUngrouped folds one batch into the segment's accumulators.
@@ -796,7 +961,7 @@ func (ln *batchAggLane) processUngrouped(st *batchMorselState, b engine.ColBatch
 	if ln.fused != nil {
 		return ln.processFused(st, b)
 	}
-	sel, err := ln.selectRows(st, b)
+	sel, err := st.filter(ln.pred, b)
 	if err != nil {
 		return err
 	}
@@ -893,8 +1058,8 @@ func (ln *batchAggLane) processUngrouped(st *batchMorselState, b engine.ColBatch
 func (ln *batchAggLane) processFused(st *batchMorselState, b engine.ColBatch) error {
 	var keep []bool
 	if ln.pred != nil {
-		keep = st.predOut[:b.Len()]
-		if err := ln.pred(st.e, b, st.e.identSel(b.Len()), keep); err != nil {
+		var err error
+		if keep, err = st.keepLane(ln.pred, b); err != nil {
 			return err
 		}
 	}
@@ -923,7 +1088,7 @@ func (ln *batchAggLane) processFused(st *batchMorselState, b engine.ColBatch) er
 // accumulators: key lane, one map probe per row, then per-aggregate
 // lane folds against the resolved group pointers.
 func (ln *batchAggLane) processGrouped(st *batchMorselState, b engine.ColBatch) error {
-	sel, err := ln.selectRows(st, b)
+	sel, err := st.filter(ln.pred, b)
 	if err != nil {
 		return err
 	}
@@ -968,8 +1133,8 @@ func (ln *batchAggLane) processGrouped(st *batchMorselState, b engine.ColBatch) 
 	}
 	for ai, spec := range ln.specs {
 		// vl is the argument's validity lane; invalid rows still create
-		// their group (the row lane's keyed aggregate sees the row too),
-		// they just don't fold a value.
+		// their group (a row-folded spec sees the row too), they just
+		// don't fold a value.
 		var vl []bool
 		if spec.validV != nil {
 			var err error
@@ -1073,8 +1238,7 @@ func (ln *batchAggLane) morselGroups(st *batchMorselState) map[engine.GroupKey]a
 }
 
 // mergeGroups combines two groups' accumulators pairwise, keeping the
-// left (lower-segment) group's key values — the same rule the row
-// lane's multiAggregate.Merge applies.
+// left (lower-segment) group's key values.
 func (ln *batchAggLane) mergeGroups(a, b *batchGroup) *batchGroup {
 	for i, spec := range ln.specs {
 		a.accs[i] = spec.merge(a.accs[i], b.accs[i])
@@ -1097,12 +1261,14 @@ func (ln *batchAggLane) finalize(g *batchGroup) (*multiState, error) {
 	return out, nil
 }
 
-// execBatch drives the vectorized lane over the acquired input table
-// (the base table, or a join's materialization) and returns one
-// finalized multiState per group (exactly one for ungrouped
-// aggregates), matching the row path's intermediate shape.
+// execBatch drives the lane over the acquired input table (the base
+// table, or a join's materialization) and returns one finalized
+// multiState per group (exactly one for ungrouped aggregates).
 func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]*multiState, error) {
-	ln := p.batch
+	ln, err := p.lane.bound(env)
+	if err != nil {
+		return nil, err
+	}
 	grouped := len(p.groupIdx) > 0
 	// Track every morsel state so the scratch returns to the pool even
 	// when a kernel errors mid-scan. States are indexed by morsel — large
@@ -1164,13 +1330,12 @@ func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]*m
 	return states, nil
 }
 
-// bindKeyFill wires the lane's group-key projection. Single
-// Int/Bool/Float columns key as int64 (matching the row lane's
-// GroupKey.Int encoding bit for bit), single String columns key as the
-// string itself, and composite keys reuse the row lane's injective byte
-// encoding per row.
-func (ln *batchAggLane) bindKeyFill(schema engine.Schema, groupIdx []int) {
-	if len(groupIdx) == 1 {
+// bindKeyFill wires the lane's group-key projection. With typed set,
+// single Int/Bool/Float columns key as int64 and single String columns
+// as the string itself; composite keys, Vector keys and the oracle mode
+// encode each row's key columns injectively into GroupKey.Str.
+func (ln *batchAggLane) bindKeyFill(schema engine.Schema, groupIdx []int, typed bool) {
+	if typed && len(groupIdx) == 1 {
 		gi := groupIdx[0]
 		switch schema[gi].Kind {
 		case engine.Int:
@@ -1233,53 +1398,32 @@ func (ln *batchAggLane) bindKeyFill(schema engine.Schema, groupIdx []int) {
 	}
 }
 
-// planBatchAggLane attempts the vectorized lowering of an aggregate
-// query: every aggregate slot must be a batchable built-in or a
-// registered madlib aggregate (adapted through its row transition), and
-// the WHERE clause (if any) must batch-compile. builders is the row
-// lane's aggregate-builder list, parallel to calls — the madlib adapter
-// reuses the instances it already built. ok=false leaves the plan on
-// the row lane.
-func planBatchAggLane(st *Select, ps *planSource, calls []*FuncCall, builders []aggBuilder, groupIdx []int) (*batchAggLane, bool) {
-	schema := ps.schema
-	bc := newSourceBatchCompiler(ps)
-	ln := &batchAggLane{schema: schema, groupIdx: groupIdx}
-	pred, ok := compileBatchPredicate(st.Where, bc)
-	if !ok {
-		return nil, false
+// planAggLane assembles the lane from the already lowered aggregate
+// specs (parallel to the plan's calls): it lowers the WHERE clause,
+// binds the group-key fill and promotes ungrouped single-aggregate
+// queries to the fused path.
+func planAggLane(st *Select, lw *lowering, specs []*batchAggSpec, groupIdx []int) (*batchAggLane, error) {
+	schema := lw.bc.schema
+	ln := &batchAggLane{schema: schema, groupIdx: groupIdx, specs: specs}
+	var err error
+	if ln.pred, ln.native, err = lw.predicate(st.Where); err != nil {
+		return nil, err
 	}
-	ln.pred = pred
-	ln.specs = make([]*batchAggSpec, len(calls))
-	for i, call := range calls {
-		spec, ok := buildBatchAggregate(call, bc)
-		if !ok && !(call.Schema == "" && builtinAggs[call.Name]) {
-			// Registered madlib aggregate: fold rows through the plan's
-			// row-lane instance (its builder ignores the environment).
-			spec, ok = buildMadlibBatchSpec(builders[i])
-		}
-		if !ok {
-			return nil, false
-		}
-		ln.specs[i] = spec
+	for _, spec := range specs {
+		ln.native = ln.native || spec.bind == nil
 	}
 	if len(groupIdx) > 0 {
-		for _, gi := range groupIdx {
-			if schema[gi].Kind == engine.Vector {
-				// Vector-valued group keys stay on the row lane.
-				return nil, false
-			}
-		}
-		ln.bindKeyFill(schema, groupIdx)
-	} else if len(ln.specs) == 1 {
+		ln.bindKeyFill(schema, groupIdx, !lw.oracle)
+	} else if len(specs) == 1 {
 		// Fused filter+aggregate: single aggregate over a raw column lane
 		// (or a plain count) with no grouping.
-		spec := ln.specs[0]
-		countOnly := spec.updN != nil && spec.updRow == nil && spec.evalDiscard == nil &&
+		spec := specs[0]
+		countOnly := spec.updN != nil && spec.evalDiscard == nil &&
 			spec.validV == nil && spec.evalF == nil && spec.evalI == nil && spec.evalS == nil
 		if spec.fusedF != nil || spec.fusedI != nil || countOnly {
 			ln.fused = spec
 		}
 	}
-	ln.prog = bc.prog
-	return ln, true
+	ln.prog = lw.bc.prog
+	return ln, nil
 }

@@ -11,7 +11,9 @@ import (
 
 // EXPLAIN renders the plan the session would run for a statement as a
 // one-column rowset (QUERY PLAN), one line per row: the operator tree,
-// the execution lane the planner picked (row / batch / fused), the
+// how its consumers lowered (the lane line: batch or fused when any of
+// them took a native kernel, row when every one runs its row closure —
+// the executor underneath is the same either way), the
 // parallel-vs-sequential morsel decision, join materialization cache
 // state and plan-cache status. EXPLAIN ANALYZE additionally executes the
 // statement (including INSERTs — like PostgreSQL, analyze runs the real
@@ -100,11 +102,11 @@ func explainLines(s *Session, pl stmtPlan) []string {
 		lines := []string{sourceTitle(s, p.src)}
 		lane := "row"
 		switch {
-		case p.batchPred != nil && p.projItems != nil:
+		case p.nativePred && p.nativeItems > 0:
 			lane = "batch (vectorized filter + columnar projection)"
-		case p.batchPred != nil:
+		case p.nativePred:
 			lane = "batch (vectorized filter)"
-		case p.projItems != nil:
+		case p.nativeItems > 0:
 			lane = "batch (columnar projection)"
 		}
 		lines = append(lines, "  lane: "+lane)
@@ -128,11 +130,11 @@ func explainLines(s *Session, pl stmtPlan) []string {
 		}
 		lines = append(lines, "  aggregates: "+strings.Join(calls, ", "))
 		lane := "row"
-		if p.batch != nil {
+		switch {
+		case p.lane.fused != nil:
+			lane = "fused (single-pass filter+aggregate)"
+		case p.lane.native:
 			lane = "batch (vectorized)"
-			if p.batch.fused != nil {
-				lane = "fused (single-pass filter+aggregate)"
-			}
 		}
 		lines = append(lines, "  lane: "+lane)
 		lines = append(lines, predictLines(p.src, "  ")...)
@@ -151,7 +153,7 @@ func explainLines(s *Session, pl stmtPlan) []string {
 			names[i] = spec.name
 		}
 		lane := "row (gather and fold per partition)"
-		if p.batch != nil {
+		if p.native {
 			lane = "batch (vectorized gather, row-lane fold)"
 		}
 		lines = append(lines,

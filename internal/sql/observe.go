@@ -56,26 +56,27 @@ func (m *sessionMetrics) lanePicked(lane string) {
 	m.reg.Counter("sql_lane_" + lane).Inc()
 }
 
-// planLane names the execution lane a plan will run on. Scans and
-// aggregates report the row/batch/fused decision; the remaining plan
-// types are pinned to their only lane.
+// planLane names how a plan's consumers lowered. Scans, aggregates and
+// windows report batch (fused for the single-pass filter+aggregate) when
+// any consumer took a native kernel and row when all run row closures;
+// the remaining plan types are pinned to their only lane.
 func planLane(pl stmtPlan) string {
 	switch p := pl.(type) {
 	case *scanPlan:
-		if p.batchPred != nil || p.projItems != nil {
+		if p.nativePred || p.nativeItems > 0 {
 			return "batch"
 		}
 		return "row"
 	case *aggPlan:
-		if p.batch != nil {
-			if p.batch.fused != nil {
-				return "fused"
-			}
+		switch {
+		case p.lane.fused != nil:
+			return "fused"
+		case p.lane.native:
 			return "batch"
 		}
 		return "row"
 	case *windowPlan:
-		if p.batch != nil {
+		if p.native {
 			return "batch"
 		}
 		return "row"

@@ -648,11 +648,12 @@ func exprHasNestedAgg(e Expr) bool {
 	return nested
 }
 
-// aggBuilder constructs the engine aggregate for one aggregate call with
-// an execution environment bound. All compile work happens at plan time;
-// invoking the builder per execution only allocates closures, which keeps
-// cached plans reusable while letting $n parameters flow into built-in
-// aggregate arguments (sum(v * $1)).
+// aggBuilder constructs the row-lane engine aggregate for one aggregate
+// call with an execution environment bound: the fold of every call with
+// no native batch lowering, and of every call in oracle mode. All compile
+// work happens at plan time; invoking the builder per execution only
+// allocates closures, which keeps cached plans reusable while letting $n
+// parameters flow into built-in aggregate arguments (sum(v * $1)).
 type aggBuilder func(env *execEnv) (engine.Aggregate, error)
 
 // buildAggregate compiles one aggregate call into an aggBuilder. Built-in
@@ -1160,63 +1161,12 @@ func numAccFinal(name string) func(any) (any, error) {
 	}
 }
 
-// multiAggregate runs several aggregates in one table pass and captures
-// the GROUP BY key values of each group alongside.
-type multiAggregate struct {
-	aggs     []engine.Aggregate
-	groupIdx []int
-	schema   engine.Schema
-}
-
+// multiState is one group's finalized aggregate slot values plus its
+// GROUP BY key values: what the aggregate scan hands the per-group
+// output stage (HAVING, SELECT list, ORDER BY).
 type multiState struct {
 	slots   []any
 	keyVals []any
-}
-
-func (m *multiAggregate) Init() any {
-	st := &multiState{slots: make([]any, len(m.aggs))}
-	for i, a := range m.aggs {
-		st.slots[i] = a.Init()
-	}
-	return st
-}
-
-func (m *multiAggregate) Transition(state any, row engine.Row) any {
-	st := state.(*multiState)
-	if st.keyVals == nil && len(m.groupIdx) > 0 {
-		st.keyVals = make([]any, len(m.groupIdx))
-		for i, gi := range m.groupIdx {
-			st.keyVals[i] = rowValue(m.schema, &row, gi)
-		}
-	}
-	for i, a := range m.aggs {
-		st.slots[i] = a.Transition(st.slots[i], row)
-	}
-	return st
-}
-
-func (m *multiAggregate) Merge(a, b any) any {
-	sa, sb := a.(*multiState), b.(*multiState)
-	if sa.keyVals == nil {
-		sa.keyVals = sb.keyVals
-	}
-	for i, agg := range m.aggs {
-		sa.slots[i] = agg.Merge(sa.slots[i], sb.slots[i])
-	}
-	return sa
-}
-
-func (m *multiAggregate) Final(state any) (any, error) {
-	st := state.(*multiState)
-	out := &multiState{slots: make([]any, len(m.aggs)), keyVals: st.keyVals}
-	for i, a := range m.aggs {
-		v, err := a.Final(st.slots[i])
-		if err != nil {
-			return nil, err
-		}
-		out.slots[i] = v
-	}
-	return out, nil
 }
 
 // compareOrderKeys orders two ORDER BY key values with Postgres NULL

@@ -172,12 +172,14 @@ func (s *Session) Close() {
 	s.releasePlans(dropped)
 }
 
-// SetBatchExecution toggles the vectorized column-batch lane. It is on
-// by default; turning it off forces every plan onto the per-row lane
-// (the semantic oracle), which the differential tests and the
-// batch-vs-row benchmarks use. Toggling clears the plan cache and marks
-// prepared statements for replanning, so no cached or prepared plan can
-// keep the previous lane.
+// SetBatchExecution toggles the native batch kernels. They are on by
+// default; turning them off is the oracle mode: every plan still runs on
+// its one batch executor, but each consumer in it (WHERE, projected
+// items, aggregate folds, group keys) lowers to its compiled row closure
+// instead of a column kernel. The differential tests compare the two
+// lowerings and the *RowLane benchmarks time the closures. Toggling
+// clears the plan cache and marks prepared statements for replanning, so
+// no cached or prepared plan can keep the previous lowering.
 func (s *Session) SetBatchExecution(enabled bool) {
 	s.mu.Lock()
 	s.batchOff = !enabled
@@ -203,7 +205,8 @@ func (s *Session) releasePlans(plans []stmtPlan) {
 	}
 }
 
-// batchEnabled reports whether the planner may choose the batch lane.
+// batchEnabled reports whether consumers may lower to native batch
+// kernels (false: oracle mode).
 func (s *Session) batchEnabled() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"fmt"
 	"sort"
 	"sync/atomic"
 
@@ -29,12 +28,12 @@ import (
 // that depend on storage order.
 //
 // The fold itself is row-at-a-time by definition — each row's output
-// depends on the partition state — but the input side vectorizes: when
-// WHERE and every PARTITION BY / OVER-ORDER BY expression lower onto
-// batch kernels, the gather pass runs morsel-parallel on the batch
-// lane, filtering and evaluating partition/order keys column-wise
-// (windowBatchLane). Shapes with no batch lowering (Vector operands,
-// madlib calls, parameters) keep the staged row-lane gather.
+// depends on the partition state — but the input side runs on the batch
+// executor: the gather pass is morsel-parallel, WHERE filters each batch
+// into a selection vector and the PARTITION BY / OVER-ORDER BY keys box
+// column-wise, each through its native batch kernel or, where it has
+// none (Vector operands, madlib calls, parameters), through its row
+// closure driven over the selection.
 
 // windowFuncs names the supported window functions.
 var windowFuncs = map[string]bool{
@@ -50,22 +49,22 @@ type windowSlotSpec struct {
 }
 
 // windowPlan executes a SELECT whose item list contains window calls.
-// All calls must share one window specification; the plan stages WHERE
-// through a temp table (windows see filtered rows), then folds each
-// partition with engine.RunWindow.
+// All calls must share one window specification. The plan gathers the
+// rows WHERE keeps into partitions with their order keys (gather), then
+// folds each partition with engine.RunWindowGathered.
 type windowPlan struct {
 	src *planSource
 	st  *Select
 
-	pred    boolFn // WHERE, applied before the window
-	partFns []anyFn
-	ordFns  []anyFn
-	ordDesc []bool
-
-	// batch, when non-nil, replaces the staged row-lane gather with the
-	// vectorized gather: WHERE filters through a selection vector and the
-	// partition/order keys evaluate column-wise, morsel-parallel.
-	batch *windowBatchLane
+	// The gather pipeline: WHERE plus one projItem per PARTITION BY and
+	// OVER-ORDER BY expression. native reports whether any of them took
+	// its batch kernel (EXPLAIN's lane line reads "row" otherwise).
+	prog      *batchProg
+	pred      bBatchKernel // nil when the query has no WHERE
+	partItems []*projItem
+	ordItems  []*projItem
+	native    bool
+	ordDesc   []bool
 
 	slotOf map[*FuncCall]int
 	specs  []windowSlotSpec
@@ -79,18 +78,16 @@ type windowPlan struct {
 	limit     int64
 }
 
-// planWindowSelect validates and lowers a window query. batchOK allows
-// the vectorized gather lane (disabled per session or under the
-// differential harness's row-lane oracle).
-func planWindowSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error) {
+// planWindowSelect validates and lowers a window query.
+func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	if len(st.GroupBy) > 0 || st.Having != nil {
 		return nil, execErrf("window functions cannot be combined with GROUP BY or HAVING")
 	}
 	if st.Distinct {
 		return nil, execErrf("SELECT DISTINCT cannot be combined with window functions")
 	}
-	p := &windowPlan{src: ps, st: st, limit: st.Limit}
-	cc := ps.newCompileCtx()
+	p := &windowPlan{src: lw.cc.src, st: st, limit: st.Limit, finalDesc: orderDesc(st.OrderBy)}
+	cc := lw.cc
 
 	// Collect window calls into slots; all must share one spec.
 	p.slotOf = map[*FuncCall]int{}
@@ -154,28 +151,29 @@ func planWindowSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error
 		return nil, execErrf("window functions require ORDER BY in the OVER clause (whole-partition frames are not supported yet)")
 	}
 
-	// Compile the window spec.
+	// Lower the window spec and WHERE.
 	for _, pe := range over.PartitionBy {
-		c, err := compileExpr(pe, cc)
+		pi, err := lw.item(pe)
 		if err != nil {
 			return nil, err
 		}
-		p.partFns = append(p.partFns, c.a)
+		p.partItems = append(p.partItems, pi)
+		p.native = p.native || pi.rowFn == nil
 	}
 	for _, k := range over.OrderBy {
-		c, err := compileExpr(k.Expr, cc)
+		pi, err := lw.item(k.Expr)
 		if err != nil {
 			return nil, err
 		}
-		p.ordFns = append(p.ordFns, c.a)
+		p.ordItems = append(p.ordItems, pi)
 		p.ordDesc = append(p.ordDesc, k.Desc)
+		p.native = p.native || pi.rowFn == nil
 	}
-
-	var err error
-	p.pred, err = compilePredicate(st.Where, cc)
+	pred, nativePred, err := lw.predicate(st.Where)
 	if err != nil {
 		return nil, err
 	}
+	p.pred, p.native, p.prog = pred, p.native || nativePred, lw.bc.prog
 
 	p.outNames = make([]string, len(st.Items))
 	for i, item := range st.Items {
@@ -189,161 +187,65 @@ func planWindowSelect(st *Select, ps *planSource, batchOK bool) (stmtPlan, error
 		if _, _, err := ordinal(key.Expr, len(st.Items)); err != nil {
 			return nil, err
 		}
-		p.finalDesc = append(p.finalDesc, key.Desc)
-	}
-	if batchOK {
-		p.batch = planWindowBatchLane(st, ps, over)
 	}
 	return p, nil
 }
 
-// windowBatchLane is the compiled vectorized gather: the WHERE kernel
-// plus one projItem per PARTITION BY and OVER-ORDER BY expression. The
-// lane is all-or-nothing — if any of those fails to lower, the plan
-// keeps the staged row-lane gather (partial vectorization would still
-// pay the staging copy).
-type windowBatchLane struct {
-	prog      *batchProg
-	pred      bBatchKernel // nil when the query has no WHERE
-	partItems []*projItem
-	ordItems  []*projItem
-}
-
-// winBatchState is one morsel's gather scratch.
-type winBatchState struct {
-	e       *batchEval
-	predOut []bool
-	selBuf  []int32
-}
-
-// winRow is one gathered input row: its handle, encoded partition key,
-// and boxed OVER-ORDER BY key tuple.
+// winRow is one gathered input row: its handle, its encoded partition
+// key, and its boxed PARTITION BY values followed by its OVER-ORDER BY
+// key tuple.
 type winRow struct {
 	row  engine.Row
 	part string
-	ord  []any
+	keys []any
 }
 
-func planWindowBatchLane(st *Select, ps *planSource, over *OverClause) *windowBatchLane {
-	bc := newSourceBatchCompiler(ps)
-	wb := &windowBatchLane{}
-	if st.Where != nil {
-		k, ok := compileBatchPredicate(st.Where, bc)
-		if !ok || k == nil {
-			return nil
-		}
-		wb.pred = k
-	}
-	for _, pe := range over.PartitionBy {
-		pi, ok := buildProjItem(pe, bc)
-		if !ok {
-			return nil
-		}
-		wb.partItems = append(wb.partItems, pi)
-	}
-	for _, key := range over.OrderBy {
-		pi, ok := buildProjItem(key.Expr, bc)
-		if !ok {
-			return nil
-		}
-		wb.ordItems = append(wb.ordItems, pi)
-	}
-	wb.prog = bc.prog
-	return wb
-}
-
-// gatherBatch is the vectorized gather pass: every morsel filters and
-// evaluates its partition/order keys independently, then the per-morsel
-// buffers concatenate in morsel order — the same row order the staged
-// row-lane gather produces, so ORDER BY ties break identically. The
-// order-key tuples land in ordCache for the partition sort comparator.
-func (p *windowPlan) gatherBatch(s *Session, env *execEnv, input *engine.Table, ordCache map[engine.Row][]any) (map[string][]engine.Row, error) {
-	wb := p.batch
-	nMorsels := s.db.ScanMorsels(input)
-	bufs := make([][]winRow, nMorsels)
-	states := make([]*winBatchState, nMorsels)
-	np, no := len(wb.partItems), len(wb.ordItems)
-	w := np + no
-	err := s.db.ForEachBatchCtx(env.context(), input, func(mi int, b engine.ColBatch) error {
-		st := states[mi]
-		if st == nil {
-			st = &winBatchState{e: wb.prog.newEval(env)}
-			if wb.pred != nil {
-				st.predOut = make([]bool, engine.BatchSize)
-				st.selBuf = make([]int32, engine.BatchSize)
-			}
-			states[mi] = st
-		}
-		sel := st.e.identSel(b.Len())
-		if wb.pred != nil {
-			po := st.predOut[:b.Len()]
-			if err := wb.pred(st.e, b, sel, po); err != nil {
-				return err
-			}
-			keep := st.selBuf[:0]
-			for j, ok := range po {
-				if ok {
-					keep = append(keep, int32(j))
-				}
-			}
-			sel = keep
-		}
-		n := len(sel)
-		if n == 0 {
-			return nil
-		}
-		// Box the partition and order key lanes column-wise. Each row's
-		// cells share one backing array that outlives the batch: the ord
-		// sub-slice is what lands in ordCache.
-		boxed := make([][]any, n)
-		cells := make([]any, n*w)
-		for j := range boxed {
-			boxed[j] = cells[j*w : (j+1)*w : (j+1)*w]
-		}
-		for i, pi := range wb.partItems {
-			if err := pi.box(st.e, b, sel, boxed, i); err != nil {
-				return err
+// gather filters the input and evaluates every surviving row's
+// partition and order keys, in table order (so ORDER BY ties break
+// identically at any worker count). It returns the row handles grouped
+// by encoded partition key, each partition's key values (for the default
+// output order), and fills ordCache with each row's order-key tuple for
+// the partition sort comparator.
+func (p *windowPlan) gather(s *Session, env *execEnv, input *engine.Table, ordCache map[engine.Row][]any) (parts map[string][]engine.Row, partVals map[string][]any, err error) {
+	np := len(p.partItems)
+	rows, err := gatherBatches(s, env, input, p.prog, p.pred, func(e *batchEval, b engine.ColBatch, sel selVec) ([]winRow, error) {
+		// Each row's cells share one backing array that outlives the
+		// batch: the sub-slices are what land in partVals and ordCache.
+		boxed := boxedRows(len(sel), np+len(p.ordItems))
+		for i, pi := range p.partItems {
+			if err := pi.box(e, b, sel, boxed, i); err != nil {
+				return nil, err
 			}
 		}
-		for i, pi := range wb.ordItems {
-			if err := pi.box(st.e, b, sel, boxed, np+i); err != nil {
-				return err
+		for i, pi := range p.ordItems {
+			if err := pi.box(e, b, sel, boxed, np+i); err != nil {
+				return nil, err
 			}
 		}
 		var buf []byte
-		out := make([]winRow, n)
+		out := make([]winRow, len(sel))
 		for j, idx := range sel {
 			buf = buf[:0]
 			for _, v := range boxed[j][:np] {
 				buf = appendValKey(buf, v)
 			}
-			out[j] = winRow{row: b.Row(int(idx)), part: string(buf), ord: boxed[j][np:]}
+			out[j] = winRow{row: b.Row(int(idx)), part: string(buf), keys: boxed[j]}
 		}
-		// A morsel spans several batches, delivered in offset order on
-		// one worker: append, don't assign.
-		bufs[mi] = append(bufs[mi], out...)
-		return nil
+		return out, nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	parts := map[string][]engine.Row{}
-	for _, buf := range bufs {
-		for _, wr := range buf {
-			parts[wr.part] = append(parts[wr.part], wr.row)
-			ordCache[wr.row] = wr.ord
+	parts = map[string][]engine.Row{}
+	partVals = map[string][]any{}
+	for _, wr := range rows {
+		if _, seen := parts[wr.part]; !seen {
+			partVals[wr.part] = wr.keys[:np]
 		}
+		parts[wr.part] = append(parts[wr.part], wr.row)
+		ordCache[wr.row] = wr.keys[np:]
 	}
-	return parts, nil
-}
-
-func anySpec(specs []windowSlotSpec, name string) bool {
-	for _, s := range specs {
-		if s.name == name {
-			return true
-		}
-	}
-	return false
+	return parts, partVals, nil
 }
 
 func (p *windowPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
@@ -353,12 +255,9 @@ func (p *windowPlan) release(db *engine.DB) { p.src.release(db) }
 func (p *windowPlan) columns() []string { return p.outNames }
 
 // windowRowOut is one emitted output row with its final sort keys.
-// partVals carries the partition's key values on the partition's first
-// row only (the default output order sorts partitions by value).
 type windowRowOut struct {
-	row      []any
-	keys     []any
-	partVals []any
+	row  []any
+	keys []any
 }
 
 // windowState is one partition's fold state.
@@ -378,26 +277,25 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*Result, error) {
 	}
 	defer cleanup()
 
-	// stepErr captures the first evaluation error from inside the
-	// partition/order/step closures (the engine fold's contracts cannot
+	// stepErr captures the first evaluation error from inside the order
+	// comparator and the step closure (the engine fold's contracts cannot
 	// fail).
 	var stepErr atomic.Value
 	fail := func(err error) {
 		stepErr.CompareAndSwap(nil, err)
 	}
 
-	// ordCache holds every input row's OVER-ORDER BY key tuple, filled
-	// once per row by whichever gather runs (the vectorized gather boxes
-	// the tuples column-wise; the row-lane gather evaluates them inside
-	// the PartitionBy hook). The per-partition sort goroutines then only
-	// read the finished cache — O(n) evaluations instead of O(n log n)
-	// closure calls inside the comparator.
+	// ordCache holds every gathered row's OVER-ORDER BY key tuple, boxed
+	// once per row by the gather. The per-partition sort goroutines then
+	// only read the finished cache — O(n) evaluations instead of
+	// O(n log n) inside the comparator.
 	ordCache := map[engine.Row][]any{}
+	parts, partVals, err := p.gather(s, env, input, ordCache)
+	if err != nil {
+		return nil, err
+	}
 	orderBy := func(a, b engine.Row) bool {
 		av, bv := ordCache[a], ordCache[b]
-		if av == nil || bv == nil {
-			return false // evaluation failed; stepErr already set
-		}
 		for i := range av {
 			c, err := compareOrderKeys(av[i], bv[i])
 			if err != nil {
@@ -429,25 +327,10 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*Result, error) {
 			return ws, nil
 		}
 		ws.pos++
-		var firstPartVals []any
-		if ws.pos == 1 && len(p.partFns) > 0 {
-			firstPartVals = make([]any, len(p.partFns))
-			for i, fn := range p.partFns {
-				v, err := fn(row, env)
-				if err != nil {
-					fail(err)
-					return ws, nil
-				}
-				firstPartVals[i] = v
-			}
-		}
 		// rank(): peers (equal ORDER BY keys) share the rank of their
 		// first row; a new key value jumps to the current position.
-		if len(p.ordFns) > 0 {
+		if len(p.ordItems) > 0 {
 			ov := ordCache[row]
-			if ov == nil {
-				return ws, nil // evaluation failed; stepErr already set
-			}
 			same := ws.hasPrev
 			if same {
 				for i := range ov {
@@ -526,7 +409,7 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*Result, error) {
 			nullable: p.src.nullable, matchedIdx: p.src.matchedIdx,
 			slotOf: p.slotOf, slotVals: ws.slotVals, params: env.paramList(),
 		}
-		out := windowRowOut{row: make([]any, len(p.st.Items)), partVals: firstPartVals}
+		out := windowRowOut{row: make([]any, len(p.st.Items))}
 		for i, item := range p.st.Items {
 			v, err := evalExpr(item.Expr, ctx)
 			if err != nil {
@@ -559,64 +442,9 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*Result, error) {
 		return ws, out
 	}
 
-	var parts map[string][]any
-	if p.batch != nil {
-		gathered, err := p.gatherBatch(s, env, input, ordCache)
-		if err != nil {
-			return nil, err
-		}
-		parts, err = s.db.RunWindowGathered(gathered, orderBy, init, step)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Stage WHERE first so the window sees only surviving rows, then
-		// gather row-at-a-time: the PartitionBy hook runs single-threaded
-		// during RunWindow's gather pass and fills ordCache as it goes.
-		if p.pred != nil {
-			var predErr atomic.Value
-			pred := enginePred(p.pred, env, &predErr)
-			staged, err := s.db.SelectIntoTempCtx(env.context(), "sql_window", input, pred, nil)
-			if err != nil {
-				return nil, err
-			}
-			defer func(name string) { _ = s.db.DropTable(name) }(staged.Name())
-			if e := predErr.Load(); e != nil {
-				return nil, e.(error)
-			}
-			input = staged
-		}
-		spec := engine.WindowSpec{OrderBy: orderBy}
-		spec.PartitionBy = func(r engine.Row) string {
-			if len(p.ordFns) > 0 {
-				vals := make([]any, len(p.ordFns))
-				for i, fn := range p.ordFns {
-					v, err := fn(r, env)
-					if err != nil {
-						fail(err)
-						vals = nil
-						break
-					}
-					vals[i] = v
-				}
-				ordCache[r] = vals
-			}
-			var buf []byte
-			for _, fn := range p.partFns {
-				v, err := fn(r, env)
-				if err != nil {
-					fail(err)
-					return ""
-				}
-				buf = appendValKey(buf, v)
-			}
-			return string(buf)
-		}
-		var rwErr error
-		parts, rwErr = s.db.RunWindowCtx(env.context(), input, spec, init, step)
-		if rwErr != nil {
-			return nil, rwErr
-		}
+	folded, err := s.db.RunWindowGathered(parts, orderBy, init, step)
+	if err != nil {
+		return nil, err
 	}
 	if e := stepErr.Load(); e != nil {
 		return nil, e.(error)
@@ -626,24 +454,14 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*Result, error) {
 	// VALUES (compareValues, so ints/floats/strings order naturally —
 	// the encoded map key is injective but not order-preserving), rows
 	// within a partition in window order.
-	partKeys := make([]string, 0, len(parts))
-	for k := range parts {
+	partKeys := make([]string, 0, len(folded))
+	for k := range folded {
 		partKeys = append(partKeys, k)
-	}
-	partValsOf := func(pk string) []any {
-		if len(parts[pk]) == 0 {
-			return nil
-		}
-		out, ok := parts[pk][0].(windowRowOut)
-		if !ok {
-			return nil
-		}
-		return out.partVals
 	}
 	var sortErr error
 	sort.Slice(partKeys, func(a, b int) bool {
-		av, bv := partValsOf(partKeys[a]), partValsOf(partKeys[b])
-		for i := 0; i < len(av) && i < len(bv); i++ {
+		av, bv := partVals[partKeys[a]], partVals[partKeys[b]]
+		for i := range av {
 			c, err := compareOrderKeys(av[i], bv[i])
 			if err != nil && sortErr == nil {
 				sortErr = err
@@ -659,20 +477,11 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*Result, error) {
 	}
 	var rows, keys [][]any
 	for _, pk := range partKeys {
-		for _, v := range parts[pk] {
-			out, ok := v.(windowRowOut)
-			if !ok {
-				continue // a failed step emitted nil; stepErr already set
-			}
+		for _, v := range folded[pk] {
+			out := v.(windowRowOut)
 			rows = append(rows, out.row)
 			keys = append(keys, out.keys)
 		}
 	}
-	if len(p.st.OrderBy) > 0 {
-		if err := sortRows(s.db, rows, keys, p.finalDesc); err != nil {
-			return nil, err
-		}
-	}
-	rows = applyLimit(rows, p.limit)
-	return &Result{Cols: p.outNames, Rows: rows, Tag: fmt.Sprintf("SELECT %d", len(rows))}, nil
+	return finishSelect(s.db, p.outNames, rows, keys, false, p.finalDesc, p.limit)
 }

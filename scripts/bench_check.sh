@@ -13,12 +13,25 @@
 # batch aggregate over a LEFT JOIN), SQLWindow (vectorized window
 # gather) and SQLOrderBy (parallel sort).
 #
-# On top of the absolute ns/op gate, the vectorization wins are gated
-# relative to their row-lane companions measured in the same run:
-# SQLProjScan and SQLLeftJoinAgg must stay at least MIN_SPEEDUP times
-# faster than SQLProjScanRowLane / SQLLeftJoinAggRowLane. Same-run
-# ratios are hardware-independent, so this holds on 1-core runners
-# where the gain is pure single-core vectorization.
+# On top of the absolute ns/op gate, the native kernels are gated
+# relative to their *RowLane companions measured in the same run. A
+# companion is the same statement in oracle mode
+# (SetBatchExecution(false)): same executor, same morsel driver, every
+# consumer lowered to its row closure — so each ratio measures kernels
+# against closures and nothing else. Same-run ratios are
+# hardware-independent, so they hold on 1-core runners.
+#   SQLLeftJoinAgg must stay at least MIN_SPEEDUP (1.5) times faster than
+#   SQLLeftJoinAggRowLane: ten same-run ratios measured 5.7-9.8x (median
+#   7.4x; 12x when the companion still ran on its own executor), so the
+#   old gate stands.
+#   SQLProjScan is gated at 0.9x SQLProjScanRowLane. The old 1.5x gate
+#   mostly measured the row executor's per-row output slices, which the
+#   companion no longer pays: it now boxes into the same per-batch cell
+#   arrays (10,046 -> 5,043 allocs/op) and what remains is three column
+#   kernels against three closures under identical boxing cost. Ten
+#   same-run ratios measured 0.56-1.61x, median 1.12x; the gate is 0.8x
+#   that median and only catches the kernels becoming slower than the
+#   closures they replace.
 #
 # The igd training harness is gated the same way: TrainLogregrIGD and
 # TrainSVM run absolute gates against BENCH_sql.json, and their
@@ -34,8 +47,9 @@
 #
 # Model serving is gated like training: SQLPredictBatch runs an
 # absolute gate, and the vectorized scoring kernel must stay at least
-# MIN_SPEEDUP_TRAIN times faster than SQLPredictRowLane in the same
-# run.
+# MIN_SPEEDUP_TRAIN times faster than SQLPredictRowLane (the closure
+# scorer under the same driver; ten same-run ratios measured 6.0-11.6x)
+# in the same run.
 #
 # linregr — the paper's own hot path — is gated relative only: LinregrRun
 # (the default batch generation: batch transition + blocked XᵀX kernel)
@@ -45,8 +59,9 @@
 #
 # Usage: scripts/bench_check.sh [benchtime] [max_ratio]
 #   benchtime defaults to 0.5s; max_ratio defaults to 1.25 (25% slack for
-#   shared-runner noise). MIN_SPEEDUP overrides the relative gate
-#   (default 1.5); MIN_SPEEDUP_TRAIN the training one (default 2.0).
+#   shared-runner noise). MIN_SPEEDUP overrides the SQLLeftJoinAgg
+#   relative gate (default 1.5); MIN_SPEEDUP_TRAIN the training and
+#   predict ones (default 2.0).
 #
 # Caveat: the committed baseline is absolute ns/op from the machine that
 # last ran scripts/bench_sql.sh, so the slack also absorbs hardware
@@ -127,12 +142,12 @@ for name in $GATED $TRAIN_GATED $PGWIRE_GATED $PREDICT_GATED; do
   fi
 done
 
-# Relative vectorization gates: batch lane vs row-lane companion, same
-# run, same hardware. The training pairs carry their own (stricter)
+# Relative vectorization gates: native kernels vs the oracle-mode
+# companion, same run, same hardware. The training pairs carry their own (stricter)
 # minimum: the vectorized gather lane must hold a 2x win over boxed
 # row-at-a-time access.
 for pair in \
-  "SQLProjScan SQLProjScanRowLane $MIN_SPEEDUP" \
+  "SQLProjScan SQLProjScanRowLane 0.9" \
   "SQLLeftJoinAgg SQLLeftJoinAggRowLane $MIN_SPEEDUP" \
   "TrainLogregrIGD TrainLogregrIGDRowLane $MIN_SPEEDUP_TRAIN" \
   "TrainSVM TrainSVMRowLane $MIN_SPEEDUP_TRAIN" \
