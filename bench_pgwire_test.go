@@ -197,3 +197,69 @@ func BenchmarkPGWirePredict(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// bulkSpan is the result size of the bulk benchmarks: the repo
+// benchmark's bulk_results statement at full size.
+const bulkSpan = 20_000
+
+// loadBulkFacts fills facts(id, g, v, label) with ten result spans of
+// rows, the table the bulk statements select a tenth of.
+func loadBulkFacts(b *testing.B, db *engine.DB) {
+	b.Helper()
+	tbl, err := db.CreateTable("facts", engine.Schema{
+		{Name: "id", Kind: engine.Int}, {Name: "g", Kind: engine.Int},
+		{Name: "v", Kind: engine.Float}, {Name: "label", Kind: engine.String},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 10*bulkSpan; i++ {
+		if err := tbl.Insert(int64(i), int64(i%64), float64(i%100_000)/100, fmt.Sprintf("L%d", i%8)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPGWireBulkSelect is the result path end to end on one
+// connection: a prepared 20,000-row range select whose bound arrives as
+// a binary int8, from the scan's typed chunks through DataRow encoding
+// and the socket to the client's decoded rows. allocs/op counts server
+// and client together; scripts/bench_check.sh gates it at two
+// allocations per result row, which no per-cell or per-row boxing on
+// either end of the wire fits under.
+func BenchmarkPGWireBulkSelect(b *testing.B) {
+	db := engine.Open(4)
+	loadBulkFacts(b, db)
+	srv := pgwire.NewServer(db, pgwire.Config{Listen: "127.0.0.1:0"})
+	if err := srv.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	c, err := pgwire.Dial(srv.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	query := fmt.Sprintf("SELECT id, g, v, label FROM facts WHERE id >= $1 AND id < $1 + %d", bulkSpan)
+	if err := c.Prepare("rng", query, []int32{pgwire.OidInt8}); err != nil {
+		b.Fatal(err)
+	}
+	run := func(i int) {
+		lo := int64(i%1024) * (9 * bulkSpan) / 1024
+		r, err := c.ExecuteParams("rng", []pgwire.WireParam{pgwire.Int8Param(lo)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Rows arrive in table order, segment by segment: the first is the
+		// lowest selected id of segment 0.
+		if first, _ := strconv.ParseInt(*r.Rows[0][0], 10, 64); len(r.Rows) != bulkSpan || first < lo || first >= lo+4 {
+			b.Fatalf("rows = %d from id %d, want %d from %d", len(r.Rows), first, bulkSpan, lo)
+		}
+	}
+	run(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+}

@@ -394,6 +394,33 @@ func BenchmarkAblationUpdatePattern(b *testing.B) {
 	})
 }
 
+// BenchmarkSQLBulkCTAS sends the bulk range selection to storage instead
+// of the wire: CREATE TABLE AS over 20,000 rows, then the DROP. The
+// executor's typed chunks append to the new table lane by lane, so
+// allocs/op stays far below one per row (scripts/bench_check.sh gates
+// it).
+func BenchmarkSQLBulkCTAS(b *testing.B) {
+	db := engine.Open(4)
+	loadBulkFacts(b, db)
+	sess := sqlfe.NewSession(db)
+	run := func(i int) {
+		lo := (i % 1024) * (9 * bulkSpan) / 1024
+		res, err := sess.Exec(fmt.Sprintf("CREATE TABLE bulk_tmp AS SELECT id, g, v, label FROM facts WHERE id >= %d AND id < %d + %d; DROP TABLE bulk_tmp", lo, lo, bulkSpan))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if want := fmt.Sprintf("SELECT %d", bulkSpan); res[0].Tag != want {
+			b.Fatalf("tag %q, want %q", res[0].Tag, want)
+		}
+	}
+	run(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
+	}
+}
+
 // BenchmarkAblationSGDAveraging compares per-replica model averaging with
 // a single surviving chain, directly on the igd harness.
 func BenchmarkAblationSGDAveraging(b *testing.B) {

@@ -475,6 +475,19 @@ func (db *DB) nextTempName(prefix string) string {
 }
 
 func (db *DB) createTable(name string, schema Schema, temp bool) (*Table, error) {
+	t, err := newTable(name, schema, temp, db.segments)
+	if err != nil {
+		return nil, err
+	}
+	if err := db.register(t); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// newTable validates schema and builds an empty table over segments
+// segments, in no catalog yet.
+func newTable(name string, schema Schema, temp bool, segments int) (*Table, error) {
 	if len(schema) == 0 {
 		return nil, errors.New("engine: empty schema")
 	}
@@ -489,17 +502,94 @@ func (db *DB) createTable(name string, schema Schema, temp bool) (*Table, error)
 		seen[c.Name] = true
 	}
 	t := &Table{name: name, schema: schema.Clone(), temp: temp}
-	t.segs = make([]*Segment, db.segments)
+	t.segs = make([]*Segment, segments)
 	for i := range t.segs {
 		t.segs[i] = newSegment(schema)
 	}
+	return t, nil
+}
+
+// register enters t into the catalog under its name.
+func (db *DB) register(t *Table) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if _, exists := db.tables[name]; exists {
-		return nil, fmt.Errorf("%w: %q", ErrTableExists, name)
+	if _, exists := db.tables[t.name]; exists {
+		return fmt.Errorf("%w: %q", ErrTableExists, t.name)
 	}
-	db.tables[name] = t
+	db.tables[t.name] = t
+	return nil
+}
+
+// ColumnData is one column of rows handed to CreateTableFrom: the lane
+// matching the column's kind holds one value per row, the others are nil.
+type ColumnData struct {
+	Floats  []float64
+	Vectors [][]float64
+	Ints    []int64
+	Strings []string
+	Bools   []bool
+}
+
+// CreateTableFrom registers a new permanent table that already holds n
+// rows, given column-wise: CREATE TABLE AS's storage sink. Row r lands
+// where the r-th Insert into a fresh table would put it (round-robin
+// over the segments), the table's version reads 1, and the catalog only
+// learns the name once every segment is filled — no reader can see a
+// partial table, and a failure leaves nothing behind.
+func (db *DB) CreateTableFrom(name string, schema Schema, n int, cols []ColumnData) (*Table, error) {
+	if len(cols) != len(schema) {
+		return nil, fmt.Errorf("%w: got %d columns for %d", ErrArity, len(cols), len(schema))
+	}
+	t, err := newTable(name, schema, false, db.segments)
+	if err != nil {
+		return nil, err
+	}
+	nseg := len(t.segs)
+	for ci, c := range schema {
+		var have int
+		switch c.Kind {
+		case Float:
+			have = scatterLane(t.segs, ci, cols[ci].Floats, func(d *colData) *[]float64 { return &d.floats })
+		case Vector:
+			have = scatterLane(t.segs, ci, cols[ci].Vectors, func(d *colData) *[][]float64 { return &d.vecs })
+		case Int:
+			have = scatterLane(t.segs, ci, cols[ci].Ints, func(d *colData) *[]int64 { return &d.ints })
+		case String:
+			have = scatterLane(t.segs, ci, cols[ci].Strings, func(d *colData) *[]string { return &d.strs })
+		case Bool:
+			have = scatterLane(t.segs, ci, cols[ci].Bools, func(d *colData) *[]bool { return &d.bools })
+		}
+		if have != n {
+			return nil, fmt.Errorf("%w: column %q holds %d %s values for %d rows", ErrType, c.Name, have, c.Kind, n)
+		}
+	}
+	for si, seg := range t.segs {
+		seg.n = (n - si + nseg - 1) / nseg
+	}
+	t.totalRows = int64(n)
+	t.nextSeg = n % nseg
+	t.version.Store(1)
+	if err := db.register(t); err != nil {
+		return nil, err
+	}
 	return t, nil
+}
+
+// scatterLane deals vals round-robin over the segments' lanes of column
+// ci and returns how many values it dealt.
+func scatterLane[T any](segs []*Segment, ci int, vals []T, lane func(*colData) *[]T) int {
+	nseg := len(segs)
+	for si, seg := range segs {
+		if si >= len(vals) {
+			break
+		}
+		out := make([]T, 0, (len(vals)-si+nseg-1)/nseg)
+		for r := si; r < len(vals); r += nseg {
+			out = append(out, vals[r])
+		}
+		*lane(&seg.cols[ci]) = out
+	}
+	return len(vals)
 }
 
 // NewDetachedTable builds a table that is NOT registered in any catalog:
@@ -508,18 +598,10 @@ func (db *DB) createTable(name string, schema Schema, temp bool) (*Table, error)
 // ordinary scan machinery without polluting the catalog or temp-table
 // namespace. The caller owns the table; segments is clamped to at least 1.
 func NewDetachedTable(name string, schema Schema, segments int) (*Table, error) {
-	if len(schema) == 0 {
-		return nil, errors.New("engine: empty schema")
-	}
 	if segments < 1 {
 		segments = 1
 	}
-	t := &Table{name: name, schema: schema.Clone(), temp: true}
-	t.segs = make([]*Segment, segments)
-	for i := range t.segs {
-		t.segs[i] = newSegment(schema)
-	}
-	return t, nil
+	return newTable(name, schema, true, segments)
 }
 
 // Table looks up a table by name.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -476,6 +477,68 @@ func BenchmarkQueryOverheadEmptyTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Run(tbl, agg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestCreateTableFrom checks the column-wise table constructor against
+// row-by-row Insert: same per-segment placement for every kind and for
+// row counts around the segment count, one version bump, a continued
+// round-robin, and nothing registered when the columns do not fit.
+func TestCreateTableFrom(t *testing.T) {
+	schema := Schema{
+		{Name: "f", Kind: Float}, {Name: "v", Kind: Vector}, {Name: "i", Kind: Int},
+		{Name: "s", Kind: String}, {Name: "b", Kind: Bool},
+	}
+	row := func(r int) []any {
+		return []any{float64(r) / 2, []float64{float64(r)}, int64(r), fmt.Sprint("s", r), r%2 == 0}
+	}
+	for _, n := range []int{0, 1, 3, 4, 5, 1001} {
+		db := Open(4)
+		cols := make([]ColumnData, len(schema))
+		want, err := db.CreateTable("want", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < n; r++ {
+			v := row(r)
+			cols[0].Floats = append(cols[0].Floats, v[0].(float64))
+			cols[1].Vectors = append(cols[1].Vectors, v[1].([]float64))
+			cols[2].Ints = append(cols[2].Ints, v[2].(int64))
+			cols[3].Strings = append(cols[3].Strings, v[3].(string))
+			cols[4].Bools = append(cols[4].Bools, v[4].(bool))
+			if err := want.Insert(v...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := db.CreateTableFrom("got", schema, n, cols)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got.Count() != int64(n) || got.Version() != 1 {
+			t.Fatalf("n=%d: count %d, version %d", n, got.Count(), got.Version())
+		}
+		for _, tbl := range []*Table{got, want} {
+			if err := tbl.Insert(row(n)...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(db.Rows(got), db.Rows(want)) {
+			t.Fatalf("n=%d: rows placed differently from Insert", n)
+		}
+		if _, err := db.CreateTableFrom("got", schema, n, cols); !errors.Is(err, ErrTableExists) {
+			t.Fatalf("n=%d: second create: %v", n, err)
+		}
+		short := append([]ColumnData(nil), cols...)
+		short[2] = ColumnData{Ints: make([]int64, n+1)}
+		if _, err := db.CreateTableFrom("bad", schema, n, short); !errors.Is(err, ErrType) {
+			t.Fatalf("n=%d: mismatched lane: %v", n, err)
+		}
+		if _, err := db.CreateTableFrom("bad", schema, n, cols[:2]); !errors.Is(err, ErrArity) {
+			t.Fatalf("n=%d: missing columns: %v", n, err)
+		}
+		if _, err := db.Table("bad"); !errors.Is(err, ErrNoTable) {
+			t.Fatalf("n=%d: a failed create registered its table: %v", n, err)
 		}
 	}
 }

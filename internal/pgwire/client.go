@@ -14,7 +14,9 @@ import (
 // server from tests, benchmarks, and embedders without a third-party
 // driver: simple queries, the extended protocol, and out-of-band
 // cancellation. Values come back as text (nil = NULL), exactly as they
-// crossed the wire. Not safe for concurrent use; open one per goroutine.
+// crossed the wire. A result is decoded into an arena (rowArena): one
+// string per DataRow, no allocation per cell. Not safe for concurrent
+// use; open one per goroutine.
 type Client struct {
 	nc     net.Conn
 	r      *bufio.Reader
@@ -22,6 +24,8 @@ type Client struct {
 	addr   string
 	pid    int32
 	secret int32
+	// body is the read buffer for message bodies, reused across messages.
+	body []byte
 }
 
 // ClientResult is one statement's outcome as seen on the wire.
@@ -131,10 +135,14 @@ func (c *Client) Query(text string) (*ClientResult, error) {
 func (c *Client) collect() (*ClientResult, error) {
 	var res *ClientResult
 	var wireErr error
+	var arena rowArena
 	for {
-		typ, body, err := readMessage(c.r)
+		typ, body, err := readMessageInto(c.r, c.body)
 		if err != nil {
 			return nil, err
+		}
+		if cap(body) > cap(c.body) {
+			c.body = body
 		}
 		switch typ {
 		case msgRowDescription:
@@ -154,24 +162,19 @@ func (c *Client) collect() (*ClientResult, error) {
 				return nil, r.err
 			}
 			res = &ClientResult{Cols: cols}
+			arena = rowArena{}
 		case msgDataRow:
-			r := &reader{body: body}
-			n := int(r.int16())
-			row := make([]*string, 0, max(n, 0))
-			for i := 0; i < n; i++ {
-				v := r.valueBytes()
-				if v == nil {
-					row = append(row, nil)
-				} else {
-					s := string(v)
-					row = append(row, &s)
-				}
-			}
-			if r.err != nil {
-				return nil, r.err
+			row, err := arena.decode(body)
+			if err != nil {
+				return nil, err
 			}
 			if res == nil {
 				res = &ClientResult{}
+			}
+			if len(res.Rows) == cap(res.Rows) {
+				// Double: append's 1.25x steps would allocate five times
+				// a large result's final row slice on the way there.
+				res.Rows = append(make([][]*string, 0, max(4, 2*cap(res.Rows))), res.Rows...)
 			}
 			res.Rows = append(res.Rows, row)
 		case msgCommandComplete:
@@ -198,6 +201,57 @@ func (c *Client) collect() (*ClientResult, error) {
 			return nil, fmt.Errorf("pgwire client: unexpected message %q", typ)
 		}
 	}
+}
+
+// rowArena decodes one result's DataRows without allocating per cell: a
+// row's cells are substrings of one string copy of its message body,
+// their *strings point into slabs of strings, and the rows are
+// sub-slices of slabs of pointers. A full slab is left to the rows that
+// point into it and a new one, twice the size, takes over — so a result
+// allocates in proportion to the logarithm of its cell count, and a
+// small result only small slabs.
+type rowArena struct {
+	cells []string
+	ptrs  []*string
+}
+
+// arenaMaxSlab caps slab doubling (in cells), bounding what a result's
+// last, partly used slab can waste.
+const arenaMaxSlab = 1 << 14
+
+func (a *rowArena) decode(body []byte) ([]*string, error) {
+	if len(body) < 2 {
+		return nil, errMalformed
+	}
+	n := int(int16(binary.BigEndian.Uint16(body)))
+	if n < 0 || len(body)-2 < 4*n {
+		return nil, errMalformed
+	}
+	if cap(a.cells)-len(a.cells) < n {
+		size := min(max(2*cap(a.cells), 4*n), max(arenaMaxSlab, n))
+		a.cells, a.ptrs = make([]string, 0, size), make([]*string, 0, size)
+	}
+	s := string(body)
+	base := len(a.ptrs)
+	pos := 2
+	for i := 0; i < n; i++ {
+		if len(s)-pos < 4 {
+			return nil, errMalformed
+		}
+		l := int(int32(binary.BigEndian.Uint32(body[pos:])))
+		pos += 4
+		if l < 0 {
+			a.ptrs = append(a.ptrs, nil)
+			continue
+		}
+		if len(s)-pos < l {
+			return nil, errMalformed
+		}
+		a.cells = append(a.cells, s[pos:pos+l])
+		a.ptrs = append(a.ptrs, &a.cells[len(a.cells)-1])
+		pos += l
+	}
+	return a.ptrs[base:len(a.ptrs):len(a.ptrs)], nil
 }
 
 // Prepare creates a named prepared statement via the extended protocol

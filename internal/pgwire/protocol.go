@@ -5,12 +5,16 @@
 // plans. One process serves many connections over one shared engine;
 // each connection draws a Session from a bounded pool, and every query
 // runs under a context so a wire CancelRequest or statement timeout
-// stops the scan at morsel boundaries.
+// stops the scan at morsel boundaries. Results leave as the executor
+// made them: DataRows render from the typed lanes of sql.RowSet chunks
+// into one reusable buffer per connection (conn.writeRowSet), and
+// RowDescription types come from the plan, not from the first row.
 package pgwire
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -94,22 +98,33 @@ const (
 // the server from a bogus length prefix.
 const maxMessageLen = 16 << 20
 
-// readMessage reads one typed frontend message: a 1-byte type, an int32
-// length (including itself), and the body.
+// readMessage reads one typed message: a 1-byte type, an int32 length
+// (including itself), and the body, which the caller owns.
 func readMessage(r *bufio.Reader) (typ byte, body []byte, err error) {
-	typ, err = r.ReadByte()
+	return readMessageInto(r, nil)
+}
+
+// readMessageInto is readMessage with the body read into buf when it
+// fits (the returned body then aliases buf and is only good until buf
+// is reused).
+func readMessageInto(r *bufio.Reader, buf []byte) (typ byte, body []byte, err error) {
+	head, err := r.Peek(5)
 	if err != nil {
 		return 0, nil, err
 	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	typ = head[0]
+	n := int(binary.BigEndian.Uint32(head[1:]))
+	if _, err := r.Discard(5); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(lenBuf[:]))
 	if n < 4 || n-4 > maxMessageLen {
 		return 0, nil, fmt.Errorf("pgwire: invalid message length %d", n)
 	}
-	body = make([]byte, n-4)
+	if n -= 4; n <= cap(buf) {
+		body = buf[:n]
+	} else {
+		body = make([]byte, n)
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}
@@ -159,9 +174,11 @@ type reader struct {
 	err  error
 }
 
+var errMalformed = errors.New("pgwire: malformed message")
+
 func (r *reader) fail() {
 	if r.err == nil {
-		r.err = fmt.Errorf("pgwire: malformed message")
+		r.err = errMalformed
 	}
 }
 

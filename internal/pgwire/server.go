@@ -232,6 +232,7 @@ type preparedStmt struct {
 	query     string
 	numParams int
 	cols      []string
+	types     []string // SQL type names of cols, from the plan
 	paramOIDs []int32
 	empty     bool
 }
@@ -270,6 +271,11 @@ type conn struct {
 
 	prepared map[string]*preparedStmt
 	portals  map[string]*portal
+
+	// enc is the DataRow encode buffer, reused across statements;
+	// writeRowSet hands it to the socket whenever it passes encFlushBytes,
+	// so it stays that size however large a result is.
+	enc []byte
 }
 
 func (c *conn) beginDrain() {
@@ -542,11 +548,11 @@ func (c *conn) handleSimpleQuery(body []byte) {
 		return
 	}
 	ctx, done := c.queryContext()
-	results, err := c.sess.ExecContext(ctx, text)
+	sets, err := c.sess.ExecRowSets(ctx, text)
 	done()
-	for _, res := range results {
+	for _, rs := range sets {
 		c.srv.queries.Inc()
-		c.writeResultSet(res, true)
+		c.writeRowSet(rs, true)
 	}
 	if err != nil {
 		c.writeQueryError(err)
@@ -554,44 +560,61 @@ func (c *conn) handleSimpleQuery(body []byte) {
 	c.writeReady()
 }
 
-// writeResultSet emits one statement's output: RowDescription (when the
+// encFlushBytes is how much encoded DataRow text writeRowSet gathers
+// before it hands the buffer to the socket.
+const encFlushBytes = 32 << 10
+
+// writeRowSet emits one statement's output: RowDescription (when the
 // statement produces rows and withDesc is set), DataRows, and the
-// CommandComplete tag.
-func (c *conn) writeResultSet(res *sql.Result, withDesc bool) {
-	if len(res.Cols) > 0 && withDesc {
-		c.writeRowDescription(res.Cols, inferOIDs(res))
+// CommandComplete tag. DataRows render straight from the result chunks'
+// lanes into the connection's encode buffer — no message object, no
+// string per cell — and a client that has gone away stops the loop at
+// the next hand-off.
+func (c *conn) writeRowSet(rs *sql.RowSet, withDesc bool) {
+	if len(rs.Cols) > 0 && withDesc {
+		c.writeRowDescription(rs.Cols, rs.ColumnTypes())
 	}
-	for _, row := range res.Rows {
-		m := newMsg(msgDataRow)
-		m.int16(int16(len(row)))
-		for _, v := range row {
-			if v == nil {
-				m.int32(-1)
-				continue
+	ncols := len(rs.Cols)
+	buf := c.enc[:0]
+	chunks := rs.Chunks()
+	for i := range chunks {
+		ch := &chunks[i]
+		for r := 0; r < ch.Len(); r++ {
+			start := len(buf)
+			buf = append(buf, msgDataRow, 0, 0, 0, 0, byte(ncols>>8), byte(ncols))
+			for col := 0; col < ncols; col++ {
+				at := len(buf)
+				buf = append(buf, 0xff, 0xff, 0xff, 0xff) // length -1: NULL
+				var null bool
+				if buf, null = ch.AppendText(buf, r, col); !null {
+					binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+				}
 			}
-			s := sql.FormatValue(v)
-			m.int32(int32(len(s)))
-			m.bytes([]byte(s))
+			binary.BigEndian.PutUint32(buf[start+1:], uint32(len(buf)-start-1))
+			if len(buf) >= encFlushBytes {
+				if _, err := c.w.Write(buf); err != nil || c.gone.Load() {
+					c.enc = buf[:0]
+					return
+				}
+				buf = buf[:0]
+			}
 		}
-		m.writeTo(c.w)
 	}
+	c.w.Write(buf)
+	c.enc = buf[:0]
 	m := newMsg(msgCommandComplete)
-	m.cstring(res.Tag)
+	m.cstring(rs.Tag)
 	m.writeTo(c.w)
 }
 
-func (c *conn) writeRowDescription(cols []string, oids []int32) {
+func (c *conn) writeRowDescription(cols, types []string) {
 	m := newMsg(msgRowDescription)
 	m.int16(int16(len(cols)))
 	for i, name := range cols {
-		oid := int32(oidText)
-		if i < len(oids) && oids[i] != 0 {
-			oid = oids[i]
-		}
 		m.cstring(name)
 		m.int32(0) // table OID
 		m.int16(0) // attribute number
-		m.int32(oid)
+		m.int32(oidForType(types[i]))
 		m.int16(-1) // typlen: variable
 		m.int32(-1) // typmod
 		m.int16(0)  // format: text
@@ -599,31 +622,21 @@ func (c *conn) writeRowDescription(cols []string, oids []int32) {
 	m.writeTo(c.w)
 }
 
-// inferOIDs maps the first row's Go values to type OIDs; columns with no
-// rows to sample default to text (values travel in text format anyway).
-func inferOIDs(res *sql.Result) []int32 {
-	oids := make([]int32, len(res.Cols))
-	if len(res.Rows) == 0 {
-		return oids
+// oidForType maps a SQL type name as the planner reports it
+// (sql.RowSet.ColumnTypes) to its type OID; a type only the values could
+// tell travels as text, like every value does.
+func oidForType(typ string) int32 {
+	switch typ {
+	case "bigint":
+		return oidInt8
+	case "double precision":
+		return oidFloat8
+	case "boolean":
+		return oidBool
+	case "double precision[]":
+		return oidFloat8Array
 	}
-	for i, v := range res.Rows[0] {
-		if i >= len(oids) {
-			break
-		}
-		switch v.(type) {
-		case int64:
-			oids[i] = oidInt8
-		case float64:
-			oids[i] = oidFloat8
-		case bool:
-			oids[i] = oidBool
-		case []float64:
-			oids[i] = oidFloat8Array
-		case string, nil:
-			oids[i] = oidText
-		}
-	}
-	return oids
+	return oidText
 }
 
 func (c *conn) writeReady() {
@@ -725,7 +738,7 @@ func (c *conn) handleParse(body []byte) bool {
 				return false
 			}
 			ps.sessName = mangled
-			ps.numParams, ps.cols, err = c.sess.DescribePrepared(mangled)
+			ps.numParams, ps.cols, ps.types, err = c.sess.DescribePrepared(mangled)
 			if err != nil {
 				c.writeQueryError(err)
 				return false
@@ -986,9 +999,7 @@ func (c *conn) describeRows(ps *preparedStmt) {
 		m.writeTo(c.w)
 		return
 	}
-	// Result types are not tracked statically; values always travel as
-	// text, so describe them as text.
-	c.writeRowDescription(ps.cols, nil)
+	c.writeRowDescription(ps.cols, ps.types)
 }
 
 func (c *conn) handleExecute(body []byte) bool {
@@ -1010,12 +1021,12 @@ func (c *conn) handleExecute(body []byte) bool {
 		return true
 	}
 	ctx, done := c.queryContext()
-	var res *sql.Result
+	var rs *sql.RowSet
 	var err error
 	if p.ps.sessName != "" {
-		res, err = c.sess.ExecutePreparedContext(ctx, p.ps.sessName, p.params)
+		rs, err = c.sess.ExecutePreparedRowSet(ctx, p.ps.sessName, p.params)
 	} else {
-		res, err = c.sess.RunContext(ctx, p.ps.stmt)
+		rs, err = c.sess.RunRowSet(ctx, p.ps.stmt)
 	}
 	done()
 	if err != nil {
@@ -1025,7 +1036,7 @@ func (c *conn) handleExecute(body []byte) bool {
 	c.srv.queries.Inc()
 	// Extended protocol: the row shape was announced by Describe, so
 	// Execute sends only DataRows + CommandComplete.
-	c.writeResultSet(res, false)
+	c.writeRowSet(rs, false)
 	return true
 }
 

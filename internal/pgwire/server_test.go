@@ -337,7 +337,8 @@ func TestCancelMidScan(t *testing.T) {
 
 // TestCancelRowClosureScan cancels a scan whose predicate has no batch
 // kernel (a Vector operand: it runs as a row closure inside the batch
-// executor, and used to run on a segment-granular driver). The
+// executor, and used to run on a segment-granular driver; slowPredicate
+// keeps the gather long now that emitting rows costs little). The
 // CancelRequest is sent once the scan is under way; the statement ends
 // with 57014 short of a full scan, and latches, temp tables and
 // goroutines are back at their baseline on a still usable connection.
@@ -362,7 +363,7 @@ func TestCancelRowClosureScan(t *testing.T) {
 	before := db.RowsScanned()
 	errc := make(chan error, 1)
 	go func() {
-		_, err := c.Query(`SELECT i FROM big WHERE array_get(v, 1) >= 0`)
+		_, err := c.Query(`SELECT i FROM big WHERE ` + slowPredicate())
 		errc <- err
 	}()
 	for deadline := time.Now().Add(10 * time.Second); db.RowsScanned() == before && time.Now().Before(deadline); {

@@ -19,7 +19,7 @@ import (
 // short-circuiting) matches the row lane exactly.
 //
 // Not every expression has a batch lowering — Vector-typed operands,
-// madlib calls, and $n parameters outside comparison positions do not.
+// madlib calls, and $n parameters outside comparison operands do not.
 // compileBatch* functions therefore return ok=false rather than errors:
 // the closure compile has already type-checked the expression, so a
 // false here only means "this consumer runs its row closure inside the
@@ -54,10 +54,13 @@ type bcompiled struct {
 	cF      float64
 	cI      int64
 
-	// paramIdx > 0 marks a bare $n placeholder: a per-execution scalar
-	// with no static type. Only comparison kernels can splice it in; any
-	// other parent rejects the lowering.
-	paramIdx int
+	// scalar, when non-nil, marks a per-execution scalar with no static
+	// type: arithmetic over $n placeholders and constants only (a bare
+	// $1, $1 + 20000). It is the expression's row closure, which reads no
+	// row, so its values and errors are the row lane's. Only comparison
+	// kernels can splice it in, evaluating it once per batch; any other
+	// parent rejects the lowering.
+	scalar func(env *execEnv) (any, error)
 
 	// valid, when non-nil, fills a validity lane for the selected rows:
 	// out[j] reports whether row sel[j] carries a real value rather than
@@ -395,6 +398,15 @@ func collapseBool(c *bcompiled, bc *batchCompiler) *bcompiled {
 // expression has no batch lowering and its consumer takes the row
 // closure instead.
 func compileBatchExpr(e Expr, bc *batchCompiler) (*bcompiled, bool) {
+	if isParamArith(e) && exprHasParam(e) {
+		// The closure of a column-free expression never touches its row.
+		c, err := compileExpr(e, newCompileCtx(nil))
+		if err != nil {
+			return nil, false
+		}
+		fn := c.a
+		return &bcompiled{kind: ckAny, scalar: func(env *execEnv) (any, error) { return fn(engine.Row{}, env) }}, true
+	}
 	switch x := e.(type) {
 	case *Literal:
 		switch v := x.Val.(type) {
@@ -408,8 +420,6 @@ func compileBatchExpr(e Expr, bc *batchCompiler) (*bcompiled, bool) {
 			return bConstBool(v), true
 		}
 		return nil, false
-	case *Param:
-		return &bcompiled{kind: ckAny, paramIdx: x.Idx}, true
 	case *ColumnRef:
 		return compileBatchColumnRef(x, bc)
 	case *Unary:
@@ -420,6 +430,23 @@ func compileBatchExpr(e Expr, bc *batchCompiler) (*bcompiled, bool) {
 		return compileBatchFuncCall(x, bc)
 	}
 	return nil, false
+}
+
+// isParamArith reports whether e is built from $n placeholders, literals,
+// negation and the arithmetic operators alone.
+func isParamArith(e Expr) bool {
+	switch x := e.(type) {
+	case *Param, *Literal:
+		return true
+	case *Unary:
+		return x.Op == "-" && isParamArith(x.X)
+	case *Binary:
+		switch x.Op {
+		case "+", "-", "*", "/", "%":
+			return isParamArith(x.L) && isParamArith(x.R)
+		}
+	}
+	return false
 }
 
 func compileBatchColumnRef(x *ColumnRef, bc *batchCompiler) (*bcompiled, bool) {
@@ -1034,14 +1061,14 @@ func compileBatchCompare(op string, l, r *bcompiled, bc *batchCompiler) (*bcompi
 	if l.valid != nil || r.valid != nil {
 		return compileBatchNullCompare(op, l, r, bc)
 	}
-	// Typed numeric vs $n parameter: the parameter is a per-execution
-	// scalar, fetched and coerced once per batch — the batch form of the
-	// row lane's typed-vs-dynamic comparison special case.
-	if numeric(l) && r.paramIdx > 0 {
-		return batchParamCompare(op, l, r.paramIdx, bc), true
+	// Typed numeric vs per-execution scalar ($1, $1 + 20000): evaluated
+	// and coerced once per batch — the batch form of the row lane's
+	// typed-vs-dynamic comparison special case.
+	if numeric(l) && r.scalar != nil {
+		return batchScalarCompare(op, l, r.scalar, false, bc), true
 	}
-	if numeric(r) && l.paramIdx > 0 {
-		return batchParamCompare(flipCmp(op), r, l.paramIdx, bc), true
+	if numeric(r) && l.scalar != nil {
+		return batchScalarCompare(flipCmp(op), r, l.scalar, true, bc), true
 	}
 	switch {
 	case numeric(l) && numeric(r):
@@ -1160,7 +1187,7 @@ func compileBatchCompare(op string, l, r *bcompiled, bc *batchCompiler) (*bcompi
 // (toFloat / compareValues), so the numeric compare domain is float
 // even for int operands — mirrored here for bit parity.
 func compileBatchNullCompare(op string, l, r *bcompiled, bc *batchCompiler) (*bcompiled, bool) {
-	if l.paramIdx > 0 || r.paramIdx > 0 {
+	if l.scalar != nil || r.scalar != nil {
 		return nil, false // dynamic vs NULL-able: keep the row lane's generic path
 	}
 	numeric := func(c *bcompiled) bool { return c.kind == ckFloat || c.kind == ckInt }
@@ -1226,11 +1253,15 @@ func compileBatchNullCompare(op string, l, r *bcompiled, bc *batchCompiler) (*bc
 	return nil, false
 }
 
-// batchParamCompare compares a typed numeric lane against the $idx
-// parameter value. The parameter is fetched lazily per batch so an empty
-// selection (no surviving rows) raises no error — matching a row lane
-// that never evaluates the predicate.
-func batchParamCompare(op string, l *bcompiled, idx int, bc *batchCompiler) *bcompiled {
+// batchScalarCompare compares a typed numeric lane against a
+// per-execution scalar, as the row lane's typed-vs-dynamic comparison
+// does row by row: a NULL scalar compares false, a non-numeric one is
+// the same error (scalarLeft restores the operand order the statement
+// wrote, which the message shows; op is already flipped). The scalar is
+// evaluated lazily per batch so an empty selection (no surviving rows)
+// raises no error — matching a row lane that never evaluates the
+// predicate.
+func batchScalarCompare(op string, l *bcompiled, scalar func(*execEnv) (any, error), scalarLeft bool, bc *batchCompiler) *bcompiled {
 	lk := l.asF(bc)
 	lkind := l.kind
 	slot := bc.floatSlot()
@@ -1239,17 +1270,26 @@ func batchParamCompare(op string, l *bcompiled, idx int, bc *batchCompiler) *bco
 			if len(sel) == 0 {
 				return nil
 			}
-			v, err := e.env.param(idx)
+			v, err := scalar(e.env)
 			if err != nil {
 				return err
 			}
 			c, ok := toFloat(v)
-			if !ok {
+			if !ok && v != nil {
+				if scalarLeft {
+					return execErrf("cannot compare %s with %s", valueTypeName(v), lkind)
+				}
 				return execErrf("cannot compare %s with %s", lkind, valueTypeName(v))
 			}
 			vals := e.f(slot, len(sel))
 			if err := lk(e, b, sel, vals); err != nil {
 				return err
+			}
+			if v == nil {
+				for j := range out {
+					out[j] = false
+				}
+				return nil
 			}
 			fcmpConst(op, vals, c, out)
 			return nil
@@ -1266,7 +1306,7 @@ func compileBatchFuncCall(x *FuncCall, bc *batchCompiler) (*bcompiled, bool) {
 	args := make([]*bcompiled, len(x.Args))
 	for i, a := range x.Args {
 		c, ok := compileBatchExpr(a, bc)
-		if !ok || c.paramIdx > 0 || c.valid != nil {
+		if !ok || c.scalar != nil || c.valid != nil {
 			// Possibly-NULL argument: the row lane raises "argument is
 			// not numeric" on a NULL at run time; keep that behavior by
 			// not lowering the call.

@@ -161,22 +161,25 @@ func TestDescribePrepared(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, `CREATE TABLE pt (a bigint, b text)`)
 	mustExec(t, s, `PREPARE sel AS SELECT a, b AS label FROM pt WHERE a > $1`)
-	n, cols, err := s.DescribePrepared("sel")
+	n, cols, types, err := s.DescribePrepared("sel")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 || len(cols) != 2 || cols[0] != "a" || cols[1] != "label" {
 		t.Fatalf("describe = %d params, cols %v", n, cols)
 	}
+	if len(types) != 2 || types[0] != "bigint" || types[1] != "text" {
+		t.Fatalf("describe types = %v, want [bigint text]", types)
+	}
 	mustExec(t, s, `PREPARE ins AS INSERT INTO pt VALUES ($1, $2)`)
-	n, cols, err = s.DescribePrepared("ins")
+	n, cols, _, err = s.DescribePrepared("ins")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 2 || cols != nil {
 		t.Fatalf("insert describe = %d params, cols %v", n, cols)
 	}
-	if _, _, err := s.DescribePrepared("nope"); err == nil {
+	if _, _, _, err := s.DescribePrepared("nope"); err == nil {
 		t.Fatal("want error for unknown prepared statement")
 	}
 }

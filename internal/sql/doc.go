@@ -108,11 +108,14 @@
 // CREATE TABLE name AS SELECT ... materializes any SELECT (including
 // joins, windows and DISTINCT) into a new permanent table — the
 // paper's §4.1 staging pipeline in pure SQL. Output column types are
-// inferred from the result values, so every column needs at least one
-// non-NULL value; NULLs cannot be stored (the engine has no NULL
+// inferred from the result values (from the plan where a column holds
+// none and its type is static, so an empty result still creates its
+// table); NULLs cannot be stored (the engine has no NULL
 // representation), and expression columns must carry an alias so the
-// created column is referenceable. CTAS is DDL: it invalidates cached
-// plans like CREATE TABLE.
+// created column is referenceable. The table is checked, filled and
+// only then registered: another session sees no table or all of it, and
+// a failed statement leaves nothing behind. CTAS is DDL: it invalidates
+// cached plans like CREATE TABLE.
 //
 // Statements are ';'-separated; `--` starts a line comment. Unquoted
 // identifiers fold to lowercase, as in PostgreSQL.
@@ -167,10 +170,10 @@
 // take a further fused filter+aggregate path: the predicate fills one
 // bool lane and the aggregate folds the raw column lane against it —
 // no selection vector, no gather. Scan SELECT items fill typed lanes
-// per batch and box each output cell once (NULL where the validity bit
-// is clear); SELECT DISTINCT dedupes over that boxed output, and window
-// queries gather their partition/order input through the same items
-// before the per-partition fold, which stays row-at-a-time by
+// per batch and append them to the morsel's result chunk (see Result
+// path); SELECT DISTINCT dedupes over the boxed form of that output, and
+// window queries gather their partition/order input through the same
+// items before the per-partition fold, which stays row-at-a-time by
 // definition. Kernel scratch is allocated per morsel and pooled across
 // executions of a cached plan.
 //
@@ -213,8 +216,11 @@
 // are what a consumer runs when it has no kernel. Consumers that lower
 // to a row-closure kernel: Vector-typed operands (array literals,
 // array_get, vector columns — in predicates, projections, group keys
-// or window keys), bool min/max, $n parameters anywhere other than one
-// side of a comparison (sum(v + $1), id < $1 + 20000), scalar functions
+// or window keys), bool min/max, $n parameters anywhere other than a
+// comparison operand made of parameters and constants alone (id < $1 +
+// 20000 has a kernel: the operand is a per-execution scalar, evaluated
+// once per batch by the closure itself; sum(v + $1) has none), scalar
+// functions
 // over possibly-NULL arguments (the closure errors on a NULL argument;
 // a kernel cannot reproduce that per row), madlib scalar calls inside
 // expressions and registered madlib aggregates (their rows fold through
@@ -244,14 +250,55 @@
 // resulting SQL-vs-engine overhead (the paper's §4.4(a) study) with
 // batch-vs-row, parallel, join, projection, LEFT JOIN, window and
 // sort sub-benchmarks; scripts/bench_sql.sh records them to
-// BENCH_sql.json and scripts/bench_check.sh gates CI two ways:
+// BENCH_sql.json and scripts/bench_check.sh gates CI three ways:
 // absolutely (>25% ns/op regression of the SQL, SQLParallel,
 // SQLJoinAgg, SQLJoinAggCached, SQLProjScan, SQLLeftJoinAgg,
-// SQLWindow or SQLOrderBy entries fails) and relatively (SQLProjScan
-// and SQLLeftJoinAgg must stay at least 1.5x faster than their
-// oracle-mode companions measured in the same run — a same-hardware
-// kernel-versus-closure ratio under one driver, which holds on
-// single-core runners).
+// SQLWindow or SQLOrderBy entries fails), relatively (SQLProjScan
+// and SQLLeftJoinAgg against their oracle-mode companions measured in
+// the same run — a same-hardware kernel-versus-closure ratio under one
+// driver, which holds on single-core runners) and by allocation count
+// (the result path: PGWireBulkSelect at most 2 allocations per result
+// row for server and client together, SQLBulkCTAS at most 0.1).
+//
+// # Result path
+//
+// Every statement's product is a RowSet: column names, the plan's static
+// column kinds, a command tag and a sequence of Chunks (rowset.go). A
+// projection scan without DISTINCT and ORDER BY emits its chunks
+// natively, one per morsel that kept rows: a chunk is ColBatch-shaped —
+// one int64 / float64 / string / bool lane per output column, a validity
+// lane beside it where the column can be NULL (the padded side of a LEFT
+// JOIN), and a boxed []any lane only for values that have no typed lane:
+// Vector columns, $n-typed expressions, madlib.* calls inside an
+// expression, and everything in oracle mode. Chunks are released only
+// once the whole gather has succeeded, so an execution error never
+// follows a partial rowset. Every other plan (aggregates, windows,
+// DISTINCT and ORDER BY scans, table-valued calls, FROM-less selects,
+// EXPLAIN) has to box its rows before it can group, sort or deduplicate
+// them and hands finishSelect's rows over as one boxed chunk; so there
+// is one product type whatever the plan.
+//
+// A RowSet has three sinks. The wire server (internal/pgwire) appends
+// DataRows straight from the lanes into one reusable per-connection
+// buffer with Chunk.AppendText — strconv.AppendInt/AppendFloat, no
+// string per cell, no message object per row — and takes RowDescription
+// type OIDs from RowSet.ColumnTypes, that is from the plan, so an empty
+// result and a Describe are typed like a full result.
+// The in-process API (Exec, Query, Run, ExecutePreparedContext; the
+// REPL, the logic tests and the madlib.DB facade above them) calls
+// RowSet.Result, the one place typed chunks are boxed into
+// Result.Rows [][]any; a RowSet that already is one boxed chunk hands
+// its rows over untouched. CREATE TABLE AS reads the lanes column-wise
+// (RowSet.storageLane) into engine.CreateTableFrom, which deals rows to
+// segments exactly as Insert would. ExecRowSets, ExecutePreparedRowSet
+// and RunRowSet are the Exec/ExecutePreparedContext/Run forms that
+// return the RowSet itself.
+//
+// What still boxes, and why: ORDER BY and DISTINCT compare boxed values
+// (columnar sort keys are future work), the window fold and the
+// per-group output stage evaluate on the interpreter, and a statement's
+// result is held whole until its gather ends (no in-scan streaming, no
+// per-statement memory accounting yet).
 //
 // # Types
 //

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,30 +101,12 @@ func pad(s string, width int, right bool) string {
 
 // FormatValue renders one SQL value the way the REPL prints it: floats in
 // shortest-exact form, vectors in brace notation, booleans as t/f, NULL
-// as empty.
+// as empty. It is the string form of AppendValue.
 func FormatValue(v any) string {
-	switch x := v.(type) {
-	case nil:
-		return ""
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case string:
-		return x
-	case bool:
-		if x {
-			return "t"
-		}
-		return "f"
-	case []float64:
-		parts := make([]string, len(x))
-		for i, f := range x {
-			parts[i] = strconv.FormatFloat(f, 'g', -1, 64)
-		}
-		return "{" + strings.Join(parts, ",") + "}"
+	if s, ok := v.(string); ok {
+		return s
 	}
-	return fmt.Sprintf("%v", v)
+	return string(AppendValue(nil, v))
 }
 
 // stmtPlan is a statement lowered against a catalog snapshot: compiled
@@ -134,7 +115,7 @@ func FormatValue(v any) string {
 // and inside prepared statements.
 type stmtPlan interface {
 	// exec runs the plan under the given parameter environment.
-	exec(s *Session, env *execEnv) (*Result, error)
+	exec(s *Session, env *execEnv) (*RowSet, error)
 	// valid reports whether the plan's table bindings are still current
 	// (the catalog maps each name to the same *engine.Table), so a
 	// cached or prepared plan never executes against a stale schema.
@@ -148,6 +129,10 @@ type stmtPlan interface {
 	// known at execution time (table-valued madlib.* calls). The wire
 	// server's Describe path renders RowDescription from this.
 	columns() []string
+	// kinds returns the static kinds of the output columns, parallel to
+	// columns(): ckAny where only the values tell, nil when the plan
+	// tracks none.
+	kinds() []ckind
 }
 
 // planStmt lowers a SELECT or INSERT into an executable plan.
@@ -161,7 +146,7 @@ func (s *Session) planStmt(st Statement) (stmtPlan, error) {
 	return nil, execErrf("statement %T cannot be planned", st)
 }
 
-func (s *Session) execCreate(st *CreateTable) (*Result, error) {
+func (s *Session) execCreate(st *CreateTable) (*RowSet, error) {
 	schema := make(engine.Schema, len(st.Cols))
 	for i, c := range st.Cols {
 		schema[i] = engine.Column{Name: c.Name, Kind: c.Kind}
@@ -169,23 +154,25 @@ func (s *Session) execCreate(st *CreateTable) (*Result, error) {
 	_, err := s.db.CreateTable(st.Name, schema)
 	if err != nil {
 		if st.IfNotExists && errors.Is(err, engine.ErrTableExists) {
-			return &Result{Tag: "CREATE TABLE"}, nil
+			return &RowSet{Tag: "CREATE TABLE"}, nil
 		}
 		return nil, err
 	}
-	return &Result{Tag: "CREATE TABLE"}, nil
+	return &RowSet{Tag: "CREATE TABLE"}, nil
 }
 
 // execCreateTableAs runs CREATE TABLE name AS SELECT ...: the query
-// executes like any SELECT, the output column kinds are inferred from
-// the result values (from the plan's static kinds where a column holds
-// no value, so an empty result still creates its table), and the rows
-// land in a fresh permanent table — the paper's staging pipeline (§4.1)
-// in one statement.
-func (s *Session) execCreateTableAs(st *CreateTableAs) (*Result, error) {
+// executes like any SELECT and storage is its sink — the paper's staging
+// pipeline (§4.1) in one statement. Each output column is typed from its
+// values (from the plan's static kind where it holds none, so an empty
+// result still creates its table), checked and gathered into one storage
+// lane, and only then does engine.CreateTableFrom fill and register the
+// table: other sessions see no table or the whole table, and a NULL or a
+// coercion failure leaves nothing to drop.
+func (s *Session) execCreateTableAs(st *CreateTableAs) (*RowSet, error) {
 	if _, err := s.db.Table(st.Name); err == nil {
 		if st.IfNotExists {
-			return &Result{Tag: "CREATE TABLE"}, nil
+			return &RowSet{Tag: "CREATE TABLE"}, nil
 		}
 		return nil, fmt.Errorf("%w: %q", engine.ErrTableExists, st.Name)
 	}
@@ -196,49 +183,33 @@ func (s *Session) execCreateTableAs(st *CreateTableAs) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := pl.exec(s, nil)
+	rs, err := pl.exec(s, nil)
 	pl.release(s.db) // one-shot plan: free any cached materialization
 	if err != nil {
 		return nil, err
 	}
-	if len(r.Cols) == 0 {
+	if len(rs.Cols) == 0 {
 		return nil, execErrf("CREATE TABLE AS requires a query that returns columns")
 	}
-	schema := make(engine.Schema, len(r.Cols))
-	for i, name := range r.Cols {
+	schema := make(engine.Schema, len(rs.Cols))
+	data := make([]engine.ColumnData, len(rs.Cols))
+	for i, name := range rs.Cols {
 		if !isValidColumnName(name) {
 			return nil, execErrf("CREATE TABLE AS output column %d has no usable name (%q); add an alias (AS name)", i+1, name)
 		}
-		kind, err := resultColumnKind(r.Rows, i, name, staticKind(pl, i))
+		kind, err := rs.columnKind(i, name, staticKind(pl, i))
 		if err != nil {
 			return nil, err
 		}
 		schema[i] = engine.Column{Name: name, Kind: kind}
-	}
-	t, err := s.db.CreateTable(st.Name, schema)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range r.Rows {
-		vals := make([]any, len(schema))
-		for i := range schema {
-			if row[i] == nil {
-				_ = s.db.DropTable(st.Name)
-				return nil, execErrf("column %q: NULL values cannot be stored (the engine has no NULL representation)", schema[i].Name)
-			}
-			cv, err := coerceValue(row[i], schema[i].Kind)
-			if err != nil {
-				_ = s.db.DropTable(st.Name)
-				return nil, fmt.Errorf("sql: column %q: %w", schema[i].Name, err)
-			}
-			vals[i] = cv
-		}
-		if err := t.Insert(vals...); err != nil {
-			_ = s.db.DropTable(st.Name)
+		if data[i], err = rs.storageLane(i, schema[i]); err != nil {
 			return nil, err
 		}
 	}
-	return &Result{Tag: fmt.Sprintf("SELECT %d", len(r.Rows))}, nil
+	if _, err := s.db.CreateTableFrom(st.Name, schema, rs.n, data); err != nil {
+		return nil, err
+	}
+	return &RowSet{Tag: fmt.Sprintf("SELECT %d", rs.n)}, nil
 }
 
 // isValidColumnName reports whether a result column name is a plain
@@ -264,30 +235,28 @@ func staticKind(pl stmtPlan, i int) ckind {
 	case *scanPlan:
 		return p.items[i].kind
 	case *aggPlan:
-		return p.kinds[i]
+		return p.outKinds[i]
 	}
 	return ckAny
 }
 
-// resultColumnKind infers a result column's storage kind from its first
+// columnKind infers output column i's storage kind from its first
 // non-NULL value, falling back to the plan's static kind.
-func resultColumnKind(rows [][]any, i int, name string, static ckind) (engine.Kind, error) {
-	for _, row := range rows {
-		switch row[i].(type) {
-		case nil:
-			continue
-		case int64:
-			return engine.Int, nil
-		case float64:
-			return engine.Float, nil
-		case string:
-			return engine.String, nil
-		case bool:
-			return engine.Bool, nil
-		case []float64:
-			return engine.Vector, nil
-		default:
-			return 0, execErrf("cannot store column %q (%T) in a table", name, row[i])
+func (rs *RowSet) columnKind(i int, name string, static ckind) (engine.Kind, error) {
+	for ci := range rs.chunks {
+		c := &rs.chunks[ci]
+		if c.cols != nil && c.cols[i].kind.typed() && c.cols[i].valid == nil {
+			return engineKindOf(c.cols[i].kind), nil
+		}
+		for r := 0; r < c.n; r++ {
+			v := c.value(r, i)
+			if v == nil {
+				continue
+			}
+			if k := valueKind(v); k != ckAny {
+				return engineKindOf(k), nil
+			}
+			return 0, execErrf("cannot store column %q (%T) in a table", name, v)
 		}
 	}
 	if static != ckAny {
@@ -296,14 +265,73 @@ func resultColumnKind(rows [][]any, i int, name string, static ckind) (engine.Ki
 	return 0, execErrf("cannot infer the type of column %q: the query produced no non-NULL values (CREATE TABLE AS needs at least one row per column)", name)
 }
 
-func (s *Session) execDrop(st *DropTable) (*Result, error) {
+// storageLane gathers output column i into one storage lane of col's
+// kind: typed lanes of that kind append as they are, anything else
+// coerces value by value exactly as INSERT would. A NULL fails the
+// statement (the engine has no NULL representation).
+func (rs *RowSet) storageLane(i int, col engine.Column) (engine.ColumnData, error) {
+	var d engine.ColumnData
+	nullErr := func() error {
+		return execErrf("column %q: NULL values cannot be stored (the engine has no NULL representation)", col.Name)
+	}
+	for ci := range rs.chunks {
+		c := &rs.chunks[ci]
+		if c.cols != nil && c.cols[i].kind.typed() && engineKindOf(c.cols[i].kind) == col.Kind {
+			l := &c.cols[i]
+			for _, ok := range l.valid {
+				if !ok {
+					return d, nullErr()
+				}
+			}
+			d.Ints = appendLane(d.Ints, l.ints, rs.n)
+			d.Floats = appendLane(d.Floats, l.floats, rs.n)
+			d.Strings = appendLane(d.Strings, l.strs, rs.n)
+			d.Bools = appendLane(d.Bools, l.bools, rs.n)
+			continue
+		}
+		for r := 0; r < c.n; r++ {
+			v := c.value(r, i)
+			if v == nil {
+				return d, nullErr()
+			}
+			cv, err := coerceValue(v, col.Kind)
+			if err != nil {
+				return d, fmt.Errorf("sql: column %q: %w", col.Name, err)
+			}
+			switch x := cv.(type) {
+			case int64:
+				d.Ints = append(d.Ints, x)
+			case float64:
+				d.Floats = append(d.Floats, x)
+			case string:
+				d.Strings = append(d.Strings, x)
+			case bool:
+				d.Bools = append(d.Bools, x)
+			case []float64:
+				d.Vectors = append(d.Vectors, x)
+			}
+		}
+	}
+	return d, nil
+}
+
+// appendLane appends src to dst, a lane that will hold total values in
+// the end and is allocated at that size once.
+func appendLane[T any](dst, src []T, total int) []T {
+	if dst == nil && len(src) > 0 {
+		dst = make([]T, 0, total)
+	}
+	return append(dst, src...)
+}
+
+func (s *Session) execDrop(st *DropTable) (*RowSet, error) {
 	if err := s.db.DropTable(st.Name); err != nil {
 		if st.IfExists && errors.Is(err, engine.ErrNoTable) {
-			return &Result{Tag: "DROP TABLE"}, nil
+			return &RowSet{Tag: "DROP TABLE"}, nil
 		}
 		return nil, err
 	}
-	return &Result{Tag: "DROP TABLE"}, nil
+	return &RowSet{Tag: "DROP TABLE"}, nil
 }
 
 // insertPlan is a planned INSERT: the column order mapping is resolved
@@ -363,7 +391,9 @@ func (p *insertPlan) release(*engine.DB) {}
 
 func (p *insertPlan) columns() []string { return nil }
 
-func (p *insertPlan) exec(s *Session, env *execEnv) (*Result, error) {
+func (p *insertPlan) kinds() []ckind { return nil }
+
+func (p *insertPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	schema := p.table.Schema()
 	ctx := &evalCtx{params: env.paramList()}
 	n := 0
@@ -388,7 +418,7 @@ func (p *insertPlan) exec(s *Session, env *execEnv) (*Result, error) {
 		}
 		n++
 	}
-	return &Result{Tag: fmt.Sprintf("INSERT 0 %d", n)}, nil
+	return &RowSet{Tag: fmt.Sprintf("INSERT 0 %d", n)}, nil
 }
 
 // coerceValue converts an evaluated literal to the column kind, applying
@@ -560,7 +590,9 @@ func (p *constPlan) columns() []string {
 	return cols
 }
 
-func (p *constPlan) exec(s *Session, env *execEnv) (*Result, error) {
+func (p *constPlan) kinds() []ckind { return itemKinds(p.st.Items, nil) }
+
+func (p *constPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	st := p.st
 	cols := make([]string, len(st.Items))
 	row := make([]any, len(st.Items))
@@ -588,13 +620,15 @@ func (p *constPlan) exec(s *Session, env *execEnv) (*Result, error) {
 			}
 		}
 	}
-	return finishSelect(s.db, cols, [][]any{row}, nil, false, nil, st.Limit)
+	return finishSelect(s.db, cols, p.kinds(), [][]any{row}, nil, false, nil, st.Limit)
 }
 
-// finishSelect is the tail every SELECT shape ends in: DISTINCT over the
-// boxed output rows, ORDER BY on the extracted sort keys (keys, parallel
-// to rows; desc gives each key's direction), LIMIT and the command tag.
-func finishSelect(db *engine.DB, cols []string, rows, keys [][]any, distinct bool, desc []bool, limit int64) (*Result, error) {
+// finishSelect is the tail of every SELECT shape that boxes its rows
+// before ordering them: DISTINCT over the boxed output rows, ORDER BY on
+// the extracted sort keys (keys, parallel to rows; desc gives each key's
+// direction), LIMIT and the command tag. The rows leave as one boxed
+// chunk; kinds are the plan's static column kinds.
+func finishSelect(db *engine.DB, cols []string, kinds []ckind, rows, keys [][]any, distinct bool, desc []bool, limit int64) (*RowSet, error) {
 	if distinct {
 		rows, keys = dedupeRows(rows, keys)
 	}
@@ -606,7 +640,23 @@ func finishSelect(db *engine.DB, cols []string, rows, keys [][]any, distinct boo
 	if limit >= 0 && int64(len(rows)) > limit {
 		rows = rows[:limit]
 	}
-	return &Result{Cols: cols, Rows: rows, Tag: fmt.Sprintf("SELECT %d", len(rows))}, nil
+	return boxedRowSet(cols, kinds, rows, fmt.Sprintf("SELECT %d", len(rows))), nil
+}
+
+// itemKinds statically types a SELECT list against schema: ckAny where
+// inferKind cannot tell ($n, madlib.* calls).
+func itemKinds(items []SelectItem, schema engine.Schema) []ckind {
+	kinds := make([]ckind, len(items))
+	for i, item := range items {
+		kinds[i] = ckAny
+		if item.Star {
+			continue
+		}
+		if k, err := inferKind(item.Expr, schema); err == nil {
+			kinds[i] = kindOf(k)
+		}
+	}
+	return kinds
 }
 
 // orderDesc extracts the direction of each ORDER BY key.
@@ -639,28 +689,37 @@ func enginePred(fn boolFn, env *execEnv, errPtr *atomic.Value) func(engine.Row) 
 // scanPlan is a planned projection scan: SELECT exprs FROM t [WHERE]
 // [ORDER BY] [LIMIT]. It has one executor, gatherBatches: the WHERE
 // kernel filters each column batch into a selection vector and every
-// item boxes the survivors column-wise into the output rows. Each of
-// those consumers is its native batch kernel or, where the expression
-// has none, its row closure driven over the selection (lowering). Join
-// sources materialize a temp table per execution; DISTINCT dedupes the
-// boxed output rows.
+// item appends the survivors' values to its lane of the morsel's result
+// chunk. Each of those consumers is its native batch kernel or, where
+// the expression has none, its row closure driven over the selection
+// (lowering; such an item fills a boxed lane). Without DISTINCT and ORDER
+// BY the typed chunks are the statement's product as they stand, cut to
+// LIMIT; otherwise they are boxed once, after the gather, and go through
+// finishSelect. Join sources materialize a temp table per execution.
 type scanPlan struct {
 	src      *planSource
 	distinct bool
 	cols     []string
+	// types are the output columns' static kinds for RowDescription: the
+	// item's compiled kind, or what inferKind reads off the schema where
+	// the closure is dynamically typed (NULL-padded LEFT JOIN columns).
+	types []ckind
 	// whereText is the resolved WHERE clause rendered back to text, kept
 	// only for EXPLAIN.
 	whereText string
 	// orderOrds[k] is the projected-column ordinal of ORDER BY key k, or
-	// -1 when the key is orderItems[k], an expression over the input row.
-	orderOrds  []int
-	orderItems []*projItem
-	desc       []bool
-	limit      int64
+	// -1 when the key is an expression over the input row; those keys'
+	// items follow the SELECT items in emit, in key order.
+	orderOrds []int
+	desc      []bool
+	limit     int64
 
 	prog  *batchProg
 	pred  bBatchKernel // nil = keep every row
 	items []*projItem
+	// emit is one item per chunk lane: items, then the expression ORDER
+	// BY keys.
+	emit []*projItem
 	// nativePred and nativeItems count the consumers that lowered to
 	// batch kernels (not row closures); EXPLAIN's lane line reports them.
 	nativePred  bool
@@ -684,6 +743,7 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	p := &scanPlan{src: ps, distinct: st.Distinct, limit: st.Limit, desc: orderDesc(st.OrderBy)}
 	p.cols = make([]string, len(items))
 	p.items = make([]*projItem, len(items))
+	p.types = itemKinds(items, ps.schema)
 	for i, item := range items {
 		pi, err := lw.item(item.Expr)
 		if err != nil {
@@ -692,9 +752,13 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		if pi.rowFn == nil {
 			p.nativeItems++
 		}
+		if pi.kind != ckAny {
+			p.types[i] = pi.kind
+		}
 		p.items[i] = pi
 		p.cols[i] = outputName(item)
 	}
+	p.emit = append(p.emit, p.items...)
 	for _, key := range st.OrderBy {
 		if exprHasAgg(key.Expr) {
 			return nil, execErrf("aggregate functions in ORDER BY require GROUP BY or an aggregate SELECT list")
@@ -719,7 +783,6 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		}
 		if isOrd {
 			p.orderOrds = append(p.orderOrds, ord)
-			p.orderItems = append(p.orderItems, nil)
 			continue
 		}
 		// Keys lower against the input row, so sorting by non-projected
@@ -729,7 +792,7 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 			return nil, err
 		}
 		p.orderOrds = append(p.orderOrds, -1)
-		p.orderItems = append(p.orderItems, pi)
+		p.emit = append(p.emit, pi)
 	}
 	var err error
 	if p.pred, p.nativePred, err = lw.predicate(st.Where); err != nil {
@@ -748,53 +811,80 @@ func (p *scanPlan) release(db *engine.DB) { p.src.release(db) }
 
 func (p *scanPlan) columns() []string { return p.cols }
 
-func (p *scanPlan) exec(s *Session, env *execEnv) (*Result, error) {
+func (p *scanPlan) kinds() []ckind { return p.types }
+
+func (p *scanPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	input, cleanup, err := p.src.acquire(s, env.context())
 	if err != nil {
 		return nil, err
 	}
 	defer cleanup()
-	rows, err := gatherBatches(s, env, input, p.prog, p.pred, p.emitBatch)
+	chunks, err := gatherBatches(s, env, input, p.prog, p.pred, p.emitChunk)
 	if err != nil {
 		return nil, err
 	}
-	// emitBatch parks each row's ORDER BY keys behind its items.
+	rs := &RowSet{Cols: p.cols, kinds: p.types}
+	for i := range chunks {
+		if chunks[i].n > 0 {
+			rs.chunks = append(rs.chunks, chunks[i])
+			rs.n += chunks[i].n
+		}
+	}
+	if !p.distinct && len(p.desc) == 0 {
+		if p.limit >= 0 && p.limit < int64(rs.n) {
+			rs.limit(int(p.limit))
+		}
+		rs.Tag = fmt.Sprintf("SELECT %d", rs.n)
+		return rs, nil
+	}
+	// The boxing tail: each row's ORDER BY keys sit behind its items in
+	// the same cell array — an expression key boxes from its lane, an
+	// ordinal key copies its item's boxed cell.
+	w := len(p.items)
+	if len(p.desc) > 0 {
+		for i := range rs.chunks {
+			c := &rs.chunks[i]
+			cols, next := append(make([]chunkCol, 0, w+len(p.desc)), c.cols[:w]...), w
+			for _, ord := range p.orderOrds {
+				if ord >= 0 {
+					cols = append(cols, chunkCol{kind: ckAny})
+					continue
+				}
+				cols, next = append(cols, c.cols[next]), next+1
+			}
+			c.cols = cols
+		}
+	}
+	rows := rs.boxed(w + len(p.desc))
 	var keys [][]any
 	if len(p.desc) > 0 {
-		w := len(p.items)
 		keys = make([][]any, len(rows))
 		for i, row := range rows {
+			for k, ord := range p.orderOrds {
+				if ord >= 0 {
+					row[w+k] = row[ord]
+				}
+			}
 			rows[i], keys[i] = row[:w:w], row[w:]
 		}
 	}
-	return finishSelect(s.db, p.cols, rows, keys, p.distinct, p.desc, p.limit)
+	return finishSelect(s.db, p.cols, p.types, rows, keys, p.distinct, p.desc, p.limit)
 }
 
-// emitBatch boxes one batch's surviving rows: each item evaluates once
-// over the selection into its column of the output rows, which share one
-// cell array per batch. The ORDER BY keys follow the items in the same
-// rows — an ordinal copies the boxed output cell, an expression over the
-// input row boxes like an item.
-func (p *scanPlan) emitBatch(e *batchEval, b engine.ColBatch, sel selVec) ([][]any, error) {
-	w := len(p.items)
-	rows := boxedRows(len(sel), w+len(p.desc))
-	for i, pi := range p.items {
-		if err := pi.box(e, b, sel, rows, i); err != nil {
-			return nil, err
+// emitChunk appends one batch's surviving rows to the morsel's chunk:
+// each lane's item evaluates once over the selection.
+func (p *scanPlan) emitChunk(e *batchEval, b engine.ColBatch, sel selVec, c *Chunk) error {
+	if c.cols == nil {
+		c.cols = make([]chunkCol, len(p.emit))
+	}
+	left := batchesLeft(b)
+	for i, pi := range p.emit {
+		if err := pi.appendTo(e, b, sel, &c.cols[i], left); err != nil {
+			return err
 		}
 	}
-	for k, ord := range p.orderOrds {
-		if ord < 0 {
-			if err := p.orderItems[k].box(e, b, sel, rows, w+k); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		for _, row := range rows {
-			row[w+k] = row[ord]
-		}
-	}
-	return rows, nil
+	c.n += len(sel)
+	return nil
 }
 
 // dedupeRows collapses duplicate projected rows (SELECT DISTINCT),
@@ -922,9 +1012,10 @@ type aggPlan struct {
 	outNames []string
 	outCols  map[string]int
 	desc     []bool
-	// kinds are the output columns' static kinds, for CREATE TABLE AS.
-	kinds []ckind
-	lane  *batchAggLane
+	// outKinds are the output columns' static kinds (CREATE TABLE AS over
+	// an empty result, RowDescription).
+	outKinds []ckind
+	lane     *batchAggLane
 }
 
 func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
@@ -999,13 +1090,9 @@ func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		}
 	}
 	p.outNames = make([]string, len(st.Items))
-	p.kinds = make([]ckind, len(st.Items))
+	p.outKinds = itemKinds(st.Items, schema)
 	for i, item := range st.Items {
 		p.outNames[i] = outputName(item)
-		p.kinds[i] = ckAny
-		if k, err := inferKind(item.Expr, schema); err == nil {
-			p.kinds[i] = kindOf(k)
-		}
 	}
 	p.outCols = map[string]int{}
 	for i, n := range p.outNames {
@@ -1040,6 +1127,8 @@ func (p *aggPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
 func (p *aggPlan) release(db *engine.DB) { p.src.release(db) }
 
 func (p *aggPlan) columns() []string { return p.outNames }
+
+func (p *aggPlan) kinds() []ckind { return p.outKinds }
 
 // evalGroup evaluates one group's output row (and ORDER BY keys) from its
 // finalized slot values. This stage runs once per group, so it stays on
@@ -1100,7 +1189,7 @@ func (p *aggPlan) evalHaving(ms *multiState, env *execEnv) (bool, error) {
 	return b, nil
 }
 
-func (p *aggPlan) exec(s *Session, env *execEnv) (*Result, error) {
+func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	st := p.st
 	input, cleanup, err := p.src.acquire(s, env.context())
 	if err != nil {
@@ -1157,7 +1246,7 @@ func (p *aggPlan) exec(s *Session, env *execEnv) (*Result, error) {
 		rows = append(rows, row)
 		keys = append(keys, kv)
 	}
-	return finishSelect(s.db, p.outNames, rows, keys, st.Distinct, p.desc, st.Limit)
+	return finishSelect(s.db, p.outNames, p.outKinds, rows, keys, st.Distinct, p.desc, st.Limit)
 }
 
 // floatKeyBits maps a float to grouping-equivalent bits: -0 collapses
@@ -1206,9 +1295,10 @@ func appendKeyValue(buf []byte, schema engine.Schema, r engine.Row, gi int) []by
 }
 
 // inferKind statically types an expression against a schema, for staging
-// computed madlib arguments into a temp-table column and for an
-// aggregate query's output columns (CREATE TABLE AS over an empty
-// result). Built-in aggregate calls type by their result.
+// computed madlib arguments into a temp-table column and for a query's
+// output columns (CREATE TABLE AS over an empty aggregate result,
+// RowDescription). Built-in aggregate and window calls type by their
+// result.
 func inferKind(e Expr, schema engine.Schema) (engine.Kind, error) {
 	switch x := e.(type) {
 	case *Literal:
@@ -1256,7 +1346,7 @@ func inferKind(e Expr, schema engine.Schema) (engine.Kind, error) {
 		switch x.Name {
 		case "sqrt", "exp", "ln", "floor", "ceil", "pow", "power", "array_get":
 			return engine.Float, nil
-		case "length", "array_length", "count":
+		case "length", "array_length", "count", "row_number", "rank":
 			return engine.Int, nil
 		case "avg", "variance", "stddev":
 			return engine.Float, nil
@@ -1370,11 +1460,13 @@ func (p *tvPlan) valid(db *engine.DB) bool {
 
 func (p *tvPlan) release(*engine.DB) {}
 
-// columns is nil for table-valued madlib.* calls: the output shape is
-// produced by the method at execution time.
+// columns is nil for table-valued madlib.* calls: the output shape (names
+// and kinds) is produced by the method at execution time.
 func (p *tvPlan) columns() []string { return nil }
 
-func (p *tvPlan) exec(s *Session, env *execEnv) (*Result, error) {
+func (p *tvPlan) kinds() []ckind { return nil }
+
+func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	st, t, call := p.st, p.table, p.call
 	var predErr atomic.Value
 	pred := enginePred(p.pred, env, &predErr)
@@ -1459,9 +1551,10 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*Result, error) {
 		return nil, fmt.Errorf("sql: madlib.%s: %w", call.Name, err)
 	}
 	cols := make([]string, len(outSchema))
+	kinds := make([]ckind, len(outSchema))
 	outCols := map[string]int{}
 	for i, c := range outSchema {
-		cols[i] = c.Name
+		cols[i], kinds[i] = c.Name, kindOf(c.Kind)
 		outCols[c.Name] = i
 	}
 	var keys [][]any
@@ -1488,5 +1581,5 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*Result, error) {
 			}
 		}
 	}
-	return finishSelect(s.db, cols, rows, keys, false, p.desc, st.Limit)
+	return finishSelect(s.db, cols, kinds, rows, keys, false, p.desc, st.Limit)
 }

@@ -92,7 +92,7 @@ func buildBuiltinBatchSpec(call *FuncCall, bc *batchCompiler) (*batchAggSpec, bo
 		}
 		var ok bool
 		arg, ok = compileBatchExpr(call.Args[0], bc)
-		if !ok || arg.paramIdx > 0 {
+		if !ok || arg.scalar != nil {
 			return nil, false
 		}
 	}
@@ -370,18 +370,17 @@ func withValidity(spec *batchAggSpec, arg *bcompiled, bc *batchCompiler) *batchA
 // over the input row, a window PARTITION BY / ORDER BY key — lowered for
 // the batch executor. Natively it is a typed lane evaluator plus (for
 // possibly-NULL items) a validity evaluator: the item evaluates once per
-// batch over the surviving selection and boxes the lane column-wise into
-// the output rows — one type switch per column per batch. Expressions
-// with no batch kernel (Vector columns, $n arithmetic, madlib calls)
-// carry their compiled row closure in rowFn instead and box one call
-// per selected row.
+// batch over the surviving selection and appends the lane to its result
+// column. Expressions with no batch kernel (Vector columns, $n
+// arithmetic, madlib calls) carry their compiled row closure in rowFn
+// instead and append one boxed value per selected row.
 type projItem struct {
 	evalF func(e *batchEval, b engine.ColBatch, sel selVec) ([]float64, error)
 	evalI func(e *batchEval, b engine.ColBatch, sel selVec) ([]int64, error)
 	evalS func(e *batchEval, b engine.ColBatch, sel selVec) ([]string, error)
 	evalB func(e *batchEval, b engine.ColBatch, sel selVec) ([]bool, error)
-	// validE, when non-nil, marks a possibly-NULL item: invalid rows box
-	// as nil (the row closure's NULL), valid rows box the lane value.
+	// validE, when non-nil, marks a possibly-NULL item: its validity lane
+	// rides beside the value lane (false is the row closure's NULL).
 	validE func(e *batchEval, b engine.ColBatch, sel selVec) ([]bool, error)
 	rowFn  anyFn
 	// kind is the item's static result kind, ckAny when only its values
@@ -393,7 +392,7 @@ type projItem struct {
 // form; ok=false leaves it to its row closure.
 func buildProjItem(expr Expr, bc *batchCompiler) (*projItem, bool) {
 	c, ok := compileBatchExpr(expr, bc)
-	if !ok || c.paramIdx > 0 {
+	if !ok || c.scalar != nil {
 		return nil, false
 	}
 	pi := &projItem{}
@@ -415,26 +414,29 @@ func buildProjItem(expr Expr, bc *batchCompiler) (*projItem, bool) {
 	return pi, true
 }
 
-// box evaluates the item over sel and writes column col of the output
-// rows (rows[j] is the boxed output row of row sel[j]).
-func (pi *projItem) box(e *batchEval, b engine.ColBatch, sel selVec, rows [][]any, col int) error {
+// appendTo evaluates the item over sel and appends the values to dst,
+// the item's column of a result chunk. batches is how many more batches
+// (this one included) will append to dst: a lane that has to grow is
+// sized for as many survivors from each of them, which is exact for the
+// dense runs a range predicate keeps and small for a sparse filter.
+func (pi *projItem) appendTo(e *batchEval, b engine.ColBatch, sel selVec, dst *chunkCol, batches int) error {
 	if pi.rowFn != nil {
-		for j, idx := range sel {
+		dst.kind, dst.boxed = ckAny, reserve(dst.boxed, len(sel), batches)
+		for _, idx := range sel {
 			v, err := pi.rowFn(b.Row(int(idx)), e.env)
 			if err != nil {
 				return err
 			}
-			rows[j][col] = v
+			dst.boxed = append(dst.boxed, v)
 		}
 		return nil
 	}
-	var vl []bool
 	if pi.validE != nil {
-		var err error
-		vl, err = pi.validE(e, b, sel)
+		vl, err := pi.validE(e, b, sel)
 		if err != nil {
 			return err
 		}
+		dst.valid = append(reserve(dst.valid, len(vl), batches), vl...)
 	}
 	switch {
 	case pi.evalF != nil:
@@ -442,67 +444,48 @@ func (pi *projItem) box(e *batchEval, b engine.ColBatch, sel selVec, rows [][]an
 		if err != nil {
 			return err
 		}
-		if vl == nil {
-			for j := range vals {
-				rows[j][col] = vals[j]
-			}
-			break
-		}
-		for j := range vals {
-			if vl[j] {
-				rows[j][col] = vals[j]
-			}
-		}
+		dst.kind, dst.floats = ckFloat, append(reserve(dst.floats, len(vals), batches), vals...)
 	case pi.evalI != nil:
 		vals, err := pi.evalI(e, b, sel)
 		if err != nil {
 			return err
 		}
-		if vl == nil {
-			for j := range vals {
-				rows[j][col] = vals[j]
-			}
-			break
-		}
-		for j := range vals {
-			if vl[j] {
-				rows[j][col] = vals[j]
-			}
-		}
+		dst.kind, dst.ints = ckInt, append(reserve(dst.ints, len(vals), batches), vals...)
 	case pi.evalS != nil:
 		vals, err := pi.evalS(e, b, sel)
 		if err != nil {
 			return err
 		}
-		if vl == nil {
-			for j := range vals {
-				rows[j][col] = vals[j]
-			}
-			break
-		}
-		for j := range vals {
-			if vl[j] {
-				rows[j][col] = vals[j]
-			}
-		}
+		dst.kind, dst.strs = ckStr, append(reserve(dst.strs, len(vals), batches), vals...)
 	case pi.evalB != nil:
 		vals, err := pi.evalB(e, b, sel)
 		if err != nil {
 			return err
 		}
-		if vl == nil {
-			for j := range vals {
-				rows[j][col] = vals[j]
-			}
-			break
-		}
-		for j := range vals {
-			if vl[j] {
-				rows[j][col] = vals[j]
-			}
-		}
+		dst.kind, dst.bools = ckBool, append(reserve(dst.bools, len(vals), batches), vals...)
 	}
 	return nil
+}
+
+// reserve returns lane with room for n more values, growing it to hold
+// n values from each of batches batches when it has to grow.
+func reserve[T any](lane []T, n, batches int) []T {
+	if cap(lane)-len(lane) >= n {
+		return lane
+	}
+	return append(make([]T, 0, len(lane)+n*batches), lane...)
+}
+
+// batchesLeft is the number of batches its morsel still has to deliver,
+// b included: a short batch ends its morsel, a full one may be followed
+// by up to the rest of engine.MorselRows. It is read off the engine's
+// morsel alignment and used as a hint only (lane sizing, early scratch
+// reuse) — an overestimate costs capacity, never rows.
+func batchesLeft(b engine.ColBatch) int {
+	if b.Len() < engine.BatchSize {
+		return 1
+	}
+	return (engine.MorselRows - b.Offset()%engine.MorselRows) / engine.BatchSize
 }
 
 // newSourceBatchCompiler builds the batch compiler for a plan source,
@@ -633,14 +616,14 @@ func (ms *morselScratch) filter(pred bBatchKernel, b engine.ColBatch) (selVec, e
 // gatherBatches is the executor of the row-producing plans (projection
 // scans, the window gather): morsel-parallel over input, one scratch per
 // morsel drawn from prog's pool, every batch filtered through pred and
-// fn called on the surviving selection. A morsel's batches arrive in row
-// order on one worker, so its outputs append to one buffer, and the
-// buffers concatenate in (segment, offset) order: the result is in table
-// order at any worker count.
+// fn called on the surviving selection with the morsel's accumulator. A
+// morsel's batches arrive in row order on one worker, and the
+// accumulators come back in (segment, offset) order: read in sequence
+// they are in table order at any worker count.
 func gatherBatches[T any](s *Session, env *execEnv, input *engine.Table, prog *batchProg, pred bBatchKernel,
-	fn func(e *batchEval, b engine.ColBatch, sel selVec) ([]T, error)) ([]T, error) {
+	fn func(e *batchEval, b engine.ColBatch, sel selVec, acc *T) error) ([]T, error) {
 	n := s.db.ScanMorsels(input)
-	bufs := make([][]T, n)
+	accs := make([]T, n)
 	scratch := make([]*morselScratch, n)
 	defer func() {
 		for _, ms := range scratch {
@@ -660,35 +643,21 @@ func gatherBatches[T any](s *Session, env *execEnv, input *engine.Table, prog *b
 			scratch[mi] = ms
 		}
 		sel, err := ms.filter(pred, b)
-		if err != nil || len(sel) == 0 {
-			return err
+		if err == nil && len(sel) > 0 {
+			err = fn(ms.e, b, sel, &accs[mi])
 		}
-		out, err := fn(ms.e, b, sel)
-		bufs[mi] = append(bufs[mi], out...)
+		if batchesLeft(b) == 1 {
+			// The morsel's last batch: the next morsel a worker claims
+			// reuses this scratch instead of building its own.
+			ms.e.env, scratch[mi] = nil, nil
+			prog.pool.Put(ms)
+		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, buf := range bufs {
-		total += len(buf)
-	}
-	all := make([]T, 0, total)
-	for _, buf := range bufs {
-		all = append(all, buf...)
-	}
-	return all, nil
-}
-
-// boxedRows allocates n output rows of w cells over one backing array.
-func boxedRows(n, w int) [][]any {
-	rows := make([][]any, n)
-	cells := make([]any, n*w)
-	for j := range rows {
-		rows[j] = cells[j*w : (j+1)*w : (j+1)*w]
-	}
-	return rows
+	return accs, nil
 }
 
 // sminmaxState is the batch lane's unboxed text min/max accumulator

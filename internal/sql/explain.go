@@ -21,7 +21,7 @@ import (
 // engine counters, and the parse/plan/exec wall-time split that the
 // REPL's \timing shows.
 
-func (s *Session) execExplain(st *Explain) (*Result, Timing, error) {
+func (s *Session) execExplain(st *Explain) (*RowSet, Timing, error) {
 	var tm Timing
 	if n := stmtMaxParam(st.Stmt); n > 0 {
 		return nil, tm, execErrf("EXPLAIN: query uses parameter $%d; bind values with PREPARE ... / EXECUTE", n)
@@ -70,7 +70,7 @@ func (s *Session) execExplain(st *Explain) (*Result, Timing, error) {
 			return nil, tm, err
 		}
 		lines = append(lines,
-			fmt.Sprintf("actual rows: %d", len(r.Rows)),
+			fmt.Sprintf("actual rows: %d", r.n),
 			fmt.Sprintf("rows scanned: %d", s.db.RowsScanned()-scanned0))
 		if len(planModelDeps(pl)) > 0 {
 			lines = append(lines, fmt.Sprintf("rows scored: %d", s.db.Metrics().Counter("predict_rows").Value()-scored0))
@@ -88,7 +88,7 @@ func (s *Session) execExplain(st *Explain) (*Result, Timing, error) {
 	for i, ln := range lines {
 		rows[i] = []any{ln}
 	}
-	return &Result{Cols: []string{"QUERY PLAN"}, Rows: rows, Tag: "EXPLAIN"}, tm, nil
+	return boxedRowSet([]string{"QUERY PLAN"}, []ckind{ckStr}, rows, "EXPLAIN"), tm, nil
 }
 
 func fmtMillis(d time.Duration) string {

@@ -126,7 +126,7 @@ func (s *Session) RecentQueries() []QueryStat {
 // observe records one executed statement: bumps the query counter,
 // appends to the recent ring, and emits the slow-query log line when the
 // statement crossed the threshold.
-func (s *Session) observe(text string, pl stmtPlan, r *Result, tm Timing) {
+func (s *Session) observe(text string, pl stmtPlan, rs *RowSet, tm Timing) {
 	s.metrics.queries.Inc()
 	qs := QueryStat{
 		Text:     text,
@@ -134,8 +134,8 @@ func (s *Session) observe(text string, pl stmtPlan, r *Result, tm Timing) {
 		Duration: tm.Total(),
 		CacheHit: tm.CacheHit,
 	}
-	if r != nil {
-		qs.Rows = len(r.Rows)
+	if rs != nil {
+		qs.Rows = rs.n
 	}
 	s.mu.Lock()
 	if len(s.recent) < recentQueryCap {

@@ -186,7 +186,7 @@ func compileBatchPredict(x *FuncCall, bc *batchCompiler) (*bcompiled, bool) {
 			dep.reason = execErrf("feature argument %d has no batch lowering", i+1).Error()
 			return nil, false
 		}
-		if c.paramIdx > 0 {
+		if c.scalar != nil {
 			dep.reason = execErrf("feature argument %d is a $n parameter", i+1).Error()
 			return nil, false
 		}

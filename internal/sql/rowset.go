@@ -1,0 +1,333 @@
+package sql
+
+import (
+	"fmt"
+	"strconv"
+)
+
+// The result path. Every statement's product is a RowSet: column names,
+// static column kinds, a command tag and a sequence of Chunks. A Chunk is
+// a ColBatch-shaped slab of output rows — one typed lane per column, an
+// optional validity lane beside it, a boxed lane only for values that
+// have no typed lane — or, for the plans whose rows are boxed before
+// they are ordered (finishSelect), the boxed rows themselves. A RowSet
+// has three sinks: RowSet.Result boxes it into Result.Rows for the
+// in-process API, the wire server renders DataRows cell by cell with
+// Chunk.AppendText, and CREATE TABLE AS reads the lanes column-wise
+// (RowSet.storageLane).
+
+// chunkCol is one output column of a columnar Chunk: the lane matching
+// kind holds one value per row; kind ckAny means the boxed lane.
+type chunkCol struct {
+	kind   ckind
+	ints   []int64
+	floats []float64
+	strs   []string
+	bools  []bool
+	// valid, when non-nil, parallels the typed lane: false marks SQL NULL
+	// (the padded side of a LEFT JOIN); the value lane holds padding
+	// there.
+	valid []bool
+	// boxed holds values with no typed lane: Vector columns, $n-typed
+	// expressions, madlib.* results. nil is SQL NULL.
+	boxed []any
+}
+
+// Chunk is a run of output rows in one of two layouts: columnar (cols,
+// what a projection scan emits per morsel) or boxed rows (rows, what
+// every plan that sorts, groups or deduplicates ends in).
+type Chunk struct {
+	n    int
+	cols []chunkCol
+	rows [][]any
+}
+
+// Len returns the number of rows in the chunk.
+func (c *Chunk) Len() int { return c.n }
+
+// AppendText appends the text rendering of one cell to dst — the bytes
+// FormatValue would produce — and reports whether the cell is SQL NULL
+// (nothing appended).
+func (c *Chunk) AppendText(dst []byte, row, col int) (out []byte, null bool) {
+	var v any
+	if c.cols == nil {
+		v = c.rows[row][col]
+	} else {
+		l := &c.cols[col]
+		if l.valid != nil && !l.valid[row] {
+			return dst, true
+		}
+		switch l.kind {
+		case ckInt:
+			return strconv.AppendInt(dst, l.ints[row], 10), false
+		case ckFloat:
+			return strconv.AppendFloat(dst, l.floats[row], 'g', -1, 64), false
+		case ckStr:
+			return append(dst, l.strs[row]...), false
+		case ckBool:
+			return appendBool(dst, l.bools[row]), false
+		}
+		v = l.boxed[row]
+	}
+	if v == nil {
+		return dst, true
+	}
+	return AppendValue(dst, v), false
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 't')
+	}
+	return append(dst, 'f')
+}
+
+// AppendValue appends the text rendering of one SQL value to dst: floats
+// in shortest-exact form, vectors in brace notation, booleans as t/f,
+// NULL as nothing. FormatValue is its string form.
+func AppendValue(dst []byte, v any) []byte {
+	switch x := v.(type) {
+	case nil:
+		return dst
+	case int64:
+		return strconv.AppendInt(dst, x, 10)
+	case float64:
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
+	case string:
+		return append(dst, x...)
+	case bool:
+		return appendBool(dst, x)
+	case []float64:
+		dst = append(dst, '{')
+		for i, f := range x {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendFloat(dst, f, 'g', -1, 64)
+		}
+		return append(dst, '}')
+	}
+	return fmt.Appendf(dst, "%v", v)
+}
+
+// box writes the column into cell col of rows (rows[j] is row j of the
+// chunk); NULLs stay nil.
+func (l *chunkCol) box(rows [][]any, col int) {
+	vl := l.valid
+	switch l.kind {
+	case ckInt:
+		for j, v := range l.ints {
+			if vl == nil || vl[j] {
+				rows[j][col] = v
+			}
+		}
+	case ckFloat:
+		for j, v := range l.floats {
+			if vl == nil || vl[j] {
+				rows[j][col] = v
+			}
+		}
+	case ckStr:
+		for j, v := range l.strs {
+			if vl == nil || vl[j] {
+				rows[j][col] = v
+			}
+		}
+	case ckBool:
+		for j, v := range l.bools {
+			if vl == nil || vl[j] {
+				rows[j][col] = v
+			}
+		}
+	default:
+		for j, v := range l.boxed {
+			rows[j][col] = v
+		}
+	}
+}
+
+// truncate keeps the first n rows of the column.
+func (l *chunkCol) truncate(n int) {
+	switch l.kind {
+	case ckInt:
+		l.ints = l.ints[:n]
+	case ckFloat:
+		l.floats = l.floats[:n]
+	case ckStr:
+		l.strs = l.strs[:n]
+	case ckBool:
+		l.bools = l.bools[:n]
+	default:
+		l.boxed = l.boxed[:n]
+	}
+	if l.valid != nil {
+		l.valid = l.valid[:n]
+	}
+}
+
+// appendBoxed boxes the chunk's rows onto rows. A columnar chunk boxes
+// column-wise into one cell array of width w >= its column count (the
+// scan's ORDER BY tail asks for trailing key cells); a boxed chunk
+// appends its rows as they are.
+func (c *Chunk) appendBoxed(rows [][]any, w int) [][]any {
+	if c.cols == nil {
+		return append(rows, c.rows...)
+	}
+	cells := make([]any, c.n*w)
+	base := len(rows)
+	for j := 0; j < c.n; j++ {
+		rows = append(rows, cells[j*w:(j+1)*w:(j+1)*w])
+	}
+	for ci := range c.cols {
+		c.cols[ci].box(rows[base:], ci)
+	}
+	return rows
+}
+
+// RowSet is one statement's outcome as the executor produces it: the
+// result path's product (see the file comment). DDL/DML statements carry
+// only a Tag.
+type RowSet struct {
+	// Cols are the output column names (nil for DDL/DML).
+	Cols []string
+	// Tag is the command tag, e.g. "CREATE TABLE", "SELECT 2".
+	Tag string
+
+	// kinds are the plan's static column kinds, parallel to Cols; nil or
+	// ckAny where only the values tell.
+	kinds  []ckind
+	chunks []Chunk
+	n      int
+}
+
+// boxedRowSet wraps finished boxed rows as a one-chunk RowSet.
+func boxedRowSet(cols []string, kinds []ckind, rows [][]any, tag string) *RowSet {
+	rs := &RowSet{Cols: cols, Tag: tag, kinds: kinds, n: len(rows)}
+	if len(rows) > 0 {
+		rs.chunks = []Chunk{{n: len(rows), rows: rows}}
+	}
+	return rs
+}
+
+// NumRows returns the number of rows in the set.
+func (rs *RowSet) NumRows() int { return rs.n }
+
+// Chunks returns the rows in output order. Callers must not retain a
+// chunk beyond the RowSet.
+func (rs *RowSet) Chunks() []Chunk { return rs.chunks }
+
+// limit keeps the first n rows.
+func (rs *RowSet) limit(n int) {
+	if n >= rs.n {
+		return
+	}
+	rs.n = n
+	for i := range rs.chunks {
+		c := &rs.chunks[i]
+		if n >= c.n {
+			n -= c.n
+			continue
+		}
+		if n == 0 {
+			rs.chunks = rs.chunks[:i]
+			return
+		}
+		c.n = n
+		if c.cols == nil {
+			c.rows = c.rows[:n]
+		}
+		for ci := range c.cols {
+			c.cols[ci].truncate(n)
+		}
+		rs.chunks = rs.chunks[:i+1]
+		return
+	}
+}
+
+// ColumnTypes names each output column's SQL type ("bigint", "double
+// precision", "text", "boolean", "double precision[]") from the plan's
+// static kinds, so an empty result is typed like a full one. A column
+// whose kind only its values tell ($n expressions, madlib.* calls inside
+// an expression) is typed by the first row when there is one, and
+// "unknown" otherwise.
+func (rs *RowSet) ColumnTypes() []string {
+	types := make([]string, len(rs.Cols))
+	for i := range types {
+		k := ckAny
+		if i < len(rs.kinds) {
+			k = rs.kinds[i]
+		}
+		if k == ckAny && rs.n > 0 {
+			k = valueKind(rs.chunks[0].value(0, i))
+		}
+		types[i] = k.String()
+	}
+	return types
+}
+
+// value boxes one cell; nil is SQL NULL.
+func (c *Chunk) value(row, col int) any {
+	if c.cols == nil {
+		return c.rows[row][col]
+	}
+	l := &c.cols[col]
+	if l.valid != nil && !l.valid[row] {
+		return nil
+	}
+	switch l.kind {
+	case ckInt:
+		return l.ints[row]
+	case ckFloat:
+		return l.floats[row]
+	case ckStr:
+		return l.strs[row]
+	case ckBool:
+		return l.bools[row]
+	}
+	return l.boxed[row]
+}
+
+// typed reports whether values of the kind travel in a typed lane (not
+// the boxed one).
+func (k ckind) typed() bool { return k == ckInt || k == ckFloat || k == ckStr || k == ckBool }
+
+// valueKind is the kind of a boxed value, ckAny for NULL and for values
+// with no SQL type.
+func valueKind(v any) ckind {
+	switch v.(type) {
+	case int64:
+		return ckInt
+	case float64:
+		return ckFloat
+	case string:
+		return ckStr
+	case bool:
+		return ckBool
+	case []float64:
+		return ckVec
+	}
+	return ckAny
+}
+
+// Result boxes the set into the in-process API's Result: the one place
+// typed chunks become [][]any. A set that is already one boxed chunk
+// hands its rows over as they are.
+func (rs *RowSet) Result() *Result {
+	r := &Result{Cols: rs.Cols, Tag: rs.Tag}
+	switch {
+	case len(rs.chunks) == 1 && rs.chunks[0].cols == nil:
+		r.Rows = rs.chunks[0].rows
+	case len(rs.chunks) > 0:
+		r.Rows = rs.boxed(len(rs.Cols))
+	}
+	return r
+}
+
+// boxed boxes every chunk into rows of w cells.
+func (rs *RowSet) boxed(w int) [][]any {
+	rows := make([][]any, 0, rs.n)
+	for i := range rs.chunks {
+		rows = rs.chunks[i].appendBoxed(rows, w)
+	}
+	return rows
+}

@@ -281,16 +281,28 @@ func (s *Session) Exec(text string) ([]*Result, error) {
 // stops running scans at morsel boundaries and aborts the remaining
 // statements.
 func (s *Session) ExecContext(ctx context.Context, text string) ([]*Result, error) {
+	sets, err := s.ExecRowSets(ctx, text)
+	var out []*Result
+	for _, rs := range sets {
+		out = append(out, rs.Result())
+	}
+	return out, err
+}
+
+// ExecRowSets is ExecContext for callers that consume the executor's
+// typed result chunks themselves (the wire server) instead of having
+// them boxed into Result.Rows.
+func (s *Session) ExecRowSets(ctx context.Context, text string) ([]*RowSet, error) {
 	t0 := time.Now()
 	if pl, ok := s.cachedPlan(text); ok {
-		r, err := pl.exec(s, &execEnv{ctx: ctx})
+		rs, err := pl.exec(s, &execEnv{ctx: ctx})
 		tm := Timing{Exec: time.Since(t0), CacheHit: true}
 		s.setTiming(tm)
 		if err != nil {
 			return nil, err
 		}
-		s.observe(text, pl, r, tm)
-		return []*Result{r}, nil
+		s.observe(text, pl, rs, tm)
+		return []*RowSet{rs}, nil
 	}
 	stmts, err := Parse(text)
 	if err != nil {
@@ -301,10 +313,10 @@ func (s *Session) ExecContext(ctx context.Context, text string) ([]*Result, erro
 	if len(stmts) == 1 {
 		cacheKey = text
 	}
-	var out []*Result
+	var out []*RowSet
 	total := Timing{Parse: parseD}
 	for _, st := range stmts {
-		r, tm, err := s.runTimed(ctx, st, cacheKey)
+		rs, tm, err := s.runTimed(ctx, st, cacheKey)
 		total.Plan += tm.Plan
 		total.Exec += tm.Exec
 		total.CacheHit = tm.CacheHit
@@ -312,7 +324,7 @@ func (s *Session) ExecContext(ctx context.Context, text string) ([]*Result, erro
 			s.setTiming(total)
 			return out, err
 		}
-		out = append(out, r)
+		out = append(out, rs)
 	}
 	s.setTiming(total)
 	return out, nil
@@ -327,33 +339,33 @@ func (s *Session) Query(text string) (*Result, error) {
 func (s *Session) QueryContext(ctx context.Context, text string) (*Result, error) {
 	t0 := time.Now()
 	if pl, ok := s.cachedPlan(text); ok {
-		r, err := pl.exec(s, &execEnv{ctx: ctx})
+		rs, err := pl.exec(s, &execEnv{ctx: ctx})
 		tm := Timing{Exec: time.Since(t0), CacheHit: true}
 		s.setTiming(tm)
 		if err != nil {
 			return nil, err
 		}
-		s.observe(text, pl, r, tm)
-		if len(r.Cols) == 0 {
+		s.observe(text, pl, rs, tm)
+		if len(rs.Cols) == 0 {
 			return nil, ErrNoRows
 		}
-		return r, nil
+		return rs.Result(), nil
 	}
 	st, err := ParseStatement(text)
 	if err != nil {
 		return nil, err
 	}
 	parseD := time.Since(t0)
-	r, tm, err := s.runTimed(ctx, st, text)
+	rs, tm, err := s.runTimed(ctx, st, text)
 	tm.Parse = parseD
 	s.setTiming(tm)
 	if err != nil {
 		return nil, err
 	}
-	if len(r.Cols) == 0 {
+	if len(rs.Cols) == 0 {
 		return nil, ErrNoRows
 	}
-	return r, nil
+	return rs.Result(), nil
 }
 
 // Run executes one parsed statement. Statements run this way are planned
@@ -365,15 +377,24 @@ func (s *Session) Run(st Statement) (*Result, error) {
 
 // RunContext is Run under a context (see ExecContext).
 func (s *Session) RunContext(ctx context.Context, st Statement) (*Result, error) {
-	r, tm, err := s.runTimed(ctx, st, "")
+	rs, err := s.RunRowSet(ctx, st)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Result(), nil
+}
+
+// RunRowSet is RunContext without the boxing (see ExecRowSets).
+func (s *Session) RunRowSet(ctx context.Context, st Statement) (*RowSet, error) {
+	rs, tm, err := s.runTimed(ctx, st, "")
 	s.setTiming(tm)
-	return r, err
+	return rs, err
 }
 
 // runTimed plans (or reuses) and executes one statement, reporting the
 // plan/exec phase split. cacheKey, when non-empty, is the statement's
 // exact source text and enables plan caching for SELECT/INSERT.
-func (s *Session) runTimed(ctx context.Context, st Statement, cacheKey string) (*Result, Timing, error) {
+func (s *Session) runTimed(ctx context.Context, st Statement, cacheKey string) (*RowSet, Timing, error) {
 	t0 := time.Now()
 	var tm Timing
 	switch x := st.(type) {
@@ -437,7 +458,7 @@ func (s *Session) runTimed(ctx context.Context, st Statement, cacheKey string) (
 }
 
 // execPrepare plans the inner statement and stores it under its name.
-func (s *Session) execPrepare(st *Prepare) (*Result, error) {
+func (s *Session) execPrepare(st *Prepare) (*RowSet, error) {
 	pl, err := s.planStmt(st.Stmt)
 	if err != nil {
 		return nil, err
@@ -460,13 +481,13 @@ func (s *Session) execPrepare(st *Prepare) (*Result, error) {
 	if dup {
 		return nil, execErrf("prepared statement %q already exists", st.Name)
 	}
-	return &Result{Tag: "PREPARE"}, nil
+	return &RowSet{Tag: "PREPARE"}, nil
 }
 
 // execExecute runs a prepared statement with bound parameter values. If
 // the plan's table bindings went stale (DROP + re-CREATE since PREPARE),
 // the statement is replanned against the current catalog first.
-func (s *Session) execExecute(ctx context.Context, st *Execute) (*Result, Timing, error) {
+func (s *Session) execExecute(ctx context.Context, st *Execute) (*RowSet, Timing, error) {
 	var tm Timing
 	params := make([]any, len(st.Args))
 	for i, a := range st.Args {
@@ -483,12 +504,22 @@ func (s *Session) execExecute(ctx context.Context, st *Execute) (*Result, Timing
 // parameter values — the extended-query protocol's Bind/Execute path,
 // where parameters arrive as wire values rather than SQL expressions.
 func (s *Session) ExecutePreparedContext(ctx context.Context, name string, params []any) (*Result, error) {
-	r, tm, err := s.executePrepared(ctx, name, params, "EXECUTE "+name)
-	s.setTiming(tm)
-	return r, err
+	rs, err := s.ExecutePreparedRowSet(ctx, name, params)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Result(), nil
 }
 
-func (s *Session) executePrepared(ctx context.Context, name string, params []any, obsText string) (*Result, Timing, error) {
+// ExecutePreparedRowSet is ExecutePreparedContext without the boxing
+// (see ExecRowSets).
+func (s *Session) ExecutePreparedRowSet(ctx context.Context, name string, params []any) (*RowSet, error) {
+	rs, tm, err := s.executePrepared(ctx, name, params, "EXECUTE "+name)
+	s.setTiming(tm)
+	return rs, err
+}
+
+func (s *Session) executePrepared(ctx context.Context, name string, params []any, obsText string) (*RowSet, Timing, error) {
 	var tm Timing
 	s.mu.Lock()
 	p, ok := s.prepared[name]
@@ -547,11 +578,13 @@ func (s *Session) executePrepared(ctx context.Context, name string, params []any
 	return r, tm, err
 }
 
-// DescribePrepared reports a prepared statement's parameter count and
-// output column names (nil for statements that return no rows), the
-// metadata the extended-query protocol's Describe message needs for
+// DescribePrepared reports a prepared statement's parameter count, its
+// output column names (nil for statements that return no rows) and
+// their SQL type names from the plan's static kinds ("unknown" where
+// only the values tell; see RowSet.ColumnTypes) — the metadata the
+// extended-query protocol's Describe message needs for
 // ParameterDescription and RowDescription.
-func (s *Session) DescribePrepared(name string) (numParams int, cols []string, err error) {
+func (s *Session) DescribePrepared(name string) (numParams int, cols, types []string, err error) {
 	s.mu.Lock()
 	p, ok := s.prepared[name]
 	var pl stmtPlan
@@ -561,15 +594,16 @@ func (s *Session) DescribePrepared(name string) (numParams int, cols []string, e
 	}
 	s.mu.Unlock()
 	if !ok {
-		return 0, nil, execErrf("prepared statement %q does not exist", name)
+		return 0, nil, nil, execErrf("prepared statement %q does not exist", name)
 	}
 	if pl != nil {
-		cols = pl.columns()
+		rs := RowSet{Cols: pl.columns(), kinds: pl.kinds()}
+		cols, types = rs.Cols, rs.ColumnTypes()
 	}
-	return numParams, cols, nil
+	return numParams, cols, types, nil
 }
 
-func (s *Session) execDeallocate(st *Deallocate) (*Result, error) {
+func (s *Session) execDeallocate(st *Deallocate) (*RowSet, error) {
 	s.mu.Lock()
 	var dropped []stmtPlan
 	if st.All {
@@ -579,7 +613,7 @@ func (s *Session) execDeallocate(st *Deallocate) (*Result, error) {
 		s.prepared = make(map[string]*Prepared)
 		s.mu.Unlock()
 		s.releasePlans(dropped)
-		return &Result{Tag: "DEALLOCATE ALL"}, nil
+		return &RowSet{Tag: "DEALLOCATE ALL"}, nil
 	}
 	p, ok := s.prepared[st.Name]
 	if !ok {
@@ -589,7 +623,7 @@ func (s *Session) execDeallocate(st *Deallocate) (*Result, error) {
 	delete(s.prepared, st.Name)
 	s.mu.Unlock()
 	s.releasePlans([]stmtPlan{p.plan})
-	return &Result{Tag: "DEALLOCATE"}, nil
+	return &RowSet{Tag: "DEALLOCATE"}, nil
 }
 
 // PreparedStatements lists the session's prepared statements sorted by

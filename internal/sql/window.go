@@ -30,10 +30,10 @@ import (
 // The fold itself is row-at-a-time by definition — each row's output
 // depends on the partition state — but the input side runs on the batch
 // executor: the gather pass is morsel-parallel, WHERE filters each batch
-// into a selection vector and the PARTITION BY / OVER-ORDER BY keys box
-// column-wise, each through its native batch kernel or, where it has
-// none (Vector operands, madlib calls, parameters), through its row
-// closure driven over the selection.
+// into a selection vector and the PARTITION BY / OVER-ORDER BY keys
+// evaluate column-wise into a key chunk, each through its native batch
+// kernel or, where it has none (Vector operands, madlib calls,
+// parameters), through its row closure driven over the selection.
 
 // windowFuncs names the supported window functions.
 var windowFuncs = map[string]bool{
@@ -70,6 +70,7 @@ type windowPlan struct {
 	specs  []windowSlotSpec
 
 	outNames []string
+	outKinds []ckind // static output kinds, for RowDescription
 	outCols  map[string]int
 	// finalDesc is the direction of each outer ORDER BY key; the keys
 	// themselves are re-resolved per row in step() (ordinals, aliases or
@@ -176,6 +177,7 @@ func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	p.pred, p.native, p.prog = pred, p.native || nativePred, lw.bc.prog
 
 	p.outNames = make([]string, len(st.Items))
+	p.outKinds = itemKinds(st.Items, p.src.schema)
 	for i, item := range st.Items {
 		p.outNames[i] = outputName(item)
 	}
@@ -208,42 +210,41 @@ type winRow struct {
 // the partition sort comparator.
 func (p *windowPlan) gather(s *Session, env *execEnv, input *engine.Table, ordCache map[engine.Row][]any) (parts map[string][]engine.Row, partVals map[string][]any, err error) {
 	np := len(p.partItems)
-	rows, err := gatherBatches(s, env, input, p.prog, p.pred, func(e *batchEval, b engine.ColBatch, sel selVec) ([]winRow, error) {
-		// Each row's cells share one backing array that outlives the
-		// batch: the sub-slices are what land in partVals and ordCache.
-		boxed := boxedRows(len(sel), np+len(p.ordItems))
-		for i, pi := range p.partItems {
-			if err := pi.box(e, b, sel, boxed, i); err != nil {
-				return nil, err
+	keyItems := append(append([]*projItem(nil), p.partItems...), p.ordItems...)
+	morsels, err := gatherBatches(s, env, input, p.prog, p.pred, func(e *batchEval, b engine.ColBatch, sel selVec, acc *[]winRow) error {
+		// The batch's keys evaluate into a chunk and box into one cell
+		// array that outlives the batch: its sub-slices are what land in
+		// partVals and ordCache.
+		keys := Chunk{n: len(sel), cols: make([]chunkCol, len(keyItems))}
+		for i, pi := range keyItems {
+			if err := pi.appendTo(e, b, sel, &keys.cols[i], 1); err != nil {
+				return err
 			}
 		}
-		for i, pi := range p.ordItems {
-			if err := pi.box(e, b, sel, boxed, np+i); err != nil {
-				return nil, err
-			}
-		}
+		boxed := keys.appendBoxed(nil, len(keyItems))
 		var buf []byte
-		out := make([]winRow, len(sel))
 		for j, idx := range sel {
 			buf = buf[:0]
 			for _, v := range boxed[j][:np] {
 				buf = appendValKey(buf, v)
 			}
-			out[j] = winRow{row: b.Row(int(idx)), part: string(buf), keys: boxed[j]}
+			*acc = append(*acc, winRow{row: b.Row(int(idx)), part: string(buf), keys: boxed[j]})
 		}
-		return out, nil
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	parts = map[string][]engine.Row{}
 	partVals = map[string][]any{}
-	for _, wr := range rows {
-		if _, seen := parts[wr.part]; !seen {
-			partVals[wr.part] = wr.keys[:np]
+	for _, rows := range morsels {
+		for _, wr := range rows {
+			if _, seen := parts[wr.part]; !seen {
+				partVals[wr.part] = wr.keys[:np]
+			}
+			parts[wr.part] = append(parts[wr.part], wr.row)
+			ordCache[wr.row] = wr.keys[np:]
 		}
-		parts[wr.part] = append(parts[wr.part], wr.row)
-		ordCache[wr.row] = wr.keys[np:]
 	}
 	return parts, partVals, nil
 }
@@ -253,6 +254,8 @@ func (p *windowPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
 func (p *windowPlan) release(db *engine.DB) { p.src.release(db) }
 
 func (p *windowPlan) columns() []string { return p.outNames }
+
+func (p *windowPlan) kinds() []ckind { return p.outKinds }
 
 // windowRowOut is one emitted output row with its final sort keys.
 type windowRowOut struct {
@@ -270,7 +273,7 @@ type windowState struct {
 	slotVals []any
 }
 
-func (p *windowPlan) exec(s *Session, env *execEnv) (*Result, error) {
+func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	input, cleanup, err := p.src.acquire(s, env.context())
 	if err != nil {
 		return nil, err
@@ -483,5 +486,5 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*Result, error) {
 			keys = append(keys, out.keys)
 		}
 	}
-	return finishSelect(s.db, p.outNames, rows, keys, false, p.finalDesc, p.limit)
+	return finishSelect(s.db, p.outNames, p.outKinds, rows, keys, false, p.finalDesc, p.limit)
 }

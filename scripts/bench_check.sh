@@ -51,6 +51,15 @@
 # scorer under the same driver; ten same-run ratios measured 6.0-11.6x)
 # in the same run.
 #
+# The result path is gated by allocation counts, which no runner's speed
+# moves: PGWireBulkSelect (a prepared 20,000-row range select over one
+# connection; the count covers server and client) may allocate at most 2
+# times per result row — the parent of the columnar result path spent 37
+# — and SQLBulkCTAS (the same selection into CREATE TABLE AS, parse and
+# plan included) at most 0.1 times per row, where it spent 7. A per-cell
+# or per-row box, string or message object on either end of the wire, or
+# a per-row Insert in the storage sink, cannot fit under either.
+#
 # linregr — the paper's own hot path — is gated relative only: LinregrRun
 # (the default batch generation: batch transition + blocked XᵀX kernel)
 # must stay at least 1.6 times faster than LinregrRunV03, the
@@ -82,6 +91,8 @@ TRAIN_COMPANIONS="TrainLogregrIGDRowLane TrainSVMRowLane"
 PGWIRE_GATED="PGWireConcurrent PGWirePredict"
 PREDICT_GATED="SQLPredictBatch"
 PREDICT_COMPANIONS="SQLPredictRowLane"
+# name:max allocs/op — 20,000 result rows at 2 and at 0.1 per row.
+ALLOC_GATED="PGWireBulkSelect:40000 SQLBulkCTAS:2000"
 
 pattern=$(echo "$GATED $COMPANIONS" | tr ' ' '|')
 out=$(go test -run '^$' -bench "BenchmarkSQLSelectAgg/^($pattern)\$" -benchtime "$BENCHTIME" .)
@@ -97,7 +108,10 @@ pout=$(go test -run '^$' -bench "^($predict_pattern)\$" -benchtime "$BENCHTIME" 
 echo "$pout"
 lout=$(go test -run '^$' -bench '^BenchmarkLinregrRun(V03)?$' -benchtime "$BENCHTIME" .)
 echo "$lout"
-out=$(printf '%s\n%s\n%s\n%s\n%s\n' "$out" "$tout" "$wout" "$pout" "$lout")
+alloc_pattern=$(for g in $ALLOC_GATED; do printf 'Benchmark%s|' "${g%%:*}"; done | sed 's/|$//')
+aout=$(go test -run '^$' -bench "^($alloc_pattern)\$" -benchtime "$BENCHTIME" .)
+echo "$aout"
+out=$(printf '%s\n%s\n%s\n%s\n%s\n%s\n' "$out" "$tout" "$wout" "$pout" "$lout" "$aout")
 
 ns_of() {
   echo "$out" | awk -v bench="BenchmarkSQLSelectAgg/$1" -v flat="Benchmark$1" '
@@ -168,6 +182,25 @@ for pair in \
       exit 1
     }
   }'; then
+    fail=1
+  fi
+done
+
+# Allocation gates: absolute counts, the same on every machine.
+for gate in $ALLOC_GATED; do
+  name="${gate%%:*}"
+  max="${gate##*:}"
+  allocs=$(echo "$out" | awk -v flat="Benchmark$name" '
+    $1 == flat || $1 ~ "^" flat "-[0-9]+$" {
+      for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") print $i
+    }' | head -1)
+  if [ -z "$allocs" ]; then
+    echo "bench_check: benchmark $name produced no allocs/op" >&2
+    exit 1
+  fi
+  echo "bench_check: $name $allocs allocs/op (max $max)"
+  if [ "$allocs" -gt "$max" ]; then
+    echo "bench_check: FAIL — $name allocates more than $max times per op"
     fail=1
   fi
 done

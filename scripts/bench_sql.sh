@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # bench_sql.sh — run the SQL front-end overhead benchmarks plus the
-# training-harness, wire-server, model-serving (predict) and linregr
-# (batch generation vs v0.3) benchmarks and record ns/op, B/op and
-# allocs/op per variant to BENCH_sql.json, so the perf trajectory of
-# the declarative surface (paper §4.4a), the igd training lanes, the
-# predict scoring lanes and the paper's own linregr hot path is tracked
-# across PRs in version control.
+# training-harness, wire-server, model-serving (predict), bulk result
+# path (PGWireBulkSelect, SQLBulkCTAS) and linregr (batch generation vs
+# v0.3) benchmarks and record ns/op, B/op and allocs/op per variant to
+# BENCH_sql.json, so the perf trajectory of the declarative surface
+# (paper §4.4a), the igd training lanes, the predict scoring lanes, the
+# result path and the paper's own linregr hot path is tracked across PRs
+# in version control.
 #
 # Usage: scripts/bench_sql.sh [benchtime]
 #   benchtime defaults to 1x (a smoke run); use e.g. 2s for stable numbers.
@@ -19,7 +20,7 @@ tout=$(go test -run '^$' -bench '^BenchmarkTrain' -benchmem -benchtime "$BENCHTI
 echo "$tout"
 wout=$(go test -run '^$' -bench '^BenchmarkPGWire' -benchmem -benchtime "$BENCHTIME" .)
 echo "$wout"
-pout=$(go test -run '^$' -bench '^BenchmarkSQLPredict' -benchmem -benchtime "$BENCHTIME" .)
+pout=$(go test -run '^$' -bench '^BenchmarkSQL(Predict|Bulk)' -benchmem -benchtime "$BENCHTIME" .)
 echo "$pout"
 lout=$(go test -run '^$' -bench '^BenchmarkLinregrRun' -benchmem -benchtime "$BENCHTIME" .)
 echo "$lout"
@@ -40,7 +41,7 @@ printf '%s\n%s\n%s\n%s\n%s\n' "$out" "$tout" "$wout" "$pout" "$lout" | awk -v be
     printf "  \"results\": {\n"
     n = 0
   }
-  /^BenchmarkSQLSelectAgg\// || /^BenchmarkTrain/ || /^BenchmarkPGWire/ || /^BenchmarkSQLPredict/ || /^BenchmarkLinregrRun/ {
+  /^BenchmarkSQLSelectAgg\// || /^BenchmarkTrain/ || /^BenchmarkPGWire/ || /^BenchmarkSQL(Predict|Bulk)/ || /^BenchmarkLinregrRun/ {
     name = $1
     sub(/^BenchmarkSQLSelectAgg\//, "", name)
     sub(/^Benchmark/, "", name)
