@@ -241,8 +241,15 @@ func (db *DB) ForEachBatch(t *Table, fn func(morselIdx int, b ColBatch) error) e
 // ForEachBatchCtx is ForEachBatch with cancellation at morsel
 // boundaries.
 func (db *DB) ForEachBatchCtx(ctx context.Context, t *Table, fn func(morselIdx int, b ColBatch) error) error {
+	defer latchRead(t)()
+	return db.forEachBatchLatched(ctx, t, tableMorselsLatched(t), fn)
+}
+
+// forEachBatchLatched is ForEachBatchCtx over the morsels ms of t, for
+// callers that already hold t's data latch.
+func (db *DB) forEachBatchLatched(ctx context.Context, t *Table, ms []morsel, fn func(morselIdx int, b ColBatch) error) error {
 	db.queries.Add(1)
-	return db.runMorsels(ctx, t, tableMorsels(t), func(i int, m morsel) error {
+	return db.runMorselsLatched(ctx, t, ms, func(i int, m morsel) error {
 		if err := forEachBatchRange(m.seg, m.off, m.n, func(b ColBatch) error { return fn(i, b) }); err != nil {
 			return err
 		}

@@ -180,7 +180,7 @@ type Table struct {
 	totalRows int64 // maintained on insert for O(1) Count
 
 	// dataMu latches segment storage: mutators (Insert, InsertHashed,
-	// Truncate, UpdateInt/UpdateFloat) hold it exclusively for the whole
+	// Truncate, UpdateInt) hold it exclusively for the whole
 	// mutation; scan drivers hold it shared for the whole scan. The REPL
 	// never needed this — one session, one statement at a time — but the
 	// wire server runs many sessions against one shared engine, where an
@@ -188,7 +188,7 @@ type Table struct {
 	dataMu sync.RWMutex
 
 	// version counts data mutations made through the table/engine API
-	// (Insert, InsertHashed, Truncate, UpdateInt, UpdateFloat). Derived
+	// (Insert, InsertHashed, Truncate, UpdateInt). Derived
 	// results (the SQL front-end's cached join materializations) compare
 	// versions to decide whether their input changed. Code that writes
 	// segment storage directly bypasses the counter — such writers own
@@ -447,9 +447,6 @@ func (db *DB) SegmentCount() int { return db.segments }
 // Metrics returns the database's observability registry.
 func (db *DB) Metrics() *metrics.Registry { return db.metrics }
 
-// QueriesExecuted returns the number of engine queries run so far.
-func (db *DB) QueriesExecuted() int64 { return db.queries.Value() }
-
 // RowsScanned returns the total number of rows fed through transition
 // functions so far.
 func (db *DB) RowsScanned() int64 { return db.rowsScanned.Value() }
@@ -624,17 +621,6 @@ func (db *DB) DropTable(name string) error {
 	}
 	delete(db.tables, name)
 	return nil
-}
-
-// DropTempTables drops every temporary table, as a session end would.
-func (db *DB) DropTempTables() {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for name, t := range db.tables {
-		if t.temp {
-			delete(db.tables, name)
-		}
-	}
 }
 
 // TableNames returns the sorted names of all catalog tables; the profile

@@ -671,27 +671,3 @@ func (db *DB) UpdateInt(t *Table, col string, fn func(Row) int64) error {
 	t.version.Add(1) // after the rewrite completes; see Insert
 	return err
 }
-
-// UpdateFloat rewrites a Float column in place.
-func (db *DB) UpdateFloat(t *Table, col string, fn func(Row) float64) error {
-	ci := t.schema.Index(col)
-	if ci < 0 {
-		return fmt.Errorf("%w: %q", ErrNoColumn, col)
-	}
-	if t.schema[ci].Kind != Float {
-		return fmt.Errorf("%w: %q is %s", ErrType, col, t.schema[ci].Kind)
-	}
-	db.queries.Add(1)
-	t.dataMu.Lock()
-	defer t.dataMu.Unlock()
-	err := db.runMorselsLatched(context.Background(), t, tableMorselsLatched(t), func(i int, m morsel) error {
-		end := m.off + m.n
-		for r := m.off; r < end; r++ {
-			m.seg.cols[ci].floats[r] = fn(Row{seg: m.seg, idx: r})
-		}
-		db.rowsScanned.Add(int64(m.n))
-		return nil
-	})
-	t.version.Add(1) // after the rewrite completes; see Insert
-	return err
-}

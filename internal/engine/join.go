@@ -45,9 +45,10 @@ func JoinSchema(left, right *Table, outer bool) (Schema, error) {
 	return schema, nil
 }
 
-// HashJoin performs an inner equi-join of two tables into a new table:
+// HashJoinTemp materializes an equi-join of two tables into a uniquely
+// named temporary table (prefix-based, like CreateTempTable):
 //
-//	CREATE TABLE dst AS
+//	CREATE TEMP TABLE dst AS
 //	SELECT l.*, r.* FROM left l JOIN right r ON l.leftKey = r.rightKey
 //
 // The join keys must be Int or String columns of matching kind. The right
@@ -55,32 +56,21 @@ func JoinSchema(left, right *Table, outer bool) (Schema, error) {
 // every left segment probes, the plan a parallel DBMS picks when the right
 // side is small (dimension tables, group keys — the §4.2.1 "join
 // construct"). Output rows stay on their left row's segment, so the join
-// is local and needs no data movement on the probe side.
+// is local and needs no data movement on the probe side. Right-side
+// column-name collisions are resolved as JoinSchema describes.
 //
-// Column-name collisions are resolved by prefixing right-side columns with
-// the right table's name and an underscore (see JoinSchema).
-func (db *DB) HashJoin(dst string, left *Table, leftKey string, right *Table, rightKey string) (*Table, error) {
-	return db.hashJoin(context.Background(), dst, left, leftKey, right, rightKey, left.temp || right.temp, false)
-}
-
-// HashJoinTemp materializes a hash join into a uniquely named temporary
-// table (prefix-based, like CreateTempTable). With outer set it performs
-// a LEFT OUTER join: left rows without a build-side match are emitted
-// once, their right-side columns padded with zero values and the
-// MatchedCol marker set to false — the null-padding wrapper the SQL
-// front-end's LEFT JOIN lowers onto.
+// With outer set it performs a LEFT OUTER join: left rows without a
+// build-side match are emitted once, their right-side columns padded
+// with zero values and the MatchedCol marker set to false — the
+// null-padding wrapper the SQL front-end's LEFT JOIN lowers onto.
 func (db *DB) HashJoinTemp(prefix string, left *Table, leftKey string, right *Table, rightKey string, outer bool) (*Table, error) {
-	return db.hashJoin(context.Background(), db.nextTempName(prefix), left, leftKey, right, rightKey, true, outer)
+	return db.HashJoinTempCtx(context.Background(), prefix, left, leftKey, right, rightKey, outer)
 }
 
 // HashJoinTempCtx is HashJoinTemp with cancellation during the probe
 // phase (the build side is scanned sequentially and is usually the small
 // table).
 func (db *DB) HashJoinTempCtx(ctx context.Context, prefix string, left *Table, leftKey string, right *Table, rightKey string, outer bool) (*Table, error) {
-	return db.hashJoin(ctx, db.nextTempName(prefix), left, leftKey, right, rightKey, true, outer)
-}
-
-func (db *DB) hashJoin(ctx context.Context, dst string, left *Table, leftKey string, right *Table, rightKey string, temp, outer bool) (*Table, error) {
 	buildStart := time.Now()
 	lk := left.schema.Index(leftKey)
 	if lk < 0 {
@@ -102,7 +92,7 @@ func (db *DB) hashJoin(ctx context.Context, dst string, left *Table, leftKey str
 	if err != nil {
 		return nil, err
 	}
-	out, err := db.createTable(dst, schema, temp)
+	out, err := db.createTable(db.nextTempName(prefix), schema, true)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +177,7 @@ func (db *DB) hashJoin(ctx context.Context, dst string, left *Table, leftKey str
 		return nil
 	})
 	if err != nil {
-		_ = db.DropTable(dst) // don't leak a half-built join table
+		_ = db.DropTable(out.name) // don't leak a half-built join table
 		return nil, err
 	}
 	var total int64

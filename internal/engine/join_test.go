@@ -37,7 +37,7 @@ func buildJoinTables(t *testing.T, db *DB) (*Table, *Table) {
 func TestHashJoinInner(t *testing.T) {
 	db := Open(3)
 	facts, dims := buildJoinTables(t, db)
-	out, err := db.HashJoin("joined", facts, "k", dims, "k")
+	out, err := db.HashJoinTemp("joined", facts, "k", dims, "k", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestHashJoinDropsUnmatched(t *testing.T) {
 	if err := dims.Insert(int64(4)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := db.HashJoin("j", facts, "k", dims, "k")
+	out, err := db.HashJoinTemp("j", facts, "k", dims, "k", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestHashJoinDuplicateBuildKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	out, err := db.HashJoin("j", left, "k", right, "k")
+	out, err := db.HashJoinTemp("j", left, "k", right, "k", false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +113,16 @@ func TestHashJoinErrors(t *testing.T) {
 	db := Open(2)
 	a, _ := db.CreateTable("a", Schema{{Name: "k", Kind: Int}, {Name: "f", Kind: Float}})
 	b, _ := db.CreateTable("b", Schema{{Name: "k", Kind: String}})
-	if _, err := db.HashJoin("x1", a, "zz", b, "k"); !errors.Is(err, ErrNoColumn) {
+	if _, err := db.HashJoinTemp("x1", a, "zz", b, "k", false); !errors.Is(err, ErrNoColumn) {
 		t.Fatalf("want ErrNoColumn, got %v", err)
 	}
-	if _, err := db.HashJoin("x2", a, "k", b, "zz"); !errors.Is(err, ErrNoColumn) {
+	if _, err := db.HashJoinTemp("x2", a, "k", b, "zz", false); !errors.Is(err, ErrNoColumn) {
 		t.Fatalf("want ErrNoColumn, got %v", err)
 	}
-	if _, err := db.HashJoin("x3", a, "k", b, "k"); !errors.Is(err, ErrType) {
+	if _, err := db.HashJoinTemp("x3", a, "k", b, "k", false); !errors.Is(err, ErrType) {
 		t.Fatalf("mismatched key kinds: %v", err)
 	}
-	if _, err := db.HashJoin("x4", a, "f", a, "f"); !errors.Is(err, ErrType) {
+	if _, err := db.HashJoinTemp("x4", a, "f", a, "f", false); !errors.Is(err, ErrType) {
 		t.Fatalf("float keys should fail: %v", err)
 	}
 }
@@ -186,7 +186,7 @@ func TestJoinSchemaMatchesHashJoin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := db.HashJoin("joined2", facts, "k", dims, "k")
+	out, err := db.HashJoinTemp("joined2", facts, "k", dims, "k", false)
 	if err != nil {
 		t.Fatal(err)
 	}

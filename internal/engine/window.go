@@ -29,12 +29,6 @@ type WindowSpec struct {
 // Partitions are processed in parallel; within a partition the fold is
 // strictly sequential in the specified order.
 func (db *DB) RunWindow(t *Table, spec WindowSpec, init func() any, step func(state any, row Row) (any, any)) (map[string][]any, error) {
-	return db.RunWindowCtx(context.Background(), t, spec, init, step)
-}
-
-// RunWindowCtx is RunWindow with cancellation checked at segment
-// boundaries during the partition gather.
-func (db *DB) RunWindowCtx(ctx context.Context, t *Table, spec WindowSpec, init func() any, step func(state any, row Row) (any, any)) (map[string][]any, error) {
 	if spec.OrderBy == nil {
 		return nil, fmt.Errorf("engine: RunWindow requires OrderBy")
 	}
@@ -46,9 +40,6 @@ func (db *DB) RunWindowCtx(ctx context.Context, t *Table, spec WindowSpec, init 
 	// reference (segment, index) positions.
 	parts := map[string][]Row{}
 	for _, seg := range t.segs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
 		for r := 0; r < seg.n; r++ {
 			row := Row{seg: seg, idx: r}
 			key := ""
@@ -59,18 +50,35 @@ func (db *DB) RunWindowCtx(ctx context.Context, t *Table, spec WindowSpec, init 
 		}
 		db.rowsScanned.Add(int64(seg.n))
 	}
-	return db.RunWindowGathered(parts, spec.OrderBy, init, step)
+	return db.foldWindow(parts, spec.OrderBy, init, step), nil
 }
 
-// RunWindowGathered is RunWindow for callers that gathered the
-// partitions themselves — e.g. a vectorized scan that batched the
-// partition-key evaluation. Each partition's values come back in its
-// rows' sorted order; ties keep the order rows appear in the input
-// slice, so gatherers must append rows in a deterministic order.
-func (db *DB) RunWindowGathered(parts map[string][]Row, orderBy func(a, b Row) bool, init func() any, step func(state any, row Row) (any, any)) (map[string][]any, error) {
-	if orderBy == nil {
-		return nil, fmt.Errorf("engine: RunWindowGathered requires an order")
+// RunWindowBatched is RunWindow for a caller that gathers the partitions
+// from t's column batches itself (a vectorized evaluation of the
+// partition and order keys). gather is handed the number of morsels and
+// a scan that calls fn on every batch exactly as ForEachBatchCtx does,
+// with cancellation at morsel boundaries; it returns the partitions,
+// whose rows it must append in a deterministic order (ORDER BY ties keep
+// it). The gather and the fold run under one shared latch on t, so the
+// Row handles gathered stay valid until the last step.
+func (db *DB) RunWindowBatched(ctx context.Context, t *Table,
+	gather func(morsels int, scan func(fn func(morselIdx int, b ColBatch) error) error) (map[string][]Row, error),
+	orderBy func(a, b Row) bool, init func() any, step func(state any, row Row) (any, any)) (map[string][]any, error) {
+	defer latchRead(t)()
+	ms := tableMorselsLatched(t)
+	parts, err := gather(len(ms), func(fn func(int, ColBatch) error) error {
+		return db.forEachBatchLatched(ctx, t, ms, fn)
+	})
+	if err != nil {
+		return nil, err
 	}
+	return db.foldWindow(parts, orderBy, init, step), nil
+}
+
+// foldWindow sorts and folds every partition, in parallel across
+// partitions. Each partition's values come back in its rows' sorted
+// order; ties keep the order rows appear in the input slice.
+func (db *DB) foldWindow(parts map[string][]Row, orderBy func(a, b Row) bool, init func() any, step func(state any, row Row) (any, any)) map[string][]any {
 	out := make(map[string][]any, len(parts))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -97,5 +105,5 @@ func (db *DB) RunWindowGathered(parts map[string][]Row, orderBy func(a, b Row) b
 		}(key, rows)
 	}
 	wg.Wait()
-	return out, nil
+	return out
 }

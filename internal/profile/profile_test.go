@@ -133,11 +133,12 @@ func TestProfileQueryCount(t *testing.T) {
 	// directly (the macro-programming contract).
 	db := engine.Open(2)
 	buildMixedTable(t, db)
-	before := db.QueriesExecuted()
+	queries := db.Metrics().Counter("engine_queries")
+	before := queries.Value()
 	if _, err := Run(db, "mixed"); err != nil {
 		t.Fatal(err)
 	}
-	if got := db.QueriesExecuted() - before; got < 5 {
+	if got := queries.Value() - before; got < 5 {
 		t.Fatalf("profile issued only %d queries", got)
 	}
 }

@@ -351,7 +351,11 @@ func (e *Unary) String() string {
 	if e.Op == "NOT" {
 		return "NOT " + e.X.String()
 	}
-	return e.Op + e.X.String()
+	x := e.X.String()
+	if strings.HasPrefix(x, "-") {
+		x = "(" + x + ")" // "--" would start a comment
+	}
+	return e.Op + x
 }
 
 // Binary is a binary operation: arithmetic (+ - * / %), comparison

@@ -24,7 +24,7 @@ import (
 // kernels must agree on: zeros (division), negative zero and negatives
 // (float compare/keying), int64 extremes (overflow wraparound), repeated
 // group keys, and a Vector column that forces row-lane fallback.
-func newDiffDB(t *testing.T, rows int) *engine.DB {
+func newDiffDB(t testing.TB, rows int) *engine.DB {
 	t.Helper()
 	db := engine.Open(3)
 	tbl, err := db.CreateTable("d", engine.Schema{

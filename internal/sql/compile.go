@@ -19,13 +19,28 @@ import (
 // goroutine concurrently.
 
 // execEnv carries the per-execution bindings of a plan: the $n parameter
-// values supplied by EXECUTE, and the context governing this execution
+// values supplied by EXECUTE, the context governing this execution
 // (cancellation / statement timeout — checked by the engine's scan
-// drivers at morsel boundaries). It is read-only during a query. A nil
-// env is valid and means "no parameters bound, background context".
+// drivers at morsel boundaries) and, for an output stage, the slot
+// values its expressions read (compileCtx.slotNames/slotCalls). It is
+// read-only during a query, except that an output stage owns the slots
+// of the copy withSlots made for it. A nil env is valid and means "no
+// parameters bound, background context".
 type execEnv struct {
 	params []any
 	ctx    context.Context
+	slots  []any
+}
+
+// withSlots returns a copy of env carrying a fresh slot vector of n
+// values: one per output-stage evaluator, so concurrent evaluators (the
+// window fold's partitions) never share one.
+func (env *execEnv) withSlots(n int) *execEnv {
+	out := &execEnv{slots: make([]any, n)}
+	if env != nil {
+		out.params, out.ctx = env.params, env.ctx
+	}
+	return out
 }
 
 func (env *execEnv) param(idx int) (any, error) {
@@ -41,15 +56,6 @@ func (env *execEnv) context() context.Context {
 		return context.Background()
 	}
 	return env.ctx
-}
-
-// paramList returns the bound parameter values (nil-safe), for handing to
-// the interpreter's evalCtx.
-func (env *execEnv) paramList() []any {
-	if env == nil {
-		return nil
-	}
-	return env.params
 }
 
 // compilePredicate compiles a WHERE clause, requiring a boolean result.
@@ -86,9 +92,9 @@ func compilePredicate(where Expr, cc *compileCtx) (boolFn, error) {
 }
 
 // ckind is a compiled expression's static result type. ckAny marks nodes
-// whose type is only known at run time (anything touching a $n parameter);
-// those evaluate boxed, and typed parents containing them degrade to boxed
-// evaluation too.
+// whose type is only known at run time ($n parameters, NULL-padded
+// columns, output-stage slots); those evaluate boxed, and typed parents
+// containing them degrade to boxed evaluation too.
 type ckind int
 
 const (
@@ -265,15 +271,43 @@ type compileCtx struct {
 	// resolution and accumulates the resulting model dependencies; a nil
 	// src (TVF staging columns, INSERT values) rejects predict.
 	src *planSource
+	// slotNames and slotCalls bind an output stage's inputs to positions
+	// in env.slots: names (GROUP BY keys, then output aliases) and
+	// aggregate or window calls. A name resolves to its slot before the
+	// schema is consulted. Slot reads are boxed (ckAny), so a NULL slot
+	// takes the same helpers as any dynamic value.
+	slotNames map[string]int
+	slotCalls map[*FuncCall]int
+	// unbound is the error format for a column reference that neither a
+	// slot nor the schema binds; empty means engine.ErrNoColumn.
+	unbound string
 }
 
 func newCompileCtx(schema engine.Schema) *compileCtx {
 	return &compileCtx{schema: schema, colIdx: colIndexMap(schema), matchedIdx: -1}
 }
 
-// compileExpr lowers e against the schema. Aggregate calls are rejected —
-// callers strip them into slots first (the aggregate-output stage stays
-// interpreted; it runs once per group, not once per row).
+// constCompileCtx is the context of column-free expressions: FROM-less
+// SELECT items, INSERT values and constant folds.
+func constCompileCtx() *compileCtx {
+	cc := newCompileCtx(nil)
+	cc.unbound = "column reference %q is not allowed here"
+	return cc
+}
+
+// evalConst compiles a column-free expression and evaluates it once,
+// with no row and no parameters bound.
+func evalConst(e Expr) (any, error) {
+	c, err := compileExpr(e, constCompileCtx())
+	if err != nil {
+		return nil, err
+	}
+	return c.a(engine.Row{}, nil)
+}
+
+// compileExpr lowers e against the schema. Aggregate and window calls
+// compile only where the context binds them to slots (an output stage);
+// elsewhere they are rejected.
 func compileExpr(e Expr, cc *compileCtx) (*compiled, error) {
 	switch x := e.(type) {
 	case *Literal:
@@ -292,9 +326,16 @@ func compileExpr(e Expr, cc *compileCtx) (*compiled, error) {
 	case *Binary:
 		return compileBinary(x, cc)
 	case *FuncCall:
+		if i, ok := cc.slotCalls[x]; ok {
+			return compileSlot(i), nil
+		}
 		return compileFuncCall(x, cc)
 	}
 	return nil, execErrf("cannot compile %T", e)
+}
+
+func compileSlot(i int) *compiled {
+	return cAny(func(_ engine.Row, env *execEnv) (any, error) { return env.slots[i], nil })
 }
 
 func compileLiteral(x *Literal) *compiled {
@@ -355,8 +396,14 @@ func compileArrayLit(x *ArrayLit, cc *compileCtx) (*compiled, error) {
 }
 
 func compileColumnRef(x *ColumnRef, cc *compileCtx) (*compiled, error) {
+	if i, ok := cc.slotNames[x.Name]; ok {
+		return compileSlot(i), nil
+	}
 	ci, ok := cc.colIdx[x.Name]
 	if !ok {
+		if cc.unbound != "" {
+			return nil, execErrf(cc.unbound, x.Name)
+		}
 		return nil, fmt.Errorf("%w: %q", engine.ErrNoColumn, x.Name)
 	}
 	if cc.nullable != nil && cc.nullable[ci] {
@@ -544,8 +591,8 @@ func compileArith(op string, l, r *compiled) (*compiled, error) {
 		}), nil
 	}
 	// Integer arithmetic stays integral, with the same checked division
-	// the interpreter applies (division by zero is a clean SQL error; Go
-	// itself defines MinInt64 / -1 to wrap, so no overflow panic exists).
+	// evalArith applies (division by zero is a clean SQL error; Go itself
+	// defines MinInt64 / -1 to wrap, so no overflow panic exists).
 	if l.kind == ckInt && r.kind == ckInt {
 		lf, rf := l.i, r.i
 		switch op {
@@ -751,7 +798,7 @@ func compileCompare(op string, l, r *compiled) (*compiled, error) {
 	}
 	// Static type mismatch (text vs numeric, etc.) is a plan-time error;
 	// everything else — bools, vectors, dynamic operands — goes through
-	// the interpreter's comparison for identical semantics.
+	// compareValues.
 	if l.kind != ckAny && r.kind != ckAny && l.kind != r.kind &&
 		!(l.isNumeric() && r.isNumeric()) {
 		return nil, execErrf("cannot compare %s with %s", l.kind, r.kind)
@@ -856,6 +903,9 @@ func compileFuncCall(x *FuncCall, cc *compileCtx) (*compiled, error) {
 		// Model scoring: resolved against the catalog at plan time, so it
 		// compiles before the generic argument lowering (the model name
 		// literal is consumed by resolution, not evaluated per row).
+		if cc.schema == nil {
+			return nil, execErrf("madlib.predict requires a FROM clause (models are resolved when compiling a table scan)")
+		}
 		return compilePredictRow(x, cc)
 	}
 	args := make([]*compiled, len(x.Args))
@@ -907,6 +957,9 @@ func compileFuncCall(x *FuncCall, cc *compileCtx) (*compiled, error) {
 		if err := need(1); err != nil {
 			return nil, err
 		}
+		if args[0].kind == ckAny {
+			break
+		}
 		fn, err := numArg(0)
 		if err != nil {
 			return nil, err
@@ -931,6 +984,9 @@ func compileFuncCall(x *FuncCall, cc *compileCtx) (*compiled, error) {
 	case "pow", "power":
 		if err := need(2); err != nil {
 			return nil, err
+		}
+		if args[0].kind == ckAny || args[1].kind == ckAny {
+			break
 		}
 		af, err := numArg(0)
 		if err != nil {
@@ -994,8 +1050,9 @@ func compileFuncCall(x *FuncCall, cc *compileCtx) (*compiled, error) {
 	default:
 		return nil, execErrf("unknown function %s(...)", x.Name)
 	}
-	// Generic fallback: evaluate boxed arguments and dispatch through the
-	// interpreter's scalar-function table, so both paths share semantics.
+	// Generic fallback for arguments typed only at run time (a NULL, a
+	// parameter, an output-stage slot): evaluate them boxed and dispatch
+	// through the scalar-function table.
 	argFns := make([]anyFn, len(args))
 	for i, a := range args {
 		argFns[i] = a.a

@@ -52,6 +52,43 @@ func evalOn(t *testing.T, schema engine.Schema, vals []any, expr string, env *ex
 	return out, evalErr
 }
 
+// typedFastPathCases are expressions over the schema of
+// TestCompileTypedFastPaths with their static kinds and values; they also
+// seed FuzzExprLanes.
+var typedFastPathCases = []struct {
+	expr string
+	kind ckind
+	want any
+}{
+	{"f", ckFloat, 2.5},
+	{"i", ckInt, int64(7)},
+	{"s", ckStr, "hi"},
+	{"b", ckBool, true},
+	{"f * 2 + 1", ckFloat, 6.0},
+	{"i * 2 + 1", ckInt, int64(15)},
+	{"i + f", ckFloat, 9.5},
+	{"i / 2", ckInt, int64(3)},
+	{"i % 4", ckInt, int64(3)},
+	{"-f", ckFloat, -2.5},
+	{"-i", ckInt, int64(-7)},
+	{"f > 2", ckBool, true},
+	{"i <= 6", ckBool, false},
+	{"s = 'hi'", ckBool, true},
+	{"s < 'ha'", ckBool, false},
+	{"b AND f > 0", ckBool, true},
+	{"NOT b", ckBool, false},
+	{"f > 100 OR i = 7", ckBool, true},
+	{"abs(-3)", ckInt, int64(3)},
+	{"abs(f - 10)", ckFloat, 7.5},
+	{"sqrt(f + 6.5)", ckFloat, 3.0},
+	{"pow(i, 2)", ckFloat, 49.0},
+	{"length(s)", ckInt, int64(2)},
+	{"array_length(v)", ckInt, int64(3)},
+	{"array_get(v, 2)", ckFloat, 2.0},
+	{"{1, f, i}", ckVec, []float64{1, 2.5, 7}},
+	{"i % 2 = 1 AND f < 3", ckBool, true},
+}
+
 func TestCompileTypedFastPaths(t *testing.T) {
 	schema := engine.Schema{
 		{Name: "f", Kind: engine.Float},
@@ -61,40 +98,7 @@ func TestCompileTypedFastPaths(t *testing.T) {
 		{Name: "v", Kind: engine.Vector},
 	}
 	vals := []any{2.5, int64(7), "hi", true, []float64{1, 2, 3}}
-	cases := []struct {
-		expr string
-		kind ckind
-		want any
-	}{
-		{"f", ckFloat, 2.5},
-		{"i", ckInt, int64(7)},
-		{"s", ckStr, "hi"},
-		{"b", ckBool, true},
-		{"f * 2 + 1", ckFloat, 6.0},
-		{"i * 2 + 1", ckInt, int64(15)},
-		{"i + f", ckFloat, 9.5},
-		{"i / 2", ckInt, int64(3)},
-		{"i % 4", ckInt, int64(3)},
-		{"-f", ckFloat, -2.5},
-		{"-i", ckInt, int64(-7)},
-		{"f > 2", ckBool, true},
-		{"i <= 6", ckBool, false},
-		{"s = 'hi'", ckBool, true},
-		{"s < 'ha'", ckBool, false},
-		{"b AND f > 0", ckBool, true},
-		{"NOT b", ckBool, false},
-		{"f > 100 OR i = 7", ckBool, true},
-		{"abs(-3)", ckInt, int64(3)},
-		{"abs(f - 10)", ckFloat, 7.5},
-		{"sqrt(f + 6.5)", ckFloat, 3.0},
-		{"pow(i, 2)", ckFloat, 49.0},
-		{"length(s)", ckInt, int64(2)},
-		{"array_length(v)", ckInt, int64(3)},
-		{"array_get(v, 2)", ckFloat, 2.0},
-		{"{1, f, i}", ckVec, []float64{1, 2.5, 7}},
-		{"i % 2 = 1 AND f < 3", ckBool, true},
-	}
-	for _, tc := range cases {
+	for _, tc := range typedFastPathCases {
 		c := compileFor(t, schema, tc.expr)
 		if c.kind != tc.kind {
 			t.Errorf("%q: kind = %v, want %v", tc.expr, c.kind, tc.kind)
@@ -124,60 +128,15 @@ func TestCompileTypedFastPaths(t *testing.T) {
 	}
 }
 
-// TestCompileMatchesInterpreter cross-checks the compiled engine against
-// the tree-walking interpreter on the same rows, so the two evaluation
-// paths cannot drift.
-func TestCompileMatchesInterpreter(t *testing.T) {
-	schema := engine.Schema{
-		{Name: "f", Kind: engine.Float},
-		{Name: "i", Kind: engine.Int},
-		{Name: "s", Kind: engine.String},
-	}
-	vals := []any{-1.25, int64(-3), "x"}
-	exprs := []string{
-		"f + i", "f - i * 2", "f / 0.5", "i % 2", "abs(i)", "abs(f)",
-		"floor(f)", "ceil(f)", "exp(0)", "f < i", "f <> i", "s >= 'w'",
-		"-f + -i", "NOT (f > i)", "(f + 1) * (i - 1)",
-	}
-	idx := colIndexMap(schema)
-	for _, e := range exprs {
-		got, gotErr := evalOn(t, schema, vals, e, nil)
-		st, err := ParseStatement("SELECT " + e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		expr := st.(*Select).Items[0].Expr
-		db := engine.Open(1)
-		tbl, _ := db.CreateTable("x", schema)
-		if err := tbl.Insert(vals...); err != nil {
-			t.Fatal(err)
-		}
-		var want any
-		var wantErr error
-		_ = db.ForEachSegment(tbl, func(_ int, row engine.Row) error {
-			want, wantErr = evalExpr(expr, &evalCtx{schema: schema, colIdx: idx, row: &row})
-			return nil
-		})
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("%q: compiled err %v, interpreted err %v", e, gotErr, wantErr)
-			continue
-		}
-		if got != want {
-			t.Errorf("%q: compiled %#v, interpreted %#v", e, got, want)
-		}
-	}
-}
-
 // TestArithEdgeCases pins down the integer/float arithmetic edge cases:
 // division by zero and modulo by zero must be clean SQL errors (never
-// panics) through both the constant interpreter and the compiled per-row
-// path.
+// panics) through both FROM-less and per-row evaluation.
 func TestArithEdgeCases(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, `CREATE TABLE az (i bigint, f float);
 		INSERT INTO az VALUES (0, 0), (2, 0.5)`)
 	for _, q := range []string{
-		// Constant folding path.
+		// FROM-less path.
 		`SELECT 1 / 0`,
 		`SELECT 1 % 0`,
 		`SELECT 1.5 / 0`,

@@ -38,10 +38,13 @@
 // (also ones not in the SELECT list) and GROUP BY columns; without
 // GROUP BY it treats the whole table as one group.
 //
+// A multi-row INSERT is all or nothing: every row is evaluated and
+// coerced before the first is stored.
+//
 // # Joins
 //
 // One two-table equi-join per SELECT, executed as a broadcast hash join
-// (engine.HashJoin): the right side is hashed once into typed (unboxed)
+// (engine.HashJoinTemp): the right side is hashed once into typed (unboxed)
 // key maps, left segments probe in parallel batch-at-a-time over their
 // key lanes, and matches materialize column-wise; output rows stay on
 // their probe row's segment. The ON condition must be an equality of
@@ -83,7 +86,8 @@
 //	sum(x)       OVER (...)            -- running sum
 //	avg(x)       OVER (...)            -- running average
 //
-// Windows lower onto engine.RunWindow (§3.1.2 stateful iteration):
+// Windows lower onto engine.RunWindowBatched (§3.1.2 stateful
+// iteration), which gathers and folds under one read latch on the input:
 // partitions fold in parallel, rows within a partition fold
 // sequentially in ORDER BY order carrying state. Running aggregates use
 // ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW framing (ORDER BY
@@ -138,7 +142,20 @@
 //
 // # Execution lanes
 //
-// The executor is compile-once-execute-many. Every FROM-bearing SELECT
+// The executor is compile-once-execute-many, with two expression
+// evaluators: compiled row closures (compile.go) and native batch
+// kernels (compile_batch.go). Every expression compiles once, when its
+// statement is planned: the scan's consumers, and the stages that run
+// after the scan — an aggregate's HAVING, SELECT list and ORDER BY per
+// group, a window's output items and outer ORDER BY per row, FROM-less
+// SELECTs, INSERT values, EXECUTE arguments and constant madlib
+// arguments. An output stage's inputs (finalized aggregate and window
+// values, GROUP BY keys, output aliases) are slots its compile context
+// binds to positions in one per-evaluation value vector, so its type
+// errors surface at plan time like any other expression's: HAVING false
+// AND 'x' fails exactly as the same WHERE clause does.
+//
+// Every FROM-bearing SELECT
 // shape has exactly one executor, and it is batch- and morsel-driven:
 // projection scans and the window gather run on engine.ForEachBatch,
 // aggregates on engine.RunBatched / RunGroupByBatched. What varies is
@@ -236,7 +253,10 @@
 // modes, sequentially and under the worker pool, and require
 // bit-identical rows and error text (division by zero, int64 overflow,
 // NULL handling included) — kernels checked against closures, not one
-// executor against another. Table-valued madlib.* calls are driver
+// executor against another. FuzzExprLanes does the same for single
+// generated expressions, as projections and predicates over a table and
+// its LEFT JOIN-padded twin, with the FROM-less path as a third
+// evaluation of column-free ones. Table-valued madlib.* calls are driver
 // functions and keep their own staging scan.
 //
 // Each Session keeps an LRU plan cache keyed by statement text:
@@ -296,9 +316,10 @@
 //
 // What still boxes, and why: ORDER BY and DISTINCT compare boxed values
 // (columnar sort keys are future work), the window fold and the
-// per-group output stage evaluate on the interpreter, and a statement's
-// result is held whole until its gather ends (no in-scan streaming, no
-// per-statement memory accounting yet).
+// per-group output stage read their slots boxed (once per row or group,
+// through compiled closures), and a statement's result is held whole
+// until its gather ends (no in-scan streaming, no per-statement memory
+// accounting yet).
 //
 // # Types
 //

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -334,15 +335,13 @@ func (s *Session) execDrop(st *DropTable) (*RowSet, error) {
 	return &RowSet{Tag: "DROP TABLE"}, nil
 }
 
-// insertPlan is a planned INSERT: the column order mapping is resolved
-// once; row expressions evaluate per execution (they may hold $n
-// parameters).
+// insertPlan is a planned INSERT: the column order is resolved and every
+// value compiled once, in schema order; the values evaluate per
+// execution (they may hold $n parameters).
 type insertPlan struct {
 	name  string
 	table *engine.Table
-	rows  [][]Expr
-	// order maps schema index -> position in each row tuple.
-	order []int
+	rows  [][]anyFn
 }
 
 func (s *Session) planInsert(st *Insert) (stmtPlan, error) {
@@ -357,9 +356,6 @@ func (s *Session) planInsert(st *Insert) (stmtPlan, error) {
 	if len(st.Columns) == 0 {
 		for i := range schema {
 			order[i] = i
-		}
-		if len(st.Rows) > 0 && len(st.Rows[0]) != len(schema) {
-			return nil, fmt.Errorf("%w: got %d values for %d columns", engine.ErrArity, len(st.Rows[0]), len(schema))
 		}
 	} else {
 		if len(st.Columns) != len(schema) {
@@ -379,7 +375,22 @@ func (s *Session) planInsert(st *Insert) (stmtPlan, error) {
 			order[ci] = pos
 		}
 	}
-	return &insertPlan{name: st.Table, table: t, rows: st.Rows, order: order}, nil
+	p := &insertPlan{name: st.Table, table: t, rows: make([][]anyFn, len(st.Rows))}
+	cc := constCompileCtx()
+	for r, row := range st.Rows {
+		if len(row) != len(schema) {
+			return nil, fmt.Errorf("%w: got %d values for %d columns", engine.ErrArity, len(row), len(schema))
+		}
+		p.rows[r] = make([]anyFn, len(schema))
+		for ci := range schema {
+			c, err := compileExpr(row[order[ci]], cc)
+			if err != nil {
+				return nil, err
+			}
+			p.rows[r][ci] = c.a
+		}
+	}
+	return p, nil
 }
 
 func (p *insertPlan) valid(db *engine.DB) bool {
@@ -393,32 +404,29 @@ func (p *insertPlan) columns() []string { return nil }
 
 func (p *insertPlan) kinds() []ckind { return nil }
 
+// exec evaluates and coerces every row before the first Insert, so a row
+// that fails leaves the table as it was.
 func (p *insertPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	schema := p.table.Schema()
-	ctx := &evalCtx{params: env.paramList()}
-	n := 0
-	for _, row := range p.rows {
-		if len(row) != len(schema) {
-			return nil, fmt.Errorf("%w: got %d values for %d columns", engine.ErrArity, len(row), len(schema))
-		}
-		vals := make([]any, len(schema))
-		for ci := range schema {
-			v, err := evalExpr(row[p.order[ci]], ctx)
+	vals := make([][]any, len(p.rows))
+	for r, row := range p.rows {
+		vals[r] = make([]any, len(schema))
+		for ci, fn := range row {
+			v, err := fn(engine.Row{}, env)
 			if err != nil {
 				return nil, err
 			}
-			cv, err := coerceValue(v, schema[ci].Kind)
-			if err != nil {
+			if vals[r][ci], err = coerceValue(v, schema[ci].Kind); err != nil {
 				return nil, fmt.Errorf("sql: column %q: %w", schema[ci].Name, err)
 			}
-			vals[ci] = cv
 		}
-		if err := p.table.Insert(vals...); err != nil {
+	}
+	for _, row := range vals {
+		if err := p.table.Insert(row...); err != nil {
 			return nil, err
 		}
-		n++
 	}
-	return &RowSet{Tag: fmt.Sprintf("INSERT 0 %d", n)}, nil
+	return &RowSet{Tag: fmt.Sprintf("INSERT 0 %d", len(vals))}, nil
 }
 
 // coerceValue converts an evaluated literal to the column kind, applying
@@ -552,14 +560,22 @@ func (s *Session) planSelect(st *Select) (stmtPlan, error) {
 
 // constPlan evaluates a FROM-less SELECT (e.g. SELECT 1+2, SELECT $1+$2).
 type constPlan struct {
-	st *Select
+	cols  []string
+	types []ckind
+	items []anyFn
+	// keys are the ORDER BY keys: over one row they only need checking,
+	// so exec evaluates them for their errors alone.
+	keys  []sortKey
+	limit int64
 }
 
 func planConstSelect(st *Select) (stmtPlan, error) {
 	if st.Where != nil || len(st.GroupBy) > 0 || st.Having != nil {
 		return nil, execErrf("WHERE/GROUP BY/HAVING require a FROM clause")
 	}
-	for _, item := range st.Items {
+	p := &constPlan{items: make([]anyFn, len(st.Items)), types: itemKinds(st.Items, nil), limit: st.Limit}
+	cc := constCompileCtx()
+	for i, item := range st.Items {
 		if item.Star {
 			return nil, execErrf("SELECT * requires a FROM clause")
 		}
@@ -569,58 +585,112 @@ func planConstSelect(st *Select) (stmtPlan, error) {
 		if exprHasWindow(item.Expr) {
 			return nil, execErrf("window functions require a FROM clause")
 		}
-	}
-	for _, key := range st.OrderBy {
-		if _, _, err := ordinal(key.Expr, len(st.Items)); err != nil {
+		c, err := compileExpr(item.Expr, cc)
+		if err != nil {
 			return nil, err
 		}
+		p.items[i] = c.a
+		p.cols = append(p.cols, outputName(item))
 	}
-	return &constPlan{st: st}, nil
+	var err error
+	p.keys, err = compileSortKeys(st.OrderBy, len(st.Items), outputCompileCtx(nil, p.cols, 0))
+	return p, err
 }
 
 func (p *constPlan) valid(*engine.DB) bool { return true }
 
 func (p *constPlan) release(*engine.DB) {}
 
-func (p *constPlan) columns() []string {
-	cols := make([]string, len(p.st.Items))
-	for i, item := range p.st.Items {
-		cols[i] = outputName(item)
-	}
-	return cols
-}
+func (p *constPlan) columns() []string { return p.cols }
 
-func (p *constPlan) kinds() []ckind { return itemKinds(p.st.Items, nil) }
+func (p *constPlan) kinds() []ckind { return p.types }
 
 func (p *constPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
-	st := p.st
-	cols := make([]string, len(st.Items))
-	row := make([]any, len(st.Items))
-	ctx := &evalCtx{params: env.paramList()}
-	for i, item := range st.Items {
-		v, err := evalExpr(item.Expr, ctx)
+	env = env.withSlots(len(p.items))
+	row := env.slots
+	for i, fn := range p.items {
+		v, err := fn(engine.Row{}, env)
 		if err != nil {
 			return nil, err
 		}
 		row[i] = v
-		cols[i] = outputName(item)
 	}
-	// ORDER BY over one row only needs validation; LIMIT still applies.
-	for _, key := range st.OrderBy {
-		if _, isOrd, err := ordinal(key.Expr, len(cols)); err != nil {
+	if _, err := evalSortKeys(p.keys, engine.Row{}, row, env); err != nil {
+		return nil, err
+	}
+	return finishSelect(s.db, p.cols, p.types, [][]any{row}, nil, false, nil, p.limit)
+}
+
+// sortKey is one compiled ORDER BY key of an output stage: the output
+// column ord, or the expression fn when it is set.
+type sortKey struct {
+	ord int
+	fn  anyFn
+}
+
+// compileSortKeys compiles the ORDER BY keys of an output stage with n
+// output columns: an ordinal selects its column, any other key compiles
+// against cc.
+func compileSortKeys(keys []OrderKey, n int, cc *compileCtx) ([]sortKey, error) {
+	out := make([]sortKey, len(keys))
+	for k, key := range keys {
+		ord, isOrd, err := ordinal(key.Expr, n)
+		if err != nil {
 			return nil, err
-		} else if !isOrd {
-			outCols := map[string]int{}
-			for i, n := range cols {
-				outCols[n] = i
-			}
-			kctx := &evalCtx{outCols: outCols, outVals: row, params: env.paramList()}
-			if _, err := evalExpr(key.Expr, kctx); err != nil {
-				return nil, err
-			}
 		}
+		if isOrd {
+			out[k].ord = ord
+			continue
+		}
+		c, err := compileExpr(key.Expr, cc)
+		if err != nil {
+			return nil, err
+		}
+		out[k].fn = c.a
 	}
-	return finishSelect(s.db, cols, p.kinds(), [][]any{row}, nil, false, nil, st.Limit)
+	return out, nil
+}
+
+// evalSortKeys evaluates one output row's ORDER BY keys (nil when there
+// are none); r and env are the row and slots the expression keys read.
+func evalSortKeys(keys []sortKey, r engine.Row, row []any, env *execEnv) ([]any, error) {
+	if len(keys) == 0 {
+		return nil, nil
+	}
+	out := make([]any, len(keys))
+	for k, key := range keys {
+		if key.fn == nil {
+			out[k] = row[key.ord]
+			continue
+		}
+		v, err := key.fn(r, env)
+		if err != nil {
+			return nil, err
+		}
+		out[k] = v
+	}
+	return out, nil
+}
+
+// outputCompileCtx derives the compile context of an output stage from
+// base: names label the output columns held in the slots from offset on,
+// behind the names base already binds. A nil base has no input row, and
+// a name nothing binds does not exist in the result.
+func outputCompileCtx(base *compileCtx, names []string, offset int) *compileCtx {
+	cc := &compileCtx{matchedIdx: -1, unbound: "column %q does not exist in the result"}
+	if base != nil {
+		cp := *base
+		cc = &cp
+	}
+	bound := make(map[string]int, len(names)+len(cc.slotNames))
+	for i, n := range names {
+		bound[n] = offset + i
+	}
+	for n, i := range cc.slotNames {
+		bound[n] = i
+	}
+	cc.slotNames = bound
+	return cc
 }
 
 // finishSelect is the tail of every SELECT shape that boxes its rows
@@ -819,7 +889,8 @@ func (p *scanPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 		return nil, err
 	}
 	defer cleanup()
-	chunks, err := gatherBatches(s, env, input, p.prog, p.pred, p.emitChunk)
+	scan := func(fn func(int, engine.ColBatch) error) error { return s.db.ForEachBatchCtx(env.context(), input, fn) }
+	chunks, err := gatherBatches(env, s.db.ScanMorsels(input), scan, p.prog, p.pred, p.emitChunk)
 	if err != nil {
 		return nil, err
 	}
@@ -1002,20 +1073,24 @@ func ordinal(e Expr, n int) (idx int, isOrdinal bool, err error) {
 // aggregate call — is the lane, run by execBatch through the engine's
 // batched drivers; each consumer in it is a native batch kernel or its
 // row-closure fallback (lowering). The per-group output stage (HAVING,
-// the SELECT list, ORDER BY keys) stays on the interpreter.
+// the SELECT list, ORDER BY keys) is compiled over one slot vector per
+// group: the finalized aggregate values, then the GROUP BY key values,
+// then the output items, which ORDER BY keys may name by alias.
 type aggPlan struct {
 	src      *planSource
 	st       *Select
 	groupIdx []int
 	calls    []*FuncCall // aggregate calls, parallel to lane.specs
-	slotOf   map[*FuncCall]int
 	outNames []string
-	outCols  map[string]int
 	desc     []bool
 	// outKinds are the output columns' static kinds (CREATE TABLE AS over
 	// an empty result, RowDescription).
 	outKinds []ckind
 	lane     *batchAggLane
+
+	having boolFn // nil without HAVING
+	items  []anyFn
+	keys   []sortKey
 }
 
 func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
@@ -1034,41 +1109,27 @@ func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		}
 		p.groupIdx[i] = ci
 	}
-	grouped := map[string]bool{}
-	for _, name := range st.GroupBy {
-		grouped[name] = true
-	}
-	// Collect aggregate calls across SELECT list and ORDER BY into slots.
-	p.slotOf = map[*FuncCall]int{}
+	// Collect aggregate calls across SELECT list, HAVING and ORDER BY into
+	// slots.
+	slotOf := map[*FuncCall]int{}
 	var specs []*batchAggSpec
 	addSlots := func(e Expr) error {
 		if exprHasNestedAgg(e) {
 			return execErrf("aggregate calls cannot be nested")
 		}
 		for _, call := range collectAggCalls(e) {
-			if _, done := p.slotOf[call]; done {
+			if _, done := slotOf[call]; done {
 				continue
 			}
 			spec, err := lw.aggregate(call)
 			if err != nil {
 				return err
 			}
-			p.slotOf[call] = len(specs)
+			slotOf[call] = len(specs)
 			specs = append(specs, spec)
 			p.calls = append(p.calls, call)
 		}
 		return nil
-	}
-	// groupedColCheck rejects bare column refs outside aggregates that are
-	// not GROUP BY columns (applies to SELECT items and HAVING alike).
-	groupedColCheck := func(e Expr) error {
-		var badCol error
-		walkAgg(e, func(e Expr, inAgg bool) {
-			if cr, ok := e.(*ColumnRef); ok && !inAgg && !grouped[cr.Name] && badCol == nil {
-				badCol = execErrf("column %q must appear in the GROUP BY clause or be used in an aggregate function", cr.Name)
-			}
-		})
-		return badCol
 	}
 	for _, item := range st.Items {
 		if item.Star {
@@ -1077,26 +1138,14 @@ func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		if err := addSlots(item.Expr); err != nil {
 			return nil, err
 		}
-		if err := groupedColCheck(item.Expr); err != nil {
-			return nil, err
-		}
 	}
-	if st.Having != nil {
-		if err := addSlots(st.Having); err != nil {
-			return nil, err
-		}
-		if err := groupedColCheck(st.Having); err != nil {
-			return nil, err
-		}
+	if err := addSlots(st.Having); err != nil {
+		return nil, err
 	}
 	p.outNames = make([]string, len(st.Items))
 	p.outKinds = itemKinds(st.Items, schema)
 	for i, item := range st.Items {
 		p.outNames[i] = outputName(item)
-	}
-	p.outCols = map[string]int{}
-	for i, n := range p.outNames {
-		p.outCols[n] = i
 	}
 	for _, key := range st.OrderBy {
 		_, isOrd, err := ordinal(key.Expr, len(st.Items))
@@ -1119,7 +1168,38 @@ func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	if p.lane, err = planAggLane(st, lw, specs, p.groupIdx); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return p, p.compileOutput(slotOf)
+}
+
+// compileOutput compiles the per-group output stage against the slot
+// layout aggPlan documents.
+func (p *aggPlan) compileOutput(slotOf map[*FuncCall]int) error {
+	st := p.st
+	cc := &compileCtx{matchedIdx: -1, slotCalls: slotOf, slotNames: map[string]int{},
+		unbound: "column %q must appear in the GROUP BY clause or be used in an aggregate function"}
+	for i, name := range st.GroupBy {
+		cc.slotNames[name] = len(p.calls) + i
+	}
+	if st.Having != nil {
+		c, err := compileExpr(st.Having, cc)
+		if err != nil {
+			return err
+		}
+		if p.having, err = c.asBool("HAVING"); err != nil {
+			return err
+		}
+	}
+	p.items = make([]anyFn, len(st.Items))
+	for i, item := range st.Items {
+		c, err := compileExpr(item.Expr, cc)
+		if err != nil {
+			return err
+		}
+		p.items[i] = c.a
+	}
+	var err error
+	p.keys, err = compileSortKeys(st.OrderBy, len(st.Items), outputCompileCtx(cc, p.outNames, len(p.calls)+len(st.GroupBy)))
+	return err
 }
 
 func (p *aggPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
@@ -1129,65 +1209,6 @@ func (p *aggPlan) release(db *engine.DB) { p.src.release(db) }
 func (p *aggPlan) columns() []string { return p.outNames }
 
 func (p *aggPlan) kinds() []ckind { return p.outKinds }
-
-// evalGroup evaluates one group's output row (and ORDER BY keys) from its
-// finalized slot values. This stage runs once per group, so it stays on
-// the interpreter.
-func (p *aggPlan) evalGroup(ms *multiState, env *execEnv) ([]any, []any, error) {
-	st := p.st
-	groupVals := make(map[string]any, len(st.GroupBy))
-	for i, name := range st.GroupBy {
-		groupVals[name] = ms.keyVals[i]
-	}
-	ctx := &evalCtx{slotOf: p.slotOf, slotVals: ms.slots, groupVals: groupVals, params: env.paramList()}
-	row := make([]any, len(st.Items))
-	for i, item := range st.Items {
-		v, err := evalExpr(item.Expr, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		row[i] = v
-	}
-	var keys []any
-	if len(st.OrderBy) > 0 {
-		keys = make([]any, len(st.OrderBy))
-		for k, key := range st.OrderBy {
-			if ord, isOrd, _ := ordinal(key.Expr, len(row)); isOrd {
-				keys[k] = row[ord]
-				continue
-			}
-			kctx := &evalCtx{slotOf: p.slotOf, slotVals: ms.slots, groupVals: groupVals,
-				outCols: p.outCols, outVals: row, params: env.paramList()}
-			v, err := evalExpr(key.Expr, kctx)
-			if err != nil {
-				return nil, nil, err
-			}
-			keys[k] = v
-		}
-	}
-	return row, keys, nil
-}
-
-// evalHaving applies the HAVING predicate to one finalized group.
-func (p *aggPlan) evalHaving(ms *multiState, env *execEnv) (bool, error) {
-	groupVals := make(map[string]any, len(p.st.GroupBy))
-	for i, name := range p.st.GroupBy {
-		groupVals[name] = ms.keyVals[i]
-	}
-	ctx := &evalCtx{slotOf: p.slotOf, slotVals: ms.slots, groupVals: groupVals, params: env.paramList()}
-	v, err := evalExpr(p.st.Having, ctx)
-	if err != nil {
-		return false, err
-	}
-	if v == nil {
-		return false, nil // NULL is not true in predicate position
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, execErrf("argument of HAVING must be boolean, not %s", valueTypeName(v))
-	}
-	return b, nil
-}
 
 func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	st := p.st
@@ -1228,10 +1249,14 @@ func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 		}
 		reorder(states, perm)
 	}
+	nIn := len(p.calls) + len(p.groupIdx)
+	env = env.withSlots(nIn + len(p.items))
 	var rows, keys [][]any
 	for _, ms := range states {
-		if st.Having != nil {
-			keep, err := p.evalHaving(ms, env)
+		copy(env.slots, ms.slots)
+		copy(env.slots[len(p.calls):], ms.keyVals)
+		if p.having != nil {
+			keep, err := p.having(engine.Row{}, env)
 			if err != nil {
 				return nil, err
 			}
@@ -1239,7 +1264,15 @@ func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 				continue
 			}
 		}
-		row, kv, err := p.evalGroup(ms, env)
+		row := make([]any, len(p.items))
+		for i, fn := range p.items {
+			v, err := fn(engine.Row{}, env)
+			if err != nil {
+				return nil, err
+			}
+			row[i], env.slots[nIn+i] = v, v
+		}
+		kv, err := evalSortKeys(p.keys, engine.Row{}, row, env)
 		if err != nil {
 			return nil, err
 		}
@@ -1373,7 +1406,7 @@ type computedStage struct {
 // parameter values are known.
 type deferredArg struct {
 	argIdx int
-	expr   Expr
+	fn     anyFn
 }
 
 // tvPlan is a planned SELECT (madlib.fn(...)).* FROM t [WHERE ...]. A
@@ -1394,6 +1427,12 @@ type tvPlan struct {
 	computed  []computedStage
 	pred      boolFn
 	desc      []bool
+	// keys are the ORDER BY keys. The method's output columns are only
+	// known per execution, so ordinals are range-checked then, and the
+	// column names the expression keys read (keyNames, slot i for name i)
+	// are bound per row.
+	keys     []sortKey
+	keyNames []string
 }
 
 func planTableValued(st *Select, t *engine.Table, call *FuncCall) (stmtPlan, error) {
@@ -1421,7 +1460,7 @@ func planTableValued(st *Select, t *engine.Table, call *FuncCall) (stmtPlan, err
 			p.finalArgs[i] = core.ColumnArg{Name: cr.Name}
 			continue
 		}
-		if v, err := evalExpr(a, &evalCtx{}); err == nil {
+		if v, err := evalConst(a); err == nil {
 			p.finalArgs[i] = v
 			continue
 		}
@@ -1435,7 +1474,11 @@ func planTableValued(st *Select, t *engine.Table, call *FuncCall) (stmtPlan, err
 			if refsColumn {
 				return nil, execErrf("%s argument %d: parameters cannot be combined with column references in madlib function arguments", call.Name, i+1)
 			}
-			p.deferred = append(p.deferred, deferredArg{argIdx: i, expr: a})
+			c, err := compileExpr(a, constCompileCtx())
+			if err != nil {
+				return nil, err
+			}
+			p.deferred = append(p.deferred, deferredArg{argIdx: i, fn: c.a})
 			continue
 		}
 		kind, err := inferKind(a, schema)
@@ -1450,7 +1493,15 @@ func planTableValued(st *Select, t *engine.Table, call *FuncCall) (stmtPlan, err
 		p.computed = append(p.computed, computedStage{argIdx: i, name: name, kind: kind, fn: c.a})
 		p.finalArgs[i] = core.ColumnArg{Name: name}
 	}
-	return p, nil
+	for _, key := range st.OrderBy {
+		walkExpr(key.Expr, func(e Expr) {
+			if cr, ok := e.(*ColumnRef); ok && !slices.Contains(p.keyNames, cr.Name) {
+				p.keyNames = append(p.keyNames, cr.Name)
+			}
+		})
+	}
+	p.keys, err = compileSortKeys(st.OrderBy, math.MaxInt32, outputCompileCtx(nil, p.keyNames, 0))
+	return p, err
 }
 
 func (p *tvPlan) valid(db *engine.DB) bool {
@@ -1537,9 +1588,8 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	args := p.finalArgs
 	if len(p.deferred) > 0 {
 		args = append([]any(nil), p.finalArgs...)
-		ctx := &evalCtx{params: env.paramList()}
 		for _, d := range p.deferred {
-			v, err := evalExpr(d.expr, ctx)
+			v, err := d.fn(engine.Row{}, env)
 			if err != nil {
 				return nil, err
 			}
@@ -1552,32 +1602,31 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	}
 	cols := make([]string, len(outSchema))
 	kinds := make([]ckind, len(outSchema))
-	outCols := map[string]int{}
 	for i, c := range outSchema {
 		cols[i], kinds[i] = c.Name, kindOf(c.Kind)
-		outCols[c.Name] = i
+	}
+	for _, key := range p.keys {
+		if key.fn == nil && key.ord >= len(cols) {
+			return nil, execErrf("ORDER BY position %d is not in select list", key.ord+1)
+		}
 	}
 	var keys [][]any
-	if len(st.OrderBy) > 0 {
-		for _, key := range st.OrderBy {
-			if _, _, err := ordinal(key.Expr, len(cols)); err != nil {
-				return nil, err
-			}
+	if len(p.keys) > 0 {
+		at := make([]int, len(p.keyNames))
+		for i, name := range p.keyNames {
+			at[i] = slices.Index(cols, name)
 		}
+		kenv := env.withSlots(len(p.keyNames))
 		keys = make([][]any, len(rows))
 		for ri, row := range rows {
-			keys[ri] = make([]any, len(st.OrderBy))
-			for k, key := range st.OrderBy {
-				if ord, isOrd, _ := ordinal(key.Expr, len(row)); isOrd {
-					keys[ri][k] = row[ord]
-					continue
+			for i, ci := range at {
+				if ci < 0 {
+					return nil, execErrf("column %q does not exist in the result", p.keyNames[i])
 				}
-				ctx := &evalCtx{outCols: outCols, outVals: row, params: env.paramList()}
-				v, err := evalExpr(key.Expr, ctx)
-				if err != nil {
-					return nil, err
-				}
-				keys[ri][k] = v
+				kenv.slots[i] = row[ci]
+			}
+			if keys[ri], err = evalSortKeys(p.keys, engine.Row{}, row, kenv); err != nil {
+				return nil, err
 			}
 		}
 	}

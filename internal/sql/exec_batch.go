@@ -613,18 +613,21 @@ func (ms *morselScratch) filter(pred bBatchKernel, b engine.ColBatch) (selVec, e
 	return sel, nil
 }
 
+// batchScan runs fn over every batch of a table: parallel across
+// morsels, in row order within one (engine.ForEachBatchCtx's contract).
+type batchScan func(fn func(morselIdx int, b engine.ColBatch) error) error
+
 // gatherBatches is the executor of the row-producing plans (projection
-// scans, the window gather): morsel-parallel over input, one scratch per
-// morsel drawn from prog's pool, every batch filtered through pred and
-// fn called on the surviving selection with the morsel's accumulator. A
-// morsel's batches arrive in row order on one worker, and the
-// accumulators come back in (segment, offset) order: read in sequence
-// they are in table order at any worker count.
-func gatherBatches[T any](s *Session, env *execEnv, input *engine.Table, prog *batchProg, pred bBatchKernel,
+// scans, the window gather): scan hands out the batches of morsels
+// morsels, one scratch per morsel is drawn from prog's pool, every batch
+// is filtered through pred and fn is called on the surviving selection
+// with the morsel's accumulator. A morsel's batches arrive in row order
+// on one worker, and the accumulators come back in (segment, offset)
+// order: read in sequence they are in table order at any worker count.
+func gatherBatches[T any](env *execEnv, morsels int, scan batchScan, prog *batchProg, pred bBatchKernel,
 	fn func(e *batchEval, b engine.ColBatch, sel selVec, acc *T) error) ([]T, error) {
-	n := s.db.ScanMorsels(input)
-	accs := make([]T, n)
-	scratch := make([]*morselScratch, n)
+	accs := make([]T, morsels)
+	scratch := make([]*morselScratch, morsels)
 	defer func() {
 		for _, ms := range scratch {
 			if ms != nil {
@@ -633,7 +636,7 @@ func gatherBatches[T any](s *Session, env *execEnv, input *engine.Table, prog *b
 			}
 		}
 	}()
-	err := s.db.ForEachBatchCtx(env.context(), input, func(mi int, b engine.ColBatch) error {
+	err := scan(func(mi int, b engine.ColBatch) error {
 		ms := scratch[mi]
 		if ms == nil {
 			if ms, _ = prog.pool.Get().(*morselScratch); ms == nil {

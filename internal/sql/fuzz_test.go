@@ -41,6 +41,7 @@ func FuzzParse(f *testing.F) {
 		`CREATE TABLE t2 AS SELECT DISTINCT g, sum(v) s FROM t GROUP BY g HAVING count(*) > 1`,
 		`SELECT sum(v) OVER (), count(*) OVER () FROM t`,
 		`SELECT {1, 2.5}, 'it''s', -1e-3, not true AND false OR 1 <> 2`,
+		`SELECT - -1.5, -(-i), - - -2 FROM t`,
 		`PREPARE p AS INSERT INTO t VALUES ($1, $2); EXECUTE p(1, 2); DEALLOCATE ALL`,
 	} {
 		f.Add(seed)

@@ -23,34 +23,6 @@ func execErrf(format string, args ...any) error {
 	return fmt.Errorf("sql: "+format, args...)
 }
 
-// evalCtx supplies bindings for expression evaluation. All fields are
-// optional: a zero ctx evaluates constant expressions only.
-type evalCtx struct {
-	// schema + row bind column references to a table row. nullable +
-	// matchedIdx (when nullable is non-nil) reconstruct NULLs for the
-	// padded side of a LEFT JOIN.
-	schema     engine.Schema
-	colIdx     map[string]int
-	row        *engine.Row
-	nullable   []bool
-	matchedIdx int
-
-	// slotOf + slotVals bind aggregate calls to their finalized values
-	// (aggregate-query output stage).
-	slotOf   map[*FuncCall]int
-	slotVals []any
-	// groupVals binds column references to GROUP BY key values.
-	groupVals map[string]any
-
-	// outCols + outVals bind column references to output columns
-	// (ORDER BY over a computed result).
-	outCols map[string]int
-	outVals []any
-
-	// params binds $n placeholders to EXECUTE-supplied values.
-	params []any
-}
-
 func colIndexMap(schema engine.Schema) map[string]int {
 	m := make(map[string]int, len(schema))
 	for i, c := range schema {
@@ -74,175 +46,6 @@ func rowValue(schema engine.Schema, row *engine.Row, idx int) any {
 		return row.Bool(idx)
 	}
 	return nil
-}
-
-// evalExpr interprets a scalar expression under ctx. Values are int64,
-// float64, string, bool or []float64.
-func evalExpr(e Expr, ctx *evalCtx) (any, error) {
-	switch x := e.(type) {
-	case *Literal:
-		return x.Val, nil
-	case *Param:
-		if x.Idx < 1 || x.Idx > len(ctx.params) {
-			return nil, execErrf("there is no parameter $%d", x.Idx)
-		}
-		return ctx.params[x.Idx-1], nil
-	case *ArrayLit:
-		out := make([]float64, len(x.Elems))
-		for i, el := range x.Elems {
-			v, err := evalExpr(el, ctx)
-			if err != nil {
-				return nil, err
-			}
-			f, ok := toFloat(v)
-			if !ok {
-				return nil, execErrf("array element %d is not numeric", i+1)
-			}
-			out[i] = f
-		}
-		return out, nil
-	case *ColumnRef:
-		// Bindings are consulted loosest-first: GROUP BY key values, then
-		// output columns (ORDER BY over a computed result — including
-		// aliases of aggregate items), then input rows.
-		if ctx.groupVals != nil {
-			if v, ok := ctx.groupVals[x.Name]; ok {
-				return v, nil
-			}
-		}
-		if ctx.outCols != nil {
-			if i, ok := ctx.outCols[x.Name]; ok {
-				return ctx.outVals[i], nil
-			}
-		}
-		if ctx.row != nil {
-			if i, ok := ctx.colIdx[x.Name]; ok {
-				if ctx.nullable != nil && ctx.nullable[i] && !ctx.row.Bool(ctx.matchedIdx) {
-					return nil, nil
-				}
-				return rowValue(ctx.schema, ctx.row, i), nil
-			}
-			return nil, fmt.Errorf("%w: %q", engine.ErrNoColumn, x.Name)
-		}
-		if ctx.groupVals != nil {
-			return nil, execErrf("column %q must appear in the GROUP BY clause or be used in an aggregate function", x.Name)
-		}
-		if ctx.outCols != nil {
-			return nil, execErrf("column %q does not exist in the result", x.Name)
-		}
-		return nil, execErrf("column reference %q is not allowed here", x.Name)
-	case *Unary:
-		v, err := evalExpr(x.X, ctx)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "-":
-			switch n := v.(type) {
-			case nil:
-				return nil, nil
-			case int64:
-				return -n, nil
-			case float64:
-				return -n, nil
-			}
-			return nil, execErrf("cannot negate %s", valueTypeName(v))
-		case "NOT":
-			if v == nil {
-				return nil, nil // NOT NULL is NULL
-			}
-			b, ok := v.(bool)
-			if !ok {
-				return nil, execErrf("argument of NOT must be boolean, not %s", valueTypeName(v))
-			}
-			return !b, nil
-		}
-		return nil, execErrf("unknown unary operator %q", x.Op)
-	case *Binary:
-		return evalBinary(x, ctx)
-	case *FuncCall:
-		if ctx.slotOf != nil {
-			if i, ok := ctx.slotOf[x]; ok {
-				return ctx.slotVals[i], nil
-			}
-		}
-		return evalScalarFunc(x, ctx)
-	}
-	return nil, execErrf("cannot evaluate %T", e)
-}
-
-func evalBinary(x *Binary, ctx *evalCtx) (any, error) {
-	switch x.Op {
-	case "AND", "OR":
-		l, err := evalExpr(x.L, ctx)
-		if err != nil {
-			return nil, err
-		}
-		lb, ok := l.(bool)
-		if !ok {
-			if l != nil {
-				return nil, execErrf("argument of %s must be boolean, not %s", x.Op, valueTypeName(l))
-			}
-			// NULL is not true in predicate position.
-		}
-		// Short-circuit.
-		if x.Op == "AND" && !lb {
-			return false, nil
-		}
-		if x.Op == "OR" && lb {
-			return true, nil
-		}
-		r, err := evalExpr(x.R, ctx)
-		if err != nil {
-			return nil, err
-		}
-		rb, ok := r.(bool)
-		if !ok {
-			if r != nil {
-				return nil, execErrf("argument of %s must be boolean, not %s", x.Op, valueTypeName(r))
-			}
-		}
-		return rb, nil
-	}
-	l, err := evalExpr(x.L, ctx)
-	if err != nil {
-		return nil, err
-	}
-	r, err := evalExpr(x.R, ctx)
-	if err != nil {
-		return nil, err
-	}
-	switch x.Op {
-	case "+", "-", "*", "/", "%":
-		return evalArith(x.Op, l, r)
-	case "=", "<>", "<", "<=", ">", ">=":
-		// SQL three-valued logic, collapsed: a comparison with NULL is
-		// false, so padded LEFT JOIN rows drop out of predicates. (ORDER
-		// BY goes through compareOrderKeys instead, where NULL sorts as
-		// the largest value.)
-		if l == nil || r == nil {
-			return false, nil
-		}
-		c, err := compareValues(l, r)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "=":
-			return c == 0, nil
-		case "<>":
-			return c != 0, nil
-		case "<":
-			return c < 0, nil
-		case "<=":
-			return c <= 0, nil
-		case ">":
-			return c > 0, nil
-		case ">=":
-			return c >= 0, nil
-		}
-	}
-	return nil, execErrf("unknown operator %q", x.Op)
 }
 
 func evalArith(op string, l, r any) (any, error) {
@@ -406,39 +209,9 @@ func compareValues(a, b any) (int, error) {
 	return 0, execErrf("cannot compare %s with %s", valueTypeName(a), valueTypeName(b))
 }
 
-// evalScalarFunc applies a built-in scalar function.
-func evalScalarFunc(x *FuncCall, ctx *evalCtx) (any, error) {
-	if x.Schema != "" && x.Schema != "madlib" {
-		return nil, execErrf("unknown schema %q", x.Schema)
-	}
-	if x.Over != nil {
-		return nil, execErrf("window function %s(...) OVER is only allowed in the SELECT list", x.Name)
-	}
-	if x.Star {
-		return nil, execErrf("%s(*) is only valid as an aggregate in a SELECT list", x.Name)
-	}
-	if isAggregateCall(x) {
-		return nil, execErrf("aggregate function %s(...) is not allowed here", x.Name)
-	}
-	if x.Name == "predict" {
-		// The interpreter has no engine handle to resolve models against;
-		// scoring is a compiled path only.
-		return nil, execErrf("madlib.predict requires a FROM clause (models are resolved when compiling a table scan)")
-	}
-	args := make([]any, len(x.Args))
-	for i, a := range x.Args {
-		v, err := evalExpr(a, ctx)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return applyScalarFunc(x, args)
-}
-
 // applyScalarFunc dispatches a built-in scalar function over evaluated
-// arguments — the single function table shared by the interpreter
-// (evalScalarFunc) and the compiled generic fallback (compileFuncCall).
+// arguments: the generic fallback of compileFuncCall, for arguments whose
+// types are only known at run time.
 func applyScalarFunc(x *FuncCall, args []any) (any, error) {
 	num := func(i int) (float64, error) {
 		f, ok := toFloat(args[i])
@@ -700,7 +473,7 @@ func resolveFuncArgs(call *FuncCall, cc *compileCtx) ([]any, error) {
 			args[i] = core.ColumnArg{Name: cr.Name}
 			continue
 		}
-		if v, err := evalExpr(a, &evalCtx{}); err == nil {
+		if v, err := evalConst(a); err == nil {
 			args[i] = v
 			continue
 		}

@@ -502,7 +502,7 @@ func (s *Session) resolveJoinKeys(j *JoinClause, sc *scope, ps *planSource, left
 	if lk != engine.Int && lk != engine.String {
 		return execErrf("JOIN keys must be bigint or text columns, got %s", lk)
 	}
-	// Map planning names back to source-table column names for HashJoin.
+	// Map planning names back to source-table column names for the join.
 	ps.join.leftKey = lname // left columns keep their names
 	rs := ps.join.right.Schema()
 	ps.join.rightKey = rs[ri-len(leftSchema)].Name

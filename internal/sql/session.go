@@ -491,7 +491,7 @@ func (s *Session) execExecute(ctx context.Context, st *Execute) (*RowSet, Timing
 	var tm Timing
 	params := make([]any, len(st.Args))
 	for i, a := range st.Args {
-		v, err := evalExpr(a, &evalCtx{})
+		v, err := evalConst(a)
 		if err != nil {
 			return nil, tm, execErrf("EXECUTE parameter $%d: %v", i+1, err)
 		}

@@ -33,7 +33,11 @@ import (
 // into a selection vector and the PARTITION BY / OVER-ORDER BY keys
 // evaluate column-wise into a key chunk, each through its native batch
 // kernel or, where it has none (Vector operands, madlib calls,
-// parameters), through its row closure driven over the selection.
+// parameters), through its row closure driven over the selection. The
+// output items and the outer ORDER BY keys are compiled over the input
+// row plus a slot vector per partition: the window values, then the
+// output items, which ORDER BY keys may name by alias. The gather and
+// the fold run under one read latch on the input (RunWindowBatched).
 
 // windowFuncs names the supported window functions.
 var windowFuncs = map[string]bool{
@@ -51,7 +55,7 @@ type windowSlotSpec struct {
 // windowPlan executes a SELECT whose item list contains window calls.
 // All calls must share one window specification. The plan gathers the
 // rows WHERE keeps into partitions with their order keys (gather), then
-// folds each partition with engine.RunWindowGathered.
+// folds each partition.
 type windowPlan struct {
 	src *planSource
 	st  *Select
@@ -66,15 +70,13 @@ type windowPlan struct {
 	native    bool
 	ordDesc   []bool
 
-	slotOf map[*FuncCall]int
-	specs  []windowSlotSpec
+	specs []windowSlotSpec
 
 	outNames []string
 	outKinds []ckind // static output kinds, for RowDescription
-	outCols  map[string]int
-	// finalDesc is the direction of each outer ORDER BY key; the keys
-	// themselves are re-resolved per row in step() (ordinals, aliases or
-	// expressions over output columns, via ordinal()/evalExpr).
+	items    []anyFn
+	keys     []sortKey
+	// finalDesc is the direction of each outer ORDER BY key.
 	finalDesc []bool
 	limit     int64
 }
@@ -91,7 +93,7 @@ func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	cc := lw.cc
 
 	// Collect window calls into slots; all must share one spec.
-	p.slotOf = map[*FuncCall]int{}
+	slotOf := map[*FuncCall]int{}
 	var over *OverClause
 	for _, item := range st.Items {
 		if item.Star {
@@ -101,7 +103,7 @@ func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 			return nil, execErrf("window functions cannot be combined with aggregate functions")
 		}
 		for _, call := range collectWindowCalls(item.Expr) {
-			if _, done := p.slotOf[call]; done {
+			if _, done := slotOf[call]; done {
 				continue
 			}
 			if call.Schema != "" {
@@ -140,7 +142,7 @@ func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 				}
 				spec.arg = c.a
 			}
-			p.slotOf[call] = len(p.specs)
+			slotOf[call] = len(p.specs)
 			p.specs = append(p.specs, spec)
 		}
 	}
@@ -181,14 +183,18 @@ func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	for i, item := range st.Items {
 		p.outNames[i] = outputName(item)
 	}
-	p.outCols = map[string]int{}
-	for i, n := range p.outNames {
-		p.outCols[n] = i
-	}
-	for _, key := range st.OrderBy {
-		if _, _, err := ordinal(key.Expr, len(st.Items)); err != nil {
+	icc := *cc
+	icc.slotCalls = slotOf
+	p.items = make([]anyFn, len(st.Items))
+	for i, item := range st.Items {
+		c, err := compileExpr(item.Expr, &icc)
+		if err != nil {
 			return nil, err
 		}
+		p.items[i] = c.a
+	}
+	if p.keys, err = compileSortKeys(st.OrderBy, len(st.Items), outputCompileCtx(&icc, p.outNames, len(p.specs))); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -204,14 +210,15 @@ type winRow struct {
 
 // gather filters the input and evaluates every surviving row's
 // partition and order keys, in table order (so ORDER BY ties break
-// identically at any worker count). It returns the row handles grouped
-// by encoded partition key, each partition's key values (for the default
-// output order), and fills ordCache with each row's order-key tuple for
-// the partition sort comparator.
-func (p *windowPlan) gather(s *Session, env *execEnv, input *engine.Table, ordCache map[engine.Row][]any) (parts map[string][]engine.Row, partVals map[string][]any, err error) {
+// identically at any worker count), over the scan RunWindowBatched hands
+// it. It returns the row handles grouped by encoded partition key, and
+// fills partVals with each partition's key values (for the default
+// output order) and ordCache with each row's order-key tuple (for the
+// partition sort comparator).
+func (p *windowPlan) gather(env *execEnv, morsels int, scan batchScan, partVals map[string][]any, ordCache map[engine.Row][]any) (map[string][]engine.Row, error) {
 	np := len(p.partItems)
 	keyItems := append(append([]*projItem(nil), p.partItems...), p.ordItems...)
-	morsels, err := gatherBatches(s, env, input, p.prog, p.pred, func(e *batchEval, b engine.ColBatch, sel selVec, acc *[]winRow) error {
+	accs, err := gatherBatches(env, morsels, scan, p.prog, p.pred, func(e *batchEval, b engine.ColBatch, sel selVec, acc *[]winRow) error {
 		// The batch's keys evaluate into a chunk and box into one cell
 		// array that outlives the batch: its sub-slices are what land in
 		// partVals and ordCache.
@@ -233,11 +240,10 @@ func (p *windowPlan) gather(s *Session, env *execEnv, input *engine.Table, ordCa
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	parts = map[string][]engine.Row{}
-	partVals = map[string][]any{}
-	for _, rows := range morsels {
+	parts := map[string][]engine.Row{}
+	for _, rows := range accs {
 		for _, wr := range rows {
 			if _, seen := parts[wr.part]; !seen {
 				partVals[wr.part] = wr.keys[:np]
@@ -246,7 +252,7 @@ func (p *windowPlan) gather(s *Session, env *execEnv, input *engine.Table, ordCa
 			ordCache[wr.row] = wr.keys[np:]
 		}
 	}
-	return parts, partVals, nil
+	return parts, nil
 }
 
 func (p *windowPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
@@ -263,14 +269,15 @@ type windowRowOut struct {
 	keys []any
 }
 
-// windowState is one partition's fold state.
+// windowState is one partition's fold state. env carries the partition's
+// slot vector (windowPlan's layout) beside the execution's parameters.
 type windowState struct {
-	pos      int64
-	rank     int64
-	prevOrd  []any
-	hasPrev  bool
-	accs     []*numAccState // running sum/avg/count accumulators per slot
-	slotVals []any
+	pos     int64
+	rank    int64
+	prevOrd []any
+	hasPrev bool
+	accs    []*numAccState // running sum/avg/count accumulators per slot
+	env     *execEnv
 }
 
 func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
@@ -293,9 +300,9 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	// only read the finished cache — O(n) evaluations instead of
 	// O(n log n) inside the comparator.
 	ordCache := map[engine.Row][]any{}
-	parts, partVals, err := p.gather(s, env, input, ordCache)
-	if err != nil {
-		return nil, err
+	partVals := map[string][]any{}
+	gather := func(morsels int, scan func(func(int, engine.ColBatch) error) error) (map[string][]engine.Row, error) {
+		return p.gather(env, morsels, scan, partVals, ordCache)
 	}
 	orderBy := func(a, b engine.Row) bool {
 		av, bv := ordCache[a], ordCache[b]
@@ -315,15 +322,14 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 		return false
 	}
 
+	nSpecs := len(p.specs)
 	init := func() any {
-		st := &windowState{accs: make([]*numAccState, len(p.specs))}
+		st := &windowState{accs: make([]*numAccState, nSpecs), env: env.withSlots(nSpecs + len(p.items))}
 		for i := range p.specs {
 			st.accs[i] = &numAccState{intOnly: true}
 		}
-		st.slotVals = make([]any, len(p.specs))
 		return st
 	}
-	colIdx := colIndexMap(p.src.schema)
 	step := func(state any, row engine.Row) (any, any) {
 		ws := state.(*windowState)
 		if stepErr.Load() != nil {
@@ -355,16 +361,17 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 		} else {
 			ws.rank = ws.pos
 		}
+		slots := ws.env.slots
 		for i, sp := range p.specs {
 			switch sp.name {
 			case "row_number":
-				ws.slotVals[i] = ws.pos
+				slots[i] = ws.pos
 			case "rank":
-				ws.slotVals[i] = ws.rank
+				slots[i] = ws.rank
 			case "count":
 				acc := ws.accs[i]
 				if sp.arg != nil {
-					v, err := sp.arg(row, env)
+					v, err := sp.arg(row, ws.env)
 					if err != nil {
 						fail(err)
 						return ws, nil
@@ -375,10 +382,10 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 				} else {
 					acc.n++
 				}
-				ws.slotVals[i] = acc.n
+				slots[i] = acc.n
 			case "sum", "avg":
 				acc := ws.accs[i]
-				v, err := sp.arg(row, env)
+				v, err := sp.arg(row, ws.env)
 				if err != nil {
 					fail(err)
 					return ws, nil
@@ -402,50 +409,29 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 					fail(err)
 					return ws, nil
 				}
-				ws.slotVals[i] = out
+				slots[i] = out
 			}
 		}
-		// Evaluate the projection (and the outer ORDER BY keys) for this
-		// row with the slot values bound.
-		ctx := &evalCtx{
-			schema: p.src.schema, colIdx: colIdx, row: &row,
-			nullable: p.src.nullable, matchedIdx: p.src.matchedIdx,
-			slotOf: p.slotOf, slotVals: ws.slotVals, params: env.paramList(),
-		}
-		out := windowRowOut{row: make([]any, len(p.st.Items))}
-		for i, item := range p.st.Items {
-			v, err := evalExpr(item.Expr, ctx)
+		// The projection, then the outer ORDER BY keys, with this row's
+		// window values bound.
+		out := windowRowOut{row: make([]any, len(p.items))}
+		for i, fn := range p.items {
+			v, err := fn(row, ws.env)
 			if err != nil {
 				fail(err)
 				return ws, nil
 			}
-			out.row[i] = v
+			out.row[i], slots[nSpecs+i] = v, v
 		}
-		if len(p.st.OrderBy) > 0 {
-			out.keys = make([]any, len(p.st.OrderBy))
-			kctx := &evalCtx{
-				schema: p.src.schema, colIdx: colIdx, row: &row,
-				nullable: p.src.nullable, matchedIdx: p.src.matchedIdx,
-				slotOf: p.slotOf, slotVals: ws.slotVals,
-				outCols: p.outCols, outVals: out.row, params: env.paramList(),
-			}
-			for k, key := range p.st.OrderBy {
-				if ord, isOrd, _ := ordinal(key.Expr, len(out.row)); isOrd {
-					out.keys[k] = out.row[ord]
-					continue
-				}
-				v, err := evalExpr(key.Expr, kctx)
-				if err != nil {
-					fail(err)
-					return ws, nil
-				}
-				out.keys[k] = v
-			}
+		var err error
+		if out.keys, err = evalSortKeys(p.keys, row, out.row, ws.env); err != nil {
+			fail(err)
+			return ws, nil
 		}
 		return ws, out
 	}
 
-	folded, err := s.db.RunWindowGathered(parts, orderBy, init, step)
+	folded, err := s.db.RunWindowBatched(env.context(), input, gather, orderBy, init, step)
 	if err != nil {
 		return nil, err
 	}
