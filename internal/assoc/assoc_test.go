@@ -160,8 +160,7 @@ func TestMineTable(t *testing.T) {
 	})
 	for bID, basket := range groceries {
 		for _, item := range basket {
-			// Hash-distribute by basket so baskets co-locate.
-			if err := tbl.InsertHashed(uint64(bID), int64(bID), item); err != nil {
+			if err := tbl.Insert(int64(bID), item); err != nil {
 				t.Fatal(err)
 			}
 		}

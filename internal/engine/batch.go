@@ -115,9 +115,8 @@ func (db *DB) RunBatchedCtx(ctx context.Context, t *Table,
 	merge func(a, b any) any,
 ) (any, error) {
 	db.queries.Add(1)
-	ms := tableMorsels(t)
-	states := make([]any, len(ms))
-	err := db.runMorsels(ctx, t, ms, func(i int, m morsel) error {
+	var states []any
+	err := db.runMorsels(ctx, t, func(n int) { states = make([]any, n) }, func(i int, m morsel) error {
 		state := newState(i)
 		if err := forEachBatchRange(m.seg, m.off, m.n, func(b ColBatch) error { return process(state, b) }); err != nil {
 			return err
@@ -160,9 +159,8 @@ func (db *DB) RunGroupByBatchedCtx(ctx context.Context, t *Table,
 	merge func(a, b any) any,
 ) (map[GroupKey]any, error) {
 	db.queries.Add(1)
-	ms := tableMorsels(t)
-	partials := make([]map[GroupKey]any, len(ms))
-	err := db.runMorsels(ctx, t, ms, func(i int, m morsel) error {
+	var partials []map[GroupKey]any
+	err := db.runMorsels(ctx, t, func(n int) { partials = make([]map[GroupKey]any, n) }, func(i int, m morsel) error {
 		state := newState(i)
 		if err := forEachBatchRange(m.seg, m.off, m.n, func(b ColBatch) error { return process(state, b) }); err != nil {
 			return err
@@ -235,18 +233,24 @@ func (t *Table) Morsels() []Morsel {
 // per-morsel output buffers and concatenate them in order afterwards to
 // recover the table's row order.
 func (db *DB) ForEachBatch(t *Table, fn func(morselIdx int, b ColBatch) error) error {
-	return db.ForEachBatchCtx(context.Background(), t, fn)
+	return db.ForEachBatchCtx(context.Background(), t, func(_ int, scan func(func(int, ColBatch) error) error) error {
+		return scan(fn)
+	})
 }
 
-// ForEachBatchCtx is ForEachBatch with cancellation at morsel
-// boundaries.
-func (db *DB) ForEachBatchCtx(ctx context.Context, t *Table, fn func(morselIdx int, b ColBatch) error) error {
+// ForEachBatchCtx is ForEachBatch for a caller that keeps per-morsel
+// buffers, with cancellation at morsel boundaries. gather is handed the
+// number of morsels and a scan that calls fn on every batch as
+// ForEachBatch does; both run under one shared latch on t, so the scan
+// covers exactly the morsels counted, whatever is appended meanwhile.
+func (db *DB) ForEachBatchCtx(ctx context.Context, t *Table, gather func(morsels int, scan func(fn func(morselIdx int, b ColBatch) error) error) error) error {
 	defer latchRead(t)()
-	return db.forEachBatchLatched(ctx, t, tableMorselsLatched(t), fn)
+	ms := tableMorsels(t)
+	return gather(len(ms), func(fn func(int, ColBatch) error) error { return db.forEachBatchLatched(ctx, t, ms, fn) })
 }
 
-// forEachBatchLatched is ForEachBatchCtx over the morsels ms of t, for
-// callers that already hold t's data latch.
+// forEachBatchLatched runs fn over the batches of the morsels ms of t,
+// for callers that already hold t's data latch.
 func (db *DB) forEachBatchLatched(ctx context.Context, t *Table, ms []morsel, fn func(morselIdx int, b ColBatch) error) error {
 	db.queries.Add(1)
 	return db.runMorselsLatched(ctx, t, ms, func(i int, m morsel) error {

@@ -103,11 +103,13 @@ func TestForEachBatchCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var batches atomic.Int64
-	err := db.ForEachBatchCtx(ctx, tbl, func(_ int, b ColBatch) error {
-		if batches.Add(1) == 1 {
-			cancel()
-		}
-		return nil
+	err := db.ForEachBatchCtx(ctx, tbl, func(_ int, scan func(func(int, ColBatch) error) error) error {
+		return scan(func(int, ColBatch) error {
+			if batches.Add(1) == 1 {
+				cancel()
+			}
+			return nil
+		})
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -14,6 +14,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -179,7 +180,7 @@ type Table struct {
 	nextSeg   int   // round-robin insertion pointer
 	totalRows int64 // maintained on insert for O(1) Count
 
-	// dataMu latches segment storage: mutators (Insert, InsertHashed,
+	// dataMu latches segment storage: mutators (Insert, AppendColumns,
 	// Truncate, UpdateInt) hold it exclusively for the whole
 	// mutation; scan drivers hold it shared for the whole scan. The REPL
 	// never needed this — one session, one statement at a time — but the
@@ -188,7 +189,7 @@ type Table struct {
 	dataMu sync.RWMutex
 
 	// version counts data mutations made through the table/engine API
-	// (Insert, InsertHashed, Truncate, UpdateInt). Derived
+	// (Insert, AppendColumns, Truncate, UpdateInt). Derived
 	// results (the SQL front-end's cached join materializations) compare
 	// versions to decide whether their input changed. Code that writes
 	// segment storage directly bypasses the counter — such writers own
@@ -342,31 +343,6 @@ func (t *Table) Insert(values ...any) error {
 	return nil
 }
 
-// InsertHashed appends one row, routing it to a segment by the hash of the
-// given key, so equal keys co-locate (DISTRIBUTED BY semantics).
-func (t *Table) InsertHashed(key uint64, values ...any) error {
-	if len(values) != len(t.schema) {
-		return fmt.Errorf("%w: got %d values for %d columns", ErrArity, len(values), len(t.schema))
-	}
-	for i, v := range values {
-		if err := checkValue(t.schema[i].Kind, v); err != nil {
-			return fmt.Errorf("column %q: %w", t.schema[i].Name, err)
-		}
-	}
-	seg := t.segs[int(key%uint64(len(t.segs)))]
-	t.dataMu.Lock()
-	defer t.dataMu.Unlock()
-	t.mu.Lock()
-	t.totalRows++
-	t.mu.Unlock()
-	for i, v := range values {
-		appendValue(&seg.cols[i], t.schema[i].Kind, v)
-	}
-	seg.n++
-	t.version.Add(1) // after the row is visible; see Insert
-	return nil
-}
-
 // Truncate removes all rows but keeps the schema and segment structure.
 func (t *Table) Truncate() {
 	t.dataMu.Lock()
@@ -517,7 +493,7 @@ func (db *DB) register(t *Table) error {
 	return nil
 }
 
-// ColumnData is one column of rows handed to CreateTableFrom: the lane
+// ColumnData is one column of rows handed to AppendColumns: the lane
 // matching the column's kind holds one value per row, the others are nil.
 type ColumnData struct {
 	Floats  []float64
@@ -527,73 +503,104 @@ type ColumnData struct {
 	Bools   []bool
 }
 
-// CreateTableFrom registers a new permanent table that already holds n
-// rows, given column-wise: CREATE TABLE AS's storage sink. Row r lands
-// where the r-th Insert into a fresh table would put it (round-robin
-// over the segments), the table's version reads 1, and the catalog only
-// learns the name once every segment is filled — no reader can see a
-// partial table, and a failure leaves nothing behind.
-func (db *DB) CreateTableFrom(name string, schema Schema, n int, cols []ColumnData) (*Table, error) {
-	if len(cols) != len(schema) {
-		return nil, fmt.Errorf("%w: got %d columns for %d", ErrArity, len(cols), len(schema))
+// size returns the number of values in the lane of kind k.
+func (c *ColumnData) size(k Kind) int {
+	switch k {
+	case Float:
+		return len(c.Floats)
+	case Vector:
+		return len(c.Vectors)
+	case Int:
+		return len(c.Ints)
+	case String:
+		return len(c.Strings)
 	}
+	return len(c.Bools)
+}
+
+// AppendColumns appends n rows given column-wise, as one mutation: INSERT's
+// and CREATE TABLE AS's storage sink. Every lane's length is checked
+// before anything is written; then, under one exclusive latch, row r
+// lands where the r-th of n Inserts would put it (round-robin from the
+// insertion pointer) and the version bumps once. A reader sees none of
+// the rows or all of them.
+func (t *Table) AppendColumns(n int, cols []ColumnData) error {
+	if len(cols) != len(t.schema) {
+		return fmt.Errorf("%w: got %d columns for %d", ErrArity, len(cols), len(t.schema))
+	}
+	for ci, c := range t.schema {
+		if have := cols[ci].size(c.Kind); have != n {
+			return fmt.Errorf("%w: column %q holds %d %s values for %d rows", ErrType, c.Name, have, c.Kind, n)
+		}
+	}
+	t.dataMu.Lock()
+	defer t.dataMu.Unlock()
+	t.mu.Lock()
+	first, nseg := t.nextSeg, len(t.segs)
+	t.nextSeg = (first + n) % nseg
+	t.totalRows += int64(n)
+	t.mu.Unlock()
+	for ci, c := range t.schema {
+		d := &cols[ci]
+		switch c.Kind {
+		case Float:
+			dealLane(t.segs, first, ci, d.Floats, func(l *colData) *[]float64 { return &l.floats })
+		case Vector:
+			dealLane(t.segs, first, ci, d.Vectors, func(l *colData) *[][]float64 { return &l.vecs })
+		case Int:
+			dealLane(t.segs, first, ci, d.Ints, func(l *colData) *[]int64 { return &l.ints })
+		case String:
+			dealLane(t.segs, first, ci, d.Strings, func(l *colData) *[]string { return &l.strs })
+		case Bool:
+			dealLane(t.segs, first, ci, d.Bools, func(l *colData) *[]bool { return &l.bools })
+		}
+	}
+	for k := 0; k < nseg && k < n; k++ {
+		t.segs[(first+k)%nseg].n += (n - k + nseg - 1) / nseg
+	}
+	t.version.Add(1) // after the rows are visible; see Insert
+	return nil
+}
+
+// dealLane appends vals to column ci's lanes round-robin: value r goes to
+// segment (first+r) mod the segment count.
+func dealLane[T any](segs []*Segment, first, ci int, vals []T, lane func(*colData) *[]T) {
+	nseg := len(segs)
+	for k := 0; k < nseg && k < len(vals); k++ {
+		l := lane(&segs[(first+k)%nseg].cols[ci])
+		*l = slices.Grow(*l, (len(vals)-k+nseg-1)/nseg)
+		for r := k; r < len(vals); r += nseg {
+			*l = append(*l, vals[r])
+		}
+	}
+}
+
+// CreateTableFrom registers a new permanent table that already holds n
+// rows, given column-wise (AppendColumns into a fresh table): its
+// version reads 1, and the catalog only learns the name once every
+// segment is filled — no reader can see a partial table, and a failure
+// leaves nothing behind.
+func (db *DB) CreateTableFrom(name string, schema Schema, n int, cols []ColumnData) (*Table, error) {
 	t, err := newTable(name, schema, false, db.segments)
 	if err != nil {
 		return nil, err
 	}
-	nseg := len(t.segs)
-	for ci, c := range schema {
-		var have int
-		switch c.Kind {
-		case Float:
-			have = scatterLane(t.segs, ci, cols[ci].Floats, func(d *colData) *[]float64 { return &d.floats })
-		case Vector:
-			have = scatterLane(t.segs, ci, cols[ci].Vectors, func(d *colData) *[][]float64 { return &d.vecs })
-		case Int:
-			have = scatterLane(t.segs, ci, cols[ci].Ints, func(d *colData) *[]int64 { return &d.ints })
-		case String:
-			have = scatterLane(t.segs, ci, cols[ci].Strings, func(d *colData) *[]string { return &d.strs })
-		case Bool:
-			have = scatterLane(t.segs, ci, cols[ci].Bools, func(d *colData) *[]bool { return &d.bools })
-		}
-		if have != n {
-			return nil, fmt.Errorf("%w: column %q holds %d %s values for %d rows", ErrType, c.Name, have, c.Kind, n)
-		}
+	if err := t.AppendColumns(n, cols); err != nil {
+		return nil, err
 	}
-	for si, seg := range t.segs {
-		seg.n = (n - si + nseg - 1) / nseg
-	}
-	t.totalRows = int64(n)
-	t.nextSeg = n % nseg
-	t.version.Store(1)
 	if err := db.register(t); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// scatterLane deals vals round-robin over the segments' lanes of column
-// ci and returns how many values it dealt.
-func scatterLane[T any](segs []*Segment, ci int, vals []T, lane func(*colData) *[]T) int {
-	nseg := len(segs)
-	for si, seg := range segs {
-		if si >= len(vals) {
-			break
-		}
-		out := make([]T, 0, (len(vals)-si+nseg-1)/nseg)
-		for r := si; r < len(vals); r += nseg {
-			out = append(out, vals[r])
-		}
-		*lane(&seg.cols[ci]) = out
-	}
-	return len(vals)
-}
-
 // NewDetachedTable builds a table that is NOT registered in any catalog:
-// the SQL layer materializes system views (madlib_stats_*) into detached
-// tables per execution, so observability snapshots flow through the
-// ordinary scan machinery without polluting the catalog or temp-table
-// namespace. The caller owns the table; segments is clamped to at least 1.
+// the SQL layer materializes system views (madlib_stats_*) and a
+// table-valued call's staged input into detached tables per execution,
+// so they flow through the ordinary scan machinery and the methods
+// without polluting the catalog or temp-table namespace, and nothing is
+// left to drop. The caller owns the table; segments is clamped to at
+// least 1.
 func NewDetachedTable(name string, schema Schema, segments int) (*Table, error) {
 	if segments < 1 {
 		segments = 1

@@ -340,27 +340,6 @@ func TestTempTablesAndCatalog(t *testing.T) {
 	}
 }
 
-func TestInsertHashedColocation(t *testing.T) {
-	db := Open(4)
-	tbl, _ := db.CreateTable("t", Schema{{Name: "k", Kind: Int}, {Name: "x", Kind: Float}})
-	for i := 0; i < 40; i++ {
-		key := uint64(i % 4)
-		if err := tbl.InsertHashed(key, int64(i%4), float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// All rows with the same key must land in the same segment.
-	for _, seg := range tbl.Segments() {
-		seen := map[int64]bool{}
-		for r := 0; r < seg.Len(); r++ {
-			seen[seg.Ints(0)[r]] = true
-		}
-		if len(seen) > 1 {
-			t.Fatalf("segment mixes keys: %v", seen)
-		}
-	}
-}
-
 func TestTruncate(t *testing.T) {
 	db := Open(2)
 	tbl, _ := db.CreateTable("t", Schema{{Name: "x", Kind: Float}})
@@ -529,6 +508,60 @@ func TestCreateTableFrom(t *testing.T) {
 		}
 		if _, err := db.Table("bad"); !errors.Is(err, ErrNoTable) {
 			t.Fatalf("n=%d: a failed create registered its table: %v", n, err)
+		}
+	}
+}
+
+// TestAppendColumns checks the column-wise append against row-by-row
+// Insert on a table whose insertion pointer is mid-round: same placement,
+// one version bump for the whole batch, and a rejected batch writes
+// nothing.
+func TestAppendColumns(t *testing.T) {
+	schema := Schema{{Name: "i", Kind: Int}, {Name: "s", Kind: String}}
+	for _, n := range []int{0, 1, 2, 5, 9} {
+		db := Open(4)
+		got, _ := db.CreateTable("got", schema)
+		want, _ := db.CreateTable("want", schema)
+		for _, tbl := range []*Table{got, want} {
+			for i := int64(-1); i >= -3; i-- {
+				if err := tbl.Insert(i, "pre"); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		cols := []ColumnData{{}, {}}
+		for r := 0; r < n; r++ {
+			cols[0].Ints = append(cols[0].Ints, int64(r))
+			cols[1].Strings = append(cols[1].Strings, fmt.Sprint("s", r))
+			if err := want.Insert(int64(r), fmt.Sprint("s", r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		v0 := got.Version()
+		if err := got.AppendColumns(n, cols); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got.Version() != v0+1 || got.Count() != int64(3+n) {
+			t.Fatalf("n=%d: version %d -> %d, count %d", n, v0, got.Version(), got.Count())
+		}
+		for _, tbl := range []*Table{got, want} {
+			if err := tbl.Insert(int64(99), "post"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !reflect.DeepEqual(db.Rows(got), db.Rows(want)) {
+			t.Fatalf("n=%d: rows placed differently from Insert", n)
+		}
+		v1, rows := got.Version(), db.Rows(got)
+		bad := []ColumnData{{Ints: []int64{1, 2}}, {Strings: []string{"a"}}}
+		if err := got.AppendColumns(2, bad); !errors.Is(err, ErrType) {
+			t.Fatalf("n=%d: short lane: %v", n, err)
+		}
+		if err := got.AppendColumns(1, bad[:1]); !errors.Is(err, ErrArity) {
+			t.Fatalf("n=%d: missing column: %v", n, err)
+		}
+		if got.Version() != v1 || !reflect.DeepEqual(db.Rows(got), rows) {
+			t.Fatalf("n=%d: a rejected append changed the table", n)
 		}
 	}
 }

@@ -149,14 +149,10 @@ type morsel struct {
 // including empty segments, so merge trees on small tables are exactly
 // the per-segment trees of earlier versions); larger segments split at
 // MorselRows boundaries, which are BatchSize-aligned by construction.
+// The caller holds t's data latch, and scans the morsels under that same
+// latch: an append in between could grow a segment past the
+// decomposition (and past any buffer sized from it).
 func tableMorsels(t *Table) []morsel {
-	defer latchRead(t)()
-	return tableMorselsLatched(t)
-}
-
-// tableMorselsLatched is tableMorsels for callers already holding t's
-// data latch (the in-place updaters hold it exclusively).
-func tableMorselsLatched(t *Table) []morsel {
 	ms := make([]morsel, 0, len(t.segs))
 	for i, seg := range t.segs {
 		if seg.n <= MorselRows {
@@ -175,7 +171,9 @@ func tableMorselsLatched(t *Table) []morsel {
 }
 
 // ScanMorsels reports the number of morsels a scan of t would schedule
-// right now. EXPLAIN renders this next to the worker count.
+// right now. EXPLAIN renders this next to the worker count; a scan's own
+// per-morsel buffers are sized from inside its latch instead (the start
+// hook of runMorsels, the gather of ForEachBatchCtx).
 func (db *DB) ScanMorsels(t *Table) int {
 	defer latchRead(t)()
 	n := 0
@@ -206,9 +204,11 @@ func (db *DB) morselWorkers(t *Table, nMorsels int) int {
 	return w
 }
 
-// runMorsels runs fn once per morsel of ms and collects the first error
-// (in morsel order). Each invocation owns its morsel's row range
-// exclusively for the call.
+// runMorsels takes t's shared data latch, decomposes t into morsels under
+// it, hands their count to start so the caller can size per-morsel state
+// from the very decomposition it scans, then runs fn once per morsel and
+// collects the first error (in morsel order). Each invocation owns its
+// morsel's row range exclusively for the call.
 //
 // Execution is morsel-driven: a pool of up to GOMAXPROCS workers pulls
 // morsel indices from a shared cursor until the table is drained, so a
@@ -223,8 +223,10 @@ func (db *DB) morselWorkers(t *Table, nMorsels int) int {
 // before each morsel, the pool before each claim. A cancelled scan
 // therefore stops within one morsel (at most MorselRows rows per worker)
 // and returns ctx.Err().
-func (db *DB) runMorsels(ctx context.Context, t *Table, ms []morsel, fn func(i int, m morsel) error) error {
+func (db *DB) runMorsels(ctx context.Context, t *Table, start func(n int), fn func(i int, m morsel) error) error {
 	defer latchRead(t)()
+	ms := tableMorsels(t)
+	start(len(ms))
 	return db.runMorselsLatched(ctx, t, ms, fn)
 }
 
@@ -233,14 +235,22 @@ func (db *DB) runMorsels(ctx context.Context, t *Table, ms []morsel, fn func(i i
 // a shared latch spanning both inputs).
 func (db *DB) runMorselsLatched(ctx context.Context, t *Table, ms []morsel, fn func(i int, m morsel) error) error {
 	db.morsels.Add(int64(len(ms)))
-	workers := db.morselWorkers(t, len(ms))
+	return db.runIndexed(ctx, db.morselWorkers(t, len(ms)), len(ms), func(i int) error { return fn(i, ms[i]) })
+}
+
+// runIndexed runs fn once per index in [0, n) and returns the first error
+// in index order: inline on the calling goroutine when workers <= 1,
+// otherwise on a pool of workers claiming indices from a shared cursor,
+// so no worker waits behind a slow sibling. Cancellation is checked
+// before each index is claimed, and a cancelled run returns ctx.Err().
+func (db *DB) runIndexed(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if workers <= 1 {
 		db.seqScans.Inc()
-		for i, m := range ms {
+		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(i, m); err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
@@ -249,20 +259,17 @@ func (db *DB) runMorselsLatched(ctx context.Context, t *Table, ms []morsel, fn f
 	db.parScans.Inc()
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	errs := make([]error, len(ms))
+	errs := make([]error, n)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
+			for ctx.Err() == nil {
 				i := int(cursor.Add(1)) - 1
-				if i >= len(ms) {
+				if i >= n {
 					return
 				}
-				errs[i] = fn(i, ms[i])
+				errs[i] = fn(i)
 			}
 		}()
 	}
@@ -287,40 +294,7 @@ func (db *DB) runMorselsLatched(ctx context.Context, t *Table, ms []morsel, fn f
 func (db *DB) RunTasks(t *Table, n int, fn func(task int) error) error {
 	db.queries.Add(1)
 	defer latchRead(t)()
-	workers := db.morselWorkers(t, n)
-	if workers <= 1 {
-		db.seqScans.Inc()
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	db.parScans.Inc()
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.runIndexed(context.Background(), db.morselWorkers(t, n), n, fn)
 }
 
 // AddRowsScanned reports rows read outside the built-in scan drivers
@@ -331,86 +305,28 @@ func (db *DB) AddRowsScanned(n int64) { db.rowsScanned.Add(n) }
 // segmentWorkers returns the number of workers for drivers that must
 // keep whole segments on one worker (ForEachSegment, SelectInto, join
 // materialization — anything appending to per-segment output storage):
-// capped by GOMAXPROCS and the segment count, collapsing to 1 for small
-// tables.
-func (db *DB) segmentWorkers(t *Table) int {
-	w := runtime.GOMAXPROCS(0)
-	if len(t.segs) < w {
-		w = len(t.segs)
-	}
-	if w <= 1 {
-		return 1
-	}
-	if t.Count() < ParallelRowThreshold {
-		return 1
-	}
-	return w
-}
+// sized like a scan whose morsels are the segments.
+func (db *DB) segmentWorkers(t *Table) int { return db.morselWorkers(t, len(t.segs)) }
 
-// parallelSegments runs fn once per segment and collects the first error
-// (in segment order). Each invocation owns its segment exclusively for
-// the call. It is the segment-granular sibling of runMorsels, kept for
-// drivers whose output is appended per segment and therefore cannot
-// split a segment across workers.
-//
 // ScanWorkers reports the number of morsel workers a scan of t would
 // use right now (1 means the sequential fallback). EXPLAIN renders this
 // so the parallel-vs-sequential decision is visible before execution.
 func (db *DB) ScanWorkers(t *Table) int { return db.morselWorkers(t, db.ScanMorsels(t)) }
 
-func (db *DB) parallelSegments(ctx context.Context, t *Table, fn func(segIdx int, seg *Segment) error) error {
+// parallelSegments runs fn once per segment under t's shared data latch
+// and collects the first error (in segment order). Each invocation owns
+// its segment exclusively for the call. It is the segment-granular
+// sibling of runMorsels, kept for drivers whose output is appended per
+// segment and therefore cannot split a segment across workers.
+func (db *DB) parallelSegments(t *Table, fn func(segIdx int, seg *Segment) error) error {
 	defer latchRead(t)()
-	return db.parallelSegmentsLatched(ctx, t, fn)
+	return db.parallelSegmentsLatched(context.Background(), t, fn)
 }
 
 // parallelSegmentsLatched is parallelSegments for callers that already
 // hold the data latch on t (and on any other table fn reads).
 func (db *DB) parallelSegmentsLatched(ctx context.Context, t *Table, fn func(segIdx int, seg *Segment) error) error {
-	workers := db.segmentWorkers(t)
-	if workers <= 1 {
-		db.seqScans.Inc()
-		for i, seg := range t.segs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i, seg); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	db.parScans.Inc()
-	return db.pooledSegments(ctx, t, workers, fn)
-}
-
-// pooledSegments is the worker-pool mode of parallelSegments.
-func (db *DB) pooledSegments(ctx context.Context, t *Table, workers int, fn func(segIdx int, seg *Segment) error) error {
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, len(t.segs))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(t.segs) {
-					return
-				}
-				errs[i] = fn(i, t.segs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
+	return db.runIndexed(ctx, db.segmentWorkers(t), len(t.segs), func(i int) error { return fn(i, t.segs[i]) })
 }
 
 // Run executes a user-defined aggregate over the whole table:
@@ -424,9 +340,8 @@ func (db *DB) Run(t *Table, agg Aggregate) (any, error) {
 // and a cancelled scan returns ctx.Err() without finalizing.
 func (db *DB) RunCtx(ctx context.Context, t *Table, agg Aggregate) (any, error) {
 	db.queries.Add(1)
-	ms := tableMorsels(t)
-	states := make([]any, len(ms))
-	err := db.runMorsels(ctx, t, ms, func(i int, m morsel) error {
+	var states []any
+	err := db.runMorsels(ctx, t, func(n int) { states = make([]any, n) }, func(i int, m morsel) error {
 		states[i] = foldRows(agg, m.seg, m.off, m.n)
 		db.rowsScanned.Add(int64(m.n))
 		return nil
@@ -468,9 +383,8 @@ func (db *DB) RunGroupBy(t *Table, key func(Row) string, agg Aggregate) (map[str
 // the row-at-a-time reference for RunGroupByBatched.
 func runGroupBy[K comparable](ctx context.Context, db *DB, t *Table, key func(Row) K, agg Aggregate) (map[K]any, error) {
 	db.queries.Add(1)
-	ms := tableMorsels(t)
-	partials := make([]map[K]any, len(ms))
-	err := db.runMorsels(ctx, t, ms, func(i int, m morsel) error {
+	var partials []map[K]any
+	err := db.runMorsels(ctx, t, func(n int) { partials = make([]map[K]any, n) }, func(i int, m morsel) error {
 		local := make(map[K]any)
 		end := m.off + m.n
 		for r := m.off; r < end; r++ {
@@ -514,14 +428,8 @@ func runGroupBy[K comparable](ctx context.Context, db *DB, t *Table, key func(Ro
 // across segments. fn receives every row of its segment in order and may
 // keep segment-local state without locking.
 func (db *DB) ForEachSegment(t *Table, fn func(segIdx int, row Row) error) error {
-	return db.ForEachSegmentCtx(context.Background(), t, fn)
-}
-
-// ForEachSegmentCtx is ForEachSegment with cancellation at segment
-// boundaries.
-func (db *DB) ForEachSegmentCtx(ctx context.Context, t *Table, fn func(segIdx int, row Row) error) error {
 	db.queries.Add(1)
-	return db.parallelSegments(ctx, t, func(i int, seg *Segment) error {
+	return db.parallelSegments(t, func(i int, seg *Segment) error {
 		for r := 0; r < seg.n; r++ {
 			if err := fn(i, Row{seg: seg, idx: r}); err != nil {
 				return err
@@ -568,17 +476,6 @@ func (db *DB) Rows(t *Table) [][]any {
 // column. The projection preserves each row's segment, so no data moves
 // between segments (a local scan, as in Greenplum).
 func (db *DB) SelectInto(dst string, t *Table, pred func(Row) bool, cols []string) (*Table, error) {
-	return db.selectInto(context.Background(), dst, t, pred, cols, t.temp)
-}
-
-// SelectIntoTempCtx is SelectInto into a uniquely named temporary table
-// (prefix_tmp_N), the staging pattern driver functions use (§3.1.2),
-// with cancellation at segment boundaries.
-func (db *DB) SelectIntoTempCtx(ctx context.Context, prefix string, t *Table, pred func(Row) bool, cols []string) (*Table, error) {
-	return db.selectInto(ctx, db.nextTempName(prefix), t, pred, cols, true)
-}
-
-func (db *DB) selectInto(ctx context.Context, dst string, t *Table, pred func(Row) bool, cols []string, temp bool) (*Table, error) {
 	db.queries.Add(1)
 	var idxs []int
 	if cols == nil {
@@ -599,13 +496,13 @@ func (db *DB) selectInto(ctx context.Context, dst string, t *Table, pred func(Ro
 	for i, src := range idxs {
 		schema[i] = t.schema[src]
 	}
-	out, err := db.createTable(dst, schema, temp)
+	out, err := db.createTable(dst, schema, t.temp)
 	if err != nil {
 		return nil, err
 	}
 	var total int64
 	var mu sync.Mutex
-	err = db.parallelSegments(ctx, t, func(i int, seg *Segment) error {
+	err = db.parallelSegments(t, func(i int, seg *Segment) error {
 		dseg := out.segs[i]
 		var kept int64
 		for r := 0; r < seg.n; r++ {
@@ -660,7 +557,7 @@ func (db *DB) UpdateInt(t *Table, col string, fn func(Row) int64) error {
 	db.queries.Add(1)
 	t.dataMu.Lock()
 	defer t.dataMu.Unlock()
-	err := db.runMorselsLatched(context.Background(), t, tableMorselsLatched(t), func(i int, m morsel) error {
+	err := db.runMorselsLatched(context.Background(), t, tableMorsels(t), func(i int, m morsel) error {
 		end := m.off + m.n
 		for r := m.off; r < end; r++ {
 			m.seg.cols[ci].ints[r] = fn(Row{seg: m.seg, idx: r})

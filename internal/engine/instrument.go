@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // QueryStats reports the timing of one instrumented aggregate query.
 //
@@ -35,7 +32,7 @@ func (db *DB) RunInstrumented(t *Table, agg Aggregate) (any, QueryStats, error) 
 	start := time.Now()
 	states := make([]any, len(t.segs))
 	segTimes := make([]time.Duration, len(t.segs))
-	err := db.parallelSegments(context.Background(), t, func(i int, seg *Segment) error {
+	err := db.parallelSegments(t, func(i int, seg *Segment) error {
 		segStart := time.Now()
 		states[i] = foldRows(agg, seg, 0, seg.n)
 		segTimes[i] = time.Since(segStart)

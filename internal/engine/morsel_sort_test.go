@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 )
 
 // TestTableMorselsDecomposition pins the morsel invariants the drivers
@@ -119,6 +122,49 @@ func TestForEachBatchMorselOrder(t *testing.T) {
 	}
 	if total != tbl.Count() {
 		t.Fatalf("batches covered %d rows, table has %d", total, tbl.Count())
+	}
+}
+
+// TestForEachBatchCtxCountsUnderLatch pins the contract per-morsel
+// buffers rely on: the morsel count handed to gather and the scan that
+// follows see one decomposition. An INSERT issued between the two — one
+// that pushes a segment sitting at exactly MorselRows rows into a second
+// morsel — waits for the scan, so no morsel index reaches the count.
+func TestForEachBatchCtxCountsUnderLatch(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	db := Open(2)
+	tbl, err := db.CreateTable("g", Schema{{Name: "x", Kind: Int}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*MorselRows; i++ {
+		if err := tbl.Insert(int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inserted := make(chan error, 1)
+	err = db.ForEachBatchCtx(context.Background(), tbl, func(morsels int, scan func(func(int, ColBatch) error) error) error {
+		go func() { inserted <- tbl.Insert(int64(-1)) }()
+		select {
+		case err := <-inserted:
+			t.Fatalf("INSERT finished between the morsel count and the scan (err %v)", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		return scan(func(i int, _ ColBatch) error {
+			if i >= morsels {
+				return fmt.Errorf("morsel index %d past the %d counted", i, morsels)
+			}
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	if got := db.ScanMorsels(tbl); got != 3 {
+		t.Fatalf("after the INSERT: %d morsels, want 3", got)
 	}
 }
 

@@ -56,7 +56,7 @@ func (db *DB) RunWindow(t *Table, spec WindowSpec, init func() any, step func(st
 // RunWindowBatched is RunWindow for a caller that gathers the partitions
 // from t's column batches itself (a vectorized evaluation of the
 // partition and order keys). gather is handed the number of morsels and
-// a scan that calls fn on every batch exactly as ForEachBatchCtx does,
+// a scan that calls fn on every batch exactly as ForEachBatch does,
 // with cancellation at morsel boundaries; it returns the partitions,
 // whose rows it must append in a deterministic order (ORDER BY ties keep
 // it). The gather and the fold run under one shared latch on t, so the
@@ -64,15 +64,15 @@ func (db *DB) RunWindow(t *Table, spec WindowSpec, init func() any, step func(st
 func (db *DB) RunWindowBatched(ctx context.Context, t *Table,
 	gather func(morsels int, scan func(fn func(morselIdx int, b ColBatch) error) error) (map[string][]Row, error),
 	orderBy func(a, b Row) bool, init func() any, step func(state any, row Row) (any, any)) (map[string][]any, error) {
-	defer latchRead(t)()
-	ms := tableMorselsLatched(t)
-	parts, err := gather(len(ms), func(fn func(int, ColBatch) error) error {
-		return db.forEachBatchLatched(ctx, t, ms, fn)
+	var out map[string][]any
+	err := db.ForEachBatchCtx(ctx, t, func(morsels int, scan func(func(int, ColBatch) error) error) error {
+		parts, err := gather(morsels, scan)
+		if err == nil {
+			out = db.foldWindow(parts, orderBy, init, step)
+		}
+		return err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return db.foldWindow(parts, orderBy, init, step), nil
+	return out, err
 }
 
 // foldWindow sorts and folds every partition, in parallel across

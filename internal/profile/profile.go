@@ -50,10 +50,9 @@ type TableProfile struct {
 	Columns []ColumnProfile
 }
 
-// Run profiles the named table. The column list is discovered from the
-// catalog, and per-kind aggregates are synthesized — the templated-query
-// pattern. The table name is validated up front, producing a friendly
-// error rather than the "enigmatic" late failure the paper warns about.
+// Run profiles the named table. The table name is validated up front,
+// producing a friendly error rather than the "enigmatic" late failure the
+// paper warns about.
 func Run(db *engine.DB, tableName string) (*TableProfile, error) {
 	if err := core.ValidateIdentifier(tableName); err != nil {
 		return nil, err
@@ -62,7 +61,15 @@ func Run(db *engine.DB, tableName string) (*TableProfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &TableProfile{Table: tableName, Rows: t.Count()}
+	return RunTable(db, t)
+}
+
+// RunTable profiles t, which need not be in the catalog (madlib.profile()
+// hands it a SELECT's staged input). The column list is read from t's
+// schema, and per-kind aggregates are synthesized — the templated-query
+// pattern.
+func RunTable(db *engine.DB, t *engine.Table) (*TableProfile, error) {
+	out := &TableProfile{Table: t.Name(), Rows: t.Count()}
 	for ci, col := range t.Schema() {
 		p, err := profileColumn(db, t, ci, col)
 		if err != nil {

@@ -72,7 +72,8 @@ func (c *cancelAfter) Err() error {
 
 // TestCancelAtMorselBoundary cancels the statements whose consumers lower
 // to row closures (the shapes that used to scan on segment-granular
-// drivers) in the middle of a 400k-row scan: each returns
+// drivers), and a table-valued call whose WHERE clause stages its input,
+// in the middle of a 400k-row scan: each returns
 // context.Canceled having scanned less than one segment, and latches,
 // temp tables and goroutines are back at their baseline afterwards.
 func TestCancelAtMorselBoundary(t *testing.T) {
@@ -97,6 +98,7 @@ func TestCancelAtMorselBoundary(t *testing.T) {
 			`SELECT i FROM big WHERE array_get(v, 1) >= 0`,
 			`SELECT v, count(array_get(v, 1)) FROM big GROUP BY v`,
 			`SELECT row_number() OVER (PARTITION BY v ORDER BY i) FROM big WHERE array_get(v, 1) >= 0`,
+			`SELECT (madlib.profile()).* FROM big WHERE array_get(v, 1) >= 0`,
 		} {
 			t.Run(fmt.Sprintf("GOMAXPROCS=%d/%s", procs, q), func(t *testing.T) {
 				withGOMAXPROCS(t, procs)

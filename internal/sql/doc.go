@@ -1,7 +1,7 @@
 // Package sql is the declarative front-end of the library: a hand-written
 // lexer, a recursive-descent parser, and a planner/executor that compile a
 // practical SQL dialect down to the engine's parallel primitives
-// (two-phase aggregation, filtered scans, grouped aggregation, temp-table
+// (two-phase aggregation, filtered scans, grouped aggregation, column-wise
 // staging). It is what turns the reproduction back into the system the
 // paper describes — analytics driven from SQL, with the method suite
 // exposed as a madlib.* function namespace (§4.1).
@@ -132,9 +132,10 @@
 // built-in aggregate arguments, HAVING, INSERT values — and in two
 // madlib.* positions: scalar (column-free) arguments of table-valued
 // calls, which resolve at EXECUTE time (madlib.kmeans(coords, $1)), and
-// the WHERE clause in front of any call. Per-row computed madlib
-// arguments (tag + $1) still reject parameters, because their staging
-// column's type must be known at plan time:
+// the WHERE clause in front of any call, which is the WHERE clause of
+// the call's staged input scan. Per-row computed madlib arguments
+// (tag + $1) still reject parameters, because the type of the column
+// they are staged into must be known at plan time:
 //
 //	PREPARE hot AS SELECT g, avg(v) FROM t WHERE v > $1 GROUP BY g;
 //	EXECUTE hot(0.25);
@@ -157,8 +158,10 @@
 //
 // Every FROM-bearing SELECT
 // shape has exactly one executor, and it is batch- and morsel-driven:
-// projection scans and the window gather run on engine.ForEachBatch,
-// aggregates on engine.RunBatched / RunGroupByBatched. What varies is
+// projection scans and the window gather run on engine.ForEachBatchCtx
+// (which hands the executor the morsel count under the scan's own latch,
+// so per-morsel buffers always fit the morsels scanned), aggregates on
+// engine.RunBatched / RunGroupByBatched. What varies is
 // decided one level down, per consumer: each WHERE predicate, projected
 // item (SELECT list, ORDER BY key over the input row, window PARTITION
 // BY / ORDER BY key), aggregate call and GROUP BY key lowers either to
@@ -256,8 +259,8 @@
 // executor against another. FuzzExprLanes does the same for single
 // generated expressions, as projections and predicates over a table and
 // its LEFT JOIN-padded twin, with the FROM-less path as a third
-// evaluation of column-free ones. Table-valued madlib.* calls are driver
-// functions and keep their own staging scan.
+// evaluation of column-free ones. A table-valued madlib.* call's staged
+// input is one more projection scan, lowered the same way.
 //
 // Each Session keeps an LRU plan cache keyed by statement text:
 // re-executing the same text skips parsing and planning entirely. The
@@ -309,8 +312,12 @@
 // RowSet.Result, the one place typed chunks are boxed into
 // Result.Rows [][]any; a RowSet that already is one boxed chunk hands
 // its rows over untouched. CREATE TABLE AS reads the lanes column-wise
-// (RowSet.storageLane) into engine.CreateTableFrom, which deals rows to
-// segments exactly as Insert would. ExecRowSets, ExecutePreparedRowSet
+// (RowSet.storageColumns) into engine.CreateTableFrom, which deals rows
+// to segments exactly as Insert would (Table.AppendColumns into a fresh
+// table); a table-valued call's staged input takes the same sink into a
+// detached table, and INSERT appends its coerced rows through
+// AppendColumns too, so a multi-row INSERT becomes visible at once.
+// ExecRowSets, ExecutePreparedRowSet
 // and RunRowSet are the Exec/ExecutePreparedContext/Run forms that
 // return the RowSet itself.
 //
@@ -361,9 +368,11 @@
 //	madlib.approx_quantile(col, eps, phi)
 //	madlib.fmcount(col)
 //
-// Table-valued functions consume the whole FROM table (after WHERE) and
-// return their own result relation; they must be the only SELECT item,
-// written with the paper's composite-expansion syntax:
+// Table-valued functions consume their whole FROM source — a table, an
+// inner JOIN or a system view; a LEFT JOIN's NULL padding cannot be
+// stored — after WHERE, and return their own result relation; they must
+// be the only SELECT item, written with the paper's composite-expansion
+// syntax:
 //
 //	SELECT (madlib.linregr(y, x)).* FROM data
 //	SELECT madlib.kmeans(coords, k [, seed]).* FROM points
@@ -394,10 +403,15 @@
 //
 // Column arguments may also be computed expressions. For table-valued
 // calls, linregr(y, array[1, x1, x2]) assembles a vector from scalar
-// columns by staging a temp table, the same pattern the paper's driver
-// functions use for inter-iteration state (§3.1.2); for scalar
-// aggregates, quantile(v * 2, 0.5) or fmcount(i % 5) compile the
-// expression straight into the aggregate's transition function. The
+// columns by staging its input, the pattern the paper's driver
+// functions use (§3.1.2): with a WHERE clause or a computed argument the
+// input is planned as an ordinary SELECT — SELECT *, array[1, x1, x2]
+// AS _arg2 FROM data WHERE ... — run on the scan executor and gathered
+// through the CREATE TABLE AS column sink into a detached table that
+// never enters the catalog; without either the method reads its source
+// as it stands. For scalar aggregates, quantile(v * 2, 0.5) or
+// fmcount(i % 5) compile the expression straight into the aggregate's
+// transition function. The
 // unqualified spelling (linregr(...) without the madlib. prefix)
 // resolves through the same registry.
 //
@@ -430,9 +444,9 @@
 // observed statements, newest first; a statement never records itself.
 // madlib_stats_tables lists the catalog including hidden temp tables,
 // with engine data versions. Each view materializes a fresh snapshot
-// per execution; a real table with the same name shadows its view, and
-// views cannot be joined or fed to table-valued madlib functions —
-// stage them with CREATE TABLE ... AS first.
+// per execution; a real table with the same name shadows its view.
+// Views feed table-valued madlib functions like any table, but cannot be
+// joined — stage them with CREATE TABLE ... AS first.
 //
 // Session.SetQueryLog attaches a log/slog logger: every observed
 // statement at least as slow as the configured threshold is emitted
@@ -479,10 +493,10 @@
 // per-morsel states are discarded, and the statement returns the
 // context's error (context.Canceled or DeadlineExceeded) instead of
 // results. rows_scanned only advances for completed morsels, so the
-// engine's scan counters stay exact under cancellation. The phases that
-// are not morsel-driven — the join build and a table-valued madlib
-// call's staging scan — check the context at segment boundaries
-// instead.
+// engine's scan counters stay exact under cancellation; a table-valued
+// madlib call's staged input is such a scan. The one phase that is not
+// morsel-driven, the join build, checks the context at segment
+// boundaries instead.
 // Cancellation is cooperative and cheap (one atomic load per morsel),
 // so leaving the plain forms on Background costs nothing.
 //
@@ -496,9 +510,9 @@
 // Sessions are safe for concurrent use, and many Sessions may share
 // one engine.DB. Data consistency across concurrent statements comes
 // from the engine's per-table reader/writer latches (scan drivers hold
-// a shared latch for the whole scan; Insert/Truncate/Update hold it
-// exclusively), so a wire server can run a session pool against one
-// shared database without torn reads.
+// a shared latch for the whole scan; Insert, AppendColumns, Truncate and
+// UpdateInt hold it exclusively), so a wire server can run a session pool
+// against one shared database without torn reads.
 //
 // # Testing
 //

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"madlib/internal/core"
 	"madlib/internal/engine"
@@ -166,10 +165,11 @@ func (s *Session) execCreate(st *CreateTable) (*RowSet, error) {
 // executes like any SELECT and storage is its sink — the paper's staging
 // pipeline (§4.1) in one statement. Each output column is typed from its
 // values (from the plan's static kind where it holds none, so an empty
-// result still creates its table), checked and gathered into one storage
-// lane, and only then does engine.CreateTableFrom fill and register the
-// table: other sessions see no table or the whole table, and a NULL or a
-// coercion failure leaves nothing to drop.
+// result still creates its table), the columns are checked and gathered
+// into storage lanes (storageColumns), and only then does
+// engine.CreateTableFrom fill and register the table: other sessions see
+// no table or the whole table, and a NULL or a coercion failure leaves
+// nothing to drop.
 func (s *Session) execCreateTableAs(st *CreateTableAs) (*RowSet, error) {
 	if _, err := s.db.Table(st.Name); err == nil {
 		if st.IfNotExists {
@@ -193,7 +193,6 @@ func (s *Session) execCreateTableAs(st *CreateTableAs) (*RowSet, error) {
 		return nil, execErrf("CREATE TABLE AS requires a query that returns columns")
 	}
 	schema := make(engine.Schema, len(rs.Cols))
-	data := make([]engine.ColumnData, len(rs.Cols))
 	for i, name := range rs.Cols {
 		if !isValidColumnName(name) {
 			return nil, execErrf("CREATE TABLE AS output column %d has no usable name (%q); add an alias (AS name)", i+1, name)
@@ -203,9 +202,10 @@ func (s *Session) execCreateTableAs(st *CreateTableAs) (*RowSet, error) {
 			return nil, err
 		}
 		schema[i] = engine.Column{Name: name, Kind: kind}
-		if data[i], err = rs.storageLane(i, schema[i]); err != nil {
-			return nil, err
-		}
+	}
+	data, err := rs.storageColumns(schema, func(i int) string { return fmt.Sprintf("column %q", schema[i].Name) })
+	if err != nil {
+		return nil, err
 	}
 	if _, err := s.db.CreateTableFrom(st.Name, schema, rs.n, data); err != nil {
 		return nil, err
@@ -266,22 +266,36 @@ func (rs *RowSet) columnKind(i int, name string, static ckind) (engine.Kind, err
 	return 0, execErrf("cannot infer the type of column %q: the query produced no non-NULL values (CREATE TABLE AS needs at least one row per column)", name)
 }
 
-// storageLane gathers output column i into one storage lane of col's
+// storageColumns gathers every column of rs into a storage lane of
+// schema's kind: the column sink of CREATE TABLE AS and of a table-valued
+// call's staged input. A failure names the column as label(i) does.
+func (rs *RowSet) storageColumns(schema engine.Schema, label func(i int) string) ([]engine.ColumnData, error) {
+	data := make([]engine.ColumnData, len(schema))
+	for i, col := range schema {
+		var err error
+		if data[i], err = rs.storageLane(i, col.Kind); err != nil {
+			return nil, fmt.Errorf("sql: %s: %w", label(i), err)
+		}
+	}
+	return data, nil
+}
+
+// errNullStored rejects a NULL headed for storage.
+var errNullStored = errors.New("NULL values cannot be stored (the engine has no NULL representation)")
+
+// storageLane gathers output column i into one storage lane of the given
 // kind: typed lanes of that kind append as they are, anything else
 // coerces value by value exactly as INSERT would. A NULL fails the
 // statement (the engine has no NULL representation).
-func (rs *RowSet) storageLane(i int, col engine.Column) (engine.ColumnData, error) {
+func (rs *RowSet) storageLane(i int, kind engine.Kind) (engine.ColumnData, error) {
 	var d engine.ColumnData
-	nullErr := func() error {
-		return execErrf("column %q: NULL values cannot be stored (the engine has no NULL representation)", col.Name)
-	}
 	for ci := range rs.chunks {
 		c := &rs.chunks[ci]
-		if c.cols != nil && c.cols[i].kind.typed() && engineKindOf(c.cols[i].kind) == col.Kind {
+		if c.cols != nil && c.cols[i].kind.typed() && engineKindOf(c.cols[i].kind) == kind {
 			l := &c.cols[i]
 			for _, ok := range l.valid {
 				if !ok {
-					return d, nullErr()
+					return d, errNullStored
 				}
 			}
 			d.Ints = appendLane(d.Ints, l.ints, rs.n)
@@ -293,27 +307,32 @@ func (rs *RowSet) storageLane(i int, col engine.Column) (engine.ColumnData, erro
 		for r := 0; r < c.n; r++ {
 			v := c.value(r, i)
 			if v == nil {
-				return d, nullErr()
+				return d, errNullStored
 			}
-			cv, err := coerceValue(v, col.Kind)
+			cv, err := coerceValue(v, kind)
 			if err != nil {
-				return d, fmt.Errorf("sql: column %q: %w", col.Name, err)
+				return d, err
 			}
-			switch x := cv.(type) {
-			case int64:
-				d.Ints = append(d.Ints, x)
-			case float64:
-				d.Floats = append(d.Floats, x)
-			case string:
-				d.Strings = append(d.Strings, x)
-			case bool:
-				d.Bools = append(d.Bools, x)
-			case []float64:
-				d.Vectors = append(d.Vectors, x)
-			}
+			appendStored(&d, cv)
 		}
 	}
 	return d, nil
+}
+
+// appendStored appends one coerceValue result to its lane of d.
+func appendStored(d *engine.ColumnData, v any) {
+	switch x := v.(type) {
+	case int64:
+		d.Ints = append(d.Ints, x)
+	case float64:
+		d.Floats = append(d.Floats, x)
+	case string:
+		d.Strings = append(d.Strings, x)
+	case bool:
+		d.Bools = append(d.Bools, x)
+	case []float64:
+		d.Vectors = append(d.Vectors, x)
+	}
 }
 
 // appendLane appends src to dst, a lane that will hold total values in
@@ -404,29 +423,30 @@ func (p *insertPlan) columns() []string { return nil }
 
 func (p *insertPlan) kinds() []ckind { return nil }
 
-// exec evaluates and coerces every row before the first Insert, so a row
-// that fails leaves the table as it was.
+// exec evaluates and coerces every row into column lanes, then appends
+// them in one engine.Table.AppendColumns: a row that fails leaves the
+// table as it was, and a concurrent reader sees none of the statement's
+// rows or all of them.
 func (p *insertPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	schema := p.table.Schema()
-	vals := make([][]any, len(p.rows))
-	for r, row := range p.rows {
-		vals[r] = make([]any, len(schema))
+	data := make([]engine.ColumnData, len(schema))
+	for _, row := range p.rows {
 		for ci, fn := range row {
 			v, err := fn(engine.Row{}, env)
 			if err != nil {
 				return nil, err
 			}
-			if vals[r][ci], err = coerceValue(v, schema[ci].Kind); err != nil {
+			cv, err := coerceValue(v, schema[ci].Kind)
+			if err != nil {
 				return nil, fmt.Errorf("sql: column %q: %w", schema[ci].Name, err)
 			}
+			appendStored(&data[ci], cv)
 		}
 	}
-	for _, row := range vals {
-		if err := p.table.Insert(row...); err != nil {
-			return nil, err
-		}
+	if err := p.table.AppendColumns(len(p.rows), data); err != nil {
+		return nil, err
 	}
-	return &RowSet{Tag: fmt.Sprintf("INSERT 0 %d", len(vals))}, nil
+	return &RowSet{Tag: fmt.Sprintf("INSERT 0 %d", len(p.rows))}, nil
 }
 
 // coerceValue converts an evaluated literal to the column kind, applying
@@ -520,16 +540,10 @@ func (s *Session) planSelect(st *Select) (stmtPlan, error) {
 			if st.Having != nil {
 				return nil, execErrf("HAVING cannot be combined with table-valued madlib functions")
 			}
-			if ps.join != nil {
-				return nil, execErrf("table-valued madlib functions cannot be combined with JOIN; stage the join with CREATE TABLE ... AS first")
-			}
-			if ps.virtual {
-				return nil, execErrf("table-valued madlib functions cannot run over system views")
-			}
 			if st.Distinct {
 				return nil, execErrf("SELECT DISTINCT cannot be combined with table-valued madlib functions")
 			}
-			return planTableValued(st, ps.table, call)
+			return planTableValued(st, call, newLowering(ps, !s.batchEnabled()))
 		}
 		if item.Expand {
 			return nil, execErrf("composite expansion (.*) only applies to madlib table-valued functions")
@@ -738,24 +752,6 @@ func orderDesc(keys []OrderKey) []bool {
 	return desc
 }
 
-// enginePred adapts a compiled predicate to the engine's bool-only
-// predicate contract for the table-valued plan's staging scans;
-// evaluation errors stash in errPtr and reject the row, surfacing after
-// the scan.
-func enginePred(fn boolFn, env *execEnv, errPtr *atomic.Value) func(engine.Row) bool {
-	if fn == nil {
-		return nil
-	}
-	return func(row engine.Row) bool {
-		v, err := fn(row, env)
-		if err != nil {
-			errPtr.CompareAndSwap(nil, err)
-			return false
-		}
-		return v
-	}
-}
-
 // scanPlan is a planned projection scan: SELECT exprs FROM t [WHERE]
 // [ORDER BY] [LIMIT]. It has one executor, gatherBatches: the WHERE
 // kernel filters each column batch into a selection vector and every
@@ -889,8 +885,11 @@ func (p *scanPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 		return nil, err
 	}
 	defer cleanup()
-	scan := func(fn func(int, engine.ColBatch) error) error { return s.db.ForEachBatchCtx(env.context(), input, fn) }
-	chunks, err := gatherBatches(env, s.db.ScanMorsels(input), scan, p.prog, p.pred, p.emitChunk)
+	var chunks []Chunk
+	err = s.db.ForEachBatchCtx(env.context(), input, func(morsels int, scan func(func(int, engine.ColBatch) error) error) (err error) {
+		chunks, err = gatherBatches(env, morsels, scan, p.prog, p.pred, p.emitChunk)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1328,7 +1327,7 @@ func appendKeyValue(buf []byte, schema engine.Schema, r engine.Row, gi int) []by
 }
 
 // inferKind statically types an expression against a schema, for staging
-// computed madlib arguments into a temp-table column and for a query's
+// computed madlib arguments into a column of their own and for a query's
 // output columns (CREATE TABLE AS over an empty aggregate result,
 // RowDescription). Built-in aggregate and window calls type by their
 // result.
@@ -1392,15 +1391,6 @@ func inferKind(e Expr, schema engine.Schema) (engine.Kind, error) {
 	return 0, execErrf("cannot infer the type of %s", e.String())
 }
 
-// computedStage is one computed madlib argument staged into a temp-table
-// column.
-type computedStage struct {
-	argIdx int
-	name   string
-	kind   engine.Kind
-	fn     anyFn
-}
-
 // deferredArg is a madlib call argument containing $n placeholders (and
 // no column references): a scalar evaluated at EXECUTE time, when the
 // parameter values are known.
@@ -1409,24 +1399,33 @@ type deferredArg struct {
 	fn     anyFn
 }
 
-// tvPlan is a planned SELECT (madlib.fn(...)).* FROM t [WHERE ...]. A
-// WHERE clause or a computed argument (e.g. linregr(y, array[1, x0, x1])
-// over scalar columns) stages the rows through a temporary table first —
-// the same pattern the paper's driver functions use (§3.1.2). Scalar
-// arguments may hold $n placeholders (madlib.kmeans(coords, $1)); they
-// resolve per execution. Per-row computed arguments cannot, because
-// their staging column's type must be known at plan time.
+// tvPlan is a planned SELECT (madlib.fn(...)).* FROM src [WHERE ...], over
+// any planSource but a LEFT JOIN (storage has no NULL for its padding).
+// With no WHERE clause and no computed argument the method reads the
+// source's table as it stands. Otherwise the input is an ordinary SELECT —
+// SELECT *, <computed arguments> AS _argN FROM src WHERE ... — planned
+// like any scan (batch kernels, oracle mode, morsel cancellation) and
+// landed per execution through the CREATE TABLE AS column sink into a
+// detached table: the paper's driver-function staging (§3.1.2), with
+// nothing entering the catalog. Scalar arguments may hold $n placeholders
+// (madlib.kmeans(coords, $1)); they resolve per execution. Per-row
+// computed arguments cannot, because their staged column's type must be
+// known at plan time.
 type tvPlan struct {
-	name      string
-	table     *engine.Table
+	src       *planSource
 	st        *Select
 	call      *FuncCall
 	fn        core.SQLFunc
 	finalArgs []any
 	deferred  []deferredArg
-	computed  []computedStage
-	pred      boolFn
-	desc      []bool
+	// stage scans the method's input when it must be staged (nil: the
+	// source's table is the input). schema is the staged table's: the
+	// source's visible columns, then one column per computed argument,
+	// whose call argument index computed holds.
+	stage    *scanPlan
+	schema   engine.Schema
+	computed []int
+	desc     []bool
 	// keys are the ORDER BY keys. The method's output columns are only
 	// known per execution, so ordinals are range-checked then, and the
 	// column names the expression keys read (keyNames, slot i for name i)
@@ -1435,26 +1434,25 @@ type tvPlan struct {
 	keyNames []string
 }
 
-func planTableValued(st *Select, t *engine.Table, call *FuncCall) (stmtPlan, error) {
+func planTableValued(st *Select, call *FuncCall, lw *lowering) (stmtPlan, error) {
 	if len(st.GroupBy) > 0 {
 		return nil, execErrf("GROUP BY cannot be combined with table-valued madlib functions")
 	}
-	f, _ := core.LookupSQLFunc(call.Name)
-	p := &tvPlan{name: st.From, table: t, st: st, call: call, fn: f, desc: orderDesc(st.OrderBy)}
-	schema := t.Schema()
-	var err error
-	p.pred, err = compilePredicate(st.Where, newCompileCtx(schema))
-	if err != nil {
-		return nil, err
+	ps := lw.cc.src
+	if ps.join != nil && ps.join.outer {
+		return nil, execErrf("table-valued madlib functions cannot be combined with LEFT JOIN (storage cannot hold its NULL padding); use an inner JOIN")
 	}
+	f, _ := core.LookupSQLFunc(call.Name)
+	p := &tvPlan{src: ps, st: st, call: call, fn: f, desc: orderDesc(st.OrderBy)}
+	p.schema = ps.schema[:ps.visible:ps.visible]
+	stage := &Select{Items: []SelectItem{{Star: true}}, Where: st.Where, Limit: -1}
 	// Classify arguments: column references and constants pass through,
 	// parameter-bearing scalars defer to execution, and any other
-	// expression becomes a computed staging column.
-	cc := newCompileCtx(schema)
+	// expression becomes a computed column of the staged input.
 	p.finalArgs = make([]any, len(call.Args))
 	for i, a := range call.Args {
 		if cr, ok := a.(*ColumnRef); ok {
-			if schema.Index(cr.Name) < 0 {
+			if p.schema.Index(cr.Name) < 0 {
 				return nil, fmt.Errorf("%w: %q", engine.ErrNoColumn, cr.Name)
 			}
 			p.finalArgs[i] = core.ColumnArg{Name: cr.Name}
@@ -1481,17 +1479,22 @@ func planTableValued(st *Select, t *engine.Table, call *FuncCall) (stmtPlan, err
 			p.deferred = append(p.deferred, deferredArg{argIdx: i, fn: c.a})
 			continue
 		}
-		kind, err := inferKind(a, schema)
-		if err != nil {
-			return nil, err
-		}
-		c, err := compileExpr(a, cc)
+		kind, err := inferKind(a, p.schema)
 		if err != nil {
 			return nil, err
 		}
 		name := fmt.Sprintf("_arg%d", i+1)
-		p.computed = append(p.computed, computedStage{argIdx: i, name: name, kind: kind, fn: c.a})
+		p.schema = append(p.schema, engine.Column{Name: name, Kind: kind})
+		p.computed = append(p.computed, i)
+		stage.Items = append(stage.Items, SelectItem{Expr: a, Alias: name})
 		p.finalArgs[i] = core.ColumnArg{Name: name}
+	}
+	if st.Where != nil || len(p.computed) > 0 {
+		pl, err := planScanSelect(stage, lw)
+		if err != nil {
+			return nil, err
+		}
+		p.stage = pl.(*scanPlan)
 	}
 	for _, key := range st.OrderBy {
 		walkExpr(key.Expr, func(e Expr) {
@@ -1500,16 +1503,14 @@ func planTableValued(st *Select, t *engine.Table, call *FuncCall) (stmtPlan, err
 			}
 		})
 	}
+	var err error
 	p.keys, err = compileSortKeys(st.OrderBy, math.MaxInt32, outputCompileCtx(nil, p.keyNames, 0))
 	return p, err
 }
 
-func (p *tvPlan) valid(db *engine.DB) bool {
-	t, err := db.Table(p.name)
-	return err == nil && t == p.table
-}
+func (p *tvPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
 
-func (p *tvPlan) release(*engine.DB) {}
+func (p *tvPlan) release(db *engine.DB) { p.src.release(db) }
 
 // columns is nil for table-valued madlib.* calls: the output shape (names
 // and kinds) is produced by the method at execution time.
@@ -1517,74 +1518,39 @@ func (p *tvPlan) columns() []string { return nil }
 
 func (p *tvPlan) kinds() []ckind { return nil }
 
-func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
-	st, t, call := p.st, p.table, p.call
-	var predErr atomic.Value
-	pred := enginePred(p.pred, env, &predErr)
-	input := t
-	switch {
-	case len(p.computed) > 0:
-		schema := t.Schema().Clone()
-		for _, c := range p.computed {
-			schema = append(schema, engine.Column{Name: c.name, Kind: c.kind})
-		}
-		staged, err := s.db.CreateTempTable("sql_stage", schema)
-		if err != nil {
-			return nil, err
-		}
-		defer func() { _ = s.db.DropTable(staged.Name()) }()
-		baseSchema := t.Schema()
-		// Evaluate segment-parallel into per-segment buffers (the scan and
-		// the expression work dominate), then append sequentially.
-		segVals := make([][][]any, len(t.Segments()))
-		err = s.db.ForEachSegmentCtx(env.context(), t, func(segIdx int, row engine.Row) error {
-			if pred != nil && !pred(row) {
-				return nil
-			}
-			vals := make([]any, len(schema))
-			for ci := range baseSchema {
-				vals[ci] = rowValue(baseSchema, &row, ci)
-			}
-			for k, c := range p.computed {
-				v, err := c.fn(row, env)
-				if err != nil {
-					return err
-				}
-				cv, err := coerceValue(v, c.kind)
-				if err != nil {
-					return fmt.Errorf("sql: %s argument %d: %w", call.Name, c.argIdx+1, err)
-				}
-				vals[len(baseSchema)+k] = cv
-			}
-			segVals[segIdx] = append(segVals[segIdx], vals)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if e := predErr.Load(); e != nil {
-			return nil, e.(error)
-		}
-		for _, seg := range segVals {
-			for _, vals := range seg {
-				if err := staged.Insert(vals...); err != nil {
-					return nil, err
-				}
-			}
-		}
-		input = staged
-	case st.Where != nil:
-		staged, err := s.db.SelectIntoTempCtx(env.context(), "sql_stage", t, pred, nil)
-		if err != nil {
-			return nil, err
-		}
-		if e := predErr.Load(); e != nil {
-			_ = s.db.DropTable(staged.Name())
-			return nil, e.(error)
-		}
-		defer func() { _ = s.db.DropTable(staged.Name()) }()
-		input = staged
+// input returns the table the method reads: the source's own table, or
+// the staged scan's rows gathered column-wise into a detached table.
+func (p *tvPlan) input(s *Session, env *execEnv) (*engine.Table, func(), error) {
+	if p.stage == nil {
+		return p.src.acquire(s, env.context())
 	}
+	rs, err := p.stage.exec(s, env)
+	if err != nil {
+		return nil, nil, err
+	}
+	vis := len(p.schema) - len(p.computed)
+	data, err := rs.storageColumns(p.schema, func(i int) string {
+		if i < vis {
+			return fmt.Sprintf("column %q", p.schema[i].Name)
+		}
+		return fmt.Sprintf("%s argument %d", p.call.Name, p.computed[i-vis]+1)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	t, err := engine.NewDetachedTable("sql_stage", p.schema, s.db.SegmentCount())
+	if err == nil {
+		err = t.AppendColumns(rs.n, data)
+	}
+	return t, func() {}, err
+}
+
+func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
+	input, cleanup, err := p.input(s, env)
+	if err != nil {
+		return nil, err
+	}
+	defer cleanup()
 	args := p.finalArgs
 	if len(p.deferred) > 0 {
 		args = append([]any(nil), p.finalArgs...)
@@ -1598,7 +1564,7 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	}
 	outSchema, rows, err := p.fn.Invoke(s.db, input, args)
 	if err != nil {
-		return nil, fmt.Errorf("sql: madlib.%s: %w", call.Name, err)
+		return nil, fmt.Errorf("sql: madlib.%s: %w", p.call.Name, err)
 	}
 	cols := make([]string, len(outSchema))
 	kinds := make([]ckind, len(outSchema))
@@ -1630,5 +1596,5 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 			}
 		}
 	}
-	return finishSelect(s.db, cols, kinds, rows, keys, false, p.desc, st.Limit)
+	return finishSelect(s.db, cols, kinds, rows, keys, false, p.desc, p.st.Limit)
 }

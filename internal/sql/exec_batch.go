@@ -1,6 +1,10 @@
 package sql
 
-import "madlib/internal/engine"
+import (
+	"sync"
+
+	"madlib/internal/engine"
+)
 
 // The aggregate executor. Every planned aggregate query carries one
 // batchAggLane and runs it through engine.RunBatched / RunGroupByBatched:
@@ -1243,13 +1247,14 @@ func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]*m
 	}
 	grouped := len(p.groupIdx) > 0
 	// Track every morsel state so the scratch returns to the pool even
-	// when a kernel errors mid-scan. States are indexed by morsel — large
-	// segments split into several morsels, so this can exceed the segment
-	// count.
-	tracked := make([]*batchMorselState, s.db.ScanMorsels(input))
-	newMorsel := func(i int) any {
+	// when a kernel errors mid-scan.
+	var mu sync.Mutex
+	var tracked []*batchMorselState
+	newMorsel := func(int) any {
 		st := ln.newMorselState(env, grouped)
-		tracked[i] = st
+		mu.Lock()
+		tracked = append(tracked, st)
+		mu.Unlock()
 		return st
 	}
 	defer func() {

@@ -399,6 +399,41 @@ func TestExecMadlibComputedArgs(t *testing.T) {
 	}
 }
 
+// TestExplainTableValuedInput pins how EXPLAIN renders a table-valued
+// call's input: the source's own lines when the method reads it as it
+// stands, the staged scan's plan (lane and filter included) otherwise.
+func TestExplainTableValuedInput(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `CREATE TABLE d (g bigint, y float, x1 float, x double precision[]);
+		INSERT INTO d VALUES (1, 9, 1, {1, 1}), (2, 12, 2, {1, 2});
+		CREATE TABLE e (g bigint, w float); INSERT INTO e VALUES (1, 0.5)`)
+	for q, want := range map[string][]string{
+		`SELECT (madlib.linregr(y, x)).* FROM d`: {
+			"  Seq Scan on d (4 segments, 2 rows)", "    execution: sequential"},
+		`SELECT (madlib.linregr(y, x)).* FROM d WHERE g = 1`: {
+			"  Seq Scan on d (4 segments, 2 rows)", "    lane: batch (vectorized filter + columnar projection)", "    filter: (g = 1)"},
+		`SELECT (madlib.linregr(y, array[1, x1])).* FROM d`: {"    lane: batch (columnar projection)"},
+		`SELECT (madlib.profile()).* FROM d JOIN e ON d.g = e.g`: {
+			"  Hash Join (d.g = e.g)", "    join cache: miss (build + probe at execution)"},
+		`SELECT (madlib.profile()).* FROM madlib_stats_tables`: {"  System View madlib_stats_tables"},
+	} {
+		r := mustQuery(t, s, "EXPLAIN "+q)
+		var lines []string
+		for _, row := range r.Rows {
+			lines = append(lines, row[0].(string))
+		}
+		plan := strings.Join(lines, "\n")
+		if !strings.HasPrefix(plan, "Function Scan on madlib.") {
+			t.Fatalf("%s:\n%s", q, plan)
+		}
+		for _, w := range want {
+			if !strings.Contains(plan, "\n"+w) {
+				t.Fatalf("%s: no line %q in\n%s", q, w, plan)
+			}
+		}
+	}
+}
+
 func TestExecMadlibKMeans(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, `CREATE TABLE points (coords double precision[])`)

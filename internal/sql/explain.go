@@ -166,16 +166,15 @@ func explainLines(s *Session, pl stmtPlan) []string {
 		}
 		return append(lines, sourceDetail(s, p.src, "    ")...)
 	case *tvPlan:
-		lines := []string{
-			"Function Scan on madlib." + p.call.Name,
-			"  lane: row (driver function)",
-			fmt.Sprintf("  Seq Scan on %s (%d segments, %d rows)",
-				p.name, len(p.table.Segments()), p.table.Count()),
+		lines := []string{"Function Scan on madlib." + p.call.Name, "  lane: row (driver function)"}
+		if p.stage == nil {
+			lines = append(lines, "  "+sourceTitle(s, p.src))
+			return append(lines, sourceDetail(s, p.src, "    ")...)
 		}
-		if p.st.Where != nil {
-			lines = append(lines, "    filter: "+p.st.Where.String())
+		for _, l := range explainLines(s, p.stage) {
+			lines = append(lines, "  "+l)
 		}
-		return append(lines, "    "+executionLine(s, p.table))
+		return lines
 	case *constPlan:
 		return []string{"Result (constant expressions)"}
 	case *insertPlan:

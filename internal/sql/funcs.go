@@ -1174,7 +1174,7 @@ func invokeProfile(db *engine.DB, t *engine.Table, args []any) (engine.Schema, [
 	if err := wantArgs("profile", args, 0, 0); err != nil {
 		return nil, nil, err
 	}
-	res, err := profile.Run(db, t.Name())
+	res, err := profile.RunTable(db, t)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -581,10 +581,15 @@ func resolveSelectBody(st *Select, sc *scope, ps *planSource) (*Select, error) {
 	return out, nil
 }
 
-// isOutputName reports whether name labels one of the SELECT items.
+// isOutputName reports whether name labels one of the SELECT items. A
+// table-valued call's output columns are only known when it runs, so any
+// name may label one of those.
 func isOutputName(st *Select, name string) bool {
 	for _, item := range st.Items {
-		if !item.Star && outputName(item) == name {
+		if item.Star {
+			continue
+		}
+		if fc, ok := item.Expr.(*FuncCall); (ok && isTableValuedCall(fc)) || outputName(item) == name {
 			return true
 		}
 	}

@@ -14,7 +14,7 @@ import (
 // has three sinks: RowSet.Result boxes it into Result.Rows for the
 // in-process API, the wire server renders DataRows cell by cell with
 // Chunk.AppendText, and CREATE TABLE AS reads the lanes column-wise
-// (RowSet.storageLane).
+// (RowSet.storageColumns), as does a table-valued call's staged input.
 
 // chunkCol is one output column of a columnar Chunk: the lane matching
 // kind holds one value per row; kind ckAny means the boxed lane.

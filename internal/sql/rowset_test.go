@@ -359,3 +359,24 @@ func TestCTASIsAtomic(t *testing.T) {
 		mustExec(t, writer, `DROP TABLE staged`)
 	}
 }
+
+// TestStorageColumnsNamesFailures pins how the storage sink reports a
+// value it cannot store: prefixed with the label of its column, which a
+// table-valued call's staged input sets to the call argument, never to
+// the staged column's internal name.
+func TestStorageColumnsNamesFailures(t *testing.T) {
+	schema := engine.Schema{{Name: "_arg1", Kind: engine.Float}}
+	label := func(int) string { return "bootstrap argument 1" }
+	for _, tc := range []struct {
+		val  any
+		want string
+	}{
+		{"a", "sql: bootstrap argument 1: engine: value does not match column type: text value into double precision column"},
+		{nil, "sql: bootstrap argument 1: NULL values cannot be stored (the engine has no NULL representation)"},
+	} {
+		rs := boxedRowSet([]string{"_arg1"}, nil, [][]any{{1.5}, {tc.val}}, "")
+		if _, err := rs.storageColumns(schema, label); err == nil || err.Error() != tc.want {
+			t.Fatalf("%v: err = %v, want %s", tc.val, err, tc.want)
+		}
+	}
+}
