@@ -702,19 +702,25 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 		}
 	})
 	const joinQuery = `SELECT dims.name, sum(t.v), count(*) FROM t JOIN dims ON t.g = dims.g GROUP BY dims.name`
-	dims, err := db.CreateTable("dims", engine.Schema{
-		{Name: "g", Kind: engine.Int}, {Name: "name", Kind: engine.String},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for g := 0; g < 16; g++ {
-		if err := dims.Insert(int64(g), fmt.Sprintf("g%02d", g)); err != nil {
+	// makeDims (re-)creates the 16-row dims table. A new table is a new
+	// join input, so the engine's join cache cannot serve it.
+	makeDims := func(b *testing.B) {
+		_ = db.DropTable("dims") // absent on the first call
+		dims, err := db.CreateTable("dims", engine.Schema{
+			{Name: "g", Kind: engine.Int}, {Name: "name", Kind: engine.String},
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
+		for g := 0; g < 16; g++ {
+			if err := dims.Insert(int64(g), fmt.Sprintf("g%02d", g)); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	makeDims(b)
 	// Joined aggregate, cold: every iteration re-plans and rebuilds the
-	// join materialization (one-shot plans release it after executing),
+	// join materialization (dims is re-created, untimed, before each),
 	// measuring the full build+probe+aggregate pipeline.
 	b.Run("SQLJoinAgg", func(b *testing.B) {
 		joinSess := sqlfe.NewSession(db)
@@ -723,6 +729,9 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 		base := counterBase("sql_join_cache_misses")
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			makeDims(b)
+			b.StartTimer()
 			res, err := joinSess.Run(st)
 			if err != nil {
 				b.Fatal(err)

@@ -223,7 +223,7 @@ madlib_stats_queries, madlib_stats_tables.
 }
 
 // listTables prints the catalog. Plain \d hides engine-managed
-// temporaries (cached join materializations, driver-function state) the way
+// temporaries (driver-function state) the way
 // psql hides other sessions' temp schemas; \d+ (all=true) shows them
 // alongside row counts and data versions.
 func (r *repl) listTables(all bool) {

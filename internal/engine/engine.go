@@ -190,7 +190,7 @@ type Table struct {
 
 	// version counts data mutations made through the table/engine API
 	// (Insert, AppendColumns, Truncate, UpdateInt). Derived
-	// results (the SQL front-end's cached join materializations) compare
+	// results (the join cache's materializations, DB.Join) compare
 	// versions to decide whether their input changed. Code that writes
 	// segment storage directly bypasses the counter — such writers own
 	// the table and must not share it with cached consumers.
@@ -368,6 +368,9 @@ type DB struct {
 	mu      sync.RWMutex
 	tables  map[string]*Table
 	tempSeq int64
+	// joins is the join materialization cache (Join); mu guards the map,
+	// so an entry exists only while both of its inputs are in tables.
+	joins map[joinKey]*joinEntry
 
 	// metrics is this database's observability registry; every counter
 	// below is resolved from it once at Open so the hot paths pay one
@@ -404,6 +407,7 @@ func Open(segments int) *DB {
 	return &DB{
 		segments:    segments,
 		tables:      make(map[string]*Table),
+		joins:       make(map[joinKey]*joinEntry),
 		metrics:     reg,
 		queries:     reg.Counter("engine_queries"),
 		rowsScanned: reg.Counter("engine_rows_scanned"),
@@ -597,10 +601,10 @@ func (db *DB) CreateTableFrom(name string, schema Schema, n int, cols []ColumnDa
 // NewDetachedTable builds a table that is NOT registered in any catalog:
 // the SQL layer materializes system views (madlib_stats_*) and a
 // table-valued call's staged input into detached tables per execution,
-// so they flow through the ordinary scan machinery and the methods
-// without polluting the catalog or temp-table namespace, and nothing is
-// left to drop. The caller owns the table; segments is clamped to at
-// least 1.
+// and the join cache (Join) holds its materializations in them, so they
+// flow through the ordinary scan machinery and the methods without
+// polluting the catalog or temp-table namespace, and nothing is left to
+// drop. The caller owns the table; segments is clamped to at least 1.
 func NewDetachedTable(name string, schema Schema, segments int) (*Table, error) {
 	if segments < 1 {
 		segments = 1
@@ -619,15 +623,28 @@ func (db *DB) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// DropTable removes a table from the catalog.
+// DropTable removes a table from the catalog, and from the join cache
+// every join that reads it.
 func (db *DB) DropTable(name string) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, ok := db.tables[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrNoTable, name)
 	}
-	delete(db.tables, name)
+	db.unregister(name)
 	return nil
+}
+
+// unregister removes the named table, if any, from the catalog and its
+// joins from the join cache. The caller holds db.mu.
+func (db *DB) unregister(name string) {
+	t := db.tables[name]
+	delete(db.tables, name)
+	for k := range db.joins {
+		if k.left == t || k.right == t {
+			delete(db.joins, k)
+		}
+	}
 }
 
 // TableNames returns the sorted names of all catalog tables; the profile
@@ -648,7 +665,7 @@ func (db *DB) TableNames() []string {
 // table pattern of §3.1.2 (PostgreSQL's generate_series).
 func (db *DB) GenerateSeries(name string, from, to int64) (*Table, error) {
 	db.mu.Lock()
-	delete(db.tables, name)
+	db.unregister(name)
 	db.mu.Unlock()
 	t, err := db.CreateTable(name, Schema{{Name: "i", Kind: Int}})
 	if err != nil {

@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -45,6 +47,121 @@ func JoinSchema(left, right *Table, outer bool) (Schema, error) {
 	return schema, nil
 }
 
+// joinKey identifies one cached join: its inputs by pointer (a dropped
+// and re-created table is a different input) and the join's shape.
+type joinKey struct {
+	left, right       *Table
+	leftKey, rightKey string
+	outer             bool
+}
+
+// joinEntry is one join's cache slot. build single-flights the
+// materialization; res is the last completed build, read lock-free.
+type joinEntry struct {
+	build sync.Mutex
+	res   atomic.Pointer[joinResult]
+}
+
+// joinResult is a materialization stamped with the input versions read
+// before it was built.
+type joinResult struct {
+	out               *Table
+	leftVer, rightVer int64
+}
+
+// current returns the entry's materialization while both inputs still
+// carry the versions it was built from, else nil.
+func (e *joinEntry) current(k joinKey) *Table {
+	r := e.res.Load()
+	if r != nil && r.leftVer == k.left.Version() && r.rightVer == k.right.Version() {
+		return r.out
+	}
+	return nil
+}
+
+// Join returns the equi-join HashJoinTemp describes, from the database's
+// join cache: hit reports that an earlier build was reused. A build is
+// reused while both inputs' Versions equal the ones read before it
+// started, so a write that lands mid-build makes the next call rebuild
+// instead of trusting a torn snapshot. Concurrent misses on one join
+// wait for a single build and share it.
+//
+// The materialization is a detached table, never in the catalog, and
+// callers must not write to it. The cache holds at most one
+// materialization per distinct (left, right, leftKey, rightKey, outer)
+// over tables in the catalog: a rebuild replaces the stale one, and
+// DropTable of either input discards the join's entry. Inputs that are
+// not in the catalog are joined without caching.
+func (db *DB) Join(ctx context.Context, left *Table, leftKey string, right *Table, rightKey string, outer bool) (*Table, bool, error) {
+	k := joinKey{left: left, right: right, leftKey: leftKey, rightKey: rightKey, outer: outer}
+	e := db.joinEntry(k)
+	if e == nil {
+		out, err := db.buildJoin(ctx, "join", left, leftKey, right, rightKey, outer)
+		return out, false, err
+	}
+	if out := e.current(k); out != nil {
+		return out, true, nil
+	}
+	e.build.Lock()
+	defer e.build.Unlock()
+	if out := e.current(k); out != nil {
+		return out, true, nil
+	}
+	lv, rv := left.Version(), right.Version()
+	out, err := db.buildJoin(ctx, "join", left, leftKey, right, rightKey, outer)
+	if err != nil {
+		return nil, false, err
+	}
+	// Under the catalog lock, so a DropTable of an input either ran first
+	// (the entry is gone: this build is used once, not cached) or runs
+	// after and discards the entry with its result.
+	db.mu.RLock()
+	if db.joins[k] == e {
+		e.res.Store(&joinResult{out: out, leftVer: lv, rightVer: rv})
+	}
+	db.mu.RUnlock()
+	return out, false, nil
+}
+
+// JoinCached reports whether Join would reuse a materialization for these
+// arguments now. It builds and registers nothing.
+func (db *DB) JoinCached(left *Table, leftKey string, right *Table, rightKey string, outer bool) bool {
+	k := joinKey{left: left, right: right, leftKey: leftKey, rightKey: rightKey, outer: outer}
+	db.mu.RLock()
+	e := db.joins[k]
+	db.mu.RUnlock()
+	return e != nil && e.current(k) != nil
+}
+
+// JoinCacheLen returns the number of joins the cache holds an entry for.
+func (db *DB) JoinCacheLen() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return len(db.joins)
+}
+
+// joinEntry returns k's cache slot, creating it when both inputs are in
+// the catalog. It returns nil when either is not: nothing would ever
+// discard that entry.
+func (db *DB) joinEntry(k joinKey) *joinEntry {
+	db.mu.RLock()
+	e := db.joins[k]
+	db.mu.RUnlock()
+	if e != nil {
+		return e
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.tables[k.left.name] != k.left || db.tables[k.right.name] != k.right {
+		return nil
+	}
+	if e = db.joins[k]; e == nil {
+		e = &joinEntry{}
+		db.joins[k] = e
+	}
+	return e
+}
+
 // HashJoinTemp materializes an equi-join of two tables into a uniquely
 // named temporary table (prefix-based, like CreateTempTable):
 //
@@ -63,6 +180,9 @@ func JoinSchema(left, right *Table, outer bool) (Schema, error) {
 // build-side match are emitted once, their right-side columns padded
 // with zero values and the MatchedCol marker set to false — the
 // null-padding wrapper the SQL front-end's LEFT JOIN lowers onto.
+//
+// The table enters the catalog only once it is complete, and the caller
+// drops it. Join is the cached form that leaves the catalog alone.
 func (db *DB) HashJoinTemp(prefix string, left *Table, leftKey string, right *Table, rightKey string, outer bool) (*Table, error) {
 	return db.HashJoinTempCtx(context.Background(), prefix, left, leftKey, right, rightKey, outer)
 }
@@ -71,6 +191,19 @@ func (db *DB) HashJoinTemp(prefix string, left *Table, leftKey string, right *Ta
 // phase (the build side is scanned sequentially and is usually the small
 // table).
 func (db *DB) HashJoinTempCtx(ctx context.Context, prefix string, left *Table, leftKey string, right *Table, rightKey string, outer bool) (*Table, error) {
+	out, err := db.buildJoin(ctx, db.nextTempName(prefix), left, leftKey, right, rightKey, outer)
+	if err != nil {
+		return nil, err
+	}
+	if err := db.register(out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// buildJoin runs the hash join into a detached temp table named name,
+// with one output segment per left segment.
+func (db *DB) buildJoin(ctx context.Context, name string, left *Table, leftKey string, right *Table, rightKey string, outer bool) (*Table, error) {
 	buildStart := time.Now()
 	lk := left.schema.Index(leftKey)
 	if lk < 0 {
@@ -92,7 +225,7 @@ func (db *DB) HashJoinTempCtx(ctx context.Context, prefix string, left *Table, l
 	if err != nil {
 		return nil, err
 	}
-	out, err := db.createTable(db.nextTempName(prefix), schema, true)
+	out, err := NewDetachedTable(name, schema, len(left.segs))
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +310,6 @@ func (db *DB) HashJoinTempCtx(ctx context.Context, prefix string, left *Table, l
 		return nil
 	})
 	if err != nil {
-		_ = db.DropTable(out.name) // don't leak a half-built join table
 		return nil, err
 	}
 	var total int64

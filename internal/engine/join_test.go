@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -176,6 +179,97 @@ func TestHashJoinTempOuter(t *testing.T) {
 	}
 	if matched != 2 {
 		t.Fatalf("matched rows = %d, want 2", matched)
+	}
+}
+
+// TestJoinCache pins DB.Join's contract: a hit while both input versions
+// stand, a rebuild after a write to either, one entry per distinct join,
+// nothing in the catalog, and DropTable of an input discarding the
+// entries that read it.
+func TestJoinCache(t *testing.T) {
+	db := Open(3)
+	facts, dims := buildJoinTables(t, db)
+	catalog := len(db.TableNames())
+	join := func(outer, wantHit bool) *Table {
+		t.Helper()
+		out, hit, err := db.Join(context.Background(), facts, "k", dims, "k", outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hit != wantHit {
+			t.Fatalf("hit = %v, want %v", hit, wantHit)
+		}
+		return out
+	}
+	first := join(false, false)
+	if first.Count() != 12 || len(db.TableNames()) != catalog {
+		t.Fatalf("join rows = %d, catalog %v", first.Count(), db.TableNames())
+	}
+	if !db.JoinCached(facts, "k", dims, "k", false) || db.JoinCached(facts, "k", dims, "k", true) {
+		t.Fatal("JoinCached disagrees with the cache")
+	}
+	if join(false, true) != first {
+		t.Fatal("hit returned a different materialization")
+	}
+	if err := facts.Insert(int64(1), 99.0); err != nil {
+		t.Fatal(err)
+	}
+	if join(false, false).Count() != 13 {
+		t.Fatal("rebuild after a probe-side insert")
+	}
+	join(false, true)
+	if err := dims.Insert(int64(1), "uno"); err != nil {
+		t.Fatal(err)
+	}
+	if join(false, false).Count() != 18 {
+		t.Fatal("rebuild after a build-side insert")
+	}
+	join(true, false)
+	if n := db.JoinCacheLen(); n != 2 {
+		t.Fatalf("cache entries = %d, want 2", n)
+	}
+	if err := db.DropTable("dims"); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.JoinCacheLen(); n != 0 {
+		t.Fatalf("cache entries after DropTable = %d, want 0", n)
+	}
+	// A dropped (or never registered) input is joined but not cached.
+	join(false, false)
+	if n := db.JoinCacheLen(); n != 0 {
+		t.Fatalf("cache entries over a dropped input = %d, want 0", n)
+	}
+}
+
+// TestJoinSingleFlight runs concurrent misses on one join: they share
+// one build.
+func TestJoinSingleFlight(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	db := Open(3)
+	facts, dims := buildJoinTables(t, db)
+	builds := db.Metrics().Counter("engine_join_builds")
+	base := builds.Value()
+	outs := make([]*Table, 8)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out, _, err := db.Join(context.Background(), facts, "k", dims, "k", false)
+			if err != nil {
+				t.Error(err)
+			}
+			outs[i] = out
+		}(i)
+	}
+	wg.Wait()
+	if got := builds.Value() - base; got != 1 {
+		t.Fatalf("%d concurrent misses made %d builds, want 1", len(outs), got)
+	}
+	for _, out := range outs {
+		if out != outs[0] {
+			t.Fatal("concurrent callers got different materializations")
+		}
 	}
 }
 

@@ -171,7 +171,6 @@ func nativeLane(t *testing.T, sess *Session, query string) bool {
 	if err != nil {
 		t.Fatalf("plan %q: %v", query, err)
 	}
-	defer pl.release(sess.db)
 	return planLane(pl) != "row"
 }
 
@@ -516,7 +515,6 @@ func TestRowLaneShapesPinned(t *testing.T) {
 			if prog == nil {
 				t.Errorf("%q: planned without a batch program", sh.query)
 			}
-			pl.release(db)
 		}
 	}
 	// The individual lowerings behind the mixed shapes.
@@ -889,158 +887,100 @@ func TestMixedLoweringDifferential(t *testing.T) {
 	}
 }
 
-// joinTempCount counts the join-materialization temp tables currently
-// in the catalog.
-func joinTempCount(db *engine.DB) int {
-	n := 0
+// joinBuilds reads the engine's join build counter.
+func joinBuilds(db *engine.DB) int64 {
+	return db.Metrics().Counter("engine_join_builds").Value()
+}
+
+// checkJoinCache asserts the engine's join cache holds want entries and
+// that no join materialization ever entered the catalog.
+func checkJoinCache(t *testing.T, db *engine.DB, want int) {
+	t.Helper()
+	if n := db.JoinCacheLen(); n != want {
+		t.Fatalf("join cache holds %d entries, want %d", n, want)
+	}
 	for _, name := range db.TableNames() {
-		if strings.HasPrefix(name, "sql_join") {
-			n++
+		if strings.Contains(name, "join") {
+			t.Fatalf("join materialization %q is in the catalog", name)
 		}
 	}
-	return n
 }
 
 // TestJoinMaterializationCache pins the cached-join semantics: a second
-// execution of a cached plan reuses the materialized join table, an
-// INSERT into either input invalidates it, results are identical on hit
-// and miss, and releasing the plan (DDL invalidation) drops the temp
-// table from the catalog.
+// execution reuses the materialization, an INSERT into either input
+// makes the next one rebuild, results are identical on hit and miss, and
+// unrelated DDL leaves both the plan and the materialization cached.
 func TestJoinMaterializationCache(t *testing.T) {
 	db := newJoinDiffDB(t, 300)
 	sess := NewSession(db)
 	const q = `SELECT dims.name, sum(d.f) FROM d JOIN dims ON d.g = dims.g GROUP BY dims.name ORDER BY dims.name`
-	first, err := sess.Query(q)
-	if err != nil {
-		t.Fatal(err)
+	builds := joinBuilds(db)
+	step := func(what string, wantBuilds int64) *Result {
+		t.Helper()
+		r, err := sess.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := joinBuilds(db) - builds; got != wantBuilds {
+			t.Fatalf("%s: %d join builds, want %d", what, got, wantBuilds)
+		}
+		builds += wantBuilds
+		checkJoinCache(t, db, 1)
+		return r
 	}
-	pl, ok := sess.plans.get(q)
-	if !ok {
-		t.Fatal("plan not cached")
-	}
-	j := pl.(*aggPlan).src.join
-	if j == nil {
-		t.Fatal("no join source")
-	}
-	j.mu.Lock()
-	mat1 := j.cached
-	j.mu.Unlock()
-	if mat1 == nil {
-		t.Fatal("first execution did not cache the join materialization")
-	}
-	second, err := sess.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.mu.Lock()
-	mat2 := j.cached
-	j.mu.Unlock()
-	if mat2 != mat1 {
-		t.Fatal("second execution rebuilt the join despite unchanged inputs")
-	}
-	if formatResult(first) != formatResult(second) {
+	first := step("first execution", 1)
+	if second := step("unchanged inputs", 0); formatResult(first) != formatResult(second) {
 		t.Fatalf("cache hit changed the result:\n%s\nvs\n%s", formatResult(first), formatResult(second))
 	}
-	// INSERT into the left input invalidates.
-	if _, err := sess.Exec(`INSERT INTO d VALUES (0, 1, 100.5, 's1', true, {1})`); err != nil {
-		t.Fatal(err)
-	}
-	third, err := sess.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.mu.Lock()
-	mat3 := j.cached
-	j.mu.Unlock()
-	if mat3 == mat1 {
-		t.Fatal("INSERT into the probe side did not invalidate the cached join")
-	}
-	if formatResult(third) == formatResult(first) {
+	mustExec(t, sess, `INSERT INTO d VALUES (0, 1, 100.5, 's1', true, {1})`)
+	if third := step("INSERT into the probe side", 1); formatResult(third) == formatResult(first) {
 		t.Fatal("rebuilt join should reflect the inserted row")
 	}
-	// INSERT into the right input invalidates too.
-	if _, err := sess.Exec(`INSERT INTO dims VALUES (6, 'g6')`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	j.mu.Lock()
-	mat4 := j.cached
-	j.mu.Unlock()
-	if mat4 == mat3 {
-		t.Fatal("INSERT into the build side did not invalidate the cached join")
-	}
-	if joinTempCount(db) != 1 {
-		t.Fatalf("stale materializations must be dropped: %d join temps in catalog", joinTempCount(db))
-	}
-	// DDL invalidates the plan cache and must release the materialization.
-	if _, err := sess.Exec(`CREATE TABLE unrelated (x bigint)`); err != nil {
-		t.Fatal(err)
-	}
-	if joinTempCount(db) != 0 {
-		t.Fatalf("plan release leaked %d join temp table(s)", joinTempCount(db))
+	mustExec(t, sess, `INSERT INTO dims VALUES (6, 'g6')`)
+	step("INSERT into the build side", 1)
+	mustExec(t, sess, `CREATE TABLE unrelated (x bigint)`)
+	step("after unrelated DDL", 0)
+	if !sess.LastTiming().CacheHit {
+		t.Fatal("unrelated DDL evicted the cached join plan")
 	}
 }
 
-// TestJoinMaterializationOneShotRelease proves plans that never enter
-// the plan cache (Session.Run, multi-statement Exec) drop their
-// materialization after executing.
-func TestJoinMaterializationOneShotRelease(t *testing.T) {
+// TestJoinCacheDropsWithInput proves a join's materialization lives no
+// longer than its inputs: DROP TABLE of one discards it while a prepared
+// statement over the join is still allocated.
+func TestJoinCacheDropsWithInput(t *testing.T) {
 	db := newJoinDiffDB(t, 200)
 	sess := NewSession(db)
-	st, err := ParseStatement(`SELECT count(*) FROM d JOIN dims ON d.g = dims.g`)
-	if err != nil {
-		t.Fatal(err)
+	mustExec(t, sess, `PREPARE pj AS SELECT count(*) FROM d JOIN dims ON d.g = dims.g`)
+	mustQuery(t, sess, `EXECUTE pj`)
+	checkJoinCache(t, db, 1)
+	mustExec(t, sess, `DROP TABLE dims`)
+	checkJoinCache(t, db, 0)
+	if _, err := sess.Query(`EXECUTE pj`); err == nil || !strings.Contains(err.Error(), "no such table") {
+		t.Fatalf("EXECUTE over a dropped input: %v", err)
 	}
-	if _, err := sess.Run(st); err != nil {
-		t.Fatal(err)
-	}
-	if joinTempCount(db) != 0 {
-		t.Fatalf("one-shot plan leaked %d join temp table(s)", joinTempCount(db))
-	}
-	// Prepared statements keep their materialization until DEALLOCATE.
-	if _, err := sess.Exec(`PREPARE pj AS SELECT count(*) FROM d JOIN dims ON d.g = dims.g`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Query(`EXECUTE pj`); err != nil {
-		t.Fatal(err)
-	}
-	if joinTempCount(db) != 1 {
-		t.Fatalf("prepared plan should hold one materialization, found %d", joinTempCount(db))
-	}
-	if _, err := sess.Exec(`DEALLOCATE pj`); err != nil {
-		t.Fatal(err)
-	}
-	if joinTempCount(db) != 0 {
-		t.Fatalf("DEALLOCATE leaked %d join temp table(s)", joinTempCount(db))
-	}
+	checkJoinCache(t, db, 0)
 }
 
-// TestSessionCloseReleasesMaterializations proves Close drops every
-// plan-owned join materialization — short-lived sessions over a shared
-// database must not pin temp tables in the catalog.
-func TestSessionCloseReleasesMaterializations(t *testing.T) {
+// TestJoinCacheSharedAcrossSessions proves sessions that run the same
+// join share one materialization, and that sessions never closed pin
+// nothing beyond it.
+func TestJoinCacheSharedAcrossSessions(t *testing.T) {
 	db := newJoinDiffDB(t, 200)
+	builds := joinBuilds(db)
 	for i := 0; i < 3; i++ {
 		sess := NewSession(db)
-		if _, err := sess.Query(`SELECT count(*) FROM d JOIN dims ON d.g = dims.g`); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Exec(`PREPARE pj AS SELECT d.g, count(*) FROM d JOIN dims ON d.g = dims.g GROUP BY d.g`); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sess.Query(`EXECUTE pj`); err != nil {
-			t.Fatal(err)
-		}
-		if joinTempCount(db) != 2 {
-			t.Fatalf("expected 2 live materializations before Close, got %d", joinTempCount(db))
-		}
-		sess.Close()
-		if joinTempCount(db) != 0 {
-			t.Fatalf("Close leaked %d join temp table(s)", joinTempCount(db))
-		}
+		mustQuery(t, sess, `SELECT count(*) FROM d JOIN dims ON d.g = dims.g`)
+		mustExec(t, sess, `PREPARE pj AS SELECT d.g, count(*) FROM d JOIN dims ON d.g = dims.g GROUP BY d.g`)
+		mustQuery(t, sess, `EXECUTE pj`)
 	}
+	if got := joinBuilds(db) - builds; got != 1 {
+		t.Fatalf("three sessions made %d join builds, want 1", got)
+	}
+	checkJoinCache(t, db, 1)
+	// A LEFT JOIN of the same tables is a different join.
+	mustQuery(t, NewSession(db), `SELECT count(*) FROM d LEFT JOIN dims ON d.g = dims.g`)
+	checkJoinCache(t, db, 2)
 }
 
 // TestJoinMaterializationConcurrentExecutions hammers one cached joined
@@ -1092,8 +1032,134 @@ func TestJoinMaterializationConcurrentExecutions(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if n := joinTempCount(db); n != 1 {
-			t.Fatalf("round %d: expected exactly 1 live materialization, got %d", round, n)
+		checkJoinCache(t, db, 1)
+	}
+}
+
+// TestJoinCacheConcurrentSessions runs two texts of one join from two
+// sessions while a third runs unrelated DDL and inserts probe-side rows
+// that match nothing: each insert makes the next execution rebuild, the
+// answers equal a serial run's, and one cache entry remains.
+func TestJoinCacheConcurrentSessions(t *testing.T) {
+	withGOMAXPROCS(t, 4)
+	db := newJoinDiffDB(t, 300)
+	texts := []string{
+		`SELECT dims.name, count(*), sum(d.i) FROM d JOIN dims ON d.g = dims.g GROUP BY dims.name ORDER BY dims.name`,
+		`SELECT dims.name, count(*), max(d.i) FROM d JOIN dims ON d.g = dims.g WHERE d.f > 1 GROUP BY dims.name ORDER BY dims.name`,
+	}
+	want := make([]string, len(texts))
+	serial := NewSession(db)
+	for i, q := range texts {
+		want[i] = formatResult(mustQuery(t, serial, q))
+	}
+	readers := []*Session{NewSession(db), NewSession(db)}
+	errs := make([]error, len(readers)+1)
+	var wg sync.WaitGroup
+	for w, sess := range readers {
+		wg.Add(1)
+		go func(w int, sess *Session) {
+			defer wg.Done()
+			for k := 0; k < 20; k++ {
+				i := (w + k) % len(texts)
+				got, err := sess.Query(texts[i])
+				if err == nil && formatResult(got) != want[i] {
+					err = fmt.Errorf("%s diverged:\n%s\nvs\n%s", texts[i], formatResult(got), want[i])
+				}
+				if err != nil {
+					errs[w] = err
+					return
+				}
+			}
+		}(w, sess)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		writer := NewSession(db)
+		for k := 0; k < 10; k++ {
+			// g = 99 has no dims row, so no answer changes.
+			if _, err := writer.Exec(`CREATE TABLE scratch (x bigint); INSERT INTO d VALUES (99, 1, 5.5, 's1', true, {1}); DROP TABLE scratch`); err != nil {
+				errs[len(readers)] = err
+				return
+			}
 		}
+	}()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkJoinCache(t, db, 1)
+}
+
+// TestScopedInvalidation pins the workload pattern DDL must not disturb:
+// join text A, then CREATE TABLE AS + DROP of an unrelated table, then
+// join text B over the same join, makes one build, and text A's plan
+// stays cached.
+func TestScopedInvalidation(t *testing.T) {
+	db := newJoinDiffDB(t, 300)
+	sess := NewSession(db)
+	const a = `SELECT dims.name, count(*) FROM d JOIN dims ON d.g = dims.g GROUP BY dims.name`
+	const b = `SELECT count(*) FROM d JOIN dims ON d.g = dims.g WHERE d.f > 0`
+	builds := joinBuilds(db)
+	invalidations := db.Metrics().Counter("sql_plan_invalidations").Value()
+	mustQuery(t, sess, a)
+	mustExec(t, sess, `CREATE TABLE side AS SELECT g, f FROM d WHERE f > 0`)
+	mustExec(t, sess, `DROP TABLE side`)
+	mustQuery(t, sess, b)
+	if got := joinBuilds(db) - builds; got != 1 {
+		t.Fatalf("join text A, CTAS + DROP, join text B: %d join builds, want 1", got)
+	}
+	mustQuery(t, sess, a)
+	if !sess.LastTiming().CacheHit {
+		t.Fatal("unrelated DDL evicted the cached plan of text A")
+	}
+	// Dropping a joined table evicts exactly the two plans over it.
+	mustExec(t, sess, `DROP TABLE dims`)
+	if got := db.Metrics().Counter("sql_plan_invalidations").Value() - invalidations; got != 2 {
+		t.Fatalf("DROP TABLE dims invalidated %d plans, want 2", got)
+	}
+}
+
+// TestExplainAnalyzeReusesJoin proves EXPLAIN ANALYZE of an uncached text
+// reads the materialization another text of the same join built.
+func TestExplainAnalyzeReusesJoin(t *testing.T) {
+	db := newJoinDiffDB(t, 300)
+	sess := NewSession(db)
+	mustQuery(t, sess, `SELECT count(*) FROM d JOIN dims ON d.g = dims.g WHERE d.f > 1`)
+	builds := joinBuilds(db)
+	var lines []string
+	for _, row := range mustQuery(t, sess, `EXPLAIN ANALYZE SELECT count(*) FROM d JOIN dims ON d.g = dims.g WHERE d.f > 2`).Rows {
+		lines = append(lines, row[0].(string))
+	}
+	out := strings.Join(lines, "\n")
+	if got := joinBuilds(db) - builds; got != 0 {
+		t.Fatalf("EXPLAIN ANALYZE made %d join builds, want 0", got)
+	}
+	if !strings.Contains(out, "join cache: hit") || !strings.Contains(out, "plan: not cached") {
+		t.Fatalf("EXPLAIN ANALYZE output:\n%s", out)
+	}
+}
+
+// TestSystemViewShadowedByTable proves a cached plan over a system view
+// goes stale once a catalog table takes the view's name: the same text
+// then reads the table.
+func TestSystemViewShadowedByTable(t *testing.T) {
+	s := newSession(t)
+	const q = `SELECT count(*) FROM madlib_stats_tables`
+	mustExec(t, s, `CREATE TABLE t (v float)`)
+	if r := mustQuery(t, s, q); r.Rows[0][0] != int64(1) {
+		t.Fatalf("view rows = %v", r.Rows)
+	}
+	mustQuery(t, s, q)
+	if !s.LastTiming().CacheHit {
+		t.Fatal("second read of the view should hit the plan cache")
+	}
+	mustExec(t, s, `CREATE TABLE madlib_stats_tables (x bigint)`)
+	mustExec(t, s, `INSERT INTO madlib_stats_tables VALUES (7), (8), (9)`)
+	// The view would count 2 catalog tables now; the table holds 3 rows.
+	if r := mustQuery(t, s, q); r.Rows[0][0] != int64(3) || s.LastTiming().CacheHit {
+		t.Fatalf("cached view plan read %v (cache hit %v), want the table's 3 rows", r.Rows, s.LastTiming().CacheHit)
 	}
 }

@@ -44,7 +44,7 @@
 // # Joins
 //
 // One two-table equi-join per SELECT, executed as a broadcast hash join
-// (engine.HashJoinTemp): the right side is hashed once into typed (unboxed)
+// (engine.DB.Join): the right side is hashed once into typed (unboxed)
 // key maps, left segments probe in parallel batch-at-a-time over their
 // key lanes, and matches materialize column-wise; output rows stay on
 // their probe row's segment. The ON condition must be an equality of
@@ -53,14 +53,15 @@
 // names that collide with left-side names appear in SELECT * output
 // prefixed with the right table's name.
 //
-// The join output materializes into a temp table that is cached on the
-// plan: repeated executions of a cached or prepared joined statement
-// (the EXECUTE-twice pattern) skip the whole build+probe when neither
+// The join output materializes into a detached table held by the
+// engine's join cache, one per distinct join (both input tables, both
+// keys, inner or outer) over the database, not per plan or statement
+// text: every statement, prepared statement, EXPLAIN ANALYZE and session
+// that runs the same join skips the whole build+probe while neither
 // input table's data version changed, and any INSERT/UPDATE/TRUNCATE
-// through the engine API invalidates the cache. The materialization is
-// dropped when the plan leaves the plan cache or prepared-statement
-// store; short-lived sessions over a shared database should call
-// Session.Close so abandoned plans release theirs.
+// through the engine API makes the next execution rebuild. The
+// materialization never enters the catalog; DROP TABLE of either input
+// discards it, so plans own no storage and need no cleanup.
 //
 // LEFT JOIN keeps unmatched left rows. The engine's columnar storage has
 // no NULL representation, so the join materializes a hidden boolean
@@ -118,8 +119,10 @@
 // representation), and expression columns must carry an alias so the
 // created column is referenceable. The table is checked, filled and
 // only then registered: another session sees no table or all of it, and
-// a failed statement leaves nothing behind. CTAS is DDL: it invalidates
-// cached plans like CREATE TABLE.
+// a failed statement leaves nothing behind. CTAS is DDL: like CREATE and
+// DROP TABLE, it evicts the cached plans it made stale (those over a
+// system view its new table now shadows); plans over other tables stay
+// cached.
 //
 // Statements are ';'-separated; `--` starts a line comment. Unquoted
 // identifiers fold to lowercase, as in PostgreSQL.
@@ -263,9 +266,10 @@
 // input is one more projection scan, lowered the same way.
 //
 // Each Session keeps an LRU plan cache keyed by statement text:
-// re-executing the same text skips parsing and planning entirely. The
-// cache is cleared on DDL, and every cached or prepared plan also
-// revalidates its table bindings against the catalog before running, so
+// re-executing the same text skips parsing and planning entirely. DDL
+// evicts the cached plans it made stale, and every cached or prepared
+// plan also revalidates its table bindings against the catalog before
+// running, so
 // a DROP + re-CREATE (even through another session) can never execute a
 // stale plan — it replans or errors cleanly. The madlib.DB facade routes
 // Exec/Query through one shared session, so callers get plan caching

@@ -112,18 +112,17 @@ func FormatValue(v any) string {
 // stmtPlan is a statement lowered against a catalog snapshot: compiled
 // closures plus resolved table bindings, executable many times with
 // different parameter environments. Plans live in the session plan cache
-// and inside prepared statements.
+// and inside prepared statements. A plan owns no storage (a join's
+// materialization lives in the engine's join cache), so dropping one
+// needs no cleanup.
 type stmtPlan interface {
 	// exec runs the plan under the given parameter environment.
 	exec(s *Session, env *execEnv) (*RowSet, error)
 	// valid reports whether the plan's table bindings are still current
-	// (the catalog maps each name to the same *engine.Table), so a
-	// cached or prepared plan never executes against a stale schema.
+	// (the catalog maps each name to the same *engine.Table, and no
+	// catalog table shadows a system view it reads), so a cached or
+	// prepared plan never executes against a stale schema.
 	valid(db *engine.DB) bool
-	// release frees plan-owned catalog resources — today the cached join
-	// materialization — when the plan leaves the session's plan cache or
-	// prepared-statement store, or when a one-shot plan finishes.
-	release(db *engine.DB)
 	// columns returns the plan's output column names, nil when the
 	// statement produces no row set (INSERT) or when the shape is only
 	// known at execution time (table-valued madlib.* calls). The wire
@@ -185,7 +184,6 @@ func (s *Session) execCreateTableAs(st *CreateTableAs) (*RowSet, error) {
 		return nil, err
 	}
 	rs, err := pl.exec(s, nil)
-	pl.release(s.db) // one-shot plan: free any cached materialization
 	if err != nil {
 		return nil, err
 	}
@@ -417,8 +415,6 @@ func (p *insertPlan) valid(db *engine.DB) bool {
 	return err == nil && t == p.table
 }
 
-func (p *insertPlan) release(*engine.DB) {}
-
 func (p *insertPlan) columns() []string { return nil }
 
 func (p *insertPlan) kinds() []ckind { return nil }
@@ -612,8 +608,6 @@ func planConstSelect(st *Select) (stmtPlan, error) {
 }
 
 func (p *constPlan) valid(*engine.DB) bool { return true }
-
-func (p *constPlan) release(*engine.DB) {}
 
 func (p *constPlan) columns() []string { return p.cols }
 
@@ -873,18 +867,15 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 
 func (p *scanPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
 
-func (p *scanPlan) release(db *engine.DB) { p.src.release(db) }
-
 func (p *scanPlan) columns() []string { return p.cols }
 
 func (p *scanPlan) kinds() []ckind { return p.types }
 
 func (p *scanPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
-	input, cleanup, err := p.src.acquire(s, env.context())
+	input, err := p.src.acquire(s, env.context())
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
 	var chunks []Chunk
 	err = s.db.ForEachBatchCtx(env.context(), input, func(morsels int, scan func(func(int, engine.ColBatch) error) error) (err error) {
 		chunks, err = gatherBatches(env, morsels, scan, p.prog, p.pred, p.emitChunk)
@@ -1203,19 +1194,16 @@ func (p *aggPlan) compileOutput(slotOf map[*FuncCall]int) error {
 
 func (p *aggPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
 
-func (p *aggPlan) release(db *engine.DB) { p.src.release(db) }
-
 func (p *aggPlan) columns() []string { return p.outNames }
 
 func (p *aggPlan) kinds() []ckind { return p.outKinds }
 
 func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	st := p.st
-	input, cleanup, err := p.src.acquire(s, env.context())
+	input, err := p.src.acquire(s, env.context())
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
 	states, err := p.execBatch(s, env, input)
 	if err != nil {
 		return nil, err
@@ -1510,8 +1498,6 @@ func planTableValued(st *Select, call *FuncCall, lw *lowering) (stmtPlan, error)
 
 func (p *tvPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
 
-func (p *tvPlan) release(db *engine.DB) { p.src.release(db) }
-
 // columns is nil for table-valued madlib.* calls: the output shape (names
 // and kinds) is produced by the method at execution time.
 func (p *tvPlan) columns() []string { return nil }
@@ -1520,13 +1506,13 @@ func (p *tvPlan) kinds() []ckind { return nil }
 
 // input returns the table the method reads: the source's own table, or
 // the staged scan's rows gathered column-wise into a detached table.
-func (p *tvPlan) input(s *Session, env *execEnv) (*engine.Table, func(), error) {
+func (p *tvPlan) input(s *Session, env *execEnv) (*engine.Table, error) {
 	if p.stage == nil {
 		return p.src.acquire(s, env.context())
 	}
 	rs, err := p.stage.exec(s, env)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	vis := len(p.schema) - len(p.computed)
 	data, err := rs.storageColumns(p.schema, func(i int) string {
@@ -1536,21 +1522,20 @@ func (p *tvPlan) input(s *Session, env *execEnv) (*engine.Table, func(), error) 
 		return fmt.Sprintf("%s argument %d", p.call.Name, p.computed[i-vis]+1)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	t, err := engine.NewDetachedTable("sql_stage", p.schema, s.db.SegmentCount())
 	if err == nil {
 		err = t.AppendColumns(rs.n, data)
 	}
-	return t, func() {}, err
+	return t, err
 }
 
 func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
-	input, cleanup, err := p.input(s, env)
+	input, err := p.input(s, env)
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
 	args := p.finalArgs
 	if len(p.deferred) > 0 {
 		args = append([]any(nil), p.finalArgs...)

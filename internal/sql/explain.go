@@ -64,9 +64,6 @@ func (s *Session) execExplain(st *Explain) (*RowSet, Timing, error) {
 		execD := time.Since(tExec)
 		tm.Exec = execD
 		if err != nil {
-			if !cached {
-				pl.release(s.db)
-			}
 			return nil, tm, err
 		}
 		lines = append(lines,
@@ -80,9 +77,6 @@ func (s *Session) execExplain(st *Explain) (*RowSet, Timing, error) {
 			fmt.Sprintf("Planning Time: %s", fmtMillis(planD)),
 			fmt.Sprintf("Execution Time: %s", fmtMillis(execD)),
 		)
-	}
-	if !cached {
-		pl.release(s.db)
 	}
 	rows := make([][]any, len(lines))
 	for i, ln := range lines {
@@ -245,12 +239,8 @@ func sourceDetail(s *Session, ps *planSource, pad string) []string {
 	if j == nil {
 		return []string{pad + executionLine(s, ps.table)}
 	}
-	lv, rv := j.left.Version(), j.right.Version()
-	j.mu.Lock()
-	hit := j.cached != nil && j.leftVer == lv && j.rightVer == rv
-	j.mu.Unlock()
 	cacheLine := "join cache: miss (build + probe at execution)"
-	if hit {
+	if s.db.JoinCached(j.left, j.leftKey, j.right, j.rightKey, j.outer) {
 		cacheLine = "join cache: hit (reusing materialized result)"
 	}
 	return []string{

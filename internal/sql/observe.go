@@ -26,8 +26,8 @@ type sessionMetrics struct {
 	queries       *metrics.Counter // statements executed (SELECT/INSERT/EXECUTE)
 	planHits      *metrics.Counter // executions served by the plan cache
 	planMisses    *metrics.Counter // plans compiled and inserted into the cache
-	planEvictions *metrics.Counter // plans displaced (LRU, replace, staleness)
-	planInvalid   *metrics.Counter // plans dropped by DDL invalidation
+	planEvictions *metrics.Counter // plans displaced (LRU, staleness at lookup)
+	planInvalid   *metrics.Counter // plans a DDL statement made stale
 	replans       *metrics.Counter // prepared statements replanned after going stale
 	joinHits      *metrics.Counter // join materialization cache hits
 	joinMisses    *metrics.Counter // join materialization cache misses (rebuilds)

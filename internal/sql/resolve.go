@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"madlib/internal/engine"
 )
@@ -16,10 +15,10 @@ import (
 // AST (kept by PREPARE for replanning) is never mutated.
 
 // planSource is where a SELECT's rows come from: a base table, or a
-// two-table hash join that is materialized into a temp table per
-// execution. Plans hold a planSource instead of a *engine.Table so the
-// same scan/aggregate machinery runs over both, and so plan-cache
-// validation covers every table the plan depends on.
+// two-table hash join read from the engine's join cache per execution.
+// Plans hold a planSource instead of a *engine.Table so the same
+// scan/aggregate machinery runs over both, and so plan-cache validation
+// covers every table the plan depends on.
 type planSource struct {
 	schema engine.Schema
 
@@ -52,30 +51,14 @@ type planSource struct {
 	models []*modelDep
 }
 
-// joinSource carries the resolved two-table equi-join, plus the plan's
-// cached materialization: the join output is rebuilt only when either
-// input table reports a new data version, so repeated executions of a
-// cached or prepared plan skip the whole build+probe when the inputs
-// are unchanged. The cached temp table is dropped when it goes stale
-// (replaced by a rebuild) or when the owning plan leaves the session's
-// plan cache (planSource.release).
+// joinSource is the resolved two-table equi-join. Its materialization
+// lives in the engine's join cache (engine.DB.Join), shared by every
+// plan and session that runs the same join over the same tables.
 type joinSource struct {
 	leftName, rightName string
 	left, right         *engine.Table
 	leftKey, rightKey   string // source-table column names
 	outer               bool
-
-	mu                sync.Mutex
-	cached            *engine.Table
-	leftVer, rightVer int64
-	// released marks the owning plan as evicted: an in-flight build that
-	// finishes after release must not re-cache (nothing would ever drop
-	// that materialization again).
-	released bool
-	// buildMu single-flights the materialization build: concurrent
-	// executions that miss the cache queue behind one build and reuse
-	// its result instead of each paying the full build+probe.
-	buildMu sync.Mutex
 }
 
 // valid reports whether every table binding of the source is still
@@ -87,8 +70,10 @@ func (ps *planSource) valid(db *engine.DB) bool {
 		}
 	}
 	if ps.virtual {
-		// System views carry no catalog bindings; their schema is fixed.
-		return true
+		// A system view's schema is fixed; a catalog table of the same
+		// name shadows it once created.
+		_, err := db.Table(ps.name)
+		return err != nil
 	}
 	if ps.join != nil {
 		lt, errL := db.Table(ps.join.leftName)
@@ -99,96 +84,24 @@ func (ps *planSource) valid(db *engine.DB) bool {
 	return err == nil && t == ps.table
 }
 
-// acquire returns the executable input table. Join sources materialize
-// into a temp table that is cached on the plan: a hit (neither input's
-// Version changed since the last build) returns the previous
-// materialization without touching the inputs; a miss rebuilds and
-// drops the stale table. cleanup is always a no-op for the caller —
-// the cached table's lifetime is managed by acquire itself and by
-// release when the plan is evicted.
-func (ps *planSource) acquire(s *Session, ctx context.Context) (*engine.Table, func(), error) {
+// acquire returns the executable input table: the base table, a fresh
+// system-view snapshot, or the join's materialization from the engine's
+// join cache (built on a miss).
+func (ps *planSource) acquire(s *Session, ctx context.Context) (*engine.Table, error) {
 	if ps.virtual {
-		t, err := s.buildSystemView(ps.name)
-		if err != nil {
-			return nil, nil, err
-		}
-		return t, func() {}, nil
-	}
-	if ps.join == nil {
-		return ps.table, func() {}, nil
+		return s.buildSystemView(ps.name)
 	}
 	j := ps.join
-	hit := func() *engine.Table {
-		lv, rv := j.left.Version(), j.right.Version()
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if j.cached != nil && j.leftVer == lv && j.rightVer == rv {
-			return j.cached
-		}
-		return nil
+	if j == nil {
+		return ps.table, nil
 	}
-	if t := hit(); t != nil {
+	t, hit, err := s.db.Join(ctx, j.left, j.leftKey, j.right, j.rightKey, j.outer)
+	if hit {
 		s.metrics.joinHits.Inc()
-		return t, func() {}, nil
+	} else {
+		s.metrics.joinMisses.Inc()
 	}
-	// Single-flight the rebuild: a concurrent execution that missed at
-	// the same time waits here and picks up the winner's table.
-	j.buildMu.Lock()
-	defer j.buildMu.Unlock()
-	if t := hit(); t != nil {
-		// The single-flight winner rebuilt for us; the shared result is
-		// still a materialization-cache hit from this execution's side.
-		s.metrics.joinHits.Inc()
-		return t, func() {}, nil
-	}
-	s.metrics.joinMisses.Inc()
-	// Capture the input versions before building: a mutation committed
-	// mid-build then stamps the cache with a pre-mutation version, so
-	// the next execution rebuilds rather than trusting a torn snapshot.
-	// (As everywhere in the engine, readers and writers of one table
-	// must still be externally serialized — versions only make cache
-	// staleness detectable, not concurrent writes safe.)
-	lv, rv := j.left.Version(), j.right.Version()
-	t, err := s.db.HashJoinTempCtx(ctx, "sql_join", j.left, j.leftKey, j.right, j.rightKey, j.outer)
-	if err != nil {
-		return nil, nil, err
-	}
-	j.mu.Lock()
-	if j.released {
-		// The plan was evicted while we were building: use the result for
-		// this execution only and drop its catalog entry afterwards (the
-		// scan holds the *Table pointer, so the drop is safe).
-		j.mu.Unlock()
-		return t, func() { _ = s.db.DropTable(t.Name()) }, nil
-	}
-	stale := j.cached
-	j.cached, j.leftVer, j.rightVer = t, lv, rv
-	j.mu.Unlock()
-	if stale != nil {
-		// Concurrent executions still scanning the stale table hold its
-		// pointer; dropping only removes the catalog entry.
-		_ = s.db.DropTable(stale.Name())
-	}
-	return t, func() {}, nil
-}
-
-// release drops the source's cached join materialization (if any) from
-// the catalog. Sessions call it whenever a plan leaves the plan cache,
-// a prepared statement is replanned or deallocated, or a one-shot plan
-// finishes executing.
-func (ps *planSource) release(db *engine.DB) {
-	if ps.join == nil {
-		return
-	}
-	j := ps.join
-	j.mu.Lock()
-	t := j.cached
-	j.cached = nil
-	j.released = true
-	j.mu.Unlock()
-	if t != nil {
-		_ = db.DropTable(t.Name())
-	}
+	return t, err
 }
 
 // newCompileCtx builds a compilation context carrying the source's

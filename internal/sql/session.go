@@ -66,60 +66,54 @@ func (c *planCache) get(key string) (stmtPlan, bool) {
 	return el.Value.(*cacheEntry).plan, true
 }
 
-// put stores a plan and returns the plans it displaced (a replaced
-// same-key plan and/or the LRU eviction victim) so the session can
-// release their resources.
-func (c *planCache) put(key string, plan stmtPlan) []stmtPlan {
-	var displaced []stmtPlan
+// put stores a plan and returns the number of plans it evicted (0 or 1).
+func (c *planCache) put(key string, plan stmtPlan) int {
 	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		if e.plan != plan {
-			displaced = append(displaced, e.plan)
-		}
-		e.plan = plan
+		el.Value.(*cacheEntry).plan = plan
 		c.order.MoveToFront(el)
-		return displaced
+		return 0
 	}
 	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, plan: plan})
-	if c.order.Len() > planCacheSize {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		e := oldest.Value.(*cacheEntry)
-		delete(c.entries, e.key)
-		displaced = append(displaced, e.plan)
+	if c.order.Len() <= planCacheSize {
+		return 0
 	}
-	return displaced
+	c.remove(c.order.Back())
+	return 1
 }
 
-// remove evicts one entry, returning the removed plan (nil if absent).
-func (c *planCache) remove(key string) stmtPlan {
-	el, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
+// remove evicts one entry.
+func (c *planCache) remove(el *list.Element) {
 	c.order.Remove(el)
-	delete(c.entries, key)
-	return el.Value.(*cacheEntry).plan
+	delete(c.entries, el.Value.(*cacheEntry).key)
 }
 
-// clear drops every entry, returning the removed plans.
-func (c *planCache) clear() []stmtPlan {
-	removed := make([]stmtPlan, 0, len(c.entries))
+// prune evicts every plan that is no longer valid against db, returning
+// how many it evicted.
+func (c *planCache) prune(db *engine.DB) int {
+	n := 0
 	for _, el := range c.entries {
-		removed = append(removed, el.Value.(*cacheEntry).plan)
+		if !el.Value.(*cacheEntry).plan.valid(db) {
+			c.remove(el)
+			n++
+		}
 	}
+	return n
+}
+
+// clear drops every entry.
+func (c *planCache) clear() {
 	c.entries = make(map[string]*list.Element)
 	c.order.Init()
-	return removed
 }
 
 // Session executes SQL against an engine database. A session owns a
 // text-keyed LRU plan cache and the statements created with PREPARE, so
-// repeated statements skip parsing and planning entirely; both stores are
-// invalidated when DDL changes the catalog (and every plan additionally
-// revalidates its table bindings before running, so even DDL issued
-// through another session cannot make it execute stale). Sessions are
-// safe for concurrent use.
+// repeated statements skip parsing and planning entirely. Plans own no
+// storage: a join's materialization lives in the engine's join cache,
+// shared by every session over the database. DDL evicts the cached plans
+// it made stale, and every plan revalidates its table bindings before
+// running, so even DDL issued through another session cannot make it
+// execute stale. Sessions are safe for concurrent use.
 type Session struct {
 	db *engine.DB
 	// metrics are the session's observability counters; they live in the
@@ -152,24 +146,13 @@ func NewSession(db *engine.DB) *Session {
 // DB returns the underlying engine database.
 func (s *Session) DB() *engine.DB { return s.db }
 
-// Close empties the session's plan cache and prepared-statement store,
-// releasing every plan-owned catalog resource (cached join
-// materializations). The session stays usable afterwards — Close only
-// clears its caches — but callers that create short-lived sessions
-// over a shared, long-lived database should Close them, or abandoned
-// sessions pin their materialized join temp tables in the catalog for
-// the life of the process.
+// Close empties the session's plan cache and prepared-statement store.
+// The session stays usable afterwards: Close only clears its caches.
 func (s *Session) Close() {
 	s.mu.Lock()
-	dropped := s.plans.clear()
-	for _, p := range s.prepared {
-		if p.plan != nil {
-			dropped = append(dropped, p.plan)
-		}
-	}
+	s.plans.clear()
 	s.prepared = make(map[string]*Prepared)
 	s.mu.Unlock()
-	s.releasePlans(dropped)
 }
 
 // SetBatchExecution toggles the native batch kernels. They are on by
@@ -183,26 +166,11 @@ func (s *Session) Close() {
 func (s *Session) SetBatchExecution(enabled bool) {
 	s.mu.Lock()
 	s.batchOff = !enabled
-	dropped := s.plans.clear()
+	s.plans.clear()
 	for _, p := range s.prepared {
-		if p.plan != nil {
-			dropped = append(dropped, p.plan)
-		}
 		p.plan = nil
 	}
 	s.mu.Unlock()
-	s.releasePlans(dropped)
-}
-
-// releasePlans releases displaced plans' catalog resources (cached join
-// materializations). Called outside s.mu — release only touches engine
-// state.
-func (s *Session) releasePlans(plans []stmtPlan) {
-	for _, pl := range plans {
-		if pl != nil {
-			pl.release(s.db)
-		}
-	}
 }
 
 // batchEnabled reports whether consumers may lower to native batch
@@ -229,20 +197,20 @@ func (s *Session) setTiming(t Timing) {
 }
 
 // cachedPlan returns a still-valid cached plan for the statement text.
-// Stale plans (table dropped or re-created since planning) are evicted
-// and released.
+// Stale plans (table dropped or re-created since planning) are evicted.
 func (s *Session) cachedPlan(text string) (stmtPlan, bool) {
 	s.mu.Lock()
 	pl, ok := s.plans.get(text)
-	if ok && !pl.valid(s.db) {
-		s.plans.remove(text)
-		s.mu.Unlock()
-		s.metrics.planEvictions.Inc()
-		pl.release(s.db)
-		return nil, false
+	stale := ok && !pl.valid(s.db)
+	if stale {
+		s.plans.remove(s.plans.entries[text])
 	}
 	s.mu.Unlock()
-	if ok {
+	switch {
+	case stale:
+		s.metrics.planEvictions.Inc()
+		return nil, false
+	case ok:
 		s.metrics.planHits.Inc()
 	}
 	return pl, ok
@@ -250,22 +218,21 @@ func (s *Session) cachedPlan(text string) (stmtPlan, bool) {
 
 func (s *Session) cachePlan(text string, pl stmtPlan) {
 	s.mu.Lock()
-	displaced := s.plans.put(text, pl)
+	evicted := s.plans.put(text, pl)
 	s.mu.Unlock()
 	s.metrics.planMisses.Inc()
-	s.metrics.planEvictions.Add(int64(len(displaced)))
-	s.releasePlans(displaced)
+	s.metrics.planEvictions.Add(int64(evicted))
 }
 
-// invalidatePlans drops every cached plan; called on DDL. Prepared
-// statements survive DDL (they replan on demand when their bindings go
-// stale, like PostgreSQL's).
+// invalidatePlans evicts the cached plans a DDL statement made stale;
+// called after the DDL ran. Plans over other tables stay cached, and
+// prepared statements replan on demand when their bindings go stale,
+// like PostgreSQL's.
 func (s *Session) invalidatePlans() {
 	s.mu.Lock()
-	dropped := s.plans.clear()
+	n := s.plans.prune(s.db)
 	s.mu.Unlock()
-	s.metrics.planInvalid.Add(int64(len(dropped)))
-	s.releasePlans(dropped)
+	s.metrics.planInvalid.Add(int64(n))
 }
 
 // Exec parses and runs every statement in text, returning one Result per
@@ -399,18 +366,18 @@ func (s *Session) runTimed(ctx context.Context, st Statement, cacheKey string) (
 	var tm Timing
 	switch x := st.(type) {
 	case *CreateTable:
-		s.invalidatePlans()
 		r, err := s.execCreate(x)
+		s.invalidatePlans()
 		tm.Exec = time.Since(t0)
 		return r, tm, err
 	case *CreateTableAs:
-		s.invalidatePlans()
 		r, err := s.execCreateTableAs(x)
+		s.invalidatePlans()
 		tm.Exec = time.Since(t0)
 		return r, tm, err
 	case *DropTable:
-		s.invalidatePlans()
 		r, err := s.execDrop(x)
+		s.invalidatePlans()
 		tm.Exec = time.Since(t0)
 		return r, tm, err
 	case *Prepare:
@@ -440,11 +407,6 @@ func (s *Session) runTimed(ctx context.Context, st Statement, cacheKey string) (
 		tExec := time.Now()
 		r, err := pl.exec(s, &execEnv{ctx: ctx})
 		tm.Exec = time.Since(tExec)
-		if cacheKey == "" {
-			// One-shot plan (Run, multi-statement Exec): nothing holds it
-			// after this execution, so free its cached materializations.
-			pl.release(s.db)
-		}
 		if err == nil {
 			text := cacheKey
 			if text == "" {
@@ -543,28 +505,9 @@ func (s *Session) executePrepared(ctx context.Context, name string, params []any
 		if err != nil {
 			return nil, tm, err
 		}
-		// Swap under the lock and release whatever we actually displaced:
-		// a concurrent EXECUTE may have installed its own replan between
-		// our snapshot and now, and that plan must not leak its cached
-		// materialization (releasing it mid-execution is safe — an
-		// in-flight acquire sees the released flag and drops per-run).
-		// If a concurrent DEALLOCATE removed the Prepared entirely, the
-		// new plan must not be installed on the orphaned struct: run it
-		// this once and release it when done.
 		s.mu.Lock()
-		orphaned := s.prepared[name] != p
-		var displaced stmtPlan
-		if !orphaned {
-			displaced = p.plan
-			p.plan = pl
-		}
+		p.plan = pl
 		s.mu.Unlock()
-		if displaced != nil && displaced != pl {
-			displaced.release(s.db)
-		}
-		if orphaned {
-			defer pl.release(s.db)
-		}
 		tm.CacheHit = false
 		s.metrics.replans.Inc()
 	}
@@ -605,24 +548,15 @@ func (s *Session) DescribePrepared(name string) (numParams int, cols, types []st
 
 func (s *Session) execDeallocate(st *Deallocate) (*RowSet, error) {
 	s.mu.Lock()
-	var dropped []stmtPlan
+	defer s.mu.Unlock()
 	if st.All {
-		for _, p := range s.prepared {
-			dropped = append(dropped, p.plan)
-		}
 		s.prepared = make(map[string]*Prepared)
-		s.mu.Unlock()
-		s.releasePlans(dropped)
 		return &RowSet{Tag: "DEALLOCATE ALL"}, nil
 	}
-	p, ok := s.prepared[st.Name]
-	if !ok {
-		s.mu.Unlock()
+	if _, ok := s.prepared[st.Name]; !ok {
 		return nil, execErrf("prepared statement %q does not exist", st.Name)
 	}
 	delete(s.prepared, st.Name)
-	s.mu.Unlock()
-	s.releasePlans([]stmtPlan{p.plan})
 	return &RowSet{Tag: "DEALLOCATE"}, nil
 }
 

@@ -103,6 +103,23 @@ func TestPlanStalenessAcrossSessions(t *testing.T) {
 	if r.Rows[0][0] != 7.0 {
 		t.Fatalf("cross-session sum = %v", r.Rows[0][0])
 	}
+
+	// The same holds for a join: s1's cached plan replans against the
+	// re-created dims, and the engine keeps one materialization.
+	mustExec(t, s1, `CREATE TABLE dims (k bigint, name text); INSERT INTO dims VALUES (7, 'old');
+		CREATE TABLE f (k bigint); INSERT INTO f VALUES (7), (7)`)
+	const fq = `SELECT dims.name, count(*) FROM f JOIN dims ON f.k = dims.k GROUP BY dims.name`
+	if r := mustQuery(t, s1, fq); len(r.Rows) != 1 || r.Rows[0][0] != "old" {
+		t.Fatalf("join rows = %v", r.Rows)
+	}
+	mustExec(t, s2, `DROP TABLE dims; CREATE TABLE dims (k bigint, name text); INSERT INTO dims VALUES (7, 'new')`)
+	r = mustQuery(t, s1, fq)
+	if s1.LastTiming().CacheHit || len(r.Rows) != 1 || r.Rows[0][0] != "new" || r.Rows[0][1] != int64(2) {
+		t.Fatalf("cross-session join rows = %v (cache hit %v)", r.Rows, s1.LastTiming().CacheHit)
+	}
+	if n := db.JoinCacheLen(); n != 1 {
+		t.Fatalf("join cache holds %d entries, want 1", n)
+	}
 }
 
 func TestPrepareExecute(t *testing.T) {

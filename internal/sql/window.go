@@ -257,8 +257,6 @@ func (p *windowPlan) gather(env *execEnv, morsels int, scan batchScan, partVals 
 
 func (p *windowPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
 
-func (p *windowPlan) release(db *engine.DB) { p.src.release(db) }
-
 func (p *windowPlan) columns() []string { return p.outNames }
 
 func (p *windowPlan) kinds() []ckind { return p.outKinds }
@@ -281,11 +279,10 @@ type windowState struct {
 }
 
 func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
-	input, cleanup, err := p.src.acquire(s, env.context())
+	input, err := p.src.acquire(s, env.context())
 	if err != nil {
 		return nil, err
 	}
-	defer cleanup()
 
 	// stepErr captures the first evaluation error from inside the order
 	// comparator and the step closure (the engine fold's contracts cannot
