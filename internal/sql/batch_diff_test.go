@@ -310,9 +310,32 @@ func TestBatchLaneDifferentialEdges(t *testing.T) {
 	}
 }
 
+// TestAggregateErrorOrderAgrees pins which error a statement reports
+// when its consumers fail with different texts: the WHERE clause first,
+// then the aggregate slots in SELECT order, each over a whole batch. A
+// row-closure argument (array_get over a Vector column) aborts the scan
+// like a native one (1 / (i - 10) fails on one row), so both modes agree.
+func TestAggregateErrorOrderAgrees(t *testing.T) {
+	var rows [][2]int64
+	for g := int64(0); g < 16; g++ {
+		rows = append(rows, [2]int64{g, 4 + g})
+	}
+	db := newArrayGetDB(t, 3, rows)
+	const arrayGet, divZero = "sql: array_get: index 4 out of range 1..3", "sql: division by zero"
+	for _, tc := range []struct{ query, want string }{
+		{`SELECT sum(array_get(v, i)), sum(1 / (i - 10)) FROM t`, arrayGet},
+		{`SELECT sum(1 / (i - 10)), sum(array_get(v, i)) FROM t`, divZero},
+		{`SELECT g, sum(array_get(v, i)), sum(1 / (i - 10)) FROM t GROUP BY g`, arrayGet},
+		{`SELECT sum(array_get(v, i)) FROM t WHERE 1 / (i - 10) > 0`, divZero},
+	} {
+		requireOneError(t, db, tc.query, tc.want, 1)
+	}
+}
+
 // TestBatchLaneFallback runs the aggregate shapes with no native lowering
-// — they fold through the row aggregate inside the batch executor — and
-// pins which of them still report the row lane (no consumer native).
+// — their argument lanes come from row closures inside the batch
+// executor — and pins which of them still report the row lane (no
+// consumer native).
 func TestBatchLaneFallback(t *testing.T) {
 	db := newDiffDB(t, 200)
 	batchSess := NewSession(db)
@@ -523,7 +546,7 @@ func TestRowLaneShapesPinned(t *testing.T) {
 		t.Errorf("scan lowered pred native=%v, %d native items", sp.nativePred, sp.nativeItems)
 	}
 	ap := plan(sess, `SELECT max(b), sum(f) FROM d WHERE f > 0`).(*aggPlan)
-	if ap.lane.specs[0].bind == nil || ap.lane.specs[1].bind != nil {
+	if ap.lane.specs[0].native || !ap.lane.specs[1].native {
 		t.Error("bool max must fold rows and sum(f) must keep its kernel")
 	}
 }

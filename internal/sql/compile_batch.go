@@ -109,8 +109,8 @@ type batchCompiler struct {
 // across executions, so a cached plan's steady state allocates only its
 // output.
 type batchProg struct {
-	nFloat, nInt, nStr, nBool, nSel int
-	pool                            sync.Pool
+	nFloat, nInt, nStr, nBool, nAny, nSel int
+	pool                                  sync.Pool
 }
 
 func newBatchCompiler(schema engine.Schema) *batchCompiler {
@@ -123,6 +123,34 @@ func (bc *batchCompiler) strSlot() int   { s := bc.prog.nStr; bc.prog.nStr++; re
 func (bc *batchCompiler) boolSlot() int  { s := bc.prog.nBool; bc.prog.nBool++; return s }
 func (bc *batchCompiler) selSlot() int   { s := bc.prog.nSel; bc.prog.nSel++; return s }
 
+// floatLane, intLane, strLane, boolLane and anyLane reserve a scratch
+// slot and return the accessor of its lane.
+func (bc *batchCompiler) floatLane() func(*batchEval, int) []float64 {
+	slot := bc.floatSlot()
+	return func(e *batchEval, n int) []float64 { return e.f(slot, n) }
+}
+
+func (bc *batchCompiler) intLane() func(*batchEval, int) []int64 {
+	slot := bc.intSlot()
+	return func(e *batchEval, n int) []int64 { return e.i(slot, n) }
+}
+
+func (bc *batchCompiler) strLane() func(*batchEval, int) []string {
+	slot := bc.strSlot()
+	return func(e *batchEval, n int) []string { return e.s(slot, n) }
+}
+
+func (bc *batchCompiler) boolLane() func(*batchEval, int) []bool {
+	slot := bc.boolSlot()
+	return func(e *batchEval, n int) []bool { return e.b(slot, n) }
+}
+
+func (bc *batchCompiler) anyLane() func(*batchEval, int) []any {
+	slot := bc.prog.nAny
+	bc.prog.nAny++
+	return func(e *batchEval, n int) []any { return e.a(slot, n) }
+}
+
 // batchEval is the per-segment execution state of a batch pipeline: the
 // bound parameter environment plus the scratch lanes reserved at compile
 // time. Lanes are allocated on first use at BatchSize capacity and
@@ -134,6 +162,7 @@ type batchEval struct {
 	is    [][]int64
 	ss    [][]string
 	bs    [][]bool
+	as    [][]any
 	sels  [][]int32
 }
 
@@ -144,6 +173,7 @@ func (p *batchProg) newEval(env *execEnv) *batchEval {
 		is:   make([][]int64, p.nInt),
 		ss:   make([][]string, p.nStr),
 		bs:   make([][]bool, p.nBool),
+		as:   make([][]any, p.nAny),
 		sels: make([][]int32, p.nSel),
 	}
 }
@@ -175,6 +205,7 @@ func (e *batchEval) f(slot, n int) []float64 { e.fs[slot] = growLane(e.fs[slot],
 func (e *batchEval) i(slot, n int) []int64   { e.is[slot] = growLane(e.is[slot], n); return e.is[slot] }
 func (e *batchEval) s(slot, n int) []string  { e.ss[slot] = growLane(e.ss[slot], n); return e.ss[slot] }
 func (e *batchEval) b(slot, n int) []bool    { e.bs[slot] = growLane(e.bs[slot], n); return e.bs[slot] }
+func (e *batchEval) a(slot, n int) []any     { e.as[slot] = growLane(e.as[slot], n); return e.as[slot] }
 func (e *batchEval) sel(slot, n int) []int32 {
 	e.sels[slot] = growLane(e.sels[slot], n)
 	return e.sels[slot]

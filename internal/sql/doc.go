@@ -169,11 +169,12 @@
 // item (SELECT list, ORDER BY key over the input row, window PARTITION
 // BY / ORDER BY key), aggregate call and GROUP BY key lowers either to
 // a native column kernel or to a kernel that runs its compiled row
-// closure over the batch's selection vector (lowering, exec_batch.go).
+// closure over the batch's selection vector (lowering, exec_batch.go and
+// aggregate.go).
 // One statement can mix the two freely — a vectorized comparison AND-ed
 // under a closure predicate, a columnar item beside a Vector item, a
-// native sum beside a row-folded bool max — and the lane is never a
-// property of the plan.
+// native sum beside a bool max whose lane its closure fills — and the
+// lane is never a property of the plan.
 //
 // The native kernels (compile_batch.go, exec_batch.go) are what every
 // consumer takes when it can. The engine hands kernels an
@@ -185,9 +186,12 @@
 // consumer respects, so filtered-out rows are never evaluated; AND/OR
 // evaluate their right operand only over the sub-selection the left
 // operand did not decide, preserving the closures' short-circuit
-// semantics (x <> 0 AND 1/x > 2 cannot fault). Built-in aggregates fold
-// lanes directly into the same accumulator structs their row-closure
-// form uses, and single-column GROUP BY keys hash through Go's
+// semantics (x <> 0 AND 1/x > 2 cannot fault). Each built-in aggregate
+// has one accumulator per lane kind (aggregate.go): a masked lane fold,
+// a per-row update for the grouped executor, a merge and a final. Its
+// argument lane comes from the native kernel or from the row closure
+// run over the selection, and the same accumulator folds either one.
+// Single-column GROUP BY keys hash through Go's
 // specialized int64/string map fast paths per morsel. Ungrouped
 // single-aggregate queries whose argument is a bare column (or count)
 // take a further fused filter+aggregate path: the predicate fills one
@@ -248,7 +252,16 @@
 // a kernel cannot reproduce that per row), madlib scalar calls inside
 // expressions and registered madlib aggregates (their rows fold through
 // the aggregate's own transition function; the WHERE clause beside
-// them still vectorizes and the scan still parallelizes).
+// them still vectorizes and the scan still parallelizes). A built-in
+// aggregate's closure lane feeds the same accumulator as its kernel
+// would: typed closures fill float/int/text lanes, and bool, Vector and
+// run-time-typed arguments fill a boxed lane whose NULLs the fold
+// skips. An argument error aborts its morsel on either lane. A
+// statement reports the first failure by morsel, then by batch, then
+// by consumer (WHERE before the aggregate slots, slots in SELECT
+// order), then by row. Two error sources inside one expression are not
+// settled: a kernel evaluates it operand by operand, a closure row by
+// row.
 // EXPLAIN's lane line and the sql_lane_* counters read "row" only when
 // no consumer of the statement lowered natively;
 // TestRowLaneShapesPinned pins the decisions.
@@ -260,8 +273,9 @@
 // bit-identical rows and error text (division by zero, int64 overflow,
 // NULL handling included) — kernels checked against closures, not one
 // executor against another. FuzzExprLanes does the same for single
-// generated expressions, as projections and predicates over a table and
-// its LEFT JOIN-padded twin, with the FROM-less path as a third
+// generated expressions, as projections, predicates and aggregate
+// arguments over a table and its LEFT JOIN-padded twin, with the
+// FROM-less path as a third
 // evaluation of column-free ones. A table-valued madlib.* call's staged
 // input is one more projection scan, lowered the same way.
 //

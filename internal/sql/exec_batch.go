@@ -10,364 +10,34 @@ import (
 // batchAggLane and runs it through engine.RunBatched / RunGroupByBatched:
 // the WHERE kernel filters each batch into a selection vector, the group
 // keys fill a key lane, and one batchAggSpec per aggregate call folds
-// the survivors. A spec is either the call's native lowering — a typed
-// argument lane folded into an unboxed accumulator — or, where
-// compile_batch.go has no kernel for the argument (and always in oracle
-// mode), the row-lane engine.Aggregate folded row by row through updRow.
-// Both use the same accumulator structs and finalizers (numAccState,
-// fminmaxState, ...) and fold a morsel's rows in row order, and morsel
-// states merge in (segment, offset) order, so the two lowerings are
-// bit-identical.
+// the survivors. A built-in call's spec folds an argument lane into its
+// aggregate's one accumulator (aggregate.go); the lane is made by the
+// argument's native kernel or, where compile_batch.go has none (and
+// always in oracle mode), by its row closure run over the selection.
+// A morsel's rows fold in row order and morsel states merge in
+// (segment, offset) order, so the two lowerings are bit-identical.
+//
+// Errors follow one rule on both: a failing consumer aborts its
+// morsel, and the statement reports the first failure by morsel, then
+// by batch within the morsel, then by consumer — the WHERE clause
+// before the aggregate slots, slots in SELECT order — then by row.
+// Registered madlib aggregates fold whole rows through their own
+// transition and keep their errors in their state until final.
 
-// batchAggSpec is one aggregate call lowered for the batch executor. At
-// most one of evalF/evalI/evalS is set for value-folding aggregates; all
-// are nil for count (which may still carry evalDiscard to surface
-// argument evaluation errors, matching count(expr) on the row closure)
-// and for specs that fold whole rows through updRow.
-type batchAggSpec struct {
-	evalF func(e *batchEval, b engine.ColBatch, sel selVec) ([]float64, error)
-	evalI func(e *batchEval, b engine.ColBatch, sel selVec) ([]int64, error)
-	evalS func(e *batchEval, b engine.ColBatch, sel selVec) ([]string, error)
-	// evalDiscard evaluates a count(expr) argument for its errors only.
-	evalDiscard func(e *batchEval, b engine.ColBatch, sel selVec) error
-	// validV, when non-nil, evaluates the argument's validity lane: the
-	// argument can be NULL (it reads the padded side of a LEFT JOIN) and
-	// the aggregate must skip invalid rows, exactly as the row lane's
-	// accumulators skip nil. The value lanes hold don't-care padding at
-	// invalid positions.
-	validV func(e *batchEval, b engine.ColBatch, sel selVec) ([]bool, error)
+// laneEval evaluates an expression over the selected rows of a batch:
+// one value per selected row, in row order.
+type laneEval[T any] func(e *batchEval, b engine.ColBatch, sel selVec) ([]T, error)
 
-	init func() any
-	// updF/updI/updS/updN fold one selected row into an accumulator
-	// (grouped path); foldF/foldI/foldS fold a whole lane (ungrouped
-	// fast path).
-	updF  func(st any, v float64)
-	updI  func(st any, v int64)
-	updS  func(st any, v string)
-	updN  func(st any, n int64)
-	foldF func(st any, vals []float64)
-	foldI func(st any, vals []int64)
-	foldS func(st any, vals []string)
-
-	// updRow folds one selected row through an engine.Aggregate
-	// transition: the fallback fold of madlib scalar aggregates and of
-	// built-in calls with no native lowering.
-	updRow func(st any, row engine.Row) any
-	// bind, when non-nil, marks a row-folded spec not yet bound to an
-	// execution: the row-lane aggregate is built per execution (its
-	// compiled argument may read $n) and batchAggLane.bound swaps in the
-	// spec that folds through it.
-	bind aggBuilder
-
-	// argCol >= 0 marks an argument that is a bare column reference of
-	// the matching lane kind; together with fusedF/fusedI it enables the
-	// fused filter+aggregate path for single-aggregate queries, which
-	// folds the raw column lane against the predicate's bool lane with
-	// no selection vector and no gather.
-	argCol int
-	fusedF func(st any, lane []float64, keep []bool)
-	fusedI func(st any, lane []int64, keep []bool)
-
-	merge func(a, b any) any
-	final func(st any) (any, error)
-}
-
-// buildBatchAggregate lowers one built-in aggregate call to its native
-// batch spec; ok=false (bool min/max, Vector-typed or dynamic arguments,
-// registered madlib aggregates) leaves the call to the row fold.
-func buildBatchAggregate(call *FuncCall, bc *batchCompiler) (*batchAggSpec, bool) {
-	spec, ok := buildBuiltinBatchSpec(call, bc)
-	if !ok {
-		return nil, false
-	}
-	spec.argCol = -1
-	attachFused(spec, call, bc)
-	return spec, true
-}
-
-func buildBuiltinBatchSpec(call *FuncCall, bc *batchCompiler) (*batchAggSpec, bool) {
-	if call.Schema != "" || !builtinAggs[call.Name] {
-		return nil, false
-	}
-	var arg *bcompiled
-	if !call.Star {
-		if len(call.Args) != 1 {
-			return nil, false
-		}
-		var ok bool
-		arg, ok = compileBatchExpr(call.Args[0], bc)
-		if !ok || arg.scalar != nil {
-			return nil, false
-		}
-	}
-	switch call.Name {
-	case "count":
-		spec := &batchAggSpec{
-			init: func() any { return &countState{} },
-			updN: func(st any, n int64) { st.(*countState).n += n },
-			merge: func(a, b any) any {
-				sa, sb := a.(*countState), b.(*countState)
-				sa.n += sb.n
-				return sa
-			},
-			final: func(st any) (any, error) { return st.(*countState).n, nil },
-		}
-		// count(expr) counts non-NULL values: a possibly-NULL argument
-		// contributes its validity lane and only valid rows count.
-		if arg != nil && arg.valid != nil {
-			spec.validV = laneEvalV(arg.valid, bc)
-		}
-		// count(expr) evaluates its argument so runtime errors surface;
-		// constant arguments and bare column references cannot fail and
-		// skip the evaluation (storage holds no errors, and a NULL-padded
-		// gather is fault-free).
-		isBareCol := false
-		if len(call.Args) == 1 {
-			_, isBareCol = call.Args[0].(*ColumnRef)
-		}
-		if arg != nil && !arg.isConst && !isBareCol {
-			switch arg.kind {
-			case ckFloat:
-				fk := arg.f
-				slot := bc.floatSlot()
-				spec.evalDiscard = func(e *batchEval, b engine.ColBatch, sel selVec) error {
-					return fk(e, b, sel, e.f(slot, len(sel)))
-				}
-			case ckInt:
-				ik := arg.i
-				slot := bc.intSlot()
-				spec.evalDiscard = func(e *batchEval, b engine.ColBatch, sel selVec) error {
-					return ik(e, b, sel, e.i(slot, len(sel)))
-				}
-			case ckStr:
-				sk := arg.s
-				slot := bc.strSlot()
-				spec.evalDiscard = func(e *batchEval, b engine.ColBatch, sel selVec) error {
-					return sk(e, b, sel, e.s(slot, len(sel)))
-				}
-			case ckBool:
-				bk := arg.b
-				slot := bc.boolSlot()
-				spec.evalDiscard = func(e *batchEval, b engine.ColBatch, sel selVec) error {
-					return bk(e, b, sel, e.b(slot, len(sel)))
-				}
-			default:
-				return nil, false
-			}
-		}
-		return spec, true
-	case "min", "max":
-		wantLess := call.Name == "min"
-		switch arg.kind {
-		case ckInt:
-			spec := &batchAggSpec{
-				init: func() any { return &iminmaxState{} },
-				updI: func(st any, v int64) {
-					s := st.(*iminmaxState)
-					if !s.seen || (wantLess && v < s.val) || (!wantLess && v > s.val) {
-						s.val, s.seen = v, true
-					}
-				},
-				merge: func(a, b any) any {
-					sa, sb := a.(*iminmaxState), b.(*iminmaxState)
-					if sb.seen && (!sa.seen || (wantLess && sb.val < sa.val) || (!wantLess && sb.val > sa.val)) {
-						sa.val, sa.seen = sb.val, true
-					}
-					return sa
-				},
-				final: func(st any) (any, error) {
-					s := st.(*iminmaxState)
-					if !s.seen {
-						return nil, nil
-					}
-					return s.val, nil
-				},
-			}
-			spec.evalI = laneEvalI(arg.i, bc)
-			spec.foldI = func(st any, vals []int64) {
-				for _, v := range vals {
-					spec.updI(st, v)
-				}
-			}
-			return withValidity(spec, arg, bc), true
-		case ckFloat:
-			spec := &batchAggSpec{
-				init: func() any { return &fminmaxState{} },
-				updF: func(st any, v float64) {
-					s := st.(*fminmaxState)
-					if !s.seen || (wantLess && v < s.val) || (!wantLess && v > s.val) {
-						s.val, s.seen = v, true
-					}
-				},
-				merge: func(a, b any) any {
-					sa, sb := a.(*fminmaxState), b.(*fminmaxState)
-					if sb.seen && (!sa.seen || (wantLess && sb.val < sa.val) || (!wantLess && sb.val > sa.val)) {
-						sa.val, sa.seen = sb.val, true
-					}
-					return sa
-				},
-				final: func(st any) (any, error) {
-					s := st.(*fminmaxState)
-					if !s.seen {
-						return nil, nil
-					}
-					return s.val, nil
-				},
-			}
-			spec.evalF = laneEvalF(arg.f, bc)
-			spec.foldF = func(st any, vals []float64) {
-				for _, v := range vals {
-					spec.updF(st, v)
-				}
-			}
-			return withValidity(spec, arg, bc), true
-		case ckStr:
-			spec := &batchAggSpec{
-				init: func() any { return &sminmaxState{} },
-				updS: func(st any, v string) {
-					s := st.(*sminmaxState)
-					if !s.seen || (wantLess && v < s.val) || (!wantLess && v > s.val) {
-						s.val, s.seen = v, true
-					}
-				},
-				merge: func(a, b any) any {
-					sa, sb := a.(*sminmaxState), b.(*sminmaxState)
-					if sb.seen && (!sa.seen || (wantLess && sb.val < sa.val) || (!wantLess && sb.val > sa.val)) {
-						sa.val, sa.seen = sb.val, true
-					}
-					return sa
-				},
-				final: func(st any) (any, error) {
-					s := st.(*sminmaxState)
-					if !s.seen {
-						return nil, nil
-					}
-					return s.val, nil
-				},
-			}
-			spec.evalS = laneEvalS(arg.s, bc)
-			spec.foldS = func(st any, vals []string) {
-				for _, v := range vals {
-					spec.updS(st, v)
-				}
-			}
-			return withValidity(spec, arg, bc), true
-		}
-		return nil, false
-	case "sum", "avg", "variance", "stddev":
-		final := numAccFinal(call.Name)
-		switch arg.kind {
-		case ckInt:
-			spec := &batchAggSpec{
-				init: func() any { return &numAccState{intOnly: true} },
-				updI: func(st any, v int64) {
-					s := st.(*numAccState)
-					f := float64(v)
-					s.sumInt += v
-					s.n++
-					s.sum += f
-					s.sumSq += f * f
-				},
-				merge: func(a, b any) any { return mergeNumAcc(a, b) },
-				final: func(st any) (any, error) { return final(st) },
-			}
-			spec.evalI = laneEvalI(arg.i, bc)
-			spec.foldI = func(st any, vals []int64) {
-				s := st.(*numAccState)
-				for _, v := range vals {
-					f := float64(v)
-					s.sumInt += v
-					s.sum += f
-					s.sumSq += f * f
-				}
-				s.n += int64(len(vals))
-			}
-			return withValidity(spec, arg, bc), true
-		case ckFloat:
-			spec := &batchAggSpec{
-				init: func() any { return &numAccState{} },
-				updF: func(st any, v float64) {
-					s := st.(*numAccState)
-					s.n++
-					s.sum += v
-					s.sumSq += v * v
-				},
-				merge: func(a, b any) any { return mergeNumAcc(a, b) },
-				final: func(st any) (any, error) { return final(st) },
-			}
-			spec.evalF = laneEvalF(arg.f, bc)
-			spec.foldF = func(st any, vals []float64) {
-				s := st.(*numAccState)
-				for _, v := range vals {
-					s.sum += v
-					s.sumSq += v * v
-				}
-				s.n += int64(len(vals))
-			}
-			return withValidity(spec, arg, bc), true
-		}
-		return nil, false
-	}
-	return nil, false
-}
-
-func laneEvalF(fk fBatchKernel, bc *batchCompiler) func(*batchEval, engine.ColBatch, selVec) ([]float64, error) {
-	slot := bc.floatSlot()
-	return func(e *batchEval, b engine.ColBatch, sel selVec) ([]float64, error) {
-		out := e.f(slot, len(sel))
-		if err := fk(e, b, sel, out); err != nil {
+// kernelLane runs a column kernel over the selection into a scratch
+// lane.
+func kernelLane[T any](k func(*batchEval, engine.ColBatch, selVec, []T) error, scratch func(*batchEval, int) []T) laneEval[T] {
+	return func(e *batchEval, b engine.ColBatch, sel selVec) ([]T, error) {
+		out := scratch(e, len(sel))
+		if err := k(e, b, sel, out); err != nil {
 			return nil, err
 		}
 		return out, nil
 	}
-}
-
-func laneEvalI(ik iBatchKernel, bc *batchCompiler) func(*batchEval, engine.ColBatch, selVec) ([]int64, error) {
-	slot := bc.intSlot()
-	return func(e *batchEval, b engine.ColBatch, sel selVec) ([]int64, error) {
-		out := e.i(slot, len(sel))
-		if err := ik(e, b, sel, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-}
-
-func laneEvalS(sk sBatchKernel, bc *batchCompiler) func(*batchEval, engine.ColBatch, selVec) ([]string, error) {
-	slot := bc.strSlot()
-	return func(e *batchEval, b engine.ColBatch, sel selVec) ([]string, error) {
-		out := e.s(slot, len(sel))
-		if err := sk(e, b, sel, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-}
-
-func laneEvalB(bk bBatchKernel, bc *batchCompiler) func(*batchEval, engine.ColBatch, selVec) ([]bool, error) {
-	slot := bc.boolSlot()
-	return func(e *batchEval, b engine.ColBatch, sel selVec) ([]bool, error) {
-		out := e.b(slot, len(sel))
-		if err := bk(e, b, sel, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-}
-
-// laneEvalV is laneEvalB over a validity kernel (a distinct helper only
-// for readability at call sites).
-func laneEvalV(vk bBatchKernel, bc *batchCompiler) func(*batchEval, engine.ColBatch, selVec) ([]bool, error) {
-	return laneEvalB(vk, bc)
-}
-
-// withValidity attaches the argument's validity lane to a value-folding
-// spec so its folds can skip NULL rows.
-func withValidity(spec *batchAggSpec, arg *bcompiled, bc *batchCompiler) *batchAggSpec {
-	if arg != nil && arg.valid != nil {
-		spec.validV = laneEvalV(arg.valid, bc)
-	}
-	return spec
 }
 
 // projItem is one projected expression — a SELECT item, an ORDER BY key
@@ -379,13 +49,13 @@ func withValidity(spec *batchAggSpec, arg *bcompiled, bc *batchCompiler) *batchA
 // arithmetic, madlib calls) carry their compiled row closure in rowFn
 // instead and append one boxed value per selected row.
 type projItem struct {
-	evalF func(e *batchEval, b engine.ColBatch, sel selVec) ([]float64, error)
-	evalI func(e *batchEval, b engine.ColBatch, sel selVec) ([]int64, error)
-	evalS func(e *batchEval, b engine.ColBatch, sel selVec) ([]string, error)
-	evalB func(e *batchEval, b engine.ColBatch, sel selVec) ([]bool, error)
+	evalF laneEval[float64]
+	evalI laneEval[int64]
+	evalS laneEval[string]
+	evalB laneEval[bool]
 	// validE, when non-nil, marks a possibly-NULL item: its validity lane
 	// rides beside the value lane (false is the row closure's NULL).
-	validE func(e *batchEval, b engine.ColBatch, sel selVec) ([]bool, error)
+	validE laneEval[bool]
 	rowFn  anyFn
 	// kind is the item's static result kind, ckAny when only its values
 	// tell ($n, NULL-padded LEFT JOIN columns).
@@ -402,18 +72,18 @@ func buildProjItem(expr Expr, bc *batchCompiler) (*projItem, bool) {
 	pi := &projItem{}
 	switch c.kind {
 	case ckFloat:
-		pi.evalF = laneEvalF(c.f, bc)
+		pi.evalF = kernelLane(c.f, bc.floatLane())
 	case ckInt:
-		pi.evalI = laneEvalI(c.i, bc)
+		pi.evalI = kernelLane(c.i, bc.intLane())
 	case ckStr:
-		pi.evalS = laneEvalS(c.s, bc)
+		pi.evalS = kernelLane(c.s, bc.strLane())
 	case ckBool:
-		pi.evalB = laneEvalB(c.b, bc)
+		pi.evalB = kernelLane(c.b, bc.boolLane())
 	default:
 		return nil, false
 	}
 	if c.valid != nil {
-		pi.validE = laneEvalV(c.valid, bc)
+		pi.validE = kernelLane(c.valid, bc.boolLane())
 	}
 	return pi, true
 }
@@ -564,21 +234,6 @@ func (lw *lowering) item(e Expr) (*projItem, error) {
 	return &projItem{rowFn: c.a, kind: c.kind}, nil
 }
 
-// aggregate lowers one aggregate call; bind is set on the result when
-// the row fold was taken.
-func (lw *lowering) aggregate(call *FuncCall) (*batchAggSpec, error) {
-	build, err := buildAggregate(call, lw.cc)
-	if err != nil {
-		return nil, err
-	}
-	if !lw.oracle {
-		if spec, ok := buildBatchAggregate(call, lw.bc); ok {
-			return spec, nil
-		}
-	}
-	return &batchAggSpec{argCol: -1, bind: build}, nil
-}
-
 // morselScratch is one morsel's kernel scratch under every batch
 // executor: the lanes the program reserved at compile time, plus the
 // predicate's output lane and the selection vector it compresses into.
@@ -667,118 +322,6 @@ func gatherBatches[T any](env *execEnv, morsels int, scan batchScan, prog *batch
 	return accs, nil
 }
 
-// sminmaxState is the batch lane's unboxed text min/max accumulator
-// (the row lane keeps these boxed in minmaxState; results agree because
-// string comparison is exact).
-type sminmaxState struct {
-	val  string
-	seen bool
-}
-
-// attachFused marks aggregate arguments that are bare column references
-// and equips the spec with fused filter+fold kernels over the raw lane.
-// planAggLane promotes the spec to the fused path for ungrouped
-// single-aggregate queries: one predicate pass, one fold pass, no
-// selection vector, no gather. Fold order is row order within the
-// segment either way, so results stay bit-identical to the unfused lane.
-func attachFused(spec *batchAggSpec, call *FuncCall, bc *batchCompiler) {
-	if call.Star || len(call.Args) != 1 {
-		return
-	}
-	cr, ok := call.Args[0].(*ColumnRef)
-	if !ok {
-		return
-	}
-	ci, ok := bc.colIdx[cr.Name]
-	if !ok {
-		return
-	}
-	if bc.nullable != nil && bc.nullable[ci] {
-		// NULL-padded column: the fused kernels fold raw lanes with no
-		// validity mask, so nullable arguments stay on the gather path.
-		return
-	}
-	switch call.Name {
-	case "sum", "avg", "variance", "stddev":
-		switch bc.schema[ci].Kind {
-		case engine.Float:
-			spec.argCol = ci
-			spec.fusedF = func(st any, lane []float64, keep []bool) {
-				s := st.(*numAccState)
-				if keep == nil {
-					for _, v := range lane {
-						s.sum += v
-						s.sumSq += v * v
-					}
-					s.n += int64(len(lane))
-					return
-				}
-				for i, v := range lane {
-					if keep[i] {
-						s.sum += v
-						s.sumSq += v * v
-						s.n++
-					}
-				}
-			}
-		case engine.Int:
-			spec.argCol = ci
-			spec.fusedI = func(st any, lane []int64, keep []bool) {
-				s := st.(*numAccState)
-				if keep == nil {
-					for _, v := range lane {
-						f := float64(v)
-						s.sumInt += v
-						s.sum += f
-						s.sumSq += f * f
-					}
-					s.n += int64(len(lane))
-					return
-				}
-				for i, v := range lane {
-					if keep[i] {
-						f := float64(v)
-						s.sumInt += v
-						s.sum += f
-						s.sumSq += f * f
-						s.n++
-					}
-				}
-			}
-		}
-	case "min", "max":
-		wantLess := call.Name == "min"
-		switch bc.schema[ci].Kind {
-		case engine.Float:
-			spec.argCol = ci
-			spec.fusedF = func(st any, lane []float64, keep []bool) {
-				s := st.(*fminmaxState)
-				for i, v := range lane {
-					if keep != nil && !keep[i] {
-						continue
-					}
-					if !s.seen || (wantLess && v < s.val) || (!wantLess && v > s.val) {
-						s.val, s.seen = v, true
-					}
-				}
-			}
-		case engine.Int:
-			spec.argCol = ci
-			spec.fusedI = func(st any, lane []int64, keep []bool) {
-				s := st.(*iminmaxState)
-				for i, v := range lane {
-					if keep != nil && !keep[i] {
-						continue
-					}
-					if !s.seen || (wantLess && v < s.val) || (!wantLess && v > s.val) {
-						s.val, s.seen = v, true
-					}
-				}
-			}
-		}
-	}
-}
-
 // batchKeyMode selects the segment-local hash-map representation for
 // the GROUP BY key. Single-column keys use Go's specialized int64 /
 // string map fast paths and convert to engine.GroupKey only once per
@@ -808,36 +351,15 @@ type batchAggLane struct {
 	native bool
 
 	// fused, when non-nil, is specs[0] of an ungrouped single-aggregate
-	// query whose argument folds straight off a column lane (or count):
-	// processFused replaces the select+gather+fold pipeline.
+	// query whose argument folds straight off a raw lane (a bare column,
+	// or count's): processFused replaces the select+gather+fold
+	// pipeline.
 	fused *batchAggSpec
 
 	keyMode    batchKeyMode
 	keyFillInt func(b engine.ColBatch, sel selVec, keys []int64)
 	keyFillStr func(b engine.ColBatch, sel selVec, keys []string)
 	keyFill    func(b engine.ColBatch, sel selVec, keys []engine.GroupKey)
-}
-
-// bound returns the lane with every row-folded spec bound to this
-// execution's environment — the lane itself when it has none.
-func (ln *batchAggLane) bound(env *execEnv) (*batchAggLane, error) {
-	out := ln
-	for i, spec := range ln.specs {
-		if spec.bind == nil {
-			continue
-		}
-		agg, err := spec.bind(env)
-		if err != nil {
-			return nil, err
-		}
-		if out == ln {
-			cp := *ln
-			cp.specs = append([]*batchAggSpec(nil), ln.specs...)
-			out = &cp
-		}
-		out.specs[i] = &batchAggSpec{argCol: -1, init: agg.Init, updRow: agg.Transition, merge: agg.Merge, final: agg.Final}
-	}
-	return out, nil
 }
 
 // batchGroup is one group's accumulators plus its key values, captured
@@ -911,6 +433,9 @@ func (ln *batchAggLane) newMorselState(env *execEnv, grouped bool) *batchMorselS
 func (ln *batchAggLane) releaseMorselState(st *batchMorselState) {
 	st.e.env = nil
 	st.accs = nil
+	for _, lane := range st.e.as {
+		clear(lane)
+	}
 	if st.m != nil {
 		clear(st.m)
 	}
@@ -938,89 +463,12 @@ func (ln *batchAggLane) processUngrouped(st *batchMorselState, b engine.ColBatch
 		return ln.processFused(st, b)
 	}
 	sel, err := st.filter(ln.pred, b)
-	if err != nil {
+	if err != nil || len(sel) == 0 {
 		return err
 	}
-	if len(sel) == 0 {
-		return nil
-	}
 	for ai, spec := range ln.specs {
-		// vl is the argument's validity lane; nil means every selected row
-		// folds (the common, NULL-free case).
-		var vl []bool
-		if spec.validV != nil {
-			var err error
-			vl, err = spec.validV(st.e, b, sel)
-			if err != nil {
-				return err
-			}
-		}
-		switch {
-		case spec.updRow != nil:
-			acc := st.accs[ai]
-			for _, idx := range sel {
-				acc = spec.updRow(acc, b.Row(int(idx)))
-			}
-			st.accs[ai] = acc
-		case spec.evalF != nil:
-			vals, err := spec.evalF(st.e, b, sel)
-			if err != nil {
-				return err
-			}
-			if vl != nil {
-				for j, v := range vals {
-					if vl[j] {
-						spec.updF(st.accs[ai], v)
-					}
-				}
-			} else {
-				spec.foldF(st.accs[ai], vals)
-			}
-		case spec.evalI != nil:
-			vals, err := spec.evalI(st.e, b, sel)
-			if err != nil {
-				return err
-			}
-			if vl != nil {
-				for j, v := range vals {
-					if vl[j] {
-						spec.updI(st.accs[ai], v)
-					}
-				}
-			} else {
-				spec.foldI(st.accs[ai], vals)
-			}
-		case spec.evalS != nil:
-			vals, err := spec.evalS(st.e, b, sel)
-			if err != nil {
-				return err
-			}
-			if vl != nil {
-				for j, v := range vals {
-					if vl[j] {
-						spec.updS(st.accs[ai], v)
-					}
-				}
-			} else {
-				spec.foldS(st.accs[ai], vals)
-			}
-		default:
-			if spec.evalDiscard != nil {
-				if err := spec.evalDiscard(st.e, b, sel); err != nil {
-					return err
-				}
-			}
-			if vl != nil {
-				var n int64
-				for _, ok := range vl {
-					if ok {
-						n++
-					}
-				}
-				spec.updN(st.accs[ai], n)
-			} else {
-				spec.updN(st.accs[ai], int64(len(sel)))
-			}
+		if err := spec.fold(st.e, b, sel, &st.accs[ai]); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1028,9 +476,9 @@ func (ln *batchAggLane) processUngrouped(st *batchMorselState, b engine.ColBatch
 
 // processFused is the fused filter+aggregate path: evaluate the WHERE
 // kernel into a bool lane (when present) and fold the aggregate's raw
-// column lane against it in one pass — no selection vector, no gather,
-// no per-value closure. Only planned for ungrouped single-aggregate
-// queries whose argument is a bare column reference or count(*).
+// argument lane against it in one pass — no selection vector, no
+// gather, no per-value closure. Only planned for ungrouped
+// single-aggregate queries whose spec has a raw lane (batchAggSpec.fused).
 func (ln *batchAggLane) processFused(st *batchMorselState, b engine.ColBatch) error {
 	var keep []bool
 	if ln.pred != nil {
@@ -1039,25 +487,7 @@ func (ln *batchAggLane) processFused(st *batchMorselState, b engine.ColBatch) er
 			return err
 		}
 	}
-	spec := ln.fused
-	switch {
-	case spec.fusedF != nil:
-		spec.fusedF(st.accs[0], b.Floats(spec.argCol), keep)
-	case spec.fusedI != nil:
-		spec.fusedI(st.accs[0], b.Ints(spec.argCol), keep)
-	default: // count(*) / count(col)
-		n := int64(b.Len())
-		if keep != nil {
-			n = 0
-			for _, k := range keep {
-				if k {
-					n++
-				}
-			}
-		}
-		spec.updN(st.accs[0], n)
-	}
-	return nil
+	return ln.fused.fused(st.e, b, keep, st.accs[0])
 }
 
 // processGrouped folds one batch into the segment's per-group
@@ -1107,68 +537,11 @@ func (ln *batchAggLane) processGrouped(st *batchMorselState, b engine.ColBatch) 
 			grps[j] = g
 		}
 	}
+	// Rows whose argument is NULL still create their group; their
+	// folds just skip them.
 	for ai, spec := range ln.specs {
-		// vl is the argument's validity lane; invalid rows still create
-		// their group (a row-folded spec sees the row too), they just
-		// don't fold a value.
-		var vl []bool
-		if spec.validV != nil {
-			var err error
-			vl, err = spec.validV(st.e, b, sel)
-			if err != nil {
-				return err
-			}
-		}
-		switch {
-		case spec.updRow != nil:
-			for j, g := range grps {
-				g.accs[ai] = spec.updRow(g.accs[ai], b.Row(int(sel[j])))
-			}
-		case spec.evalF != nil:
-			vals, err := spec.evalF(st.e, b, sel)
-			if err != nil {
-				return err
-			}
-			upd := spec.updF
-			for j, g := range grps {
-				if vl == nil || vl[j] {
-					upd(g.accs[ai], vals[j])
-				}
-			}
-		case spec.evalI != nil:
-			vals, err := spec.evalI(st.e, b, sel)
-			if err != nil {
-				return err
-			}
-			upd := spec.updI
-			for j, g := range grps {
-				if vl == nil || vl[j] {
-					upd(g.accs[ai], vals[j])
-				}
-			}
-		case spec.evalS != nil:
-			vals, err := spec.evalS(st.e, b, sel)
-			if err != nil {
-				return err
-			}
-			upd := spec.updS
-			for j, g := range grps {
-				if vl == nil || vl[j] {
-					upd(g.accs[ai], vals[j])
-				}
-			}
-		default:
-			if spec.evalDiscard != nil {
-				if err := spec.evalDiscard(st.e, b, sel); err != nil {
-					return err
-				}
-			}
-			upd := spec.updN
-			for j, g := range grps {
-				if vl == nil || vl[j] {
-					upd(g.accs[ai], 1)
-				}
-			}
+		if err := spec.foldGroups(st.e, b, sel, grps, ai); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -1241,10 +614,7 @@ func (ln *batchAggLane) finalize(g *batchGroup) (*multiState, error) {
 // table, or a join's materialization) and returns one finalized
 // multiState per group (exactly one for ungrouped aggregates).
 func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]*multiState, error) {
-	ln, err := p.lane.bound(env)
-	if err != nil {
-		return nil, err
-	}
+	ln := p.lane
 	grouped := len(p.groupIdx) > 0
 	// Track every morsel state so the scratch returns to the pool even
 	// when a kernel errors mid-scan.
@@ -1387,19 +757,12 @@ func planAggLane(st *Select, lw *lowering, specs []*batchAggSpec, groupIdx []int
 		return nil, err
 	}
 	for _, spec := range specs {
-		ln.native = ln.native || spec.bind == nil
+		ln.native = ln.native || spec.native
 	}
 	if len(groupIdx) > 0 {
 		ln.bindKeyFill(schema, groupIdx, !lw.oracle)
-	} else if len(specs) == 1 {
-		// Fused filter+aggregate: single aggregate over a raw column lane
-		// (or a plain count) with no grouping.
-		spec := specs[0]
-		countOnly := spec.updN != nil && spec.evalDiscard == nil &&
-			spec.validV == nil && spec.evalF == nil && spec.evalI == nil && spec.evalS == nil
-		if spec.fusedF != nil || spec.fusedI != nil || countOnly {
-			ln.fused = spec
-		}
+	} else if len(specs) == 1 && specs[0].fused != nil {
+		ln.fused = specs[0]
 	}
 	ln.prog = lw.bc.prog
 	return ln, nil

@@ -421,35 +421,6 @@ func exprHasNestedAgg(e Expr) bool {
 	return nested
 }
 
-// aggBuilder constructs the row-lane engine aggregate for one aggregate
-// call with an execution environment bound: the fold of every call with
-// no native batch lowering, and of every call in oracle mode. All compile
-// work happens at plan time; invoking the builder per execution only
-// allocates closures, which keeps cached plans reusable while letting $n
-// parameters flow into built-in aggregate arguments (sum(v * $1)).
-type aggBuilder func(env *execEnv) (engine.Aggregate, error)
-
-// buildAggregate compiles one aggregate call into an aggBuilder. Built-in
-// aggregates evaluate their compiled argument expression per row; madlib
-// aggregates are built once by their registered binding (their arguments
-// are fixed at plan time, so the instance is reusable — Init creates
-// fresh state per run).
-func buildAggregate(call *FuncCall, cc *compileCtx) (aggBuilder, error) {
-	if x := call; x.Schema == "" && builtinAggs[x.Name] {
-		return buildBuiltinAggregate(call, cc)
-	}
-	f, _ := core.LookupSQLFunc(call.Name)
-	args, err := resolveFuncArgs(call, cc)
-	if err != nil {
-		return nil, err
-	}
-	agg, err := f.BuildAggregate(cc.schema, args)
-	if err != nil {
-		return nil, fmt.Errorf("sql: madlib.%s: %w", call.Name, err)
-	}
-	return func(*execEnv) (engine.Aggregate, error) { return agg, nil }, nil
-}
-
 // resolveFuncArgs resolves madlib call arguments: column references
 // become core.ColumnArg, constants fold, and any other expression over
 // the table compiles to a core.ExprArg whose getters the method's builder
@@ -522,416 +493,6 @@ func bindFloat(fn floatFn) func(engine.Row) (float64, error) {
 
 func bindAny(fn anyFn) func(engine.Row) (any, error) {
 	return func(r engine.Row) (any, error) { return fn(r, nil) }
-}
-
-// numAccState is the shared transition state of the numeric built-in
-// aggregates: enough moments for count/sum/avg/variance/stddev.
-type numAccState struct {
-	n     int64
-	sum   float64
-	sumSq float64
-	// intOnly tracks whether every input was an int64, so sum can stay
-	// integral like SQL's sum(bigint).
-	intOnly bool
-	sumInt  int64
-	err     error
-}
-
-// minmaxState tracks the extreme value seen so far.
-type minmaxState struct {
-	val any
-	err error
-}
-
-// fminmaxState is minmaxState's unboxed fast path for float arguments.
-type fminmaxState struct {
-	val  float64
-	seen bool
-	err  error
-}
-
-// iminmaxState is the int64 fast path; ints never round-trip through
-// float64 (which would lose precision above 2^53 and overflow at 2^63).
-type iminmaxState struct {
-	val  int64
-	seen bool
-	err  error
-}
-
-// countState counts rows, remembering the first argument-evaluation error.
-type countState struct {
-	n   int64
-	err error
-}
-
-// buildBuiltinAggregate compiles count/sum/avg/min/max/variance/stddev
-// into the engine's two-phase aggregate contract, so they execute
-// segment-parallel exactly like the library's own methods. The argument
-// expression is lowered to a typed closure at plan time; the returned
-// builder only binds the execution environment.
-func buildBuiltinAggregate(call *FuncCall, cc *compileCtx) (aggBuilder, error) {
-	name := call.Name
-	if call.Star {
-		if name != "count" {
-			return nil, execErrf("%s(*) is not supported; only count(*)", name)
-		}
-	} else if len(call.Args) != 1 {
-		return nil, execErrf("%s expects exactly one argument", name)
-	}
-	var arg *compiled
-	if !call.Star {
-		var err error
-		arg, err = compileExpr(call.Args[0], cc)
-		if err != nil {
-			return nil, err
-		}
-	}
-	switch name {
-	case "count":
-		return func(env *execEnv) (engine.Aggregate, error) {
-			// count(expr) still evaluates its argument so runtime errors
-			// (e.g. division by zero) surface; there are no NULLs, so
-			// every evaluated row counts.
-			var evalArg anyFn
-			if arg != nil {
-				evalArg = arg.a
-			}
-			return engine.FuncAggregate{
-				InitFn: func() any { return &countState{} },
-				TransitionFn: func(s any, row engine.Row) any {
-					st := s.(*countState)
-					if st.err != nil {
-						return st
-					}
-					if evalArg != nil {
-						v, err := evalArg(row, env)
-						if err != nil {
-							st.err = err
-							return st
-						}
-						// count(expr) skips NULLs (padded LEFT JOIN rows).
-						if v == nil {
-							return st
-						}
-					}
-					st.n++
-					return st
-				},
-				MergeFn: func(a, b any) any {
-					sa, sb := a.(*countState), b.(*countState)
-					if sa.err == nil {
-						sa.err = sb.err
-					}
-					sa.n += sb.n
-					return sa
-				},
-				FinalFn: func(s any) (any, error) {
-					st := s.(*countState)
-					return st.n, st.err
-				},
-			}, nil
-		}, nil
-	case "min", "max":
-		wantLess := name == "min"
-		if arg.kind == ckInt {
-			getI := arg.i
-			return func(env *execEnv) (engine.Aggregate, error) {
-				return engine.FuncAggregate{
-					InitFn: func() any { return &iminmaxState{} },
-					TransitionFn: func(s any, row engine.Row) any {
-						st := s.(*iminmaxState)
-						if st.err != nil {
-							return st
-						}
-						v, err := getI(row, env)
-						if err != nil {
-							st.err = err
-							return st
-						}
-						if !st.seen || (wantLess && v < st.val) || (!wantLess && v > st.val) {
-							st.val, st.seen = v, true
-						}
-						return st
-					},
-					MergeFn: func(a, b any) any {
-						sa, sb := a.(*iminmaxState), b.(*iminmaxState)
-						if sa.err != nil {
-							return sa
-						}
-						if sb.err != nil {
-							return sb
-						}
-						if sb.seen && (!sa.seen || (wantLess && sb.val < sa.val) || (!wantLess && sb.val > sa.val)) {
-							sa.val, sa.seen = sb.val, true
-						}
-						return sa
-					},
-					FinalFn: func(s any) (any, error) {
-						st := s.(*iminmaxState)
-						if st.err != nil {
-							return nil, st.err
-						}
-						if !st.seen {
-							return nil, nil
-						}
-						return st.val, nil
-					},
-				}, nil
-			}, nil
-		}
-		if arg.kind == ckFloat {
-			getF := arg.f
-			return func(env *execEnv) (engine.Aggregate, error) {
-				return engine.FuncAggregate{
-					InitFn: func() any { return &fminmaxState{} },
-					TransitionFn: func(s any, row engine.Row) any {
-						st := s.(*fminmaxState)
-						if st.err != nil {
-							return st
-						}
-						v, err := getF(row, env)
-						if err != nil {
-							st.err = err
-							return st
-						}
-						if !st.seen || (wantLess && v < st.val) || (!wantLess && v > st.val) {
-							st.val, st.seen = v, true
-						}
-						return st
-					},
-					MergeFn: func(a, b any) any {
-						sa, sb := a.(*fminmaxState), b.(*fminmaxState)
-						if sa.err != nil {
-							return sa
-						}
-						if sb.err != nil {
-							return sb
-						}
-						if sb.seen && (!sa.seen || (wantLess && sb.val < sa.val) || (!wantLess && sb.val > sa.val)) {
-							sa.val, sa.seen = sb.val, true
-						}
-						return sa
-					},
-					FinalFn: func(s any) (any, error) {
-						st := s.(*fminmaxState)
-						if st.err != nil {
-							return nil, st.err
-						}
-						if !st.seen {
-							return nil, nil
-						}
-						return st.val, nil
-					},
-				}, nil
-			}, nil
-		}
-		getA := arg.a
-		return func(env *execEnv) (engine.Aggregate, error) {
-			return engine.FuncAggregate{
-				InitFn: func() any { return &minmaxState{} },
-				TransitionFn: func(s any, row engine.Row) any {
-					st := s.(*minmaxState)
-					if st.err != nil {
-						return st
-					}
-					v, err := getA(row, env)
-					if err != nil {
-						st.err = err
-						return st
-					}
-					if v == nil {
-						return st // min/max skip NULLs
-					}
-					if st.val == nil {
-						st.val = v
-						return st
-					}
-					c, err := compareValues(v, st.val)
-					if err != nil {
-						st.err = err
-						return st
-					}
-					if (wantLess && c < 0) || (!wantLess && c > 0) {
-						st.val = v
-					}
-					return st
-				},
-				MergeFn: func(a, b any) any {
-					sa, sb := a.(*minmaxState), b.(*minmaxState)
-					if sa.err != nil {
-						return sa
-					}
-					if sb.err != nil {
-						return sb
-					}
-					if sb.val == nil {
-						return sa
-					}
-					if sa.val == nil {
-						return sb
-					}
-					c, err := compareValues(sb.val, sa.val)
-					if err != nil {
-						sa.err = err
-						return sa
-					}
-					if (wantLess && c < 0) || (!wantLess && c > 0) {
-						sa.val = sb.val
-					}
-					return sa
-				},
-				FinalFn: func(s any) (any, error) {
-					st := s.(*minmaxState)
-					return st.val, st.err
-				},
-			}, nil
-		}, nil
-	case "sum", "avg", "variance", "stddev":
-		if arg.kind != ckAny && !arg.isNumeric() {
-			return nil, execErrf("%s: argument is %s, not numeric", name, arg.kind)
-		}
-		final := numAccFinal(name)
-		switch arg.kind {
-		case ckInt:
-			getI := arg.i
-			return func(env *execEnv) (engine.Aggregate, error) {
-				return engine.FuncAggregate{
-					InitFn: func() any { return &numAccState{intOnly: true} },
-					TransitionFn: func(s any, row engine.Row) any {
-						st := s.(*numAccState)
-						if st.err != nil {
-							return st
-						}
-						v, err := getI(row, env)
-						if err != nil {
-							st.err = err
-							return st
-						}
-						f := float64(v)
-						st.sumInt += v
-						st.n++
-						st.sum += f
-						st.sumSq += f * f
-						return st
-					},
-					MergeFn: mergeNumAcc,
-					FinalFn: final,
-				}, nil
-			}, nil
-		case ckFloat:
-			getF := arg.f
-			return func(env *execEnv) (engine.Aggregate, error) {
-				return engine.FuncAggregate{
-					InitFn: func() any { return &numAccState{} },
-					TransitionFn: func(s any, row engine.Row) any {
-						st := s.(*numAccState)
-						if st.err != nil {
-							return st
-						}
-						f, err := getF(row, env)
-						if err != nil {
-							st.err = err
-							return st
-						}
-						st.n++
-						st.sum += f
-						st.sumSq += f * f
-						return st
-					},
-					MergeFn: mergeNumAcc,
-					FinalFn: final,
-				}, nil
-			}, nil
-		}
-		getA := arg.a
-		return func(env *execEnv) (engine.Aggregate, error) {
-			return engine.FuncAggregate{
-				InitFn: func() any { return &numAccState{intOnly: true} },
-				TransitionFn: func(s any, row engine.Row) any {
-					st := s.(*numAccState)
-					if st.err != nil {
-						return st
-					}
-					v, err := getA(row, env)
-					if err != nil {
-						st.err = err
-						return st
-					}
-					if v == nil {
-						return st // sum/avg/variance/stddev skip NULLs
-					}
-					f, ok := toFloat(v)
-					if !ok {
-						st.err = execErrf("%s: argument is %s, not numeric", name, valueTypeName(v))
-						return st
-					}
-					if i, ok := v.(int64); ok {
-						st.sumInt += i
-					} else {
-						st.intOnly = false
-					}
-					st.n++
-					st.sum += f
-					st.sumSq += f * f
-					return st
-				},
-				MergeFn: mergeNumAcc,
-				FinalFn: final,
-			}, nil
-		}, nil
-	}
-	return nil, execErrf("unknown aggregate %s", name)
-}
-
-func mergeNumAcc(a, b any) any {
-	sa, sb := a.(*numAccState), b.(*numAccState)
-	if sa.err != nil {
-		return sa
-	}
-	if sb.err != nil {
-		return sb
-	}
-	sa.n += sb.n
-	sa.sum += sb.sum
-	sa.sumSq += sb.sumSq
-	sa.sumInt += sb.sumInt
-	sa.intOnly = sa.intOnly && sb.intOnly
-	return sa
-}
-
-// numAccFinal finalizes the shared numeric accumulator for one of
-// sum/avg/variance/stddev.
-func numAccFinal(name string) func(any) (any, error) {
-	return func(s any) (any, error) {
-		st := s.(*numAccState)
-		if st.err != nil {
-			return nil, st.err
-		}
-		if st.n == 0 {
-			return nil, nil // SQL aggregates are NULL over no rows
-		}
-		switch name {
-		case "sum":
-			if st.intOnly {
-				return st.sumInt, nil
-			}
-			return st.sum, nil
-		case "avg":
-			return st.sum / float64(st.n), nil
-		case "variance":
-			if st.n < 2 {
-				return nil, nil
-			}
-			mean := st.sum / float64(st.n)
-			return (st.sumSq - float64(st.n)*mean*mean) / float64(st.n-1), nil
-		default: // stddev
-			if st.n < 2 {
-				return nil, nil
-			}
-			mean := st.sum / float64(st.n)
-			return math.Sqrt((st.sumSq - float64(st.n)*mean*mean) / float64(st.n-1)), nil
-		}
-	}
 }
 
 // multiState is one group's finalized aggregate slot values plus its

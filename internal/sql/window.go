@@ -387,26 +387,11 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 					fail(err)
 					return ws, nil
 				}
-				if v != nil {
-					f, ok := toFloat(v)
-					if !ok {
-						fail(execErrf("%s: argument is %s, not numeric", sp.name, valueTypeName(v)))
-						return ws, nil
-					}
-					if iv, isInt := v.(int64); isInt {
-						acc.sumInt += iv
-					} else {
-						acc.intOnly = false
-					}
-					acc.n++
-					acc.sum += f
-				}
-				out, err := numAccFinal(sp.name)(acc)
-				if err != nil {
+				if err := numAccAdd(acc, sp.name, v); err != nil {
 					fail(err)
 					return ws, nil
 				}
-				slots[i] = out
+				slots[i], _ = numAccFinal(sp.name)(acc) // cannot fail
 			}
 		}
 		// The projection, then the outer ORDER BY keys, with this row's

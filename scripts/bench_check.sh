@@ -21,9 +21,11 @@
 # against closures and nothing else. Same-run ratios are
 # hardware-independent, so they hold on 1-core runners.
 #   SQLLeftJoinAgg must stay at least MIN_SPEEDUP (1.5) times faster than
-#   SQLLeftJoinAggRowLane: ten same-run ratios measured 5.7-9.8x (median
-#   7.4x; 12x when the companion still ran on its own executor), so the
-#   old gate stands.
+#   SQLLeftJoinAggRowLane: ten same-run ratios measured 5.7-9.3x (median
+#   8.1x) since the companion's closure-made argument lanes feed the same
+#   accumulators as the kernels (5.7-9.8x, median 7.4x, while it folded
+#   through row aggregates of its own; 12x when it still ran on its own
+#   executor), so the old gate stands.
 #   SQLProjScan is gated at 0.9x SQLProjScanRowLane. The old 1.5x gate
 #   mostly measured the row executor's per-row output slices, which the
 #   companion no longer pays: it now boxes into the same per-batch cell
