@@ -15,6 +15,7 @@
 package madlib_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -883,7 +884,7 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 		}
 	})
 	// ORDER BY over the full table: parallel chunk sort + merge on
-	// multi-core runners, sort.SliceStable on GOMAXPROCS=1 — output is
+	// multi-core runners, one pdqsort on GOMAXPROCS=1 — output is
 	// bit-identical either way.
 	const orderByQuery = `SELECT g, v FROM t ORDER BY v, g`
 	b.Run("SQLOrderBy", func(b *testing.B) {
@@ -902,6 +903,36 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 			}
 		}
 	})
+	// The same sort, and the analytic top-N shape (ORDER BY … LIMIT, a
+	// bounded heap per morsel), read as the statement's typed product,
+	// the way the wire and CREATE TABLE AS sinks read it: allocs/op
+	// counts the sort, not Result's per-cell boxing, and
+	// scripts/bench_check.sh gates it.
+	for _, ob := range []struct {
+		name, query string
+		rows        int
+	}{
+		{"SQLOrderByTyped", orderByQuery, benchRows},
+		{"SQLOrderByLimit", `SELECT g, v FROM t WHERE v > 0.25 ORDER BY v DESC, g LIMIT 100`, 100},
+	} {
+		b.Run(ob.name, func(b *testing.B) {
+			run := func() {
+				sets, err := sess.ExecRowSets(context.Background(), ob.query)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n := sets[0].NumRows(); n != ob.rows {
+					b.Fatalf("rows = %d", n)
+				}
+			}
+			run()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
 	b.Run("ParseOnly", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

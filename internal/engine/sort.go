@@ -2,7 +2,7 @@ package engine
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -13,7 +13,8 @@ import (
 // merges the sorted runs pairwise, each round's merges running in
 // parallel. Stability — and therefore bit-identical output to a plain
 // sort.SliceStable under any GOMAXPROCS — holds because the chunks are
-// contiguous index ranges, each chunk is sorted stably, and the merge
+// contiguous index ranges, each chunk is sorted stably (pdqsort over the
+// index slice with the original index as the final tiebreak), and the merge
 // takes the left run's element unless the right run's is strictly
 // smaller. A stable sort's output is uniquely determined by the
 // comparator, so the chunk count never shows in the result.
@@ -25,6 +26,24 @@ import (
 // ParallelRowThreshold (and with GOMAXPROCS > 1) chunks sort on
 // separate goroutines.
 func (db *DB) SortStable(n int, less func(a, b int) bool) []int {
+	// The order is less, then the index: when a follows b, "not before"
+	// takes one call of less instead of two.
+	return db.SortFunc(n, func(a, b int) int {
+		switch {
+		case less(a, b):
+			return -1
+		case a > b || less(b, a):
+			return 1
+		}
+		return -1
+	})
+}
+
+// SortFunc is SortStable for a three-way comparator: cmp(a, b) is
+// negative when element a sorts before b, positive after it, and zero
+// for ties, which keep their original order. A comparator that computes
+// a three-way result anyway is called once per comparison.
+func (db *DB) SortFunc(n int, cmp func(a, b int) int) []int {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -37,7 +56,7 @@ func (db *DB) SortStable(n int, less func(a, b int) bool) []int {
 	}
 	if workers <= 1 {
 		db.sortSeq.Inc()
-		sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
+		sortIndexStable(idx, cmp)
 		return idx
 	}
 	db.sortPar.Inc()
@@ -56,7 +75,7 @@ func (db *DB) SortStable(n int, less func(a, b int) bool) []int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sort.SliceStable(part, func(a, b int) bool { return less(part[a], part[b]) })
+			sortIndexStable(part, cmp)
 		}()
 	}
 	wg.Wait()
@@ -78,7 +97,7 @@ func (db *DB) SortStable(n int, less func(a, b int) bool) []int {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				mergeRuns(idx, buf, lo, mid, hi, less)
+				mergeRuns(idx, buf, lo, mid, hi, cmp)
 			}()
 		}
 		wg.Wait()
@@ -87,14 +106,26 @@ func (db *DB) SortStable(n int, less func(a, b int) bool) []int {
 	return idx
 }
 
+// sortIndexStable sorts an ascending run of indices by cmp, ties in
+// index order: pdqsort with the index as the last key is a stable sort
+// without sort.SliceStable's reflect swapper and O(n log² n) swaps.
+func sortIndexStable(idx []int, cmp func(a, b int) int) {
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp(a, b); c != 0 {
+			return c
+		}
+		return a - b
+	})
+}
+
 // mergeRuns stably merges the sorted runs idx[lo:mid] and idx[mid:hi]
 // through buf back into idx[lo:hi]. The left run's element is emitted
 // unless the right run's is strictly smaller, preserving original order
 // among equals.
-func mergeRuns(idx, buf []int, lo, mid, hi int, less func(a, b int) bool) {
+func mergeRuns(idx, buf []int, lo, mid, hi int, cmp func(a, b int) int) {
 	i, j, k := lo, mid, lo
 	for i < mid && j < hi {
-		if less(idx[j], idx[i]) {
+		if cmp(idx[j], idx[i]) < 0 {
 			buf[k] = idx[j]
 			j++
 		} else {

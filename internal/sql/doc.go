@@ -74,8 +74,9 @@
 // collapsed to its predicate meaning: padded rows drop out of WHERE and
 // HAVING in either comparison direction), while ORDER BY follows the
 // Postgres placement rule: NULL sorts as the largest value, so NULLs
-// come last on ascending keys and first under DESC (compareOrderKeys;
-// pinned by the logictest corpus). GROUP BY and madlib.* arguments over
+// come last on ascending keys and first under DESC, and so does a float
+// NaN among numbers, equal to itself (order.go; pinned by the logictest
+// corpus). GROUP BY and madlib.* arguments over
 // nullable right-side columns are rejected at plan time rather than
 // silently reading the zero padding.
 //
@@ -215,13 +216,22 @@
 // at every morsel boundary for every shape. Tables below
 // engine.ParallelRowThreshold (4096 rows) run inline on the calling
 // goroutine, so small tables never pay goroutine spawn costs. Sorting
-// — SELECT-level ORDER BY, window partition ordering and the grouped
-// aggregate's output order — goes through engine.(*DB).SortStable,
-// which runs per-worker partial sorts merged by a stable multi-way
-// merge; its output, including the order of ties, is bit-identical to
-// the sequential sort.SliceStable it replaces, and it falls back to
-// that sequential sort below 2*engine.ParallelRowThreshold rows or on
-// a single core. The engine_morsels and engine_sort_parallel /
+// (order.go) compares rows in place in their chunk lanes through one
+// comparator, built once per key from the lane's kind: a typed compare
+// for int, float, text and bool lanes, NULL placement from the validity
+// lane, compareOrderKeys only for a boxed lane, DESC flipping the
+// result, and ties broken by the row's position in table order. A
+// projection scan sorts its gathered typed chunks; the aggregate,
+// window, table-valued and FROM-less shapes sort their boxed key lanes
+// (finishSelect); the grouped aggregate's default order uses the same
+// comparator. Under LIMIT k a bounded heap keeps each morsel's k first
+// rows and only those candidates meet in the final sort (EXPLAIN's
+// "sort: top-N heap" line). A full sort, like window partition
+// ordering, goes through engine.(*DB).SortFunc / SortStable, which run
+// per-worker pdqsorts with the index as the last key and merge them
+// stably; the order, ties included, is the same at any worker count,
+// and below 2*engine.ParallelRowThreshold rows or on a single core one
+// sequential sort runs. The engine_morsels and engine_sort_parallel /
 // engine_sort_sequential counters make both decisions observable.
 //
 // Join sources vectorize on both sides of the NULL divide. Inner joins
@@ -299,14 +309,18 @@
 // the same run — a same-hardware kernel-versus-closure ratio under one
 // driver, which holds on single-core runners) and by allocation count
 // (the result path: PGWireBulkSelect at most 2 allocations per result
-// row for server and client together, SQLBulkCTAS at most 0.1).
+// row for server and client together, SQLBulkCTAS at most 0.1; the
+// sorts read as typed chunks, SQLOrderByTyped and SQLOrderByLimit, at
+// most 150 per statement, and SQLOrderBy, whose Result boxes 10,000
+// float cells, at most 10,200).
 //
 // # Result path
 //
 // Every statement's product is a RowSet: column names, the plan's static
 // column kinds, a command tag and a sequence of Chunks (rowset.go). A
-// projection scan without DISTINCT and ORDER BY emits its chunks
-// natively, one per morsel that kept rows: a chunk is ColBatch-shaped —
+// projection scan without DISTINCT emits its chunks natively, one per
+// morsel that kept rows, or under ORDER BY one chunk gathered from them
+// through the sort's permutation: a chunk is ColBatch-shaped —
 // one int64 / float64 / string / bool lane per output column, a validity
 // lane beside it where the column can be NULL (the padded side of a LEFT
 // JOIN), and a boxed []any lane only for values that have no typed lane:
@@ -314,10 +328,10 @@
 // expression, and everything in oracle mode. Chunks are released only
 // once the whole gather has succeeded, so an execution error never
 // follows a partial rowset. Every other plan (aggregates, windows,
-// DISTINCT and ORDER BY scans, table-valued calls, FROM-less selects,
-// EXPLAIN) has to box its rows before it can group, sort or deduplicate
-// them and hands finishSelect's rows over as one boxed chunk; so there
-// is one product type whatever the plan.
+// DISTINCT scans, table-valued calls, FROM-less selects, EXPLAIN) boxes
+// its rows before it groups or deduplicates them and hands
+// finishSelect's rows over as one boxed chunk; so there is one product
+// type whatever the plan.
 //
 // A RowSet has three sinks. The wire server (internal/pgwire) appends
 // DataRows straight from the lanes into one reusable per-connection
@@ -339,10 +353,11 @@
 // and RunRowSet are the Exec/ExecutePreparedContext/Run forms that
 // return the RowSet itself.
 //
-// What still boxes, and why: ORDER BY and DISTINCT compare boxed values
-// (columnar sort keys are future work), the window fold and the
-// per-group output stage read their slots boxed (once per row or group,
-// through compiled closures), and a statement's result is held whole
+// What still boxes, and why: DISTINCT dedupes boxed rows, the window
+// partition sort looks each row's boxed OVER-ORDER BY keys up in a map
+// per compare, the window fold and the per-group output stage read
+// their slots boxed (once per row or group, through compiled closures),
+// and a statement's result is held whole
 // until its gather ends (no in-scan streaming, no per-statement memory
 // accounting yet).
 //

@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"sync"
 
 	"madlib/internal/core"
 	"madlib/internal/engine"
@@ -626,7 +625,7 @@ func (p *constPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	if _, err := evalSortKeys(p.keys, engine.Row{}, row, env); err != nil {
 		return nil, err
 	}
-	return finishSelect(s.db, p.cols, p.types, [][]any{row}, nil, false, nil, p.limit)
+	return finishSelect(s.db, p.cols, p.types, [][]any{row}, false, sortSpec{limit: p.limit})
 }
 
 // sortKey is one compiled ORDER BY key of an output stage: the output
@@ -659,25 +658,21 @@ func compileSortKeys(keys []OrderKey, n int, cc *compileCtx) ([]sortKey, error) 
 	return out, nil
 }
 
-// evalSortKeys evaluates one output row's ORDER BY keys (nil when there
-// are none); r and env are the row and slots the expression keys read.
+// evalSortKeys appends one output row's ORDER BY keys to row, behind
+// its output cells, where finishSelect reads them; r and env are the row
+// and slots the expression keys read.
 func evalSortKeys(keys []sortKey, r engine.Row, row []any, env *execEnv) ([]any, error) {
-	if len(keys) == 0 {
-		return nil, nil
-	}
-	out := make([]any, len(keys))
-	for k, key := range keys {
-		if key.fn == nil {
-			out[k] = row[key.ord]
-			continue
+	for _, key := range keys {
+		v := row[key.ord]
+		if key.fn != nil {
+			var err error
+			if v, err = key.fn(r, env); err != nil {
+				return nil, err
+			}
 		}
-		v, err := key.fn(r, env)
-		if err != nil {
-			return nil, err
-		}
-		out[k] = v
+		row = append(row, v)
 	}
-	return out, nil
+	return row, nil
 }
 
 // outputCompileCtx derives the compile context of an output stage from
@@ -702,21 +697,28 @@ func outputCompileCtx(base *compileCtx, names []string, offset int) *compileCtx 
 }
 
 // finishSelect is the tail of every SELECT shape that boxes its rows
-// before ordering them: DISTINCT over the boxed output rows, ORDER BY on
-// the extracted sort keys (keys, parallel to rows; desc gives each key's
-// direction), LIMIT and the command tag. The rows leave as one boxed
-// chunk; kinds are the plan's static column kinds.
-func finishSelect(db *engine.DB, cols []string, kinds []ckind, rows, keys [][]any, distinct bool, desc []bool, limit int64) (*RowSet, error) {
+// before ordering them: DISTINCT over the boxed output cells, ORDER BY
+// over the sort keys each row carries behind them (evalSortKeys) as
+// boxed key lanes, LIMIT and the command tag. The rows leave as one
+// boxed chunk; kinds are the plan's static column kinds.
+func finishSelect(db *engine.DB, cols []string, kinds []ckind, rows [][]any, distinct bool, ord sortSpec) (*RowSet, error) {
+	w := len(cols)
 	if distinct {
-		rows, keys = dedupeRows(rows, keys)
+		rows = dedupeRows(rows, w)
 	}
-	if len(desc) > 0 {
-		if err := sortRows(db, rows, keys, desc); err != nil {
+	switch {
+	case len(ord.desc) > 0:
+		kc := boxedKeys(rows, w, len(ord.desc))
+		perm, err := ord.perm(db, &kc, nil)
+		if err != nil {
 			return nil, err
 		}
-	}
-	if limit >= 0 && int64(len(rows)) > limit {
-		rows = rows[:limit]
+		rows = appendAt(nil, rows, perm)
+		for i, row := range rows {
+			rows[i] = row[:w:w]
+		}
+	case ord.limit >= 0 && int64(len(rows)) > ord.limit:
+		rows = rows[:ord.limit]
 	}
 	return boxedRowSet(cols, kinds, rows, fmt.Sprintf("SELECT %d", len(rows))), nil
 }
@@ -737,25 +739,18 @@ func itemKinds(items []SelectItem, schema engine.Schema) []ckind {
 	return kinds
 }
 
-// orderDesc extracts the direction of each ORDER BY key.
-func orderDesc(keys []OrderKey) []bool {
-	desc := make([]bool, len(keys))
-	for i, k := range keys {
-		desc[i] = k.Desc
-	}
-	return desc
-}
-
 // scanPlan is a planned projection scan: SELECT exprs FROM t [WHERE]
 // [ORDER BY] [LIMIT]. It has one executor, gatherBatches: the WHERE
 // kernel filters each column batch into a selection vector and every
 // item appends the survivors' values to its lane of the morsel's result
 // chunk. Each of those consumers is its native batch kernel or, where
 // the expression has none, its row closure driven over the selection
-// (lowering; such an item fills a boxed lane). Without DISTINCT and ORDER
-// BY the typed chunks are the statement's product as they stand, cut to
-// LIMIT; otherwise they are boxed once, after the gather, and go through
-// finishSelect. Join sources materialize a temp table per execution.
+// (lowering; such an item fills a boxed lane). The typed chunks are the
+// statement's product: as they stand (a LIMIT alone cuts them in
+// place), or, under ORDER BY, ordered in their lanes
+// (sortSpec.sortChunks, a top-N heap per morsel under LIMIT) and
+// gathered into one typed chunk. Only DISTINCT boxes
+// them, once, after the gather, to dedupe in finishSelect.
 type scanPlan struct {
 	src      *planSource
 	distinct bool
@@ -767,12 +762,11 @@ type scanPlan struct {
 	// whereText is the resolved WHERE clause rendered back to text, kept
 	// only for EXPLAIN.
 	whereText string
-	// orderOrds[k] is the projected-column ordinal of ORDER BY key k, or
-	// -1 when the key is an expression over the input row; those keys'
-	// items follow the SELECT items in emit, in key order.
-	orderOrds []int
-	desc      []bool
-	limit     int64
+	// keyCols[k] is the chunk column of ORDER BY key k: a projected
+	// column, or for a key that is an expression over the input row its
+	// own item, which follows the SELECT items in emit, in key order.
+	keyCols []int
+	order   sortSpec
 
 	prog  *batchProg
 	pred  bBatchKernel // nil = keep every row
@@ -800,7 +794,7 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		}
 		items = append(items, item)
 	}
-	p := &scanPlan{src: ps, distinct: st.Distinct, limit: st.Limit, desc: orderDesc(st.OrderBy)}
+	p := &scanPlan{src: ps, distinct: st.Distinct, order: newSortSpec(st)}
 	p.cols = make([]string, len(items))
 	p.items = make([]*projItem, len(items))
 	p.types = itemKinds(items, ps.schema)
@@ -842,7 +836,7 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 			return nil, execErrf("for SELECT DISTINCT, ORDER BY expressions must appear in the select list")
 		}
 		if isOrd {
-			p.orderOrds = append(p.orderOrds, ord)
+			p.keyCols = append(p.keyCols, ord)
 			continue
 		}
 		// Keys lower against the input row, so sorting by non-projected
@@ -851,7 +845,7 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.orderOrds = append(p.orderOrds, -1)
+		p.keyCols = append(p.keyCols, len(p.emit))
 		p.emit = append(p.emit, pi)
 	}
 	var err error
@@ -891,45 +885,33 @@ func (p *scanPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 			rs.n += chunks[i].n
 		}
 	}
-	if !p.distinct && len(p.desc) == 0 {
-		if p.limit >= 0 && p.limit < int64(rs.n) {
-			rs.limit(int(p.limit))
-		}
-		rs.Tag = fmt.Sprintf("SELECT %d", rs.n)
-		return rs, nil
-	}
-	// The boxing tail: each row's ORDER BY keys sit behind its items in
-	// the same cell array — an expression key boxes from its lane, an
-	// ordinal key copies its item's boxed cell.
 	w := len(p.items)
-	if len(p.desc) > 0 {
+	switch {
+	case p.distinct:
+		// DISTINCT boxes the rows to dedupe them. Its ORDER BY keys are
+		// output columns, boxed again behind the row as finishSelect
+		// expects.
 		for i := range rs.chunks {
 			c := &rs.chunks[i]
-			cols, next := append(make([]chunkCol, 0, w+len(p.desc)), c.cols[:w]...), w
-			for _, ord := range p.orderOrds {
-				if ord >= 0 {
-					cols = append(cols, chunkCol{kind: ckAny})
-					continue
-				}
-				cols, next = append(cols, c.cols[next]), next+1
+			for _, ci := range p.keyCols {
+				c.cols = append(c.cols, c.cols[ci])
 			}
-			c.cols = cols
 		}
-	}
-	rows := rs.boxed(w + len(p.desc))
-	var keys [][]any
-	if len(p.desc) > 0 {
-		keys = make([][]any, len(rows))
-		for i, row := range rows {
-			for k, ord := range p.orderOrds {
-				if ord >= 0 {
-					row[w+k] = row[ord]
-				}
-			}
-			rows[i], keys[i] = row[:w:w], row[w:]
+		return finishSelect(s.db, p.cols, p.types, rs.boxed(), true, p.order)
+	case len(p.keyCols) > 0:
+		c, err := p.order.sortChunks(s.db, rs.chunks, p.keyCols, w)
+		if err != nil {
+			return nil, err
 		}
+		rs.chunks, rs.n = nil, c.n
+		if c.n > 0 {
+			rs.chunks = []Chunk{c}
+		}
+	case p.order.limit >= 0:
+		rs.limit(int(p.order.limit))
 	}
-	return finishSelect(s.db, p.cols, p.types, rows, keys, p.distinct, p.desc, p.limit)
+	rs.Tag = fmt.Sprintf("SELECT %d", rs.n)
+	return rs, nil
 }
 
 // emitChunk appends one batch's surviving rows to the morsel's chunk:
@@ -945,27 +927,29 @@ func (p *scanPlan) emitChunk(e *batchEval, b engine.ColBatch, sel selVec, c *Chu
 		}
 	}
 	c.n += len(sel)
+	if len(p.keyCols) > 0 && batchesLeft(b) == 1 && !p.distinct {
+		// Under ORDER BY … LIMIT the morsel's worker cuts its chunk to
+		// its own top rows, a bounded heap over the morsel.
+		return p.order.keepTop(c, p.keyCols)
+	}
 	return nil
 }
 
-// dedupeRows collapses duplicate projected rows (SELECT DISTINCT),
-// keeping the first occurrence and its ORDER BY keys. It reuses the
-// GroupKey idea — an injective byte encoding of the full row — with a
-// plain hash set, since no aggregate state is carried.
-func dedupeRows(rows, keys [][]any) ([][]any, [][]any) {
+// dedupeRows collapses rows whose first w cells, the projected row,
+// are duplicates (SELECT DISTINCT), keeping the first occurrence and the
+// ORDER BY keys behind it. It reuses the GroupKey idea — an injective
+// byte encoding of the row — with a plain hash set, since no aggregate
+// state is carried.
+func dedupeRows(rows [][]any, w int) [][]any {
 	if len(rows) < 2 {
-		return rows, keys
+		return rows
 	}
 	seen := make(map[string]struct{}, len(rows))
-	outRows := rows[:0]
-	outKeys := keys
-	if keys != nil {
-		outKeys = keys[:0]
-	}
+	out := rows[:0]
 	var buf []byte
-	for i, row := range rows {
+	for _, row := range rows {
 		buf = buf[:0]
-		for _, v := range row {
+		for _, v := range row[:w] {
 			buf = appendValKey(buf, v)
 		}
 		k := string(buf)
@@ -973,12 +957,9 @@ func dedupeRows(rows, keys [][]any) ([][]any, [][]any) {
 			continue
 		}
 		seen[k] = struct{}{}
-		outRows = append(outRows, row)
-		if keys != nil {
-			outKeys = append(outKeys, keys[i])
-		}
+		out = append(out, row)
 	}
-	return outRows, outKeys
+	return out
 }
 
 // appendValKey encodes one output value injectively for DISTINCT
@@ -1072,7 +1053,7 @@ type aggPlan struct {
 	groupIdx []int
 	calls    []*FuncCall // aggregate calls, parallel to lane.specs
 	outNames []string
-	desc     []bool
+	order    sortSpec
 	// outKinds are the output columns' static kinds (CREATE TABLE AS over
 	// an empty result, RowDescription).
 	outKinds []ckind
@@ -1086,7 +1067,7 @@ type aggPlan struct {
 func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	ps := lw.cc.src
 	schema := ps.schema
-	p := &aggPlan{src: ps, st: st, desc: orderDesc(st.OrderBy)}
+	p := &aggPlan{src: ps, st: st, order: newSortSpec(st)}
 	// Resolve GROUP BY columns.
 	p.groupIdx = make([]int, len(st.GroupBy))
 	for i, name := range st.GroupBy {
@@ -1209,36 +1190,21 @@ func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 		return nil, err
 	}
 	if len(p.groupIdx) > 0 {
-		// Deterministic default order: sort groups by their key values.
-		// Group keys are unique, so the (stable, possibly parallel) sort's
-		// output order is fully determined by the comparator.
-		var mu sync.Mutex
-		var sortErr error
-		perm := s.db.SortStable(len(states), func(a, b int) bool {
-			ka, kb := states[a].keyVals, states[b].keyVals
-			for i := range ka {
-				c, err := compareValues(ka[i], kb[i])
-				if err != nil {
-					mu.Lock()
-					if sortErr == nil {
-						sortErr = err
-					}
-					mu.Unlock()
-				}
-				if c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
-		if sortErr != nil {
-			return nil, sortErr
+		// Deterministic default order: groups ascending by their key
+		// values, through ORDER BY's comparator.
+		keys := make([][]any, len(states))
+		for i, ms := range states {
+			keys[i] = ms.keyVals
 		}
-		reorder(states, perm)
+		perm, err := ascending(s.db, keys, len(p.groupIdx))
+		if err != nil {
+			return nil, err
+		}
+		states = appendAt(nil, states, perm)
 	}
 	nIn := len(p.calls) + len(p.groupIdx)
 	env = env.withSlots(nIn + len(p.items))
-	var rows, keys [][]any
+	var rows [][]any
 	for _, ms := range states {
 		copy(env.slots, ms.slots)
 		copy(env.slots[len(p.calls):], ms.keyVals)
@@ -1251,7 +1217,7 @@ func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 				continue
 			}
 		}
-		row := make([]any, len(p.items))
+		row := make([]any, len(p.items), len(p.items)+len(p.keys))
 		for i, fn := range p.items {
 			v, err := fn(engine.Row{}, env)
 			if err != nil {
@@ -1259,14 +1225,13 @@ func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 			}
 			row[i], env.slots[nIn+i] = v, v
 		}
-		kv, err := evalSortKeys(p.keys, engine.Row{}, row, env)
+		row, err := evalSortKeys(p.keys, engine.Row{}, row, env)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
-		keys = append(keys, kv)
 	}
-	return finishSelect(s.db, p.outNames, p.outKinds, rows, keys, st.Distinct, p.desc, st.Limit)
+	return finishSelect(s.db, p.outNames, p.outKinds, rows, st.Distinct, p.order)
 }
 
 // floatKeyBits maps a float to grouping-equivalent bits: -0 collapses
@@ -1413,7 +1378,7 @@ type tvPlan struct {
 	stage    *scanPlan
 	schema   engine.Schema
 	computed []int
-	desc     []bool
+	order    sortSpec
 	// keys are the ORDER BY keys. The method's output columns are only
 	// known per execution, so ordinals are range-checked then, and the
 	// column names the expression keys read (keyNames, slot i for name i)
@@ -1431,7 +1396,7 @@ func planTableValued(st *Select, call *FuncCall, lw *lowering) (stmtPlan, error)
 		return nil, execErrf("table-valued madlib functions cannot be combined with LEFT JOIN (storage cannot hold its NULL padding); use an inner JOIN")
 	}
 	f, _ := core.LookupSQLFunc(call.Name)
-	p := &tvPlan{src: ps, st: st, call: call, fn: f, desc: orderDesc(st.OrderBy)}
+	p := &tvPlan{src: ps, st: st, call: call, fn: f, order: newSortSpec(st)}
 	p.schema = ps.schema[:ps.visible:ps.visible]
 	stage := &Select{Items: []SelectItem{{Star: true}}, Where: st.Where, Limit: -1}
 	// Classify arguments: column references and constants pass through,
@@ -1561,14 +1526,12 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 			return nil, execErrf("ORDER BY position %d is not in select list", key.ord+1)
 		}
 	}
-	var keys [][]any
 	if len(p.keys) > 0 {
 		at := make([]int, len(p.keyNames))
 		for i, name := range p.keyNames {
 			at[i] = slices.Index(cols, name)
 		}
 		kenv := env.withSlots(len(p.keyNames))
-		keys = make([][]any, len(rows))
 		for ri, row := range rows {
 			for i, ci := range at {
 				if ci < 0 {
@@ -1576,10 +1539,10 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 				}
 				kenv.slots[i] = row[ci]
 			}
-			if keys[ri], err = evalSortKeys(p.keys, engine.Row{}, row, kenv); err != nil {
+			if rows[ri], err = evalSortKeys(p.keys, engine.Row{}, row, kenv); err != nil {
 				return nil, err
 			}
 		}
 	}
-	return finishSelect(s.db, cols, kinds, rows, keys, false, p.desc, p.st.Limit)
+	return finishSelect(s.db, cols, kinds, rows, false, p.order)
 }

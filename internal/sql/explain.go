@@ -111,6 +111,7 @@ func explainLines(s *Session, pl stmtPlan) []string {
 		if p.distinct {
 			lines = append(lines, "  distinct: true")
 		}
+		lines = append(lines, p.order.explain()...)
 		return append(lines, sourceDetail(s, p.src, "  ")...)
 	case *aggPlan:
 		head := "Aggregate"
@@ -135,6 +136,7 @@ func explainLines(s *Session, pl stmtPlan) []string {
 		if p.st.Having != nil {
 			lines = append(lines, "  having: "+p.st.Having.String())
 		}
+		lines = append(lines, p.order.explain()...)
 		lines = append(lines, "  "+sourceTitle(s, p.src))
 		if p.st.Where != nil {
 			lines = append(lines, "    filter: "+p.st.Where.String())
@@ -154,6 +156,7 @@ func explainLines(s *Session, pl stmtPlan) []string {
 			"  window functions: "+strings.Join(names, ", "),
 			"  lane: "+lane)
 		lines = append(lines, predictLines(p.src, "  ")...)
+		lines = append(lines, p.order.explain()...)
 		lines = append(lines, "  "+sourceTitle(s, p.src))
 		if p.st.Where != nil {
 			lines = append(lines, "    filter: "+p.st.Where.String())

@@ -72,8 +72,9 @@ func laneOutcome(sess *Session, query string) string {
 // FuzzExprLanes evaluates one scalar expression every way the executor
 // can and requires the same rows and error text: in oracle mode (every
 // consumer a compiled row closure) and in default mode (native batch
-// kernels where they exist), as a projection, as a WHERE clause and as
-// the argument of ungrouped and grouped aggregates, over a small typed
+// kernels where they exist), as a projection, as a WHERE clause, as the
+// argument of ungrouped and grouped aggregates and as an ORDER BY …
+// LIMIT key (typed key lanes against boxed ones), over a small typed
 // table and over its LEFT JOIN-padded twin (where every column can be
 // NULL); an expression with no column references must also
 // give the same value or error on the FROM-less path. When one
@@ -136,7 +137,8 @@ func FuzzExprLanes(f *testing.F) {
 		if exprErrorSources(e, false) <= 1 {
 			forms = append(forms, "SELECT "+text+" FROM d", "SELECT i FROM d WHERE "+text,
 				"SELECT count("+text+"), min("+text+"), max("+text+") FROM d",
-				"SELECT g, count("+text+"), max("+text+") FROM d GROUP BY g")
+				"SELECT g, count("+text+"), max("+text+") FROM d GROUP BY g",
+				"SELECT i, "+text+" FROM d ORDER BY "+text+" DESC LIMIT 3")
 			if !exprRefsColumn(e) {
 				want := laneOutcome(rowSess, "SELECT "+text+" FROM d LIMIT 1")
 				if got := laneOutcome(batchSess, "SELECT "+text); got != want {
@@ -148,7 +150,8 @@ func FuzzExprLanes(f *testing.F) {
 			const twin = " FROM keys LEFT JOIN d ON keys.k = d.g"
 			forms = append(forms, "SELECT "+text+twin, "SELECT keys.k"+twin+" WHERE "+text,
 				"SELECT count("+text+"), min("+text+"), max("+text+")"+twin,
-				"SELECT keys.k, count("+text+"), max("+text+")"+twin+" GROUP BY keys.k")
+				"SELECT keys.k, count("+text+"), max("+text+")"+twin+" GROUP BY keys.k",
+				"SELECT keys.k, "+text+twin+" ORDER BY "+text+" DESC LIMIT 3")
 		}
 		for _, q := range forms {
 			if got, want := laneOutcome(batchSess, q), laneOutcome(rowSess, q); got != want {

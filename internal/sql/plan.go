@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"madlib/internal/core"
 	"madlib/internal/engine"
@@ -501,74 +499,6 @@ func bindAny(fn anyFn) func(engine.Row) (any, error) {
 type multiState struct {
 	slots   []any
 	keyVals []any
-}
-
-// compareOrderKeys orders two ORDER BY key values with Postgres NULL
-// placement: NULL sorts as the largest value, which yields NULLS LAST on
-// ascending keys and NULLS FIRST when the comparison is flipped for DESC.
-// Non-NULL pairs defer to compareValues.
-func compareOrderKeys(a, b any) (int, error) {
-	if a == nil || b == nil {
-		switch {
-		case a == nil && b == nil:
-			return 0, nil
-		case a == nil:
-			return 1, nil
-		default:
-			return -1, nil
-		}
-	}
-	return compareValues(a, b)
-}
-
-// sortRows stable-sorts rows by the given key columns (extracted into
-// keys, parallel to rows). Large results sort in parallel via the
-// engine's chunked stable sort; the comparator only reads keys, so
-// concurrent calls are safe, with a mutex guarding error capture. Once a
-// comparison error is recorded further comparisons short-circuit — the
-// sort result is discarded anyway.
-func sortRows(db *engine.DB, rows [][]any, keys [][]any, desc []bool) error {
-	var mu sync.Mutex
-	var sortErr error
-	var failed atomic.Bool
-	idx := db.SortStable(len(rows), func(a, b int) bool {
-		if failed.Load() {
-			return false
-		}
-		ka, kb := keys[a], keys[b]
-		for k := range desc {
-			c, err := compareOrderKeys(ka[k], kb[k])
-			if err != nil {
-				failed.Store(true)
-				mu.Lock()
-				if sortErr == nil {
-					sortErr = err
-				}
-				mu.Unlock()
-				return false
-			}
-			if c != 0 {
-				if desc[k] {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	})
-	if sortErr != nil {
-		return sortErr
-	}
-	reorder(rows, idx)
-	return nil
-}
-
-func reorder[T any](xs []T, idx []int) {
-	tmp := make([]T, len(xs))
-	for i, j := range idx {
-		tmp[i] = xs[j]
-	}
-	copy(xs, tmp)
 }
 
 // outputName derives the column header for a select item, Postgres-style:

@@ -9,8 +9,10 @@ import (
 // static column kinds, a command tag and a sequence of Chunks. A Chunk is
 // a ColBatch-shaped slab of output rows — one typed lane per column, an
 // optional validity lane beside it, a boxed lane only for values that
-// have no typed lane — or, for the plans whose rows are boxed before
-// they are ordered (finishSelect), the boxed rows themselves. A RowSet
+// have no typed lane — or, for the plans that box their rows before they
+// group or deduplicate them (finishSelect), the boxed rows themselves.
+// ORDER BY keeps a scan's chunks typed: they are sorted in their lanes
+// and gathered through the permutation (appendRows). A RowSet
 // has three sinks: RowSet.Result boxes it into Result.Rows for the
 // in-process API, the wire server renders DataRows cell by cell with
 // Chunk.AppendText, and CREATE TABLE AS reads the lanes column-wise
@@ -34,8 +36,9 @@ type chunkCol struct {
 }
 
 // Chunk is a run of output rows in one of two layouts: columnar (cols,
-// what a projection scan emits per morsel) or boxed rows (rows, what
-// every plan that sorts, groups or deduplicates ends in).
+// what a projection scan emits per morsel and what its ORDER BY
+// gathers) or boxed rows (rows, what every plan that groups or
+// deduplicates ends in).
 type Chunk struct {
 	n    int
 	cols []chunkCol
@@ -146,33 +149,68 @@ func (l *chunkCol) box(rows [][]any, col int) {
 	}
 }
 
-// truncate keeps the first n rows of the column.
-func (l *chunkCol) truncate(n int) {
-	switch l.kind {
-	case ckInt:
-		l.ints = l.ints[:n]
-	case ckFloat:
-		l.floats = l.floats[:n]
-	case ckStr:
-		l.strs = l.strs[:n]
-	case ckBool:
-		l.bools = l.bools[:n]
-	default:
-		l.boxed = l.boxed[:n]
+// appendRows appends rows idx of src, every row when idx is nil, to c,
+// over c's columns (src's first ones).
+func (c *Chunk) appendRows(src *Chunk, idx []int) {
+	for ci := range c.cols {
+		l, dst := &src.cols[ci], &c.cols[ci]
+		dst.kind = l.kind
+		switch l.kind {
+		case ckInt:
+			dst.ints = appendAt(dst.ints, l.ints, idx)
+		case ckFloat:
+			dst.floats = appendAt(dst.floats, l.floats, idx)
+		case ckStr:
+			dst.strs = appendAt(dst.strs, l.strs, idx)
+		case ckBool:
+			dst.bools = appendAt(dst.bools, l.bools, idx)
+		default:
+			dst.boxed = appendAt(dst.boxed, l.boxed, idx)
+		}
+		if l.valid != nil {
+			dst.valid = appendAt(dst.valid, l.valid, idx)
+		}
 	}
-	if l.valid != nil {
-		l.valid = l.valid[:n]
+	if idx == nil {
+		c.n += src.n
+	} else {
+		c.n += len(idx)
 	}
 }
 
+func appendAt[T any](dst, src []T, idx []int) []T {
+	if idx == nil {
+		return append(dst, src...)
+	}
+	if dst == nil {
+		dst = make([]T, 0, len(idx))
+	}
+	for _, j := range idx {
+		dst = append(dst, src[j])
+	}
+	return dst
+}
+
+// truncate keeps the first n rows of c, in place.
+func (c *Chunk) truncate(n int) {
+	c.n, c.rows = n, head(c.rows, n)
+	for i := range c.cols {
+		l := &c.cols[i]
+		l.ints, l.floats, l.strs = head(l.ints, n), head(l.floats, n), head(l.strs, n)
+		l.bools, l.boxed, l.valid = head(l.bools, n), head(l.boxed, n), head(l.valid, n)
+	}
+}
+
+func head[T any](s []T, n int) []T { return s[:min(len(s), n)] }
+
 // appendBoxed boxes the chunk's rows onto rows. A columnar chunk boxes
-// column-wise into one cell array of width w >= its column count (the
-// scan's ORDER BY tail asks for trailing key cells); a boxed chunk
-// appends its rows as they are.
-func (c *Chunk) appendBoxed(rows [][]any, w int) [][]any {
+// column-wise into one cell array; a boxed chunk appends its rows as
+// they are.
+func (c *Chunk) appendBoxed(rows [][]any) [][]any {
 	if c.cols == nil {
 		return append(rows, c.rows...)
 	}
+	w := len(c.cols)
 	cells := make([]any, c.n*w)
 	base := len(rows)
 	for j := 0; j < c.n; j++ {
@@ -216,31 +254,22 @@ func (rs *RowSet) NumRows() int { return rs.n }
 // chunk beyond the RowSet.
 func (rs *RowSet) Chunks() []Chunk { return rs.chunks }
 
-// limit keeps the first n rows.
+// limit keeps the first n rows, cutting the chunks in place.
 func (rs *RowSet) limit(n int) {
 	if n >= rs.n {
 		return
 	}
 	rs.n = n
 	for i := range rs.chunks {
-		c := &rs.chunks[i]
-		if n >= c.n {
-			n -= c.n
-			continue
-		}
 		if n == 0 {
 			rs.chunks = rs.chunks[:i]
 			return
 		}
-		c.n = n
-		if c.cols == nil {
-			c.rows = c.rows[:n]
+		c := &rs.chunks[i]
+		if n < c.n {
+			c.truncate(n)
 		}
-		for ci := range c.cols {
-			c.cols[ci].truncate(n)
-		}
-		rs.chunks = rs.chunks[:i+1]
-		return
+		n -= c.n
 	}
 }
 
@@ -318,16 +347,16 @@ func (rs *RowSet) Result() *Result {
 	case len(rs.chunks) == 1 && rs.chunks[0].cols == nil:
 		r.Rows = rs.chunks[0].rows
 	case len(rs.chunks) > 0:
-		r.Rows = rs.boxed(len(rs.Cols))
+		r.Rows = rs.boxed()
 	}
 	return r
 }
 
-// boxed boxes every chunk into rows of w cells.
-func (rs *RowSet) boxed(w int) [][]any {
+// boxed boxes every chunk into rows.
+func (rs *RowSet) boxed() [][]any {
 	rows := make([][]any, 0, rs.n)
 	for i := range rs.chunks {
-		rows = rs.chunks[i].appendBoxed(rows, w)
+		rows = rs.chunks[i].appendBoxed(rows)
 	}
 	return rows
 }

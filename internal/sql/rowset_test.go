@@ -116,7 +116,7 @@ func TestAppendValueMatchesFormatValue(t *testing.T) {
 				t.Fatalf("%s: NULL cell rendered %q (null=%v)", name, got, null)
 			}
 			// Boxing the layout gives the value back, bit for bit.
-			rows := ch.appendBoxed(nil, 1)
+			rows := ch.appendBoxed(nil)
 			if rows[0][0] != nil || formatValueRef(rows[1][0]) != formatValueRef(v) || valueKind(rows[1][0]) != valueKind(v) {
 				t.Fatalf("%s: boxed to %#v, want [nil %#v]", name, rows, v)
 			}

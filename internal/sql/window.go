@@ -1,7 +1,8 @@
 package sql
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"sync/atomic"
 
 	"madlib/internal/engine"
@@ -76,9 +77,7 @@ type windowPlan struct {
 	outKinds []ckind // static output kinds, for RowDescription
 	items    []anyFn
 	keys     []sortKey
-	// finalDesc is the direction of each outer ORDER BY key.
-	finalDesc []bool
-	limit     int64
+	order    sortSpec // the outer ORDER BY … LIMIT
 }
 
 // planWindowSelect validates and lowers a window query.
@@ -89,7 +88,7 @@ func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	if st.Distinct {
 		return nil, execErrf("SELECT DISTINCT cannot be combined with window functions")
 	}
-	p := &windowPlan{src: lw.cc.src, st: st, limit: st.Limit, finalDesc: orderDesc(st.OrderBy)}
+	p := &windowPlan{src: lw.cc.src, st: st, order: newSortSpec(st)}
 	cc := lw.cc
 
 	// Collect window calls into slots; all must share one spec.
@@ -228,7 +227,7 @@ func (p *windowPlan) gather(env *execEnv, morsels int, scan batchScan, partVals 
 				return err
 			}
 		}
-		boxed := keys.appendBoxed(nil, len(keyItems))
+		boxed := keys.appendBoxed(nil)
 		var buf []byte
 		for j, idx := range sel {
 			buf = buf[:0]
@@ -260,12 +259,6 @@ func (p *windowPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
 func (p *windowPlan) columns() []string { return p.outNames }
 
 func (p *windowPlan) kinds() []ckind { return p.outKinds }
-
-// windowRowOut is one emitted output row with its final sort keys.
-type windowRowOut struct {
-	row  []any
-	keys []any
-}
 
 // windowState is one partition's fold state. env carries the partition's
 // slot vector (windowPlan's layout) beside the execution's parameters.
@@ -340,7 +333,7 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 			same := ws.hasPrev
 			if same {
 				for i := range ov {
-					c, err := compareValues(ov[i], ws.prevOrd[i])
+					c, err := compareOrderKeys(ov[i], ws.prevOrd[i])
 					if err != nil {
 						fail(err)
 						return ws, nil
@@ -396,17 +389,17 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 		}
 		// The projection, then the outer ORDER BY keys, with this row's
 		// window values bound.
-		out := windowRowOut{row: make([]any, len(p.items))}
+		out := make([]any, len(p.items), len(p.items)+len(p.keys))
 		for i, fn := range p.items {
 			v, err := fn(row, ws.env)
 			if err != nil {
 				fail(err)
 				return ws, nil
 			}
-			out.row[i], slots[nSpecs+i] = v, v
+			out[i], slots[nSpecs+i] = v, v
 		}
-		var err error
-		if out.keys, err = evalSortKeys(p.keys, row, out.row, ws.env); err != nil {
+		out, err := evalSortKeys(p.keys, row, out, ws.env)
+		if err != nil {
 			fail(err)
 			return ws, nil
 		}
@@ -421,38 +414,24 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 		return nil, e.(error)
 	}
 
-	// Deterministic default order: partitions sorted by their key
-	// VALUES (compareValues, so ints/floats/strings order naturally —
-	// the encoded map key is injective but not order-preserving), rows
-	// within a partition in window order.
-	partKeys := make([]string, 0, len(folded))
-	for k := range folded {
-		partKeys = append(partKeys, k)
+	// Deterministic default order: partitions ascending by their key
+	// values (the encoded map key is injective but not order-preserving),
+	// equal values of different kinds in encoded-key order, rows within a
+	// partition in window order.
+	partKeys := slices.Sorted(maps.Keys(folded))
+	vals := make([][]any, len(partKeys))
+	for i, pk := range partKeys {
+		vals[i] = partVals[pk]
 	}
-	var sortErr error
-	sort.Slice(partKeys, func(a, b int) bool {
-		av, bv := partVals[partKeys[a]], partVals[partKeys[b]]
-		for i := range av {
-			c, err := compareOrderKeys(av[i], bv[i])
-			if err != nil && sortErr == nil {
-				sortErr = err
-			}
-			if c != 0 {
-				return c < 0
-			}
-		}
-		return partKeys[a] < partKeys[b]
-	})
-	if sortErr != nil {
-		return nil, sortErr
+	perm, err := ascending(s.db, vals, len(p.partItems))
+	if err != nil {
+		return nil, err
 	}
-	var rows, keys [][]any
-	for _, pk := range partKeys {
-		for _, v := range folded[pk] {
-			out := v.(windowRowOut)
-			rows = append(rows, out.row)
-			keys = append(keys, out.keys)
+	var rows [][]any
+	for _, i := range perm {
+		for _, v := range folded[partKeys[i]] {
+			rows = append(rows, v.([]any))
 		}
 	}
-	return finishSelect(s.db, p.outNames, p.outKinds, rows, keys, false, p.finalDesc, p.limit)
+	return finishSelect(s.db, p.outNames, p.outKinds, rows, false, p.order)
 }

@@ -11,7 +11,7 @@
 # (steady-state joined aggregate over the cached materialization),
 # SQLProjScan (columnar projection scan), SQLLeftJoinAgg (NULL-aware
 # batch aggregate over a LEFT JOIN), SQLWindow (vectorized window
-# gather) and SQLOrderBy (parallel sort).
+# gather) and SQLOrderBy (full sort, rows boxed into a Result).
 #
 # On top of the absolute ns/op gate, the native kernels are gated
 # relative to their *RowLane companions measured in the same run. A
@@ -61,6 +61,15 @@
 # plan included) at most 0.1 times per row, where it spent 7. A per-cell
 # or per-row box, string or message object on either end of the wire, or
 # a per-row Insert in the storage sink, cannot fit under either.
+# SQLOrderByTyped (a full sort of the 10,000-row table) and
+# SQLOrderByLimit (ORDER BY v DESC, g LIMIT 100 over the rows v > 0.25)
+# read the statement's typed product and may allocate at most 150 times
+# per op: they measured 50-70 and 68-78 at GOMAXPROCS 1-4, where the
+# sort that boxed every row before comparing it spent 10,044 (SQLOrderBy
+# recorded 20,123 in BENCH_sql.json). A per-row box or key tuple cannot
+# fit under it. SQLOrderBy itself reads a Result, whose boxing of the
+# 10,000 float cells is 10,000 allocations (10,042-10,066 measured); its
+# gate of 10,200 leaves no room for a second per-row box in the sort.
 #
 # linregr — the paper's own hot path — is gated relative only: LinregrRun
 # (the default batch generation: batch transition + blocked XᵀX kernel)
@@ -95,8 +104,11 @@ PREDICT_GATED="SQLPredictBatch"
 PREDICT_COMPANIONS="SQLPredictRowLane"
 # name:max allocs/op — 20,000 result rows at 2 and at 0.1 per row.
 ALLOC_GATED="PGWireBulkSelect:40000 SQLBulkCTAS:2000"
+# The same for BenchmarkSQLSelectAgg sub-benchmarks.
+SUB_ALLOC_GATED="SQLOrderBy:10200 SQLOrderByTyped:150 SQLOrderByLimit:150"
 
-pattern=$(echo "$GATED $COMPANIONS" | tr ' ' '|')
+sub_alloc_names=$(for g in $SUB_ALLOC_GATED; do printf '%s ' "${g%%:*}"; done)
+pattern=$(echo "$GATED $COMPANIONS $sub_alloc_names" | xargs | tr ' ' '|')
 out=$(go test -run '^$' -bench "BenchmarkSQLSelectAgg/^($pattern)\$" -benchtime "$BENCHTIME" .)
 echo "$out"
 train_pattern=$(for n in $TRAIN_GATED $TRAIN_COMPANIONS; do printf 'Benchmark%s|' "$n"; done | sed 's/|$//')
@@ -189,11 +201,11 @@ for pair in \
 done
 
 # Allocation gates: absolute counts, the same on every machine.
-for gate in $ALLOC_GATED; do
+for gate in $ALLOC_GATED $SUB_ALLOC_GATED; do
   name="${gate%%:*}"
   max="${gate##*:}"
-  allocs=$(echo "$out" | awk -v flat="Benchmark$name" '
-    $1 == flat || $1 ~ "^" flat "-[0-9]+$" {
+  allocs=$(echo "$out" | awk -v flat="Benchmark$name" -v nested="BenchmarkSQLSelectAgg/$name" '
+    $1 == flat || $1 ~ "^" flat "-[0-9]+$" || $1 == nested || $1 ~ "^" nested "-[0-9]+$" {
       for (i = 2; i < NF; i++) if ($(i+1) == "allocs/op") print $i
     }' | head -1)
   if [ -z "$allocs" ]; then
