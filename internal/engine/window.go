@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"sync"
 )
@@ -51,28 +50,6 @@ func (db *DB) RunWindow(t *Table, spec WindowSpec, init func() any, step func(st
 		db.rowsScanned.Add(int64(seg.n))
 	}
 	return db.foldWindow(parts, spec.OrderBy, init, step), nil
-}
-
-// RunWindowBatched is RunWindow for a caller that gathers the partitions
-// from t's column batches itself (a vectorized evaluation of the
-// partition and order keys). gather is handed the number of morsels and
-// a scan that calls fn on every batch exactly as ForEachBatch does,
-// with cancellation at morsel boundaries; it returns the partitions,
-// whose rows it must append in a deterministic order (ORDER BY ties keep
-// it). The gather and the fold run under one shared latch on t, so the
-// Row handles gathered stay valid until the last step.
-func (db *DB) RunWindowBatched(ctx context.Context, t *Table,
-	gather func(morsels int, scan func(fn func(morselIdx int, b ColBatch) error) error) (map[string][]Row, error),
-	orderBy func(a, b Row) bool, init func() any, step func(state any, row Row) (any, any)) (map[string][]any, error) {
-	var out map[string][]any
-	err := db.ForEachBatchCtx(ctx, t, func(morsels int, scan func(func(int, ColBatch) error) error) error {
-		parts, err := gather(morsels, scan)
-		if err == nil {
-			out = db.foldWindow(parts, orderBy, init, step)
-		}
-		return err
-	})
-	return out, err
 }
 
 // foldWindow sorts and folds every partition, in parallel across

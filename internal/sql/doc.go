@@ -88,14 +88,17 @@
 //	sum(x)       OVER (...)            -- running sum
 //	avg(x)       OVER (...)            -- running average
 //
-// Windows lower onto engine.RunWindowBatched (§3.1.2 stateful
-// iteration), which gathers and folds under one read latch on the input:
-// partitions fold in parallel, rows within a partition fold
-// sequentially in ORDER BY order carrying state. Running aggregates use
-// ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW framing (ORDER BY
-// peers are not collapsed — this deviates from the SQL default RANGE
-// framing and is pinned by the logictest corpus). ORDER BY inside the
-// OVER clause is required: whole-partition frames (OVER () or OVER
+// Windows (§3.1.2 stateful iteration) gather their PARTITION BY and
+// OVER-ORDER BY keys as typed lanes and sort them once with ORDER BY's
+// comparator (partition keys, then order keys, then position); the
+// gather and the fold run under one read latch on the input.
+// Partitions fold in parallel as contiguous runs of that order, rows
+// within a partition sequentially in ORDER BY order carrying state; an
+// error is the earliest failing row's in the output order. Running
+// aggregates use ROWS BETWEEN UNBOUNDED PRECEDING AND CURRENT ROW
+// framing (ORDER BY peers are not collapsed — this deviates from the
+// SQL default RANGE framing and is pinned by the logictest corpus).
+// ORDER BY inside the OVER clause is required: whole-partition frames (OVER () or OVER
 // (PARTITION BY ...) without ORDER BY) would need a second pass and are
 // rejected rather than returning storage-order-dependent running
 // values. All window calls in one SELECT must share the same OVER
@@ -354,9 +357,8 @@
 // return the RowSet itself.
 //
 // What still boxes, and why: DISTINCT dedupes boxed rows, the window
-// partition sort looks each row's boxed OVER-ORDER BY keys up in a map
-// per compare, the window fold and the per-group output stage read
-// their slots boxed (once per row or group, through compiled closures),
+// fold and the per-group output stage read their slots boxed (once per
+// row or group, through compiled closures) and emit boxed rows,
 // and a statement's result is held whole
 // until its gather ends (no in-scan streaming, no per-statement memory
 // accounting yet).

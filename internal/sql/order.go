@@ -17,10 +17,12 @@ import (
 // and ties break on the row's position, which reproduces a stable sort. A
 // projection scan sorts its gathered typed chunks and gathers its output
 // chunk through the permutation, so the result stays typed
-// (sortSpec.sortChunks); the plans that box their rows first sort one
-// chunk of boxed key lanes (finishSelect). Under LIMIT k a bounded heap
-// keeps each chunk's k best rows, and only those candidates meet in the
-// final sort.
+// (sortSpec.sortChunks); a window sorts its gathered key chunks the
+// same way into partition and window order, and finds partition starts
+// and rank() peers with the same comparator (windowPlan.fold); the plans
+// that box their rows first sort one chunk of boxed key lanes
+// (finishSelect). Under LIMIT k a bounded heap keeps each chunk's k best
+// rows, and only those candidates meet in the final sort.
 
 // sortSpec is a SELECT's ORDER BY … LIMIT: each key's direction and
 // text (for EXPLAIN), and the row limit, -1 for none.
@@ -107,13 +109,7 @@ func (o sortSpec) sortChunks(db *engine.DB, chunks []Chunk, cols []int, w int) (
 	if len(chunks) == 0 {
 		return Chunk{}, nil
 	}
-	all := chunks[0]
-	if len(chunks) > 1 {
-		all = Chunk{cols: make([]chunkCol, len(all.cols))}
-		for i := range chunks {
-			all.appendRows(&chunks[i], nil)
-		}
-	}
+	all := concatChunks(chunks)
 	perm, err := o.perm(db, &all, cols)
 	if err != nil {
 		return Chunk{}, err
@@ -121,6 +117,19 @@ func (o sortSpec) sortChunks(db *engine.DB, chunks []Chunk, cols []int, w int) (
 	out := Chunk{cols: make([]chunkCol, w)}
 	out.appendRows(&all, perm)
 	return out, nil
+}
+
+// concatChunks reads chunks, columnar, of one layout and at least one,
+// in sequence as one chunk.
+func concatChunks(chunks []Chunk) Chunk {
+	if len(chunks) == 1 {
+		return chunks[0]
+	}
+	all := Chunk{cols: make([]chunkCol, len(chunks[0].cols))}
+	for i := range chunks {
+		all.appendRows(&chunks[i], nil)
+	}
+	return all
 }
 
 // rowOrder compares two rows of one chunk by their ORDER BY keys.
@@ -231,7 +240,8 @@ func (o *rowOrder) topK(n, k int) []int {
 
 // compareOrderKeys orders two boxed ORDER BY key values the Postgres
 // way: NULL sorts as the largest value, a NaN above every other number
-// and equal to itself. Other pairs defer to compareValues.
+// and equal to itself, also as a vector element (vectors compare
+// element-wise, then by length). Other pairs defer to compareValues.
 func compareOrderKeys(a, b any) (int, error) {
 	if a == nil || b == nil {
 		return compareBools(a == nil, b == nil), nil
@@ -239,6 +249,11 @@ func compareOrderKeys(a, b any) (int, error) {
 	if af, ok := toFloat(a); ok {
 		if bf, ok := toFloat(b); ok && (af != af || bf != bf) {
 			return compareFloats(af, bf), nil
+		}
+	}
+	if av, ok := a.([]float64); ok {
+		if bv, ok := b.([]float64); ok {
+			return slices.CompareFunc(av, bv, compareFloats), nil
 		}
 	}
 	return compareValues(a, b)
@@ -270,8 +285,8 @@ func compareBools(a, b bool) int {
 }
 
 // ascending returns the positions of rows ordered by their first nk
-// cells, ascending, ties in position order: the default order of groups
-// and window partitions.
+// cells, ascending, ties in position order: the default order of
+// groups.
 func ascending(db *engine.DB, rows [][]any, nk int) ([]int, error) {
 	kc := boxedKeys(rows, 0, nk)
 	return sortSpec{desc: make([]bool, nk), limit: -1}.perm(db, &kc, nil)

@@ -1,17 +1,16 @@
 package sql
 
 import (
-	"maps"
+	"runtime"
 	"slices"
-	"sync/atomic"
+	"sync"
 
 	"madlib/internal/engine"
 )
 
 // Window functions — fn(args) OVER (PARTITION BY ... ORDER BY ...) —
-// lower onto engine.RunWindow, the §3.1.2 "window aggregates for
-// stateful iteration" primitive: partitions fold in parallel, rows
-// within a partition fold sequentially in ORDER BY order, carrying
+// are the §3.1.2 "window aggregates for stateful iteration" primitive:
+// rows within a partition fold sequentially in ORDER BY order, carrying
 // state. Supported functions:
 //
 //	row_number()      position within the partition (1-based)
@@ -32,13 +31,21 @@ import (
 // depends on the partition state — but the input side runs on the batch
 // executor: the gather pass is morsel-parallel, WHERE filters each batch
 // into a selection vector and the PARTITION BY / OVER-ORDER BY keys
-// evaluate column-wise into a key chunk, each through its native batch
-// kernel or, where it has none (Vector operands, madlib calls,
-// parameters), through its row closure driven over the selection. The
-// output items and the outer ORDER BY keys are compiled over the input
-// row plus a slot vector per partition: the window values, then the
-// output items, which ORDER BY keys may name by alias. The gather and
-// the fold run under one read latch on the input (RunWindowBatched).
+// evaluate column-wise into the morsel's typed key chunk beside the
+// rows' handles, each key through its native batch kernel or, where it
+// has none (Vector operands, madlib calls, parameters), through its row
+// closure driven over the selection into a boxed lane. One sort orders
+// the concatenated chunk with ORDER BY's comparator (sortSpec.perm):
+// partition keys ascending, then the order keys, then table position.
+// That permutation is the fold order and the default output order at
+// once. Neighbours whose partition lanes compare unequal start a
+// partition and neighbours whose order lanes compare equal are rank()
+// peers; the partitions fold as contiguous runs of the permutation on
+// at most GOMAXPROCS goroutines. The output items and the outer ORDER
+// BY keys are compiled over the input row plus a slot vector per run:
+// the window values, then the output items, which ORDER BY keys may
+// name by alias. The gather and the fold run in one ForEachBatchCtx
+// callback, under one read latch on the input.
 
 // windowFuncs names the supported window functions.
 var windowFuncs = map[string]bool{
@@ -55,21 +62,24 @@ type windowSlotSpec struct {
 
 // windowPlan executes a SELECT whose item list contains window calls.
 // All calls must share one window specification. The plan gathers the
-// rows WHERE keeps into partitions with their order keys (gather), then
-// folds each partition.
+// rows WHERE keeps with their window key lanes, sorts them into window
+// order and folds each partition.
 type windowPlan struct {
 	src *planSource
 	st  *Select
 
 	// The gather pipeline: WHERE plus one projItem per PARTITION BY and
-	// OVER-ORDER BY expression. native reports whether any of them took
-	// its batch kernel (EXPLAIN's lane line reads "row" otherwise).
-	prog      *batchProg
-	pred      bBatchKernel // nil when the query has no WHERE
-	partItems []*projItem
-	ordItems  []*projItem
-	native    bool
-	ordDesc   []bool
+	// then per OVER-ORDER BY expression; the first nPart keys partition.
+	// native reports whether any of them took its batch kernel
+	// (EXPLAIN's lane line reads "row" otherwise).
+	prog     *batchProg
+	pred     bBatchKernel // nil when the query has no WHERE
+	keyItems []*projItem
+	nPart    int
+	native   bool
+	// window orders the key lanes: the partition keys ascending, then
+	// the order keys in their directions.
+	window sortSpec
 
 	specs []windowSlotSpec
 
@@ -154,21 +164,18 @@ func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	}
 
 	// Lower the window spec and WHERE.
+	keys := make([]OrderKey, 0, len(over.PartitionBy)+len(over.OrderBy))
 	for _, pe := range over.PartitionBy {
-		pi, err := lw.item(pe)
-		if err != nil {
-			return nil, err
-		}
-		p.partItems = append(p.partItems, pi)
-		p.native = p.native || pi.rowFn == nil
+		keys = append(keys, OrderKey{Expr: pe})
 	}
-	for _, k := range over.OrderBy {
+	p.nPart, p.window.limit = len(keys), -1
+	for _, k := range append(keys, over.OrderBy...) {
 		pi, err := lw.item(k.Expr)
 		if err != nil {
 			return nil, err
 		}
-		p.ordItems = append(p.ordItems, pi)
-		p.ordDesc = append(p.ordDesc, k.Desc)
+		p.keyItems = append(p.keyItems, pi)
+		p.window.desc = append(p.window.desc, k.Desc)
 		p.native = p.native || pi.rowFn == nil
 	}
 	pred, nativePred, err := lw.predicate(st.Where)
@@ -198,77 +205,37 @@ func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 	return p, nil
 }
 
-// winRow is one gathered input row: its handle, its encoded partition
-// key, and its boxed PARTITION BY values followed by its OVER-ORDER BY
-// key tuple.
-type winRow struct {
-	row  engine.Row
-	part string
-	keys []any
-}
-
-// gather filters the input and evaluates every surviving row's
-// partition and order keys, in table order (so ORDER BY ties break
-// identically at any worker count), over the scan RunWindowBatched hands
-// it. It returns the row handles grouped by encoded partition key, and
-// fills partVals with each partition's key values (for the default
-// output order) and ordCache with each row's order-key tuple (for the
-// partition sort comparator).
-func (p *windowPlan) gather(env *execEnv, morsels int, scan batchScan, partVals map[string][]any, ordCache map[engine.Row][]any) (map[string][]engine.Row, error) {
-	np := len(p.partItems)
-	keyItems := append(append([]*projItem(nil), p.partItems...), p.ordItems...)
-	accs, err := gatherBatches(env, morsels, scan, p.prog, p.pred, func(e *batchEval, b engine.ColBatch, sel selVec, acc *[]winRow) error {
-		// The batch's keys evaluate into a chunk and box into one cell
-		// array that outlives the batch: its sub-slices are what land in
-		// partVals and ordCache.
-		keys := Chunk{n: len(sel), cols: make([]chunkCol, len(keyItems))}
-		for i, pi := range keyItems {
-			if err := pi.appendTo(e, b, sel, &keys.cols[i], 1); err != nil {
-				return err
-			}
-		}
-		boxed := keys.appendBoxed(nil)
-		var buf []byte
-		for j, idx := range sel {
-			buf = buf[:0]
-			for _, v := range boxed[j][:np] {
-				buf = appendValKey(buf, v)
-			}
-			*acc = append(*acc, winRow{row: b.Row(int(idx)), part: string(buf), keys: boxed[j]})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	parts := map[string][]engine.Row{}
-	for _, rows := range accs {
-		for _, wr := range rows {
-			if _, seen := parts[wr.part]; !seen {
-				partVals[wr.part] = wr.keys[:np]
-			}
-			parts[wr.part] = append(parts[wr.part], wr.row)
-			ordCache[wr.row] = wr.keys[np:]
-		}
-	}
-	return parts, nil
-}
-
 func (p *windowPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
 
 func (p *windowPlan) columns() []string { return p.outNames }
 
 func (p *windowPlan) kinds() []ckind { return p.outKinds }
 
-// windowState is one partition's fold state. env carries the partition's
-// slot vector (windowPlan's layout) beside the execution's parameters.
-type windowState struct {
-	pos     int64
-	rank    int64
-	prevOrd []any
-	hasPrev bool
-	accs    []*numAccState // running sum/avg/count accumulators per slot
-	env     *execEnv
+// windowMorsel is one morsel's gathered rows: their window key lanes
+// and, beside them, their handles for the fold.
+type windowMorsel struct {
+	keys Chunk
+	rows []engine.Row
+}
+
+// gatherKeys appends one batch's surviving rows to the morsel: each key
+// item evaluates once over the selection into its lane.
+func (p *windowPlan) gatherKeys(e *batchEval, b engine.ColBatch, sel selVec, m *windowMorsel) error {
+	if m.keys.cols == nil {
+		m.keys.cols = make([]chunkCol, len(p.keyItems))
+	}
+	left := batchesLeft(b)
+	for i, pi := range p.keyItems {
+		if err := pi.appendTo(e, b, sel, &m.keys.cols[i], left); err != nil {
+			return err
+		}
+	}
+	m.keys.n += len(sel)
+	m.rows = reserve(m.rows, len(sel), left)
+	for _, idx := range sel {
+		m.rows = append(m.rows, b.Row(int(idx)))
+	}
+	return nil
 }
 
 func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
@@ -276,162 +243,167 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// stepErr captures the first evaluation error from inside the order
-	// comparator and the step closure (the engine fold's contracts cannot
-	// fail).
-	var stepErr atomic.Value
-	fail := func(err error) {
-		stepErr.CompareAndSwap(nil, err)
-	}
-
-	// ordCache holds every gathered row's OVER-ORDER BY key tuple, boxed
-	// once per row by the gather. The per-partition sort goroutines then
-	// only read the finished cache — O(n) evaluations instead of
-	// O(n log n) inside the comparator.
-	ordCache := map[engine.Row][]any{}
-	partVals := map[string][]any{}
-	gather := func(morsels int, scan func(func(int, engine.ColBatch) error) error) (map[string][]engine.Row, error) {
-		return p.gather(env, morsels, scan, partVals, ordCache)
-	}
-	orderBy := func(a, b engine.Row) bool {
-		av, bv := ordCache[a], ordCache[b]
-		for i := range av {
-			c, err := compareOrderKeys(av[i], bv[i])
-			if err != nil {
-				fail(err)
-				return false
-			}
-			if c != 0 {
-				if p.ordDesc[i] {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return false
-	}
-
-	nSpecs := len(p.specs)
-	init := func() any {
-		st := &windowState{accs: make([]*numAccState, nSpecs), env: env.withSlots(nSpecs + len(p.items))}
-		for i := range p.specs {
-			st.accs[i] = &numAccState{intOnly: true}
-		}
-		return st
-	}
-	step := func(state any, row engine.Row) (any, any) {
-		ws := state.(*windowState)
-		if stepErr.Load() != nil {
-			return ws, nil
-		}
-		ws.pos++
-		// rank(): peers (equal ORDER BY keys) share the rank of their
-		// first row; a new key value jumps to the current position.
-		if len(p.ordItems) > 0 {
-			ov := ordCache[row]
-			same := ws.hasPrev
-			if same {
-				for i := range ov {
-					c, err := compareOrderKeys(ov[i], ws.prevOrd[i])
-					if err != nil {
-						fail(err)
-						return ws, nil
-					}
-					if c != 0 {
-						same = false
-						break
-					}
-				}
-			}
-			if !same {
-				ws.rank = ws.pos
-			}
-			ws.prevOrd, ws.hasPrev = ov, true
-		} else {
-			ws.rank = ws.pos
-		}
-		slots := ws.env.slots
-		for i, sp := range p.specs {
-			switch sp.name {
-			case "row_number":
-				slots[i] = ws.pos
-			case "rank":
-				slots[i] = ws.rank
-			case "count":
-				acc := ws.accs[i]
-				if sp.arg != nil {
-					v, err := sp.arg(row, ws.env)
-					if err != nil {
-						fail(err)
-						return ws, nil
-					}
-					if v != nil {
-						acc.n++
-					}
-				} else {
-					acc.n++
-				}
-				slots[i] = acc.n
-			case "sum", "avg":
-				acc := ws.accs[i]
-				v, err := sp.arg(row, ws.env)
-				if err != nil {
-					fail(err)
-					return ws, nil
-				}
-				if err := numAccAdd(acc, sp.name, v); err != nil {
-					fail(err)
-					return ws, nil
-				}
-				slots[i], _ = numAccFinal(sp.name)(acc) // cannot fail
-			}
-		}
-		// The projection, then the outer ORDER BY keys, with this row's
-		// window values bound.
-		out := make([]any, len(p.items), len(p.items)+len(p.keys))
-		for i, fn := range p.items {
-			v, err := fn(row, ws.env)
-			if err != nil {
-				fail(err)
-				return ws, nil
-			}
-			out[i], slots[nSpecs+i] = v, v
-		}
-		out, err := evalSortKeys(p.keys, row, out, ws.env)
-		if err != nil {
-			fail(err)
-			return ws, nil
-		}
-		return ws, out
-	}
-
-	folded, err := s.db.RunWindowBatched(env.context(), input, gather, orderBy, init, step)
-	if err != nil {
-		return nil, err
-	}
-	if e := stepErr.Load(); e != nil {
-		return nil, e.(error)
-	}
-
-	// Deterministic default order: partitions ascending by their key
-	// values (the encoded map key is injective but not order-preserving),
-	// equal values of different kinds in encoded-key order, rows within a
-	// partition in window order.
-	partKeys := slices.Sorted(maps.Keys(folded))
-	vals := make([][]any, len(partKeys))
-	for i, pk := range partKeys {
-		vals[i] = partVals[pk]
-	}
-	perm, err := ascending(s.db, vals, len(p.partItems))
-	if err != nil {
-		return nil, err
-	}
+	// The fold runs inside the scan's callback, under the read latch of
+	// the gather, so the row handles stay valid until the last step.
 	var rows [][]any
-	for _, i := range perm {
-		for _, v := range folded[partKeys[i]] {
-			rows = append(rows, v.([]any))
+	err = s.db.ForEachBatchCtx(env.context(), input, func(morsels int, scan func(func(int, engine.ColBatch) error) error) error {
+		ms, err := gatherBatches(env, morsels, scan, p.prog, p.pred, p.gatherKeys)
+		if err == nil {
+			rows, err = p.fold(s.db, env, ms)
 		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return finishSelect(s.db, p.outNames, p.outKinds, rows, false, p.order)
+}
+
+// fold sorts the gathered rows into window order and folds them into
+// their output rows, which it returns in that order: partitions
+// ascending by key, rows in window order, ties in table order — the
+// default output order. The partitions fold in parallel as contiguous
+// runs of the order; each run stops at its first error and the lowest
+// run's error wins, so the error is the earliest failing row's, as a
+// sequential fold would report it.
+func (p *windowPlan) fold(db *engine.DB, env *execEnv, ms []windowMorsel) ([][]any, error) {
+	var chunks []Chunk
+	var handles []engine.Row
+	for i := range ms {
+		if ms[i].keys.n > 0 {
+			chunks = append(chunks, ms[i].keys)
+			handles = append(handles, ms[i].rows...)
+		}
+	}
+	if len(handles) == 0 {
+		return nil, nil
+	}
+	keys := concatChunks(chunks)
+	perm, err := p.window.perm(db, &keys, nil)
+	if err != nil {
+		return nil, err
+	}
+	// A partition starts where the partition lanes of neighbours
+	// differ; neighbours whose order lanes compare equal are rank()
+	// peers. The sort has compared every pair of neighbours, so neither
+	// comparator can fail here.
+	ord := p.window.rowOrder(&keys, nil)
+	part, peers := &rowOrder{keys: ord.keys[:p.nPart]}, &rowOrder{keys: ord.keys[p.nPart:]}
+	n := len(perm)
+	starts := []int{0}
+	for k := 1; k < n; k++ {
+		if part.compare(perm[k-1], perm[k]) != 0 {
+			starts = append(starts, k)
+		}
+	}
+	starts = append(starts, n)
+
+	// Runs of whole partitions, about n/workers rows each.
+	workers := 1
+	if n >= engine.ParallelRowThreshold {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	cuts := []int{0}
+	for w := 1; w < workers; w++ {
+		if c, _ := slices.BinarySearch(starts, w*n/workers); c > cuts[len(cuts)-1] && c < len(starts)-1 {
+			cuts = append(cuts, c)
+		}
+	}
+	cuts = append(cuts, len(starts)-1)
+
+	out := make([][]any, n)
+	foldRun := func(bounds []int) error {
+		ws := windowState{accs: make([]numAccState, len(p.specs)), env: env.withSlots(len(p.specs) + len(p.items))}
+		for b := 0; b+1 < len(bounds); b++ {
+			lo, hi := bounds[b], bounds[b+1]
+			for i := range ws.accs {
+				ws.accs[i] = numAccState{intOnly: true}
+			}
+			for k := lo; k < hi; k++ {
+				ws.pos = int64(k - lo + 1)
+				if k == lo || peers.compare(perm[k-1], perm[k]) != 0 {
+					ws.rank = ws.pos
+				}
+				row, err := p.step(&ws, handles[perm[k]])
+				if err != nil {
+					return err
+				}
+				out[k] = row
+			}
+		}
+		return nil
+	}
+	errs := make([]error, len(cuts)-1)
+	var wg sync.WaitGroup
+	for r := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[r] = foldRun(starts[cuts[r] : cuts[r+1]+1])
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// windowState is the fold state of one partition, at its current row.
+// env carries the run's slot vector (windowPlan's layout) beside the
+// execution's parameters.
+type windowState struct {
+	pos  int64
+	rank int64         // peers (equal order keys) share the rank of their first row
+	accs []numAccState // running sum/avg/count accumulators per slot
+	env  *execEnv
+}
+
+// step folds one row into the partition's state and returns its output
+// row: the projection, then the outer ORDER BY keys, with the row's
+// window values bound.
+func (p *windowPlan) step(ws *windowState, row engine.Row) ([]any, error) {
+	slots := ws.env.slots
+	for i, sp := range p.specs {
+		acc := &ws.accs[i]
+		switch sp.name {
+		case "row_number":
+			slots[i] = ws.pos
+		case "rank":
+			slots[i] = ws.rank
+		case "count":
+			v := any(true) // count(*) counts every row
+			if sp.arg != nil {
+				var err error
+				if v, err = sp.arg(row, ws.env); err != nil {
+					return nil, err
+				}
+			}
+			if v != nil {
+				acc.n++
+			}
+			slots[i] = acc.n
+		case "sum", "avg":
+			v, err := sp.arg(row, ws.env)
+			if err != nil {
+				return nil, err
+			}
+			if err := numAccAdd(acc, sp.name, v); err != nil {
+				return nil, err
+			}
+			slots[i], _ = numAccFinal(sp.name)(acc) // cannot fail
+		}
+	}
+	nSpecs := len(p.specs)
+	out := make([]any, len(p.items), len(p.items)+len(p.keys))
+	for i, fn := range p.items {
+		v, err := fn(row, ws.env)
+		if err != nil {
+			return nil, err
+		}
+		out[i], slots[nSpecs+i] = v, v
+	}
+	return evalSortKeys(p.keys, row, out, ws.env)
 }

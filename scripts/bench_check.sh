@@ -70,6 +70,11 @@
 # fit under it. SQLOrderBy itself reads a Result, whose boxing of the
 # 10,000 float cells is 10,000 allocations (10,042-10,066 measured); its
 # gate of 10,200 leaves no room for a second per-row box in the sort.
+# SQLWindow (a running sum over the 7,490 rows v > 0.25) may allocate
+# at most 23,500 times per op: it measured 22,547-22,582 at GOMAXPROCS
+# 1-4, about three per output row (the boxed output row and cells), where
+# the window that boxed and map-cached every gathered key spent 45,735.
+# One more per-row allocation in the gather or the sort cannot fit.
 #
 # linregr — the paper's own hot path — is gated relative only: LinregrRun
 # (the default batch generation: batch transition + blocked XᵀX kernel)
@@ -105,7 +110,7 @@ PREDICT_COMPANIONS="SQLPredictRowLane"
 # name:max allocs/op — 20,000 result rows at 2 and at 0.1 per row.
 ALLOC_GATED="PGWireBulkSelect:40000 SQLBulkCTAS:2000"
 # The same for BenchmarkSQLSelectAgg sub-benchmarks.
-SUB_ALLOC_GATED="SQLOrderBy:10200 SQLOrderByTyped:150 SQLOrderByLimit:150"
+SUB_ALLOC_GATED="SQLOrderBy:10200 SQLOrderByTyped:150 SQLOrderByLimit:150 SQLWindow:23500"
 
 sub_alloc_names=$(for g in $SUB_ALLOC_GATED; do printf '%s ' "${g%%:*}"; done)
 pattern=$(echo "$GATED $COMPANIONS $sub_alloc_names" | xargs | tr ' ' '|')
