@@ -702,6 +702,46 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 			}
 		}
 	})
+	// The grouped fold across many morsels: 64 int groups over 200,000
+	// rows in 4 segments (52 morsels), every group in every morsel (Insert
+	// deals rows to the segments in turn, so g steps once per deal), read
+	// as the statement's typed product. Per-morsel or per-group-per-morsel
+	// allocations show here; scripts/bench_check.sh gates its allocs/op.
+	b.Run("SQLGroupByMorsels", func(b *testing.B) {
+		gdb := engine.Open(4)
+		gtbl, err := gdb.CreateTable("f", engine.Schema{
+			{Name: "g", Kind: engine.Int}, {Name: "v", Kind: engine.Float},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		const rows = 200_000
+		for i := 0; i < rows; i++ {
+			if err := gtbl.Insert(int64(i/4*7%64), float64(i*37%1000)/1000); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if m := len(gtbl.Morsels()); m < 16 {
+			b.Fatalf("%d morsels, want at least 16", m)
+		}
+		gsess := sqlfe.NewSession(gdb)
+		run := func() {
+			sets, err := gsess.ExecRowSets(context.Background(),
+				`SELECT g, count(*), sum(v), avg(v) FROM f WHERE v > 0.25 GROUP BY g`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n := sets[0].NumRows(); n != 64 {
+				b.Fatalf("groups = %d", n)
+			}
+		}
+		run()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+	})
 	const joinQuery = `SELECT dims.name, sum(t.v), count(*) FROM t JOIN dims ON t.g = dims.g GROUP BY dims.name`
 	// makeDims (re-)creates the 16-row dims table. A new table is a new
 	// join input, so the engine's join cache cannot serve it.
@@ -941,9 +981,9 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 			}
 		}
 	})
-	// The same grouped filtered aggregate written by hand against
-	// RunGroupByBatched, the driver the SQL plan runs: what the statement
-	// would cost with no front end at all.
+	// The same grouped filtered aggregate written by hand against the
+	// engine's RunGroupByBatched: a hand-written engine baseline for what
+	// the statement would cost with no front end at all.
 	b.Run("EngineDirect", func(b *testing.B) {
 		b.ReportAllocs()
 		type acc struct {

@@ -140,19 +140,10 @@ func (db *DB) RunBatchedCtx(ctx context.Context, t *Table,
 // its morsel state (filled by process), groups extracts that map once
 // the morsel is exhausted, and the engine merges the per-morsel maps
 // key-by-key in morsel order using merge. Group states are returned
-// unfinalized per key; the caller finalizes.
+// unfinalized per key; the caller finalizes. The SQL executor groups on
+// RunBatched with its own per-morsel group tables; this driver serves
+// hand-written pipelines (the repo benchmark's direct calls).
 func (db *DB) RunGroupByBatched(t *Table,
-	newState func(morselIdx int) any,
-	process func(state any, b ColBatch) error,
-	groups func(state any) map[GroupKey]any,
-	merge func(a, b any) any,
-) (map[GroupKey]any, error) {
-	return db.RunGroupByBatchedCtx(context.Background(), t, newState, process, groups, merge)
-}
-
-// RunGroupByBatchedCtx is RunGroupByBatched with cancellation at morsel
-// boundaries.
-func (db *DB) RunGroupByBatchedCtx(ctx context.Context, t *Table,
 	newState func(morselIdx int) any,
 	process func(state any, b ColBatch) error,
 	groups func(state any) map[GroupKey]any,
@@ -160,7 +151,7 @@ func (db *DB) RunGroupByBatchedCtx(ctx context.Context, t *Table,
 ) (map[GroupKey]any, error) {
 	db.queries.Add(1)
 	var partials []map[GroupKey]any
-	err := db.runMorsels(ctx, t, func(n int) { partials = make([]map[GroupKey]any, n) }, func(i int, m morsel) error {
+	err := db.runMorsels(context.Background(), t, func(n int) { partials = make([]map[GroupKey]any, n) }, func(i int, m morsel) error {
 		state := newState(i)
 		if err := forEachBatchRange(m.seg, m.off, m.n, func(b ColBatch) error { return process(state, b) }); err != nil {
 			return err

@@ -251,21 +251,24 @@ func (c *chain) floatLane(b engine.ColBatch, col, slot int, kind engine.Kind) []
 func (c *chain) runMorsel(schema engine.Schema, m engine.Morsel, alpha float64) error {
 	yKind := schema[c.feat.Y].Kind
 	return m.ForEachBatch(func(b engine.ColBatch) error {
-		ys := c.floatLane(b, c.feat.Y, 0, yKind)
+		// The loss sum stays in a register for the batch: the same
+		// additions in the same order, one store.
+		ys, lossSum := c.floatLane(b, c.feat.Y, 0, yKind), c.lossSum
+		c.n += int64(len(ys))
 		if c.feat.XVector >= 0 {
 			xs := b.Vectors(c.feat.XVector)
 			loss, w := c.loss, c.w
 			if c.hasProx {
 				for i, y := range ys {
-					c.lossSum += loss.Step(w, xs[i], y, alpha)
+					lossSum += loss.Step(w, xs[i], y, alpha)
 					c.prox.Prox(w, alpha)
 				}
 			} else {
 				for i, y := range ys {
-					c.lossSum += loss.Step(w, xs[i], y, alpha)
+					lossSum += loss.Step(w, xs[i], y, alpha)
 				}
 			}
-			c.n += int64(len(ys))
+			c.lossSum = lossSum
 			return nil
 		}
 		lanes := c.conv[1 : 1+len(c.feat.XCols)]
@@ -276,12 +279,12 @@ func (c *chain) runMorsel(schema engine.Schema, m engine.Morsel, alpha float64) 
 			for j := range lanes {
 				c.x[j] = lanes[j][i]
 			}
-			c.lossSum += c.loss.Step(c.w, c.x, y, alpha)
+			lossSum += c.loss.Step(c.w, c.x, y, alpha)
 			if c.hasProx {
 				c.prox.Prox(c.w, alpha)
 			}
 		}
-		c.n += int64(len(ys))
+		c.lossSum = lossSum
 		return nil
 	})
 }

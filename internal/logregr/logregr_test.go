@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"madlib/internal/array"
 	"madlib/internal/datagen"
 	"madlib/internal/engine"
 )
@@ -252,6 +253,38 @@ func BenchmarkIGDOnePass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(db, tbl, "y", "x", Options{Solver: IGD, MaxIterations: 2, Tolerance: 1e9}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestLogisticStepMatchesFormula pins negLogLik.Step, which shares one
+// exp(-z) between the log-likelihood and the sigmoid, to the two
+// formulas it replaces (rowLogLik and sigma, each with its own exp),
+// bit for bit: the returned loss and the updated weights, over a grid
+// of z that includes the exp overflow edge (±745), ±Inf and NaN, for
+// both labels and a NaN label.
+func TestLogisticStepMatchesFormula(t *testing.T) {
+	zs := []float64{0, math.Copysign(0, -1), 1e-300, -1e-300, 0.5, -0.5, 1, -1, 3.25, -3.25,
+		36, -36, 40, -40, 709, -709, 710, -710, 744, -744, 745, -745, 746, -746,
+		1e10, -1e10, math.Inf(1), math.Inf(-1), math.NaN()}
+	for z := -50.0; z <= 50; z += 0.37 {
+		zs = append(zs, z)
+	}
+	const alpha = 0.125
+	for _, z := range zs {
+		for _, y := range []float64{0, 1, math.NaN()} {
+			// w = {z}, x = {1}: the dot product is z (-0 becomes +0).
+			x, w, wantW := []float64{1}, []float64{z}, []float64{z}
+			got := negLogLik{k: 1}.Step(w, x, y, alpha)
+			zd := array.Dot(wantW, x)
+			want := -rowLogLik(zd, y)
+			array.Axpy(alpha*(y-sigma(zd)), x, wantW)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("z=%v y=%v: loss %v (%#x), formula %v (%#x)", z, y, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if math.Float64bits(w[0]) != math.Float64bits(wantW[0]) {
+				t.Errorf("z=%v y=%v: weight %v, formula %v", z, y, w[0], wantW[0])
+			}
 		}
 	}
 }

@@ -155,11 +155,18 @@ type negLogLik struct{ k int }
 // Dim implements igd.Loss.
 func (l negLogLik) Dim() int { return l.k }
 
-// Step implements igd.Loss.
+// Step implements igd.Loss. It computes exp(-z) once for both the
+// log-likelihood (rowLogLik) and the sigmoid (sigma), with the same
+// operations as each.
 func (l negLogLik) Step(w, x []float64, y, alpha float64) float64 {
 	z := array.Dot(w, x)
-	ll := rowLogLik(z, y)
-	array.Axpy(alpha*(y-sigma(z)), x, w)
+	e := math.Exp(-z)
+	lg := math.Log1p(e)
+	ll := -z - lg
+	if y >= 0.5 {
+		ll = -lg
+	}
+	array.Axpy(alpha*(y-1/(1+e)), x, w)
 	return -ll
 }
 

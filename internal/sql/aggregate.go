@@ -9,67 +9,141 @@ import (
 )
 
 // The built-in aggregates. Each is one accumulator per argument lane
-// kind — an init, a lane fold, a per-row update, a merge and a final
-// function, the paper's transition/merge/final triple (§3.1.1) with the
-// transition in two shapes: the lane fold for an ungrouped batch and
-// the per-row update for the grouped executor, which folds each
-// selected row into its own group's state. Lowering (aggregate, below)
-// decides only how the argument lane is made: by the argument's native
-// column kernel (compile_batch.go) or by its compiled row closure run
-// over the selection vector. Whichever made it, the same accumulator
-// folds it, so the two lowerings agree bit for bit and fail alike: an
-// argument's evaluation error aborts its morsel on both.
+// kind — an init, two lane folds, a merge and a final function, the
+// paper's transition/merge/final triple (§3.1.1) with the transition in
+// two shapes: fold, which folds a batch's lane into one state (an
+// ungrouped aggregate), and foldG, which folds value j into the state of
+// row j's group in a morsel's column of per-group states (the grouped
+// executor). Lowering (aggregate, below) decides only how the argument
+// lane is made: by the argument's native column kernel
+// (compile_batch.go) or by its compiled row closure run over the
+// selection vector. Whichever made it, the same accumulator folds it, so
+// the two lowerings agree bit for bit and fail alike: an argument's
+// evaluation error aborts its morsel on both.
 
 // aggAcc is one aggregate's accumulator over argument values of type T:
 // float64, int64, string and bool lanes from typed arguments; any from
 // boxed ones (bool min/max, Vector arguments and arguments typed only at
 // run time, whose NULLs arrive as nil); int32 for count's argument-free
-// lane, the selection itself.
+// lane, the selection itself. Its states live in the column newCol
+// makes; typedAcc builds an aggAcc from folds over a typed state.
 type aggAcc[T any] struct {
-	init func() any
-	// fold folds vals in order. A non-nil mask (the argument's validity
-	// lane, or the fused path's predicate lane) folds only the positions
-	// where it is true; nil folds every value.
-	fold func(st any, vals []T, mask []bool) error
-	// upd folds one value.
-	upd   func(st any, v T) error
-	merge func(a, b any) any
-	final func(st any) (any, error)
+	newCol func() aggCol
+	// fold folds vals in order into state 0 of the column. A non-nil
+	// mask (the argument's validity lane, or the fused path's predicate
+	// lane) folds only the positions where it is true; nil folds every
+	// value.
+	fold func(c aggCol, vals []T, mask []bool) error
+	// foldG folds vals[j] into state ids[j], in order, under the same
+	// mask.
+	foldG func(c aggCol, ids []int32, vals []T, mask []bool) error
+	// final is the result of the column's state g.
+	final func(c aggCol, g int) (any, error)
 }
 
-// foldEach is the lane fold of a boxed accumulator: upd per unmasked
-// value, stopping at the first error.
-func foldEach[T any](upd func(st any, v T) error) func(st any, vals []T, mask []bool) error {
-	return func(st any, vals []T, mask []bool) error {
-		for j, v := range vals {
-			if mask == nil || mask[j] {
-				if err := upd(st, v); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+// aggCol is one aggregate's states in a morsel's group table, state g
+// being group g's: a typed column per accumulator (count's int64s, sum's
+// numAccStates, min's extremeStates), a boxed one for madlib aggregates.
+type aggCol interface {
+	// grow appends initial states until the column holds n.
+	grow(n int)
+	// mergeFrom merges each state j of src, the same aggregate's column
+	// in a later morsel, into state gs[j], in order, moving it over when
+	// gs[j] is a new state (the column's length).
+	mergeFrom(src aggCol, gs []int32)
+	// reset empties the column for reuse without pinning its states.
+	reset()
+}
+
+// stateCol is the aggCol of states of type S.
+type stateCol[S any] struct {
+	sts   []S
+	init  func() S
+	merge func(a, b S) S
+}
+
+func (c *stateCol[S]) grow(n int) {
+	for len(c.sts) < n {
+		c.sts = append(c.sts, c.init())
 	}
 }
 
-// countState is count's accumulator.
-type countState struct{ n int64 }
-
-func mergeCount(a, b any) any {
-	sa := a.(*countState)
-	sa.n += b.(*countState).n
-	return sa
+func (c *stateCol[S]) mergeFrom(src aggCol, gs []int32) {
+	for j, s := range src.(*stateCol[S]).sts {
+		if g := int(gs[j]); g < len(c.sts) {
+			c.sts[g] = c.merge(c.sts[g], s)
+		} else {
+			c.sts = append(c.sts, s)
+		}
+	}
 }
 
-func finalCount(st any) (any, error) { return st.(*countState).n, nil }
+func (c *stateCol[S]) reset() {
+	clear(c.sts)
+	c.sts = c.sts[:0]
+}
+
+// typedAcc is an accumulator's typed form, over states of type S.
+type typedAcc[T, S any] struct {
+	init  func() S
+	fold  func(s *S, vals []T, mask []bool) error
+	foldG func(sts []S, ids []int32, vals []T, mask []bool) error
+	merge func(a, b S) S
+	final func(s S) (any, error)
+}
+
+func (a typedAcc[T, S]) acc() aggAcc[T] {
+	return aggAcc[T]{
+		newCol: func() aggCol { return &stateCol[S]{init: a.init, merge: a.merge} },
+		fold:   func(c aggCol, vals []T, mask []bool) error { return a.fold(&c.(*stateCol[S]).sts[0], vals, mask) },
+		foldG: func(c aggCol, ids []int32, vals []T, mask []bool) error {
+			return a.foldG(c.(*stateCol[S]).sts, ids, vals, mask)
+		},
+		final: func(c aggCol, g int) (any, error) { return a.final(c.(*stateCol[S]).sts[g]) },
+	}
+}
+
+// boxedAcc is an accumulator over a boxed lane: upd folds one value,
+// once per unmasked value in both lane folds, stopping at the first
+// error.
+func boxedAcc[S any](init func() S, upd func(s *S, v any) error, merge func(a, b S) S, final func(S) (any, error)) aggAcc[any] {
+	return typedAcc[any, S]{init: init, merge: merge, final: final,
+		fold: func(s *S, vals []any, mask []bool) error {
+			for j, v := range vals {
+				if mask == nil || mask[j] {
+					if err := upd(s, v); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		},
+		foldG: func(sts []S, ids []int32, vals []any, mask []bool) error {
+			for j, v := range vals {
+				if mask == nil || mask[j] {
+					if err := upd(&sts[ids[j]], v); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		},
+	}.acc()
+}
+
+func zero[S any]() (s S) { return s }
+
+func addCounts(a, b int64) int64 { return a + b }
+
+func finalCount(n int64) (any, error) { return n, nil }
 
 // countAcc counts the (unmasked) positions of a typed lane: rows for
 // count(*), non-NULL values for count(expr), whose lane is still
 // evaluated so its errors surface.
 func countAcc[T any]() aggAcc[T] {
-	return aggAcc[T]{
-		init: func() any { return &countState{} },
-		fold: func(st any, vals []T, mask []bool) error {
+	return typedAcc[T, int64]{
+		init: zero[int64],
+		fold: func(s *int64, vals []T, mask []bool) error {
 			n := int64(len(vals))
 			if mask != nil {
 				n = 0
@@ -79,25 +153,30 @@ func countAcc[T any]() aggAcc[T] {
 					}
 				}
 			}
-			st.(*countState).n += n
+			*s += n
 			return nil
 		},
-		upd:   func(st any, _ T) error { st.(*countState).n++; return nil },
-		merge: mergeCount,
+		foldG: func(sts []int64, ids []int32, _ []T, mask []bool) error {
+			for j, g := range ids {
+				if mask == nil || mask[j] {
+					sts[g]++
+				}
+			}
+			return nil
+		},
+		merge: addCounts,
 		final: finalCount,
-	}
+	}.acc()
 }
 
 // countAnyAcc counts the non-NULL values of a boxed lane.
 func countAnyAcc() aggAcc[any] {
-	upd := func(st any, v any) error {
+	return boxedAcc(zero[int64], func(s *int64, v any) error {
 		if v != nil {
-			st.(*countState).n++
+			*s++
 		}
 		return nil
-	}
-	return aggAcc[any]{init: func() any { return &countState{} }, fold: foldEach(upd), upd: upd,
-		merge: mergeCount, final: finalCount}
+	}, addCounts, finalCount)
 }
 
 // extremeState is min/max's accumulator over a typed lane. Ints never
@@ -108,10 +187,9 @@ type extremeState[T float64 | int64 | string] struct {
 }
 
 func extremeAcc[T float64 | int64 | string](wantLess bool) aggAcc[T] {
-	return aggAcc[T]{
-		init: func() any { return &extremeState[T]{} },
-		fold: func(st any, vals []T, mask []bool) error {
-			s := st.(*extremeState[T])
+	return typedAcc[T, extremeState[T]]{
+		init: zero[extremeState[T]],
+		fold: func(s *extremeState[T], vals []T, mask []bool) error {
 			for j, v := range vals {
 				if mask != nil && !mask[j] {
 					continue
@@ -122,76 +200,69 @@ func extremeAcc[T float64 | int64 | string](wantLess bool) aggAcc[T] {
 			}
 			return nil
 		},
-		upd: func(st any, v T) error {
-			s := st.(*extremeState[T])
-			if !s.seen || (wantLess && v < s.val) || (!wantLess && v > s.val) {
-				s.val, s.seen = v, true
+		foldG: func(sts []extremeState[T], ids []int32, vals []T, mask []bool) error {
+			for j, v := range vals {
+				if mask != nil && !mask[j] {
+					continue
+				}
+				if s := &sts[ids[j]]; !s.seen || (wantLess && v < s.val) || (!wantLess && v > s.val) {
+					s.val, s.seen = v, true
+				}
 			}
 			return nil
 		},
-		merge: func(a, b any) any {
-			sa, sb := a.(*extremeState[T]), b.(*extremeState[T])
-			if sb.seen && (!sa.seen || (wantLess && sb.val < sa.val) || (!wantLess && sb.val > sa.val)) {
-				sa.val, sa.seen = sb.val, true
+		merge: func(a, b extremeState[T]) extremeState[T] {
+			if b.seen && (!a.seen || (wantLess && b.val < a.val) || (!wantLess && b.val > a.val)) {
+				return b
 			}
-			return sa
+			return a
 		},
-		final: func(st any) (any, error) {
-			s := st.(*extremeState[T])
+		final: func(s extremeState[T]) (any, error) {
 			if !s.seen {
 				return nil, nil
 			}
 			return s.val, nil
 		},
-	}
+	}.acc()
 }
 
-// minmaxState is min/max's accumulator over a boxed lane.
-type minmaxState struct{ val any }
-
+// extremeAnyAcc is min/max over a boxed lane; its state is the extreme
+// value so far, nil before the first non-NULL one.
 func extremeAnyAcc(wantLess bool) aggAcc[any] {
-	upd := func(st any, v any) error {
-		s := st.(*minmaxState)
+	upd := func(s *any, v any) error {
 		if v == nil {
 			return nil // min/max skip NULLs
 		}
-		if s.val == nil {
-			s.val = v
+		if *s == nil {
+			*s = v
 			return nil
 		}
-		c, err := compareValues(v, s.val)
+		c, err := compareValues(v, *s)
 		if err != nil {
 			return err
 		}
 		if (wantLess && c < 0) || (!wantLess && c > 0) {
-			s.val = v
+			*s = v
 		}
 		return nil
 	}
-	return aggAcc[any]{
-		init: func() any { return &minmaxState{} },
-		fold: foldEach(upd),
-		upd:  upd,
-		// An argument's non-NULL values share one dynamic type (its
-		// operands are typed columns, constants and per-execution
-		// parameters), and upd has compared each morsel's values, so the
-		// comparison here cannot fail; a pair it cannot order keeps the
-		// lower morsel's value.
-		merge: func(a, b any) any {
-			sa, sb := a.(*minmaxState), b.(*minmaxState)
-			if sb.val == nil {
-				return sa
-			}
-			if sa.val == nil {
-				return sb
-			}
-			if c, err := compareValues(sb.val, sa.val); err == nil && ((wantLess && c < 0) || (!wantLess && c > 0)) {
-				sa.val = sb.val
-			}
-			return sa
-		},
-		final: func(st any) (any, error) { return st.(*minmaxState).val, nil },
+	// An argument's non-NULL values share one dynamic type (its operands
+	// are typed columns, constants and per-execution parameters), and upd
+	// has compared each morsel's values, so the comparison in merge cannot
+	// fail; a pair it cannot order keeps the lower morsel's value.
+	merge := func(a, b any) any {
+		if b == nil {
+			return a
+		}
+		if a == nil {
+			return b
+		}
+		if c, err := compareValues(b, a); err == nil && ((wantLess && c < 0) || (!wantLess && c > 0)) {
+			return b
+		}
+		return a
 	}
+	return boxedAcc(zero[any], upd, merge, func(s any) (any, error) { return s, nil })
 }
 
 // numAccState is the accumulator of sum/avg/variance/stddev (and of the
@@ -206,11 +277,12 @@ type numAccState struct {
 	sumInt  int64
 }
 
+func intOnlyNumAcc() numAccState { return numAccState{intOnly: true} }
+
 func numAccF(name string) aggAcc[float64] {
-	return aggAcc[float64]{
-		init: func() any { return &numAccState{} },
-		fold: func(st any, vals []float64, mask []bool) error {
-			s := st.(*numAccState)
+	return typedAcc[float64, numAccState]{
+		init: zero[numAccState],
+		fold: func(s *numAccState, vals []float64, mask []bool) error {
 			if mask == nil {
 				for _, v := range vals {
 					s.sum += v
@@ -228,23 +300,26 @@ func numAccF(name string) aggAcc[float64] {
 			}
 			return nil
 		},
-		upd: func(st any, v float64) error {
-			s := st.(*numAccState)
-			s.sum += v
-			s.sumSq += v * v
-			s.n++
+		foldG: func(sts []numAccState, ids []int32, vals []float64, mask []bool) error {
+			for j, v := range vals {
+				if mask == nil || mask[j] {
+					s := &sts[ids[j]]
+					s.sum += v
+					s.sumSq += v * v
+					s.n++
+				}
+			}
 			return nil
 		},
 		merge: mergeNumAcc,
 		final: numAccFinal(name),
-	}
+	}.acc()
 }
 
 func numAccI(name string) aggAcc[int64] {
-	return aggAcc[int64]{
-		init: func() any { return &numAccState{intOnly: true} },
-		fold: func(st any, vals []int64, mask []bool) error {
-			s := st.(*numAccState)
+	return typedAcc[int64, numAccState]{
+		init: intOnlyNumAcc,
+		fold: func(s *numAccState, vals []int64, mask []bool) error {
 			if mask == nil {
 				for _, v := range vals {
 					f := float64(v)
@@ -266,24 +341,26 @@ func numAccI(name string) aggAcc[int64] {
 			}
 			return nil
 		},
-		upd: func(st any, v int64) error {
-			s := st.(*numAccState)
-			f := float64(v)
-			s.sumInt += v
-			s.sum += f
-			s.sumSq += f * f
-			s.n++
+		foldG: func(sts []numAccState, ids []int32, vals []int64, mask []bool) error {
+			for j, v := range vals {
+				if mask == nil || mask[j] {
+					s, f := &sts[ids[j]], float64(v)
+					s.sumInt += v
+					s.sum += f
+					s.sumSq += f * f
+					s.n++
+				}
+			}
 			return nil
 		},
 		merge: mergeNumAcc,
 		final: numAccFinal(name),
-	}
+	}.acc()
 }
 
 func numAccAny(name string) aggAcc[any] {
-	upd := func(st any, v any) error { return numAccAdd(st.(*numAccState), name, v) }
-	return aggAcc[any]{init: func() any { return &numAccState{intOnly: true} }, fold: foldEach(upd), upd: upd,
-		merge: mergeNumAcc, final: numAccFinal(name)}
+	return boxedAcc(intOnlyNumAcc, func(s *numAccState, v any) error { return numAccAdd(s, name, v) },
+		mergeNumAcc, numAccFinal(name))
 }
 
 // numAccAdd folds one boxed value into s: NULL is skipped, an int keeps
@@ -307,21 +384,19 @@ func numAccAdd(s *numAccState, name string, v any) error {
 	return nil
 }
 
-func mergeNumAcc(a, b any) any {
-	sa, sb := a.(*numAccState), b.(*numAccState)
-	sa.n += sb.n
-	sa.sum += sb.sum
-	sa.sumSq += sb.sumSq
-	sa.sumInt += sb.sumInt
-	sa.intOnly = sa.intOnly && sb.intOnly
-	return sa
+func mergeNumAcc(a, b numAccState) numAccState {
+	a.n += b.n
+	a.sum += b.sum
+	a.sumSq += b.sumSq
+	a.sumInt += b.sumInt
+	a.intOnly = a.intOnly && b.intOnly
+	return a
 }
 
 // numAccFinal finalizes the numeric accumulator for one of
 // sum/avg/variance/stddev.
-func numAccFinal(name string) func(any) (any, error) {
-	return func(s any) (any, error) {
-		st := s.(*numAccState)
+func numAccFinal(name string) func(numAccState) (any, error) {
+	return func(st numAccState) (any, error) {
 		if st.n == 0 {
 			return nil, nil // SQL aggregates are NULL over no rows
 		}
@@ -391,21 +466,24 @@ func accA(name string) aggAcc[any] {
 }
 
 // batchAggSpec is one aggregate call lowered for the batch executor:
-// its accumulator's init/merge/final and the folds that feed it one
-// batch's selected rows — into one state (fold) or into each row's
-// group state (foldGroups, which the grouped executor calls with the
-// group of every selected row).
+// the state column its morsel states keep and the fold that feeds it one
+// batch's selected rows.
 type batchAggSpec struct {
-	init       func() any
-	merge      func(a, b any) any
-	final      func(st any) (any, error)
-	fold       func(e *batchEval, b engine.ColBatch, sel selVec, st *any) error
-	foldGroups func(e *batchEval, b engine.ColBatch, sel selVec, grps []*batchGroup, ai int) error
+	newCol func() aggCol
+	// fold folds the selected rows in row order: into state 0 when ids is
+	// nil (an ungrouped aggregate), else row j into state ids[j].
+	fold  func(e *batchEval, b engine.ColBatch, sel selVec, c aggCol, ids []int32) error
+	final func(c aggCol, g int) (any, error)
+	// numCol, when positive, is 1 + the bare column whose numeric state
+	// the call folds. sum, avg, variance and stddev keep the same state,
+	// so a statement's calls of them over one column fold one state
+	// column and share it, each with its own final (planAggLane).
+	numCol int
 	// fused, when non-nil, folds the whole batch's raw argument lane (a
 	// bare NULL-free column, or count's) against the predicate's keep
 	// lane, nil meaning every row: planAggLane's single-pass path for an
 	// ungrouped query with this one aggregate.
-	fused func(e *batchEval, b engine.ColBatch, keep []bool, st any) error
+	fused func(e *batchEval, b engine.ColBatch, keep []bool, c aggCol) error
 	// native reports whether the argument lane is made by a column
 	// kernel rather than by the argument's row closure.
 	native bool
@@ -416,41 +494,27 @@ type batchAggSpec struct {
 // masks the fold; raw, when non-nil, is the argument's lane over a whole
 // batch and enables the fused path.
 func bindLane[T any](spec *batchAggSpec, lane laneEval[T], valid laneEval[bool], raw func(e *batchEval, b engine.ColBatch) []T, acc aggAcc[T]) *batchAggSpec {
-	spec.init, spec.merge, spec.final = acc.init, acc.merge, acc.final
-	eval := func(e *batchEval, b engine.ColBatch, sel selVec) (vals []T, mask []bool, err error) {
+	spec.newCol, spec.final = acc.newCol, acc.final
+	spec.fold = func(e *batchEval, b engine.ColBatch, sel selVec, c aggCol, ids []int32) error {
+		var mask []bool
+		var err error
 		if valid != nil {
 			if mask, err = valid(e, b, sel); err != nil {
-				return nil, nil, err
+				return err
 			}
 		}
-		vals, err = lane(e, b, sel)
-		return vals, mask, err
-	}
-	spec.fold = func(e *batchEval, b engine.ColBatch, sel selVec, st *any) error {
-		vals, mask, err := eval(e, b, sel)
-		if err != nil {
+		vals, err := lane(e, b, sel)
+		switch {
+		case err != nil:
 			return err
+		case ids == nil:
+			return acc.fold(c, vals, mask)
 		}
-		return acc.fold(*st, vals, mask)
-	}
-	spec.foldGroups = func(e *batchEval, b engine.ColBatch, sel selVec, grps []*batchGroup, ai int) error {
-		vals, mask, err := eval(e, b, sel)
-		if err != nil {
-			return err
-		}
-		upd := acc.upd
-		for j, g := range grps {
-			if mask == nil || mask[j] {
-				if err := upd(g.accs[ai], vals[j]); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return acc.foldG(c, ids, vals, mask)
 	}
 	if raw != nil {
-		spec.fused = func(e *batchEval, b engine.ColBatch, keep []bool, st any) error {
-			return acc.fold(st, raw(e, b), keep)
+		spec.fused = func(e *batchEval, b engine.ColBatch, keep []bool, c aggCol) error {
+			return acc.fold(c, raw(e, b), keep)
 		}
 	}
 	return spec
@@ -534,14 +598,19 @@ func nativeAggregate(call *FuncCall, bc *batchCompiler) (*batchAggSpec, bool) {
 	}
 	// col is the argument's column when it is a bare NULL-free one: its
 	// raw storage lane is the argument lane of a whole batch.
-	col, bare := -1, false
+	col, bare, numCol := -1, false, 0
+	name := call.Name
 	if cr, ok := call.Args[0].(*ColumnRef); ok {
 		bare = true
-		if ci, ok := bc.colIdx[cr.Name]; ok && (bc.nullable == nil || !bc.nullable[ci]) {
-			col = ci
+		if ci, ok := bc.colIdx[cr.Name]; ok {
+			if name != "count" && name != "min" && name != "max" {
+				numCol = ci + 1
+			}
+			if bc.nullable == nil || !bc.nullable[ci] {
+				col = ci
+			}
 		}
 	}
-	name := call.Name
 	switch {
 	case name == "count" && (arg.isConst || bare):
 		// Constants and bare columns cannot fail (storage holds no errors
@@ -556,12 +625,14 @@ func nativeAggregate(call *FuncCall, bc *batchCompiler) (*batchAggSpec, bool) {
 		if col >= 0 {
 			raw = func(_ *batchEval, b engine.ColBatch) []float64 { return b.Floats(col) }
 		}
+		spec.numCol = numCol
 		return bindLane(spec, kernelLane(arg.f, bc.floatLane()), valid, raw, accF(name)), true
 	case arg.kind == ckInt:
 		var raw func(e *batchEval, b engine.ColBatch) []int64
 		if col >= 0 {
 			raw = func(_ *batchEval, b engine.ColBatch) []int64 { return b.Ints(col) }
 		}
+		spec.numCol = numCol
 		return bindLane(spec, kernelLane(arg.i, bc.intLane()), valid, raw, accI(name)), true
 	case arg.kind == ckStr:
 		if acc, ok := accS(name); ok {
@@ -612,18 +683,20 @@ func madlibAggregate(call *FuncCall, cc *compileCtx) (*batchAggSpec, error) {
 		return nil, fmt.Errorf("sql: madlib.%s: %w", call.Name, err)
 	}
 	return &batchAggSpec{
-		init: agg.Init, merge: agg.Merge, final: agg.Final,
-		fold: func(_ *batchEval, b engine.ColBatch, sel selVec, st *any) error {
-			acc := *st
-			for _, idx := range sel {
-				acc = agg.Transition(acc, b.Row(int(idx)))
+		newCol: func() aggCol { return &stateCol[any]{init: agg.Init, merge: agg.Merge} },
+		final:  func(c aggCol, g int) (any, error) { return agg.Final(c.(*stateCol[any]).sts[g]) },
+		fold: func(_ *batchEval, b engine.ColBatch, sel selVec, c aggCol, ids []int32) error {
+			sts := c.(*stateCol[any]).sts
+			if ids == nil {
+				acc := sts[0]
+				for _, idx := range sel {
+					acc = agg.Transition(acc, b.Row(int(idx)))
+				}
+				sts[0] = acc
+				return nil
 			}
-			*st = acc
-			return nil
-		},
-		foldGroups: func(_ *batchEval, b engine.ColBatch, sel selVec, grps []*batchGroup, ai int) error {
-			for j, g := range grps {
-				g.accs[ai] = agg.Transition(g.accs[ai], b.Row(int(sel[j])))
+			for j, idx := range sel {
+				sts[ids[j]] = agg.Transition(sts[ids[j]], b.Row(int(idx)))
 			}
 			return nil
 		},

@@ -21,9 +21,10 @@ func renderFinal(v any, err error) string {
 }
 
 // foldFourWays folds vals into acc as a lane with no mask, as a masked
-// lane with junk at the masked-out positions, value by value through
-// upd, and boxed through anyAcc with NULLs between the values, and
-// returns the four finals.
+// lane with junk at the masked-out positions, through the grouped fold
+// into one group of three with the junk in the other two, and boxed
+// through anyAcc with NULLs between the values, and returns the four
+// finals.
 func foldFourWays[T any](t *testing.T, acc aggAcc[T], anyAcc aggAcc[any], vals []T, junk T) [4]string {
 	t.Helper()
 	var out [4]string
@@ -33,38 +34,42 @@ func foldFourWays[T any](t *testing.T, acc aggAcc[T], anyAcc aggAcc[any], vals [
 			t.Fatal(err)
 		}
 	}
-	st := acc.init()
-	must(acc.fold(st, vals, nil))
-	out[0] = renderFinal(acc.final(st))
+	col := func(a aggCol, n int) aggCol {
+		a.grow(n)
+		return a
+	}
+	c := col(acc.newCol(), 1)
+	must(acc.fold(c, vals, nil))
+	out[0] = renderFinal(acc.final(c, 0))
 
 	padded, mask := []T{junk}, []bool{false}
+	ids := []int32{0}
 	for _, v := range vals {
 		padded, mask = append(padded, v, junk), append(mask, true, false)
+		ids = append(ids, 1, 2)
 	}
-	st = acc.init()
-	must(acc.fold(st, padded, mask))
-	out[1] = renderFinal(acc.final(st))
+	c = col(acc.newCol(), 1)
+	must(acc.fold(c, padded, mask))
+	out[1] = renderFinal(acc.final(c, 0))
 
-	st = acc.init()
-	for _, v := range vals {
-		must(acc.upd(st, v))
-	}
-	out[2] = renderFinal(acc.final(st))
+	c = col(acc.newCol(), 3)
+	must(acc.foldG(c, ids, padded, nil))
+	out[2] = renderFinal(acc.final(c, 1))
 
 	boxed := []any{nil}
 	for _, v := range vals {
 		boxed = append(boxed, v, nil)
 	}
-	st = anyAcc.init()
-	must(anyAcc.fold(st, boxed, nil))
-	out[3] = renderFinal(anyAcc.final(st))
+	c = col(anyAcc.newCol(), 1)
+	must(anyAcc.fold(c, boxed, nil))
+	out[3] = renderFinal(anyAcc.final(c, 0))
 	return out
 }
 
 // TestAccumulatorLaneFormsAgree pins each built-in aggregate's single
 // accumulator per lane kind: the unmasked lane fold (the native and
 // closure lanes), the masked fold (validity and fused predicate lanes),
-// the per-row update (the grouped executor) and the boxed lane (bool,
+// the grouped fold (the grouped executor) and the boxed lane (bool,
 // Vector and run-time-typed arguments) must finalize bit-identically.
 func TestAccumulatorLaneFormsAgree(t *testing.T) {
 	nan, negZero := math.NaN(), math.Copysign(0, -1)
@@ -87,7 +92,7 @@ func TestAccumulatorLaneFormsAgree(t *testing.T) {
 	strs := [][]string{{"b", "a", "c", "a"}, {"", "z"}, {"x"}, {}}
 	check := func(label string, got [4]string) {
 		t.Helper()
-		for i, way := range []string{"masked fold", "per-row upd", "boxed lane"} {
+		for i, way := range []string{"masked fold", "grouped fold", "boxed lane"} {
 			if got[i+1] != got[0] {
 				t.Errorf("%s: %s final %s, lane fold %s", label, way, got[i+1], got[0])
 			}

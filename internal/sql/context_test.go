@@ -72,23 +72,26 @@ func (c *cancelAfter) Err() error {
 
 // TestCancelAtMorselBoundary cancels the statements whose consumers lower
 // to row closures (the shapes that used to scan on segment-granular
-// drivers), and a table-valued call whose WHERE clause stages its input,
-// in the middle of a 400k-row scan: each returns
-// context.Canceled having scanned less than one segment, and latches,
-// temp tables and goroutines are back at their baseline afterwards.
+// drivers), native int- and text-keyed grouped aggregates, and a
+// table-valued call whose WHERE clause stages its input, in the middle
+// of a 400k-row scan: each returns context.Canceled having scanned less
+// than one segment, and latches, temp tables, goroutines and the pooled
+// morsel states are back at their baseline afterwards.
 func TestCancelAtMorselBoundary(t *testing.T) {
 	const rows = 400_000
 	s := newSession(t)
 	db := s.DB()
 	tbl, err := db.CreateTable("big", engine.Schema{
 		{Name: "i", Kind: engine.Int}, {Name: "v", Kind: engine.Vector},
+		{Name: "g", Kind: engine.Int}, {Name: "s", Kind: engine.String},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	vecs := [][]float64{{0}, {1}, {2}}
+	strs := []string{"a", "b", "c", "d", "e"}
 	for i := 0; i < rows; i++ {
-		if err := tbl.Insert(int64(i), vecs[i%3]); err != nil {
+		if err := tbl.Insert(int64(i), vecs[i%3], int64(i%7), strs[i%5]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -97,6 +100,8 @@ func TestCancelAtMorselBoundary(t *testing.T) {
 		for _, q := range []string{
 			`SELECT i FROM big WHERE array_get(v, 1) >= 0`,
 			`SELECT v, count(array_get(v, 1)) FROM big GROUP BY v`,
+			`SELECT g, count(*), sum(i) FROM big WHERE i > 7 GROUP BY g`,
+			`SELECT s, min(i), avg(i) FROM big GROUP BY s`,
 			`SELECT row_number() OVER (PARTITION BY v ORDER BY i) FROM big WHERE array_get(v, 1) >= 0`,
 			`SELECT (madlib.profile()).* FROM big WHERE array_get(v, 1) >= 0`,
 		} {
@@ -114,7 +119,7 @@ func TestCancelAtMorselBoundary(t *testing.T) {
 				}
 				// The shared data latch is released: a writer gets through.
 				done := make(chan error, 1)
-				go func() { done <- tbl.Insert(int64(-1), vecs[0]) }()
+				go func() { done <- tbl.Insert(int64(-1), vecs[0], int64(0), strs[0]) }()
 				select {
 				case err := <-done:
 					if err != nil {
@@ -122,6 +127,9 @@ func TestCancelAtMorselBoundary(t *testing.T) {
 					}
 				case <-time.After(10 * time.Second):
 					t.Fatal("INSERT blocked: the cancelled scan leaked its read latch")
+				}
+				if got := morselsOut.Load(); got != 0 {
+					t.Fatalf("%d morsel states not back in their pool", got)
 				}
 				if got := db.TableNames(); !reflect.DeepEqual(got, tables) {
 					t.Fatalf("catalog after cancel = %v, want %v", got, tables)

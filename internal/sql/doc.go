@@ -167,8 +167,8 @@
 // shape has exactly one executor, and it is batch- and morsel-driven:
 // projection scans and the window gather run on engine.ForEachBatchCtx
 // (which hands the executor the morsel count under the scan's own latch,
-// so per-morsel buffers always fit the morsels scanned), aggregates on
-// engine.RunBatched / RunGroupByBatched. What varies is
+// so per-morsel buffers always fit the morsels scanned), aggregates,
+// grouped or not, on engine.RunBatched. What varies is
 // decided one level down, per consumer: each WHERE predicate, projected
 // item (SELECT list, ORDER BY key over the input row, window PARTITION
 // BY / ORDER BY key), aggregate call and GROUP BY key lowers either to
@@ -191,12 +191,26 @@
 // evaluate their right operand only over the sub-selection the left
 // operand did not decide, preserving the closures' short-circuit
 // semantics (x <> 0 AND 1/x > 2 cannot fault). Each built-in aggregate
-// has one accumulator per lane kind (aggregate.go): a masked lane fold,
-// a per-row update for the grouped executor, a merge and a final. Its
-// argument lane comes from the native kernel or from the row closure
-// run over the selection, and the same accumulator folds either one.
-// Single-column GROUP BY keys hash through Go's
-// specialized int64/string map fast paths per morsel. Ungrouped
+// has one accumulator per lane kind (aggregate.go): a masked lane fold
+// into one state, a grouped lane fold into a column of per-group states
+// (count's []int64, sum's []numAccState, min's []extremeState; madlib
+// aggregates keep a []any column), a merge and a final. Its argument
+// lane comes from the native kernel or from the row closure run over the
+// selection, and the same accumulator folds either one. The grouped
+// executor numbers each morsel's groups densely in first-seen order: a
+// batch's key lane (an int64 for a single Int, Bool or Float column, the
+// string for a single text column, an injective encoding otherwise)
+// resolves through the morsel's open-addressing key index to a lane of
+// group ids, a new group records its key values off its first row in
+// typed key columns, and each aggregate folds its argument lane into its
+// state column through the ids. sum, avg, variance and stddev keep the
+// same state, so a statement's natively lowered calls of them over one
+// bare column fold and merge one shared column, each taking its own
+// final from it. Nothing is allocated per group or per
+// row in the scan, and the per-morsel group tables are pooled with the
+// plan (a merged table larger than a morsel is not). The morsels'
+// tables merge into the first one left to right in morsel order, and
+// each group boxes its key values and finals once, at output. Ungrouped
 // single-aggregate queries whose argument is a bare column (or count)
 // take a further fused filter+aggregate path: the predicate fills one
 // bool lane and the aggregate folds the raw column lane against it —

@@ -1,16 +1,21 @@
 package sql
 
 import (
+	"hash/maphash"
+	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"madlib/internal/engine"
 )
 
 // The aggregate executor. Every planned aggregate query carries one
-// batchAggLane and runs it through engine.RunBatched / RunGroupByBatched:
-// the WHERE kernel filters each batch into a selection vector, the group
-// keys fill a key lane, and one batchAggSpec per aggregate call folds
-// the survivors. A built-in call's spec folds an argument lane into its
+// batchAggLane and runs it through engine.RunBatched: the WHERE kernel
+// filters each batch into a selection vector, the group keys fill a key
+// lane that resolves to dense group ids, and one batchAggSpec per
+// aggregate call folds the survivors into its column of per-group
+// states. A built-in call's spec folds an argument lane into its
 // aggregate's one accumulator (aggregate.go); the lane is made by the
 // argument's native kernel or, where compile_batch.go has none (and
 // always in oracle mode), by its row closure run over the selection.
@@ -243,6 +248,11 @@ type morselScratch struct {
 	selBuf  []int32
 }
 
+// morselsOut counts the morsel scratches (and aggregate morsel states)
+// drawn from their plans' pools and not yet put back: zero whenever no
+// statement runs, an aborted or cancelled one included.
+var morselsOut atomic.Int64
+
 // keepLane evaluates pred over the whole batch into a bool lane.
 func (ms *morselScratch) keepLane(pred bBatchKernel, b engine.ColBatch) ([]bool, error) {
 	if ms.predOut == nil {
@@ -263,13 +273,16 @@ func (ms *morselScratch) filter(pred bBatchKernel, b engine.ColBatch) (selVec, e
 	if err != nil {
 		return nil, err
 	}
-	sel := ms.selBuf[:0]
+	// Branch-free compaction: every position is written, and the count
+	// only advances past the kept ones.
+	sel, n := ms.selBuf[:len(keep)], 0
 	for j, ok := range keep {
+		sel[n] = int32(j)
 		if ok {
-			sel = append(sel, int32(j))
+			n++
 		}
 	}
-	return sel, nil
+	return sel[:n], nil
 }
 
 // batchScan runs fn over every batch of a table: parallel across
@@ -292,6 +305,7 @@ func gatherBatches[T any](env *execEnv, morsels int, scan batchScan, prog *batch
 			if ms != nil {
 				ms.e.env = nil
 				prog.pool.Put(ms)
+				morselsOut.Add(-1)
 			}
 		}
 	}()
@@ -301,6 +315,7 @@ func gatherBatches[T any](env *execEnv, morsels int, scan batchScan, prog *batch
 			if ms, _ = prog.pool.Get().(*morselScratch); ms == nil {
 				ms = &morselScratch{e: prog.newEval(nil)}
 			}
+			morselsOut.Add(1)
 			ms.e.env = env
 			scratch[mi] = ms
 		}
@@ -313,6 +328,7 @@ func gatherBatches[T any](env *execEnv, morsels int, scan batchScan, prog *batch
 			// reuses this scratch instead of building its own.
 			ms.e.env, scratch[mi] = nil, nil
 			prog.pool.Put(ms)
+			morselsOut.Add(-1)
 		}
 		return err
 	})
@@ -321,20 +337,6 @@ func gatherBatches[T any](env *execEnv, morsels int, scan batchScan, prog *batch
 	}
 	return accs, nil
 }
-
-// batchKeyMode selects the segment-local hash-map representation for
-// the GROUP BY key. Single-column keys use Go's specialized int64 /
-// string map fast paths and convert to engine.GroupKey only once per
-// segment (at most one conversion per group); composite keys use the
-// generic GroupKey map directly.
-type batchKeyMode int
-
-const (
-	keyModeNone batchKeyMode = iota
-	keyModeInt               // Int, Bool and Float single-column keys, as int64
-	keyModeStr               // String single-column keys
-	keyModeGeneric
-)
 
 // batchAggLane is the compiled scan pipeline of an aggregate query: the
 // scratch-slot program, the WHERE kernel (nil = keep all), one spec per
@@ -350,114 +352,113 @@ type batchAggLane struct {
 	// its native batch kernel; EXPLAIN's lane line reads "row" otherwise.
 	native bool
 
+	// owner[ai] is the call whose state column call ai reads: ai itself,
+	// or the first call with its numCol, which alone folds and merges it.
+	owner []int
+
 	// fused, when non-nil, is specs[0] of an ungrouped single-aggregate
 	// query whose argument folds straight off a raw lane (a bare column,
 	// or count's): processFused replaces the select+gather+fold
 	// pipeline.
 	fused *batchAggSpec
 
-	keyMode    batchKeyMode
+	// A grouped lane fills each batch's key lane through exactly one of
+	// these (bindKeyFill).
 	keyFillInt func(b engine.ColBatch, sel selVec, keys []int64)
 	keyFillStr func(b engine.ColBatch, sel selVec, keys []string)
-	keyFill    func(b engine.ColBatch, sel selVec, keys []engine.GroupKey)
 }
 
-// batchGroup is one group's accumulators plus its key values, captured
-// from the row that created the group.
-type batchGroup struct {
-	accs    []any
-	keyVals []any
+// groupTable is one morsel's aggregate state: its groups, numbered
+// densely in first-seen order, each group's key values read off its
+// first row (keys, one column per GROUP BY column) and one state column
+// per aggregate. An ungrouped aggregate is a table of one group with no
+// key columns.
+type groupTable struct {
+	ints keyIndex[int64]
+	strs keyIndex[string]
+	keys Chunk
+	cols []aggCol
+	gs   []int32 // merge's scratch: t's group of each group of src
 }
 
 // batchMorselState is the aggregate executor's per-morsel state: the
-// kernel scratch plus the key lanes, group-pointer resolution and the
-// morsel's accumulators.
+// kernel scratch, the batch's key, key-hash and group-id lanes and the
+// morsel's group table.
 type batchMorselState struct {
 	morselScratch
+	groupTable
 	intKeys []int64
 	strKeys []string
-	keys    []engine.GroupKey
-	grps    []*batchGroup
-	accs    []any // ungrouped accumulators
-	// Exactly one of the maps is used, per the lane's keyMode.
-	mInt map[int64]*batchGroup
-	mStr map[string]*batchGroup
-	m    map[engine.GroupKey]*batchGroup
+	hs      []uint64
+	ids     []int32
 }
 
-func (ln *batchAggLane) newMorselState(env *execEnv, grouped bool) *batchMorselState {
+func (ln *batchAggLane) newMorselState(env *execEnv) *batchMorselState {
 	st, _ := ln.prog.pool.Get().(*batchMorselState)
 	if st == nil {
 		st = &batchMorselState{morselScratch: morselScratch{e: ln.prog.newEval(env)}}
-		if grouped {
-			st.grps = make([]*batchGroup, engine.BatchSize)
-			switch ln.keyMode {
-			case keyModeInt:
+		st.cols = make([]aggCol, len(ln.specs))
+		for i, spec := range ln.specs {
+			if o := ln.owner[i]; o != i {
+				st.cols[i] = st.cols[o]
+			} else {
+				st.cols[i] = spec.newCol()
+			}
+		}
+		if len(ln.groupIdx) > 0 {
+			st.keys.cols = make([]chunkCol, len(ln.groupIdx))
+			st.ids = make([]int32, engine.BatchSize)
+			st.hs = make([]uint64, engine.BatchSize)
+			if ln.keyFillInt != nil {
 				st.intKeys = make([]int64, engine.BatchSize)
-			case keyModeStr:
+				st.ints.rehash(64)
+			} else {
 				st.strKeys = make([]string, engine.BatchSize)
-			default:
-				st.keys = make([]engine.GroupKey, engine.BatchSize)
+				st.strs.rehash(64)
 			}
 		}
 	}
+	morselsOut.Add(1)
 	st.e.env = env
-	if grouped {
-		switch ln.keyMode {
-		case keyModeInt:
-			if st.mInt == nil {
-				st.mInt = make(map[int64]*batchGroup)
-			}
-		case keyModeStr:
-			if st.mStr == nil {
-				st.mStr = make(map[string]*batchGroup)
-			}
-		default:
-			if st.m == nil {
-				st.m = make(map[engine.GroupKey]*batchGroup)
-			}
-		}
-	} else {
-		st.accs = make([]any, len(ln.specs))
-		for i, spec := range ln.specs {
-			st.accs[i] = spec.init()
+	if len(ln.groupIdx) == 0 {
+		st.keys.n = 1
+		for _, c := range st.cols {
+			c.grow(1)
 		}
 	}
 	return st
 }
 
-// releaseMorselState returns a segment state's scratch to the pool. The
-// per-execution outputs (accumulators, group map entries) have already
-// escaped into the merged result; drop every reference to them so the
-// pooled scratch cannot pin group memory.
+// releaseMorselState returns a morsel state to the pool, emptied: the
+// statement's output has been boxed out of it, and the pooled scratch
+// must not pin the group keys or states. A state holding more groups
+// than a morsel has rows (the merged table of a high-cardinality GROUP
+// BY) is dropped instead, so that no later morsel draws, clears and
+// probes a statement-sized table.
 func (ln *batchAggLane) releaseMorselState(st *batchMorselState) {
+	morselsOut.Add(-1)
+	if st.keys.n > engine.MorselRows {
+		return
+	}
 	st.e.env = nil
-	st.accs = nil
 	for _, lane := range st.e.as {
 		clear(lane)
 	}
-	if st.m != nil {
-		clear(st.m)
+	st.ints.reset()
+	st.strs.reset()
+	clear(st.strKeys)
+	for _, c := range st.cols {
+		c.reset()
 	}
-	if st.mInt != nil {
-		clear(st.mInt)
+	for i := range st.keys.cols {
+		clear(st.keys.cols[i].strs)
+		clear(st.keys.cols[i].boxed)
 	}
-	if st.mStr != nil {
-		clear(st.mStr)
-	}
-	for j := range st.grps {
-		st.grps[j] = nil
-	}
-	for j := range st.keys {
-		st.keys[j] = engine.GroupKey{}
-	}
-	for j := range st.strKeys {
-		st.strKeys[j] = ""
-	}
+	st.keys.truncate(0)
 	ln.prog.pool.Put(st)
 }
 
-// processUngrouped folds one batch into the segment's accumulators.
+// processUngrouped folds one batch into the morsel's one group.
 func (ln *batchAggLane) processUngrouped(st *batchMorselState, b engine.ColBatch) error {
 	if ln.fused != nil {
 		return ln.processFused(st, b)
@@ -467,7 +468,10 @@ func (ln *batchAggLane) processUngrouped(st *batchMorselState, b engine.ColBatch
 		return err
 	}
 	for ai, spec := range ln.specs {
-		if err := spec.fold(st.e, b, sel, &st.accs[ai]); err != nil {
+		if ln.owner[ai] != ai {
+			continue
+		}
+		if err := spec.fold(st.e, b, sel, st.cols[ai], nil); err != nil {
 			return err
 		}
 	}
@@ -487,125 +491,121 @@ func (ln *batchAggLane) processFused(st *batchMorselState, b engine.ColBatch) er
 			return err
 		}
 	}
-	return ln.fused.fused(st.e, b, keep, st.accs[0])
+	return ln.fused.fused(st.e, b, keep, st.cols[0])
 }
 
-// processGrouped folds one batch into the segment's per-group
-// accumulators: key lane, one map probe per row, then per-aggregate
-// lane folds against the resolved group pointers.
+// processGrouped folds one batch into the morsel's group table: the key
+// lane resolves to a lane of group ids (a new key becomes the next group
+// and records its key values), then each aggregate folds its argument
+// lane into its state column through the ids.
 func (ln *batchAggLane) processGrouped(st *batchMorselState, b engine.ColBatch) error {
 	sel, err := st.filter(ln.pred, b)
-	if err != nil {
+	if err != nil || len(sel) == 0 {
 		return err
 	}
-	if len(sel) == 0 {
-		return nil
-	}
-	grps := st.grps[:len(sel)]
-	switch ln.keyMode {
-	case keyModeInt:
+	ids, hs := st.ids[:len(sel)], st.hs[:len(sel)]
+	addKey := func(j int) { st.addKey(ln.schema, ln.groupIdx, b.Row(int(sel[j]))) }
+	if ln.keyFillInt != nil {
 		keys := st.intKeys[:len(sel)]
 		ln.keyFillInt(b, sel, keys)
 		for j, k := range keys {
-			g, ok := st.mInt[k]
-			if !ok {
-				g = ln.newGroup(b, sel[j])
-				st.mInt[k] = g
-			}
-			grps[j] = g
+			hs[j] = intHash(k)
 		}
-	case keyModeStr:
+		st.ints.resolve(keys, hs, ids, addKey)
+	} else {
 		keys := st.strKeys[:len(sel)]
 		ln.keyFillStr(b, sel, keys)
 		for j, k := range keys {
-			g, ok := st.mStr[k]
-			if !ok {
-				g = ln.newGroup(b, sel[j])
-				st.mStr[k] = g
-			}
-			grps[j] = g
+			hs[j] = maphash.String(strSeed, k)
 		}
-	default:
-		keys := st.keys[:len(sel)]
-		ln.keyFill(b, sel, keys)
-		for j, k := range keys {
-			g, ok := st.m[k]
-			if !ok {
-				g = ln.newGroup(b, sel[j])
-				st.m[k] = g
-			}
-			grps[j] = g
-		}
+		st.strs.resolve(keys, hs, ids, addKey)
 	}
-	// Rows whose argument is NULL still create their group; their
-	// folds just skip them.
+	// Rows whose argument is NULL still create their group; their folds
+	// just skip them.
 	for ai, spec := range ln.specs {
-		if err := spec.foldGroups(st.e, b, sel, grps, ai); err != nil {
+		if ln.owner[ai] != ai {
+			continue
+		}
+		st.cols[ai].grow(st.keys.n)
+		if err := spec.fold(st.e, b, sel, st.cols[ai], ids); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// newGroup creates one group's accumulators and captures its key values
-// from the creating row.
-func (ln *batchAggLane) newGroup(b engine.ColBatch, idx int32) *batchGroup {
-	g := &batchGroup{accs: make([]any, len(ln.specs)), keyVals: make([]any, len(ln.groupIdx))}
-	for ai, spec := range ln.specs {
-		g.accs[ai] = spec.init()
+// addKey appends a new group's key values, read off its first row r.
+func (t *groupTable) addKey(schema engine.Schema, groupIdx []int, r engine.Row) {
+	for gi, ci := range groupIdx {
+		c := &t.keys.cols[gi]
+		switch schema[ci].Kind {
+		case engine.Int:
+			c.kind, c.ints = ckInt, append(c.ints, r.Int(ci))
+		case engine.Float:
+			c.kind, c.floats = ckFloat, append(c.floats, r.Float(ci))
+		case engine.String:
+			c.kind, c.strs = ckStr, append(c.strs, r.Str(ci))
+		case engine.Bool:
+			c.kind, c.bools = ckBool, append(c.bools, r.Bool(ci))
+		default:
+			c.kind, c.boxed = ckAny, append(c.boxed, rowValue(schema, &r, ci))
+		}
 	}
-	row := b.Row(int(idx))
-	for gi, ci := range ln.groupIdx {
-		g.keyVals[gi] = rowValue(ln.schema, &row, ci)
-	}
-	return g
+	t.keys.n++
 }
 
-// morselGroups converts a morsel's typed map into the engine's GroupKey
-// map — one conversion per group, after the whole morsel is scanned.
-func (ln *batchAggLane) morselGroups(st *batchMorselState) map[engine.GroupKey]any {
-	switch ln.keyMode {
-	case keyModeInt:
-		out := make(map[engine.GroupKey]any, len(st.mInt))
-		for k, g := range st.mInt {
-			out[engine.GroupKey{Int: k}] = g
-		}
-		return out
-	case keyModeStr:
-		out := make(map[engine.GroupKey]any, len(st.mStr))
-		for k, g := range st.mStr {
-			out[engine.GroupKey{Str: k}] = g
-		}
-		return out
+// merge folds src, the table of a later morsel, into t: src's groups in
+// their first-seen order each merge into t's group of the same key, or
+// become t's next group with their key values. Merging the morsels'
+// tables left to right in morsel order keeps every group's states
+// merging in morsel order and its key values those of its first row.
+func (ln *batchAggLane) merge(t, src *groupTable) {
+	gs := slices.Grow(t.gs[:0], src.keys.n)[:src.keys.n]
+	var fresh []int
+	isNew := func(j int) { fresh = append(fresh, j) }
+	switch {
+	case len(ln.groupIdx) == 0:
+		gs[0] = 0
+	case ln.keyFillInt != nil:
+		t.ints.resolve(src.ints.keys, src.ints.hs, gs, isNew)
 	default:
-		out := make(map[engine.GroupKey]any, len(st.m))
-		for k, g := range st.m {
-			out[k] = g
-		}
-		return out
+		t.strs.resolve(src.strs.keys, src.strs.hs, gs, isNew)
 	}
+	for ai, c := range t.cols {
+		if ln.owner[ai] == ai {
+			c.mergeFrom(src.cols[ai], gs)
+		}
+	}
+	if len(fresh) > 0 {
+		t.keys.appendRows(&src.keys, fresh)
+	}
+	t.gs = gs
 }
 
-// mergeGroups combines two groups' accumulators pairwise, keeping the
-// left (lower-segment) group's key values.
-func (ln *batchAggLane) mergeGroups(a, b *batchGroup) *batchGroup {
-	for i, spec := range ln.specs {
-		a.accs[i] = spec.merge(a.accs[i], b.accs[i])
+// finalize boxes each group's finals and key values once, in the merged
+// table's first-seen order, into the multiStates the shared output stage
+// (evalGroup, HAVING, ORDER BY) consumes.
+func (ln *batchAggLane) finalize(t *groupTable) ([]multiState, error) {
+	n, ns := t.keys.n, len(t.cols)
+	out := make([]multiState, n)
+	slots := make([]any, n*ns)
+	var keyRows [][]any
+	if len(ln.groupIdx) > 0 {
+		keyRows = t.keys.appendBoxed(make([][]any, 0, n))
 	}
-	return a
-}
-
-// finalize turns one group's accumulators into a finalized multiState,
-// the shape the shared output stage (evalGroup, HAVING, ORDER BY)
-// consumes.
-func (ln *batchAggLane) finalize(g *batchGroup) (*multiState, error) {
-	out := &multiState{slots: make([]any, len(ln.specs)), keyVals: g.keyVals}
-	for i, spec := range ln.specs {
-		v, err := spec.final(g.accs[i])
-		if err != nil {
-			return nil, err
+	for g := range out {
+		ms := &out[g]
+		ms.slots = slots[g*ns : (g+1)*ns : (g+1)*ns]
+		for ai, c := range t.cols {
+			v, err := ln.specs[ai].final(c, g)
+			if err != nil {
+				return nil, err
+			}
+			ms.slots[ai] = v
 		}
-		out.slots[i] = v
+		if keyRows != nil {
+			ms.keyVals = keyRows[g]
+		}
 	}
 	return out, nil
 }
@@ -613,15 +613,18 @@ func (ln *batchAggLane) finalize(g *batchGroup) (*multiState, error) {
 // execBatch drives the lane over the acquired input table (the base
 // table, or a join's materialization) and returns one finalized
 // multiState per group (exactly one for ungrouped aggregates).
-func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]*multiState, error) {
+func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]multiState, error) {
 	ln := p.lane
-	grouped := len(p.groupIdx) > 0
+	process := ln.processGrouped
+	if len(p.groupIdx) == 0 {
+		process = ln.processUngrouped
+	}
 	// Track every morsel state so the scratch returns to the pool even
 	// when a kernel errors mid-scan.
 	var mu sync.Mutex
 	var tracked []*batchMorselState
 	newMorsel := func(int) any {
-		st := ln.newMorselState(env, grouped)
+		st := ln.newMorselState(env)
 		mu.Lock()
 		tracked = append(tracked, st)
 		mu.Unlock()
@@ -629,64 +632,31 @@ func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]*m
 	}
 	defer func() {
 		for _, st := range tracked {
-			if st != nil {
-				ln.releaseMorselState(st)
-			}
+			ln.releaseMorselState(st)
 		}
 	}()
-	if !grouped {
-		v, err := s.db.RunBatchedCtx(env.context(), input, newMorsel,
-			func(state any, b engine.ColBatch) error {
-				return ln.processUngrouped(state.(*batchMorselState), b)
-			},
-			func(a, b any) any {
-				sa, sb := a.(*batchMorselState), b.(*batchMorselState)
-				for i, spec := range ln.specs {
-					sa.accs[i] = spec.merge(sa.accs[i], sb.accs[i])
-				}
-				return sa
-			})
-		if err != nil {
-			return nil, err
-		}
-		ms, err := ln.finalize(&batchGroup{accs: v.(*batchMorselState).accs})
-		if err != nil {
-			return nil, err
-		}
-		return []*multiState{ms}, nil
-	}
-	groups, err := s.db.RunGroupByBatchedCtx(env.context(), input, newMorsel,
-		func(state any, b engine.ColBatch) error {
-			return ln.processGrouped(state.(*batchMorselState), b)
-		},
-		func(state any) map[engine.GroupKey]any {
-			return ln.morselGroups(state.(*batchMorselState))
-		},
-		func(a, b any) any { return ln.mergeGroups(a.(*batchGroup), b.(*batchGroup)) })
+	v, err := s.db.RunBatchedCtx(env.context(), input, newMorsel,
+		func(state any, b engine.ColBatch) error { return process(state.(*batchMorselState), b) },
+		func(a, b any) any {
+			ln.merge(&a.(*batchMorselState).groupTable, &b.(*batchMorselState).groupTable)
+			return a
+		})
 	if err != nil {
 		return nil, err
 	}
-	states := make([]*multiState, 0, len(groups))
-	for _, v := range groups {
-		ms, err := ln.finalize(v.(*batchGroup))
-		if err != nil {
-			return nil, err
-		}
-		states = append(states, ms)
-	}
-	return states, nil
+	return ln.finalize(&v.(*batchMorselState).groupTable)
 }
 
 // bindKeyFill wires the lane's group-key projection. With typed set,
-// single Int/Bool/Float columns key as int64 and single String columns
-// as the string itself; composite keys, Vector keys and the oracle mode
-// encode each row's key columns injectively into GroupKey.Str.
+// single Int/Bool/Float columns key as int64 (floats through
+// floatKeyBits) and single String columns as the string itself;
+// composite keys, Vector keys and the oracle mode encode each row's key
+// columns injectively into a string (appendKeyValue).
 func (ln *batchAggLane) bindKeyFill(schema engine.Schema, groupIdx []int, typed bool) {
 	if typed && len(groupIdx) == 1 {
 		gi := groupIdx[0]
 		switch schema[gi].Kind {
 		case engine.Int:
-			ln.keyMode = keyModeInt
 			ln.keyFillInt = func(b engine.ColBatch, sel selVec, keys []int64) {
 				lane := b.Ints(gi)
 				if len(sel) == len(lane) {
@@ -699,7 +669,6 @@ func (ln *batchAggLane) bindKeyFill(schema engine.Schema, groupIdx []int, typed 
 			}
 			return
 		case engine.Bool:
-			ln.keyMode = keyModeInt
 			ln.keyFillInt = func(b engine.ColBatch, sel selVec, keys []int64) {
 				lane := b.Bools(gi)
 				for j, idx := range sel {
@@ -712,7 +681,6 @@ func (ln *batchAggLane) bindKeyFill(schema engine.Schema, groupIdx []int, typed 
 			}
 			return
 		case engine.Float:
-			ln.keyMode = keyModeInt
 			ln.keyFillInt = func(b engine.ColBatch, sel selVec, keys []int64) {
 				lane := b.Floats(gi)
 				for j, idx := range sel {
@@ -721,7 +689,6 @@ func (ln *batchAggLane) bindKeyFill(schema engine.Schema, groupIdx []int, typed 
 			}
 			return
 		case engine.String:
-			ln.keyMode = keyModeStr
 			ln.keyFillStr = func(b engine.ColBatch, sel selVec, keys []string) {
 				lane := b.Strings(gi)
 				for j, idx := range sel {
@@ -731,8 +698,7 @@ func (ln *batchAggLane) bindKeyFill(schema engine.Schema, groupIdx []int, typed 
 			return
 		}
 	}
-	ln.keyMode = keyModeGeneric
-	ln.keyFill = func(b engine.ColBatch, sel selVec, keys []engine.GroupKey) {
+	ln.keyFillStr = func(b engine.ColBatch, sel selVec, keys []string) {
 		var buf []byte
 		for j, idx := range sel {
 			row := b.Row(int(idx))
@@ -740,7 +706,7 @@ func (ln *batchAggLane) bindKeyFill(schema engine.Schema, groupIdx []int, typed 
 			for _, gi := range groupIdx {
 				buf = appendKeyValue(buf, schema, row, gi)
 			}
-			keys[j] = engine.GroupKey{Str: string(buf)}
+			keys[j] = string(buf)
 		}
 	}
 }
@@ -756,8 +722,12 @@ func planAggLane(st *Select, lw *lowering, specs []*batchAggSpec, groupIdx []int
 	if ln.pred, ln.native, err = lw.predicate(st.Where); err != nil {
 		return nil, err
 	}
-	for _, spec := range specs {
+	ln.owner = make([]int, len(specs))
+	for i, spec := range specs {
 		ln.native = ln.native || spec.native
+		ln.owner[i] = slices.IndexFunc(specs[:i+1], func(o *batchAggSpec) bool {
+			return o == spec || spec.numCol > 0 && o.numCol == spec.numCol
+		})
 	}
 	if len(groupIdx) > 0 {
 		ln.bindKeyFill(schema, groupIdx, !lw.oracle)
@@ -767,3 +737,85 @@ func planAggLane(st *Select, lw *lowering, specs []*batchAggSpec, groupIdx []int
 	ln.prog = lw.bc.prog
 	return ln, nil
 }
+
+// keyIndex numbers the keys of one morsel's groups densely in first-seen
+// order: an open-addressing hash table over keys, kept at most half
+// full. A slot holds a key, its hash and its id+1 (0 is an empty slot),
+// so that a probe reads one slot.
+type keyIndex[K comparable] struct {
+	keys  []K
+	hs    []uint64 // the hash of keys[id]
+	slots []keySlot[K]
+	shift uint8 // a hash's home slot is its top log2(len(slots)) bits
+}
+
+type keySlot[K comparable] struct {
+	h  uint64
+	id int32
+	k  K
+}
+
+// resolve sets ids[j] to the id of keys[j], whose hash is hs[j], giving
+// each new key the next id and passing its position j to fresh.
+func (ix *keyIndex[K]) resolve(keys []K, hs []uint64, ids []int32, fresh func(j int)) {
+	// The table is read through locals, reloaded only when add grew it.
+	slots, shift := ix.slots, ix.shift&63
+	for j, k := range keys {
+		h := hs[j]
+		i := int(h >> shift)
+		for sl := &slots[i]; sl.id != 0 && (sl.h != h || sl.k != k); sl = &slots[i] {
+			i = (i + 1) & (len(slots) - 1)
+		}
+		if id := slots[i].id; id != 0 {
+			ids[j] = id - 1
+			continue
+		}
+		ids[j] = ix.add(k, h)
+		fresh(j)
+		slots, shift = ix.slots, ix.shift&63
+	}
+}
+
+// add gives k, a new key, the next id, doubling the table when it would
+// be more than half full.
+func (ix *keyIndex[K]) add(k K, h uint64) int32 {
+	id := int32(len(ix.keys))
+	ix.keys, ix.hs = append(ix.keys, k), append(ix.hs, h)
+	if 2*len(ix.keys) > len(ix.slots) {
+		ix.rehash(2 * len(ix.slots))
+	} else {
+		ix.place(id)
+	}
+	return id
+}
+
+// rehash rebuilds the table over n slots, a power of two.
+func (ix *keyIndex[K]) rehash(n int) {
+	ix.slots, ix.shift = make([]keySlot[K], n), uint8(64-bits.TrailingZeros(uint(n)))
+	for id := range ix.hs {
+		ix.place(int32(id))
+	}
+}
+
+// place puts id in the first empty slot from its key's home slot on.
+func (ix *keyIndex[K]) place(id int32) {
+	h, mask := ix.hs[id], len(ix.slots)-1
+	i := int(h >> ix.shift)
+	for ix.slots[i].id != 0 {
+		i = (i + 1) & mask
+	}
+	ix.slots[i] = keySlot[K]{h, id + 1, ix.keys[id]}
+}
+
+func (ix *keyIndex[K]) reset() {
+	clear(ix.keys)
+	ix.keys, ix.hs = ix.keys[:0], ix.hs[:0]
+	clear(ix.slots)
+}
+
+// intHash is Fibonacci hashing: the top bits of the product depend on
+// every bit of k.
+func intHash(k int64) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
+
+// strSeed seeds the text group keys' hashes.
+var strSeed = maphash.MakeSeed()

@@ -393,7 +393,7 @@ func (p *windowPlan) step(ws *windowState, row engine.Row) ([]any, error) {
 			if err := numAccAdd(acc, sp.name, v); err != nil {
 				return nil, err
 			}
-			slots[i], _ = numAccFinal(sp.name)(acc) // cannot fail
+			slots[i], _ = numAccFinal(sp.name)(*acc) // cannot fail
 		}
 	}
 	nSpecs := len(p.specs)

@@ -75,6 +75,12 @@
 # 1-4, about three per output row (the boxed output row and cells), where
 # the window that boxed and map-cached every gathered key spent 45,735.
 # One more per-row allocation in the gather or the sort cannot fit.
+# SQLGroupByMorsels (64 int groups with count/sum/avg over 200,000 rows
+# in 52 morsels, read as the typed product) may allocate at most 330
+# times per op: it measured 307-314 at GOMAXPROCS 1-4, where the grouped
+# executor that allocated every group in every morsel (a group struct,
+# its accumulator and key slices, one boxed state per aggregate) spent
+# 20,617. One allocation per group per morsel is 3,328 and cannot fit.
 #
 # linregr — the paper's own hot path — is gated relative only: LinregrRun
 # (the default batch generation: batch transition + blocked XᵀX kernel)
@@ -110,7 +116,7 @@ PREDICT_COMPANIONS="SQLPredictRowLane"
 # name:max allocs/op — 20,000 result rows at 2 and at 0.1 per row.
 ALLOC_GATED="PGWireBulkSelect:40000 SQLBulkCTAS:2000"
 # The same for BenchmarkSQLSelectAgg sub-benchmarks.
-SUB_ALLOC_GATED="SQLOrderBy:10200 SQLOrderByTyped:150 SQLOrderByLimit:150 SQLWindow:23500"
+SUB_ALLOC_GATED="SQLOrderBy:10200 SQLOrderByTyped:150 SQLOrderByLimit:150 SQLWindow:23500 SQLGroupByMorsels:330"
 
 sub_alloc_names=$(for g in $SUB_ALLOC_GATED; do printf '%s ' "${g%%:*}"; done)
 pattern=$(echo "$GATED $COMPANIONS $sub_alloc_names" | xargs | tr ' ' '|')
