@@ -106,7 +106,7 @@ func (db *DB) SortFunc(n int, cmp func(a, b int) int) []int {
 	return idx
 }
 
-// sortIndexStable sorts an ascending run of indices by cmp, ties in
+// sortIndexStable sorts an increasing run of indices by cmp, ties in
 // index order: pdqsort with the index as the last key is a stable sort
 // without sort.SliceStable's reflect swapper and O(n log² n) swaps.
 func sortIndexStable(idx []int, cmp func(a, b int) int) {

@@ -74,7 +74,7 @@
 // collapsed to its predicate meaning: padded rows drop out of WHERE and
 // HAVING in either comparison direction), while ORDER BY follows the
 // Postgres placement rule: NULL sorts as the largest value, so NULLs
-// come last on ascending keys and first under DESC, and so does a float
+// come last under ASC and first under DESC, and so does a float
 // NaN among numbers, equal to itself (order.go; pinned by the logictest
 // corpus). GROUP BY and madlib.* arguments over
 // nullable right-side columns are rejected at plan time rather than
@@ -237,13 +237,13 @@
 // comparator, built once per key from the lane's kind: a typed compare
 // for int, float, text and bool lanes, NULL placement from the validity
 // lane, compareOrderKeys only for a boxed lane, DESC flipping the
-// result, and ties broken by the row's position in table order. A
-// projection scan sorts its gathered typed chunks; the aggregate,
-// window, table-valued and FROM-less shapes sort their boxed key lanes
-// (finishSelect); the grouped aggregate's default order uses the same
-// comparator. Under LIMIT k a bounded heap keeps each morsel's k first
-// rows and only those candidates meet in the final sort (EXPLAIN's
-// "sort: top-N heap" line). A full sort, like window partition
+// result, and ties broken by the row's position in table order. Every
+// SELECT shape sorts its output chunks through it in the one output
+// tail (sortSpec.finish, below), and the grouped aggregate's default
+// order sorts its typed group-key lanes the same way. Under LIMIT k a
+// bounded heap keeps each scan morsel's k first rows and only those
+// candidates meet in the final sort (EXPLAIN's "sort: top-N heap"
+// line). A full sort, like window partition
 // ordering, goes through engine.(*DB).SortFunc / SortStable, which run
 // per-worker pdqsorts with the index as the last key and merge them
 // stably; the order, ties included, is the same at any worker count,
@@ -334,21 +334,33 @@
 // # Result path
 //
 // Every statement's product is a RowSet: column names, the plan's static
-// column kinds, a command tag and a sequence of Chunks (rowset.go). A
-// projection scan without DISTINCT emits its chunks natively, one per
-// morsel that kept rows, or under ORDER BY one chunk gathered from them
-// through the sort's permutation: a chunk is ColBatch-shaped —
-// one int64 / float64 / string / bool lane per output column, a validity
-// lane beside it where the column can be NULL (the padded side of a LEFT
-// JOIN), and a boxed []any lane only for values that have no typed lane:
-// Vector columns, $n-typed expressions, madlib.* calls inside an
-// expression, and everything in oracle mode. Chunks are released only
-// once the whole gather has succeeded, so an execution error never
-// follows a partial rowset. Every other plan (aggregates, windows,
-// DISTINCT scans, table-valued calls, FROM-less selects, EXPLAIN) boxes
-// its rows before it groups or deduplicates them and hands
-// finishSelect's rows over as one boxed chunk; so there is one product
-// type whatever the plan.
+// column kinds, a command tag and a sequence of Chunks (rowset.go), in
+// one layout: a chunk is ColBatch-shaped — one lane per output column,
+// int64 / float64 / string / bool where the column has that kind, a
+// validity lane beside it where the column can be NULL (the padded side
+// of a LEFT JOIN), and a boxed []any lane only for values that have no
+// typed lane. A projection scan emits typed lanes natively, one chunk
+// per morsel that kept rows; its boxed lanes hold Vector columns, $n-typed
+// expressions, madlib.* calls inside an expression, and everything in
+// oracle mode. The plans whose values come from compiled closures — the
+// aggregate output stage, the window fold, table-valued calls, FROM-less
+// SELECTs — write boxed lanes column by column (the window's parallel
+// runs each write their own rows of lanes sized to the result), and
+// EXPLAIN writes one text lane. An ORDER BY key that is not an output
+// column is a lane of its own behind the output lanes.
+//
+// Every SELECT shape then ends in the same output tail over those lanes
+// (sortSpec.finish): DISTINCT keeps the first occurrence of each
+// distinct output row, keyed by its cells encoded injectively straight
+// from the lanes (floatKeyBits for ±0 and NaN, the validity lane for
+// NULL) through the keyIndex GROUP BY uses; ORDER BY then sorts through
+// the key lanes and gathers the first LIMIT rows into one chunk, or
+// else LIMIT alone cuts the chunks in place. A bare ORDER BY name means
+// the output column it labels before any input column of that name,
+// and one that labels two differently defined output columns is an
+// error, as in Postgres (orderColumn). Chunks are released only once
+// the whole gather has succeeded, so an execution error never follows
+// a partial rowset.
 //
 // A RowSet has three sinks. The wire server (internal/pgwire) appends
 // DataRows straight from the lanes into one reusable per-connection
@@ -358,9 +370,8 @@
 // result and a Describe are typed like a full result.
 // The in-process API (Exec, Query, Run, ExecutePreparedContext; the
 // REPL, the logic tests and the madlib.DB facade above them) calls
-// RowSet.Result, the one place typed chunks are boxed into
-// Result.Rows [][]any; a RowSet that already is one boxed chunk hands
-// its rows over untouched. CREATE TABLE AS reads the lanes column-wise
+// RowSet.Result, the one place chunks are boxed into Result.Rows
+// [][]any. CREATE TABLE AS reads the lanes column-wise
 // (RowSet.storageColumns) into engine.CreateTableFrom, which deals rows
 // to segments exactly as Insert would (Table.AppendColumns into a fresh
 // table); a table-valued call's staged input takes the same sink into a
@@ -370,12 +381,12 @@
 // and RunRowSet are the Exec/ExecutePreparedContext/Run forms that
 // return the RowSet itself.
 //
-// What still boxes, and why: DISTINCT dedupes boxed rows, the window
-// fold and the per-group output stage read their slots boxed (once per
-// row or group, through compiled closures) and emit boxed rows,
-// and a statement's result is held whole
-// until its gather ends (no in-scan streaming, no per-statement memory
-// accounting yet).
+// What still boxes, and why: the window fold and the per-group output
+// stage read their slots boxed (once per row or group, through compiled
+// closures) and write boxed lanes, since HAVING and the items over
+// aggregate and window values have no kernels over the group chunk yet;
+// and a statement's result is held whole until its gather ends (no
+// in-scan streaming, no per-statement memory accounting yet).
 //
 // # Types
 //

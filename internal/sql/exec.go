@@ -243,7 +243,7 @@ func staticKind(pl stmtPlan, i int) ckind {
 func (rs *RowSet) columnKind(i int, name string, static ckind) (engine.Kind, error) {
 	for ci := range rs.chunks {
 		c := &rs.chunks[ci]
-		if c.cols != nil && c.cols[i].kind.typed() && c.cols[i].valid == nil {
+		if c.cols[i].kind.typed() && c.cols[i].valid == nil {
 			return engineKindOf(c.cols[i].kind), nil
 		}
 		for r := 0; r < c.n; r++ {
@@ -288,7 +288,7 @@ func (rs *RowSet) storageLane(i int, kind engine.Kind) (engine.ColumnData, error
 	var d engine.ColumnData
 	for ci := range rs.chunks {
 		c := &rs.chunks[ci]
-		if c.cols != nil && c.cols[i].kind.typed() && engineKindOf(c.cols[i].kind) == kind {
+		if c.cols[i].kind.typed() && engineKindOf(c.cols[i].kind) == kind {
 			l := &c.cols[i]
 			for _, ok := range l.valid {
 				if !ok {
@@ -572,17 +572,17 @@ type constPlan struct {
 	cols  []string
 	types []ckind
 	items []anyFn
-	// keys are the ORDER BY keys: over one row they only need checking,
-	// so exec evaluates them for their errors alone.
-	keys  []sortKey
-	limit int64
+	// keys are the ORDER BY keys that are not output columns, evaluated
+	// over the output row's slots.
+	keys  []anyFn
+	order sortSpec
 }
 
 func planConstSelect(st *Select) (stmtPlan, error) {
 	if st.Where != nil || len(st.GroupBy) > 0 || st.Having != nil {
 		return nil, execErrf("WHERE/GROUP BY/HAVING require a FROM clause")
 	}
-	p := &constPlan{items: make([]anyFn, len(st.Items)), types: itemKinds(st.Items, nil), limit: st.Limit}
+	p := &constPlan{items: make([]anyFn, len(st.Items)), types: itemKinds(st.Items, nil), order: newSortSpec(st)}
 	cc := constCompileCtx()
 	for i, item := range st.Items {
 		if item.Star {
@@ -602,7 +602,7 @@ func planConstSelect(st *Select) (stmtPlan, error) {
 		p.cols = append(p.cols, outputName(item))
 	}
 	var err error
-	p.keys, err = compileSortKeys(st.OrderBy, len(st.Items), outputCompileCtx(nil, p.cols, 0))
+	p.keys, err = p.order.compileKeys(st.OrderBy, p.cols, st.Items, outputCompileCtx(nil, p.cols, 0))
 	return p, err
 }
 
@@ -613,66 +613,12 @@ func (p *constPlan) columns() []string { return p.cols }
 func (p *constPlan) kinds() []ckind { return p.types }
 
 func (p *constPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
-	env = env.withSlots(len(p.items))
-	row := env.slots
-	for i, fn := range p.items {
-		v, err := fn(engine.Row{}, env)
-		if err != nil {
-			return nil, err
-		}
-		row[i] = v
-	}
-	if _, err := evalSortKeys(p.keys, engine.Row{}, row, env); err != nil {
+	c := boxedChunk(len(p.items)+len(p.keys), 1)
+	if err := outputRow(p.items, p.keys, engine.Row{}, env.withSlots(len(p.items)), 0, &c, 0); err != nil {
 		return nil, err
 	}
-	return finishSelect(s.db, p.cols, p.types, [][]any{row}, false, sortSpec{limit: p.limit})
-}
-
-// sortKey is one compiled ORDER BY key of an output stage: the output
-// column ord, or the expression fn when it is set.
-type sortKey struct {
-	ord int
-	fn  anyFn
-}
-
-// compileSortKeys compiles the ORDER BY keys of an output stage with n
-// output columns: an ordinal selects its column, any other key compiles
-// against cc.
-func compileSortKeys(keys []OrderKey, n int, cc *compileCtx) ([]sortKey, error) {
-	out := make([]sortKey, len(keys))
-	for k, key := range keys {
-		ord, isOrd, err := ordinal(key.Expr, n)
-		if err != nil {
-			return nil, err
-		}
-		if isOrd {
-			out[k].ord = ord
-			continue
-		}
-		c, err := compileExpr(key.Expr, cc)
-		if err != nil {
-			return nil, err
-		}
-		out[k].fn = c.a
-	}
-	return out, nil
-}
-
-// evalSortKeys appends one output row's ORDER BY keys to row, behind
-// its output cells, where finishSelect reads them; r and env are the row
-// and slots the expression keys read.
-func evalSortKeys(keys []sortKey, r engine.Row, row []any, env *execEnv) ([]any, error) {
-	for _, key := range keys {
-		v := row[key.ord]
-		if key.fn != nil {
-			var err error
-			if v, err = key.fn(r, env); err != nil {
-				return nil, err
-			}
-		}
-		row = append(row, v)
-	}
-	return row, nil
+	rs := newRowSet(p.cols, p.types, c)
+	return rs, p.order.finish(s.db, rs, false)
 }
 
 // outputCompileCtx derives the compile context of an output stage from
@@ -694,33 +640,6 @@ func outputCompileCtx(base *compileCtx, names []string, offset int) *compileCtx 
 	}
 	cc.slotNames = bound
 	return cc
-}
-
-// finishSelect is the tail of every SELECT shape that boxes its rows
-// before ordering them: DISTINCT over the boxed output cells, ORDER BY
-// over the sort keys each row carries behind them (evalSortKeys) as
-// boxed key lanes, LIMIT and the command tag. The rows leave as one
-// boxed chunk; kinds are the plan's static column kinds.
-func finishSelect(db *engine.DB, cols []string, kinds []ckind, rows [][]any, distinct bool, ord sortSpec) (*RowSet, error) {
-	w := len(cols)
-	if distinct {
-		rows = dedupeRows(rows, w)
-	}
-	switch {
-	case len(ord.desc) > 0:
-		kc := boxedKeys(rows, w, len(ord.desc))
-		perm, err := ord.perm(db, &kc, nil)
-		if err != nil {
-			return nil, err
-		}
-		rows = appendAt(nil, rows, perm)
-		for i, row := range rows {
-			rows[i] = row[:w:w]
-		}
-	case ord.limit >= 0 && int64(len(rows)) > ord.limit:
-		rows = rows[:ord.limit]
-	}
-	return boxedRowSet(cols, kinds, rows, fmt.Sprintf("SELECT %d", len(rows))), nil
 }
 
 // itemKinds statically types a SELECT list against schema: ckAny where
@@ -745,12 +664,9 @@ func itemKinds(items []SelectItem, schema engine.Schema) []ckind {
 // item appends the survivors' values to its lane of the morsel's result
 // chunk. Each of those consumers is its native batch kernel or, where
 // the expression has none, its row closure driven over the selection
-// (lowering; such an item fills a boxed lane). The typed chunks are the
-// statement's product: as they stand (a LIMIT alone cuts them in
-// place), or, under ORDER BY, ordered in their lanes
-// (sortSpec.sortChunks, a top-N heap per morsel under LIMIT) and
-// gathered into one typed chunk. Only DISTINCT boxes
-// them, once, after the gather, to dedupe in finishSelect.
+// (lowering; such an item fills a boxed lane). The typed chunks go
+// through the output tail (sortSpec.finish) as they stand; under ORDER
+// BY … LIMIT each morsel first cuts its chunk to its top rows.
 type scanPlan struct {
 	src      *planSource
 	distinct bool
@@ -762,11 +678,10 @@ type scanPlan struct {
 	// whereText is the resolved WHERE clause rendered back to text, kept
 	// only for EXPLAIN.
 	whereText string
-	// keyCols[k] is the chunk column of ORDER BY key k: a projected
+	// order.cols[k] is the chunk column of ORDER BY key k: a projected
 	// column, or for a key that is an expression over the input row its
 	// own item, which follows the SELECT items in emit, in key order.
-	keyCols []int
-	order   sortSpec
+	order sortSpec
 
 	prog  *batchProg
 	pred  bBatchKernel // nil = keep every row
@@ -817,18 +732,9 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		if exprHasAgg(key.Expr) {
 			return nil, execErrf("aggregate functions in ORDER BY require GROUP BY or an aggregate SELECT list")
 		}
-		ord, isOrd, err := ordinal(key.Expr, len(items))
+		ord, isOrd, err := orderColumn(key.Expr, p.cols, items)
 		if err != nil {
 			return nil, err
-		}
-		// A key that labels or textually equals a projected item sorts
-		// by that output column (ORDER BY alias; required for DISTINCT,
-		// cheaper in general).
-		if !isOrd {
-			isInput := func(name string) bool { _, in := lw.cc.colIdx[name]; return in }
-			if oi, out := outputKeyOrdinal(key.Expr, items, p.cols, isInput); out {
-				ord, isOrd = oi, true
-			}
 		}
 		if !isOrd && p.distinct {
 			// Sorting deduplicated rows by a non-projected expression
@@ -836,7 +742,7 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 			return nil, execErrf("for SELECT DISTINCT, ORDER BY expressions must appear in the select list")
 		}
 		if isOrd {
-			p.keyCols = append(p.keyCols, ord)
+			p.order.cols = append(p.order.cols, ord)
 			continue
 		}
 		// Keys lower against the input row, so sorting by non-projected
@@ -845,7 +751,7 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.keyCols = append(p.keyCols, len(p.emit))
+		p.order.cols = append(p.order.cols, len(p.emit))
 		p.emit = append(p.emit, pi)
 	}
 	var err error
@@ -878,40 +784,8 @@ func (p *scanPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := &RowSet{Cols: p.cols, kinds: p.types}
-	for i := range chunks {
-		if chunks[i].n > 0 {
-			rs.chunks = append(rs.chunks, chunks[i])
-			rs.n += chunks[i].n
-		}
-	}
-	w := len(p.items)
-	switch {
-	case p.distinct:
-		// DISTINCT boxes the rows to dedupe them. Its ORDER BY keys are
-		// output columns, boxed again behind the row as finishSelect
-		// expects.
-		for i := range rs.chunks {
-			c := &rs.chunks[i]
-			for _, ci := range p.keyCols {
-				c.cols = append(c.cols, c.cols[ci])
-			}
-		}
-		return finishSelect(s.db, p.cols, p.types, rs.boxed(), true, p.order)
-	case len(p.keyCols) > 0:
-		c, err := p.order.sortChunks(s.db, rs.chunks, p.keyCols, w)
-		if err != nil {
-			return nil, err
-		}
-		rs.chunks, rs.n = nil, c.n
-		if c.n > 0 {
-			rs.chunks = []Chunk{c}
-		}
-	case p.order.limit >= 0:
-		rs.limit(int(p.order.limit))
-	}
-	rs.Tag = fmt.Sprintf("SELECT %d", rs.n)
-	return rs, nil
+	rs := newRowSet(p.cols, p.types, chunks...)
+	return rs, p.order.finish(s.db, rs, p.distinct)
 }
 
 // emitChunk appends one batch's surviving rows to the morsel's chunk:
@@ -927,115 +801,12 @@ func (p *scanPlan) emitChunk(e *batchEval, b engine.ColBatch, sel selVec, c *Chu
 		}
 	}
 	c.n += len(sel)
-	if len(p.keyCols) > 0 && batchesLeft(b) == 1 && !p.distinct {
+	if len(p.order.desc) > 0 && batchesLeft(b) == 1 && !p.distinct {
 		// Under ORDER BY … LIMIT the morsel's worker cuts its chunk to
 		// its own top rows, a bounded heap over the morsel.
-		return p.order.keepTop(c, p.keyCols)
+		return p.order.keepTop(c)
 	}
 	return nil
-}
-
-// dedupeRows collapses rows whose first w cells, the projected row,
-// are duplicates (SELECT DISTINCT), keeping the first occurrence and the
-// ORDER BY keys behind it. It reuses the GroupKey idea — an injective
-// byte encoding of the row — with a plain hash set, since no aggregate
-// state is carried.
-func dedupeRows(rows [][]any, w int) [][]any {
-	if len(rows) < 2 {
-		return rows
-	}
-	seen := make(map[string]struct{}, len(rows))
-	out := rows[:0]
-	var buf []byte
-	for _, row := range rows {
-		buf = buf[:0]
-		for _, v := range row[:w] {
-			buf = appendValKey(buf, v)
-		}
-		k := string(buf)
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out = append(out, row)
-	}
-	return out
-}
-
-// appendValKey encodes one output value injectively for DISTINCT
-// comparison: a kind tag plus a fixed-width or length-prefixed payload,
-// with -0/NaN canonicalized like group keys.
-func appendValKey(buf []byte, v any) []byte {
-	switch x := v.(type) {
-	case nil:
-		return append(buf, 'n')
-	case int64:
-		buf = append(buf, 'i')
-		return binary.LittleEndian.AppendUint64(buf, uint64(x))
-	case float64:
-		buf = append(buf, 'f')
-		return binary.LittleEndian.AppendUint64(buf, uint64(floatKeyBits(x)))
-	case string:
-		buf = append(buf, 's')
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
-		return append(buf, x...)
-	case bool:
-		if x {
-			return append(buf, 'T')
-		}
-		return append(buf, 'F')
-	case []float64:
-		buf = append(buf, 'v')
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(x)))
-		for _, f := range x {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(floatKeyBits(f)))
-		}
-		return buf
-	}
-	// Unknown kinds (not producible by the executor) fall back to their
-	// printed form.
-	buf = append(buf, 'x')
-	return append(buf, fmt.Sprintf("%v", v)...)
-}
-
-// outputKeyOrdinal maps an ORDER BY key onto a projected column: a bare
-// name that labels an output column (and is not shadowed by an input
-// column, per isInputCol) or an expression textually equal to a
-// projected item. DISTINCT requires every sort key to resolve this way,
-// so sorting deduplicated rows stays a function of the output row alone.
-func outputKeyOrdinal(key Expr, items []SelectItem, outNames []string, isInputCol func(string) bool) (int, bool) {
-	if cr, ok := key.(*ColumnRef); ok && cr.Table == "" && !isInputCol(cr.Name) {
-		for i, n := range outNames {
-			if n == cr.Name {
-				return i, true
-			}
-		}
-	}
-	ks := key.String()
-	for i, item := range items {
-		if !item.Star && item.Expr != nil && item.Expr.String() == ks {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// ordinal recognizes ORDER BY position literals. A bare integer literal
-// is an ordinal: in range it selects output column v-1, out of range it
-// is an error (not a constant sort key).
-func ordinal(e Expr, n int) (idx int, isOrdinal bool, err error) {
-	l, ok := e.(*Literal)
-	if !ok {
-		return 0, false, nil
-	}
-	v, ok := l.Val.(int64)
-	if !ok {
-		return 0, false, nil
-	}
-	if v < 1 || int(v) > n {
-		return 0, true, execErrf("ORDER BY position %d is not in select list", v)
-	}
-	return int(v) - 1, true, nil
 }
 
 // aggPlan is a planned aggregate query, with or without GROUP BY,
@@ -1061,7 +832,8 @@ type aggPlan struct {
 
 	having boolFn // nil without HAVING
 	items  []anyFn
-	keys   []sortKey
+	// keys are the ORDER BY keys that are not output columns.
+	keys []anyFn
 }
 
 func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
@@ -1119,17 +891,15 @@ func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		p.outNames[i] = outputName(item)
 	}
 	for _, key := range st.OrderBy {
-		_, isOrd, err := ordinal(key.Expr, len(st.Items))
+		_, isOut, err := orderColumn(key.Expr, p.outNames, st.Items)
 		if err != nil {
 			return nil, err
 		}
-		if isOrd {
+		if isOut {
 			continue
 		}
 		if st.Distinct {
-			if _, ok := outputKeyOrdinal(key.Expr, st.Items, p.outNames, func(string) bool { return false }); !ok {
-				return nil, execErrf("for SELECT DISTINCT, ORDER BY expressions must appear in the select list")
-			}
+			return nil, execErrf("for SELECT DISTINCT, ORDER BY expressions must appear in the select list")
 		}
 		if err := addSlots(key.Expr); err != nil {
 			return nil, err
@@ -1169,7 +939,7 @@ func (p *aggPlan) compileOutput(slotOf map[*FuncCall]int) error {
 		p.items[i] = c.a
 	}
 	var err error
-	p.keys, err = compileSortKeys(st.OrderBy, len(st.Items), outputCompileCtx(cc, p.outNames, len(p.calls)+len(st.GroupBy)))
+	p.keys, err = p.order.compileKeys(st.OrderBy, p.outNames, st.Items, outputCompileCtx(cc, p.outNames, len(p.calls)+len(st.GroupBy)))
 	return err
 }
 
@@ -1180,34 +950,19 @@ func (p *aggPlan) columns() []string { return p.outNames }
 func (p *aggPlan) kinds() []ckind { return p.outKinds }
 
 func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
-	st := p.st
 	input, err := p.src.acquire(s, env.context())
 	if err != nil {
 		return nil, err
 	}
-	states, err := p.execBatch(s, env, input)
+	slots, n, err := p.execBatch(s, env, input)
 	if err != nil {
 		return nil, err
 	}
-	if len(p.groupIdx) > 0 {
-		// Deterministic default order: groups ascending by their key
-		// values, through ORDER BY's comparator.
-		keys := make([][]any, len(states))
-		for i, ms := range states {
-			keys[i] = ms.keyVals
-		}
-		perm, err := ascending(s.db, keys, len(p.groupIdx))
-		if err != nil {
-			return nil, err
-		}
-		states = appendAt(nil, states, perm)
-	}
 	nIn := len(p.calls) + len(p.groupIdx)
 	env = env.withSlots(nIn + len(p.items))
-	var rows [][]any
-	for _, ms := range states {
-		copy(env.slots, ms.slots)
-		copy(env.slots[len(p.calls):], ms.keyVals)
+	c, kept := boxedChunk(len(p.items)+len(p.keys), n), 0
+	for g := range n {
+		copy(env.slots, slots[g*nIn:(g+1)*nIn])
 		if p.having != nil {
 			keep, err := p.having(engine.Row{}, env)
 			if err != nil {
@@ -1217,21 +972,14 @@ func (p *aggPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 				continue
 			}
 		}
-		row := make([]any, len(p.items), len(p.items)+len(p.keys))
-		for i, fn := range p.items {
-			v, err := fn(engine.Row{}, env)
-			if err != nil {
-				return nil, err
-			}
-			row[i], env.slots[nIn+i] = v, v
-		}
-		row, err := evalSortKeys(p.keys, engine.Row{}, row, env)
-		if err != nil {
+		if err := outputRow(p.items, p.keys, engine.Row{}, env, nIn, &c, kept); err != nil {
 			return nil, err
 		}
-		rows = append(rows, row)
+		kept++
 	}
-	return finishSelect(s.db, p.outNames, p.outKinds, rows, st.Distinct, p.order)
+	c.truncate(kept)
+	rs := newRowSet(p.outNames, p.outKinds, c)
+	return rs, p.order.finish(s.db, rs, p.st.Distinct)
 }
 
 // floatKeyBits maps a float to grouping-equivalent bits: -0 collapses
@@ -1247,34 +995,73 @@ func floatKeyBits(f float64) int64 {
 	return int64(math.Float64bits(f))
 }
 
-// appendKeyValue encodes one group-key column injectively: a kind tag,
-// then a fixed-width or length-prefixed payload.
+// Injective key encoding, shared by GROUP BY's composite keys and
+// DISTINCT's rows: a kind tag, then a fixed-width or length-prefixed
+// payload, floats canonicalized through floatKeyBits.
+
+// appendKeyValue encodes group-key column gi of row r.
 func appendKeyValue(buf []byte, schema engine.Schema, r engine.Row, gi int) []byte {
 	switch schema[gi].Kind {
 	case engine.Int:
-		buf = append(buf, 'i')
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Int(gi)))
+		return appendIntKey(buf, r.Int(gi))
 	case engine.Float:
-		buf = append(buf, 'f')
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(floatKeyBits(r.Float(gi))))
+		return appendFloatKey(buf, r.Float(gi))
 	case engine.Bool:
-		if r.Bool(gi) {
-			buf = append(buf, 'T')
-		} else {
-			buf = append(buf, 'F')
-		}
+		return appendBoolKey(buf, r.Bool(gi))
 	case engine.String:
-		s := r.Str(gi)
-		buf = append(buf, 's')
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
+		return appendStrKey(buf, r.Str(gi))
 	case engine.Vector:
-		v := r.Vector(gi)
-		buf = append(buf, 'v')
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-		for _, x := range v {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(floatKeyBits(x)))
-		}
+		return appendVecKey(buf, r.Vector(gi))
+	}
+	return buf
+}
+
+// appendValKey encodes one boxed value; nil is SQL NULL.
+func appendValKey(buf []byte, v any) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(buf, 'n')
+	case int64:
+		return appendIntKey(buf, x)
+	case float64:
+		return appendFloatKey(buf, x)
+	case string:
+		return appendStrKey(buf, x)
+	case bool:
+		return appendBoolKey(buf, x)
+	case []float64:
+		return appendVecKey(buf, x)
+	}
+	// Unknown kinds (not producible by the executor) fall back to their
+	// printed form.
+	buf = append(buf, 'x')
+	return append(buf, fmt.Sprintf("%v", v)...)
+}
+
+func appendIntKey(buf []byte, x int64) []byte {
+	return binary.LittleEndian.AppendUint64(append(buf, 'i'), uint64(x))
+}
+
+func appendFloatKey(buf []byte, x float64) []byte {
+	return binary.LittleEndian.AppendUint64(append(buf, 'f'), uint64(floatKeyBits(x)))
+}
+
+func appendStrKey(buf []byte, x string) []byte {
+	buf = binary.LittleEndian.AppendUint32(append(buf, 's'), uint32(len(x)))
+	return append(buf, x...)
+}
+
+func appendBoolKey(buf []byte, x bool) []byte {
+	if x {
+		return append(buf, 'T')
+	}
+	return append(buf, 'F')
+}
+
+func appendVecKey(buf []byte, x []float64) []byte {
+	buf = binary.LittleEndian.AppendUint32(append(buf, 'v'), uint32(len(x)))
+	for _, f := range x {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(floatKeyBits(f)))
 	}
 	return buf
 }
@@ -1379,11 +1166,12 @@ type tvPlan struct {
 	schema   engine.Schema
 	computed []int
 	order    sortSpec
-	// keys are the ORDER BY keys. The method's output columns are only
-	// known per execution, so ordinals are range-checked then, and the
-	// column names the expression keys read (keyNames, slot i for name i)
-	// are bound per row.
-	keys     []sortKey
+	// keys are the ORDER BY keys, compiled (nil for a position literal).
+	// The method's output columns are only known per execution, so which
+	// keys are output columns is resolved then (orderColumn), and the
+	// column names the other keys read (keyNames, slot i for name i) are
+	// bound per row.
+	keys     []anyFn
 	keyNames []string
 }
 
@@ -1456,9 +1244,22 @@ func planTableValued(st *Select, call *FuncCall, lw *lowering) (stmtPlan, error)
 			}
 		})
 	}
-	var err error
-	p.keys, err = compileSortKeys(st.OrderBy, math.MaxInt32, outputCompileCtx(nil, p.keyNames, 0))
-	return p, err
+	cc := outputCompileCtx(nil, p.keyNames, 0)
+	p.keys = make([]anyFn, len(st.OrderBy))
+	for k, key := range st.OrderBy {
+		if _, isOrd, err := ordinal(key.Expr, math.MaxInt32); isOrd || err != nil {
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		c, err := compileExpr(key.Expr, cc)
+		if err != nil {
+			return nil, err
+		}
+		p.keys[k] = c.a
+	}
+	return p, nil
 }
 
 func (p *tvPlan) valid(db *engine.DB) bool { return p.src.valid(db) }
@@ -1516,33 +1317,55 @@ func (p *tvPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sql: madlib.%s: %w", p.call.Name, err)
 	}
-	cols := make([]string, len(outSchema))
-	kinds := make([]ckind, len(outSchema))
+	w := len(outSchema)
+	cols := make([]string, w)
+	kinds := make([]ckind, w)
 	for i, c := range outSchema {
 		cols[i], kinds[i] = c.Name, kindOf(c.Kind)
 	}
-	for _, key := range p.keys {
-		if key.fn == nil && key.ord >= len(cols) {
-			return nil, execErrf("ORDER BY position %d is not in select list", key.ord+1)
+	order := p.order
+	order.cols = nil
+	var keys []anyFn
+	for k, key := range p.st.OrderBy {
+		ci, isOut, err := orderColumn(key.Expr, cols, nil)
+		if err != nil {
+			return nil, err
+		}
+		if !isOut {
+			ci = w + len(keys)
+			keys = append(keys, p.keys[k])
+		}
+		order.cols = append(order.cols, ci)
+	}
+	c := boxedChunk(w+len(keys), len(rows))
+	for ci := range w {
+		lane := c.cols[ci].boxed
+		for r, row := range rows {
+			lane[r] = row[ci]
 		}
 	}
-	if len(p.keys) > 0 {
+	if len(keys) > 0 {
 		at := make([]int, len(p.keyNames))
 		for i, name := range p.keyNames {
 			at[i] = slices.Index(cols, name)
 		}
 		kenv := env.withSlots(len(p.keyNames))
-		for ri, row := range rows {
+		for r, row := range rows {
 			for i, ci := range at {
 				if ci < 0 {
 					return nil, execErrf("column %q does not exist in the result", p.keyNames[i])
 				}
 				kenv.slots[i] = row[ci]
 			}
-			if rows[ri], err = evalSortKeys(p.keys, engine.Row{}, row, kenv); err != nil {
-				return nil, err
+			for i, fn := range keys {
+				v, err := fn(engine.Row{}, kenv)
+				if err != nil {
+					return nil, err
+				}
+				c.cols[w+i].boxed[r] = v
 			}
 		}
 	}
-	return finishSelect(s.db, cols, kinds, rows, false, p.order)
+	rs := newRowSet(cols, kinds, c)
+	return rs, order.finish(s.db, rs, false)
 }

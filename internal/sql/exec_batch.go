@@ -582,38 +582,37 @@ func (ln *batchAggLane) merge(t, src *groupTable) {
 	t.gs = gs
 }
 
-// finalize boxes each group's finals and key values once, in the merged
-// table's first-seen order, into the multiStates the shared output stage
-// (evalGroup, HAVING, ORDER BY) consumes.
-func (ln *batchAggLane) finalize(t *groupTable) ([]multiState, error) {
-	n, ns := t.keys.n, len(t.cols)
-	out := make([]multiState, n)
-	slots := make([]any, n*ns)
-	var keyRows [][]any
-	if len(ln.groupIdx) > 0 {
-		keyRows = t.keys.appendBoxed(make([][]any, 0, n))
-	}
-	for g := range out {
-		ms := &out[g]
-		ms.slots = slots[g*ns : (g+1)*ns : (g+1)*ns]
+// finalize boxes each group's finals and key values once into one slot
+// slab, the shared output stage's input (aggPlan.exec): group i of the
+// order perm gives (first-seen order when perm is nil) holds slots
+// i*w … i*w+w-1, its finals, then its key values.
+func (ln *batchAggLane) finalize(t *groupTable, perm []int) ([]any, error) {
+	ns, w := len(t.cols), len(t.cols)+len(ln.groupIdx)
+	slots := make([]any, t.keys.n*w)
+	for i := range t.keys.n {
+		g, row := i, slots[i*w:(i+1)*w]
+		if perm != nil {
+			g = perm[i]
+		}
 		for ai, c := range t.cols {
 			v, err := ln.specs[ai].final(c, g)
 			if err != nil {
 				return nil, err
 			}
-			ms.slots[ai] = v
+			row[ai] = v
 		}
-		if keyRows != nil {
-			ms.keyVals = keyRows[g]
+		for k := range ln.groupIdx {
+			row[ns+k] = t.keys.value(g, k)
 		}
 	}
-	return out, nil
+	return slots, nil
 }
 
 // execBatch drives the lane over the acquired input table (the base
-// table, or a join's materialization) and returns one finalized
-// multiState per group (exactly one for ungrouped aggregates).
-func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]multiState, error) {
+// table, or a join's materialization) and returns the finalized slot
+// slab and the number of groups (exactly one for ungrouped aggregates),
+// in their default order, by key values.
+func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]any, int, error) {
 	ln := p.lane
 	process := ln.processGrouped
 	if len(p.groupIdx) == 0 {
@@ -642,9 +641,18 @@ func (p *aggPlan) execBatch(s *Session, env *execEnv, input *engine.Table) ([]mu
 			return a
 		})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return ln.finalize(&v.(*batchMorselState).groupTable)
+	t := &v.(*batchMorselState).groupTable
+	var perm []int
+	if len(p.groupIdx) > 0 {
+		// The typed key lanes sort through ORDER BY's comparator.
+		if perm, err = (sortSpec{desc: make([]bool, len(p.groupIdx)), limit: -1}).perm(s.db, &t.keys); err != nil {
+			return nil, 0, err
+		}
+	}
+	slots, err := ln.finalize(t, perm)
+	return slots, t.keys.n, err
 }
 
 // bindKeyFill wires the lane's group-key projection. With typed set,

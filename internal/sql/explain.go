@@ -78,11 +78,9 @@ func (s *Session) execExplain(st *Explain) (*RowSet, Timing, error) {
 			fmt.Sprintf("Execution Time: %s", fmtMillis(execD)),
 		)
 	}
-	rows := make([][]any, len(lines))
-	for i, ln := range lines {
-		rows[i] = []any{ln}
-	}
-	return boxedRowSet([]string{"QUERY PLAN"}, []ckind{ckStr}, rows, "EXPLAIN"), tm, nil
+	rs := newRowSet([]string{"QUERY PLAN"}, []ckind{ckStr}, Chunk{n: len(lines), cols: []chunkCol{{kind: ckStr, strs: lines}}})
+	rs.Tag = "EXPLAIN"
+	return rs, tm, nil
 }
 
 func fmtMillis(d time.Duration) string {

@@ -3,6 +3,7 @@ package sql
 import (
 	"cmp"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -10,25 +11,35 @@ import (
 	"madlib/internal/engine"
 )
 
-// Sorting. ORDER BY compares rows where they lie, in a Chunk's lanes:
-// each key is bound once to its lane and compares by the lane's kind — a
-// typed compare for int, float, text and bool lanes with NULL placement
-// read off the validity lane, compareOrderKeys only for a boxed lane —
-// and ties break on the row's position, which reproduces a stable sort. A
-// projection scan sorts its gathered typed chunks and gathers its output
-// chunk through the permutation, so the result stays typed
-// (sortSpec.sortChunks); a window sorts its gathered key chunks the
-// same way into partition and window order, and finds partition starts
-// and rank() peers with the same comparator (windowPlan.fold); the plans
-// that box their rows first sort one chunk of boxed key lanes
-// (finishSelect). Under LIMIT k a bounded heap keeps each chunk's k best
-// rows, and only those candidates meet in the final sort.
+// The output tail. Every SELECT shape ends in one function,
+// sortSpec.finish, over the chunks its plan made: the output lanes, then
+// one lane per ORDER BY key that is not an output column (orderColumn
+// decides which keys are). DISTINCT keeps the first occurrence of each
+// distinct output row, through the keyIndex GROUP BY uses; ORDER BY then
+// sorts, or LIMIT alone cuts the chunks.
+//
+// Sorting compares rows where they lie, in a Chunk's lanes: each key is
+// bound once to its lane and compares by the lane's kind — a typed
+// compare for int, float, text and bool lanes with NULL placement read
+// off the validity lane, compareOrderKeys only for a boxed lane — and
+// ties break on the row's position, which reproduces a stable sort. The
+// sorted chunks are gathered into one output chunk through the
+// permutation (sortSpec.sortChunks), so typed lanes stay typed. A window
+// sorts its gathered key chunks the same way into partition and window
+// order, and finds partition starts and rank() peers with the same
+// comparator (windowPlan.fold); the grouped aggregate sorts its typed
+// group keys into its default order. Under LIMIT k a bounded heap keeps
+// each scan morsel's k best rows, and only those candidates meet in the
+// final sort.
 
-// sortSpec is a SELECT's ORDER BY … LIMIT: each key's direction and
-// text (for EXPLAIN), and the row limit, -1 for none.
+// sortSpec is a SELECT's ORDER BY … LIMIT: each key's direction, its
+// text (for EXPLAIN) and its chunk column, and the row limit, -1 for
+// none.
 type sortSpec struct {
-	desc  []bool
-	text  []string
+	desc []bool
+	text []string
+	// cols[k] is the chunk column key k compares; nil means column k.
+	cols  []int
 	limit int64
 }
 
@@ -57,9 +68,187 @@ func (o sortSpec) explain() []string {
 	return []string{"  sort: " + how + " by " + strings.Join(o.text, ", ")}
 }
 
+// finish is the output tail of every SELECT shape, over rs as its plan
+// made it (see the file comment): DISTINCT over the len(rs.Cols) output
+// lanes, then ORDER BY through the key lanes and the limit, or else the
+// limit alone. It sets the command tag.
+func (o sortSpec) finish(db *engine.DB, rs *RowSet, distinct bool) error {
+	w := len(rs.Cols)
+	if distinct && rs.n > 0 {
+		rs.setChunk(distinctRows(concatChunks(rs.chunks), w))
+	}
+	switch {
+	case len(o.desc) > 0:
+		c, err := o.sortChunks(db, rs.chunks, w)
+		if err != nil {
+			return err
+		}
+		rs.setChunk(c)
+	case o.limit >= 0:
+		rs.limit(int(o.limit))
+	}
+	rs.Tag = fmt.Sprintf("SELECT %d", rs.n)
+	return nil
+}
+
+// distinctRows returns the first occurrence of each distinct row of c,
+// over its first w columns, in order. A row's key is its cells encoded
+// injectively (chunkCol.appendKey); a key the index has not seen gets a
+// fresh id, and its row is kept.
+func distinctRows(c Chunk, w int) Chunk {
+	var ix keyIndex[string]
+	ix.rehash(64)
+	m := min(c.n, engine.BatchSize)
+	keys, hs, ids, ends := make([]string, m), make([]uint64, m), make([]int32, m), make([]int, m)
+	var kept []int
+	var buf []byte
+	for lo := 0; lo < c.n; lo += m {
+		hi := min(lo+m, c.n)
+		buf = buf[:0]
+		for j := lo; j < hi; j++ {
+			for ci := range w {
+				buf = c.cols[ci].appendKey(buf, j)
+			}
+			ends[j-lo] = len(buf)
+		}
+		// One string holds the block's keys; the index keeps slices of it.
+		block, from := string(buf), 0
+		for j := range hi - lo {
+			keys[j], from = block[from:ends[j]], ends[j]
+			hs[j] = maphash.String(strSeed, keys[j])
+		}
+		ix.resolve(keys[:hi-lo], hs[:hi-lo], ids[:hi-lo], func(j int) { kept = append(kept, lo+j) })
+	}
+	out := Chunk{cols: make([]chunkCol, w)}
+	out.appendRows(&c, kept)
+	return out
+}
+
+// appendKey appends row j's cell to buf, encoded as appendValKey encodes
+// its boxed value.
+func (l *chunkCol) appendKey(buf []byte, j int) []byte {
+	if l.valid != nil && !l.valid[j] {
+		return appendValKey(buf, nil)
+	}
+	switch l.kind {
+	case ckInt:
+		return appendIntKey(buf, l.ints[j])
+	case ckFloat:
+		return appendFloatKey(buf, l.floats[j])
+	case ckStr:
+		return appendStrKey(buf, l.strs[j])
+	case ckBool:
+		return appendBoolKey(buf, l.bools[j])
+	}
+	return appendValKey(buf, l.boxed[j])
+}
+
+// orderColumn resolves an ORDER BY key to the output column it sorts
+// by, as Postgres does: a position literal selects its column (out of
+// range it is an error, not a constant key); a bare name selects the
+// output column it labels, ahead of any input column of that name, and
+// is an error when it labels two differently defined columns; an
+// expression written like an item selects that item. ok is false for
+// any other key, which sorts by its own value. items are the output
+// expressions, nil where only the names are known (a table-valued
+// call's columns).
+func orderColumn(key Expr, names []string, items []SelectItem) (col int, ok bool, err error) {
+	if col, ok, err = ordinal(key, len(names)); ok {
+		return col, ok, err
+	}
+	if cr, isRef := key.(*ColumnRef); isRef && cr.Table == "" {
+		col = -1
+		for i, n := range names {
+			switch {
+			case n != cr.Name:
+			case col < 0:
+				col = i
+			case items == nil || items[i].Expr.String() != items[col].Expr.String():
+				return 0, false, execErrf("ORDER BY %q is ambiguous", cr.Name)
+			}
+		}
+		if col >= 0 {
+			return col, true, nil
+		}
+	}
+	ks := key.String()
+	for i, item := range items {
+		if item.Expr.String() == ks {
+			return i, true, nil
+		}
+	}
+	return 0, false, nil
+}
+
+// ordinal recognizes ORDER BY position literals. A bare integer literal
+// is an ordinal: in range it selects output column v-1, out of range it
+// is an error (not a constant sort key).
+func ordinal(e Expr, n int) (idx int, isOrdinal bool, err error) {
+	l, ok := e.(*Literal)
+	if !ok {
+		return 0, false, nil
+	}
+	v, ok := l.Val.(int64)
+	if !ok {
+		return 0, false, nil
+	}
+	if v < 1 || int(v) > n {
+		return 0, true, execErrf("ORDER BY position %d is not in select list", v)
+	}
+	return int(v) - 1, true, nil
+}
+
+// compileKeys resolves the ORDER BY keys of an output stage with the
+// given output columns into o.cols: an output column where orderColumn
+// finds one, and otherwise a lane of its own behind the outputs, whose
+// expression compiles against cc into the returned closures, in key
+// order.
+func (o *sortSpec) compileKeys(keys []OrderKey, names []string, items []SelectItem, cc *compileCtx) ([]anyFn, error) {
+	var fns []anyFn
+	for _, key := range keys {
+		ci, ok, err := orderColumn(key.Expr, names, items)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			c, err := compileExpr(key.Expr, cc)
+			if err != nil {
+				return nil, err
+			}
+			ci = len(names) + len(fns)
+			fns = append(fns, c.a)
+		}
+		o.cols = append(o.cols, ci)
+	}
+	return fns, nil
+}
+
+// outputRow evaluates one output row of a closure-fed plan into row k of
+// c, a chunk of boxed lanes: items into the output lanes, each value also
+// into env's slot from+i, where ORDER BY keys may read it by alias; then
+// keys, the ORDER BY keys that are not output columns, into the lanes
+// behind them.
+func outputRow(items, keys []anyFn, r engine.Row, env *execEnv, from int, c *Chunk, k int) error {
+	for i, fn := range items {
+		v, err := fn(r, env)
+		if err != nil {
+			return err
+		}
+		c.cols[i].boxed[k], env.slots[from+i] = v, v
+	}
+	for i, fn := range keys {
+		v, err := fn(r, env)
+		if err != nil {
+			return err
+		}
+		c.cols[len(items)+i].boxed[k] = v
+	}
+	return nil
+}
+
 // perm returns the positions of c's rows in order, cut to the limit.
-func (o sortSpec) perm(db *engine.DB, c *Chunk, cols []int) ([]int, error) {
-	ord := o.rowOrder(c, cols)
+func (o sortSpec) perm(db *engine.DB, c *Chunk) ([]int, error) {
+	ord := o.rowOrder(c)
 	var idx []int
 	if o.limit >= 0 && o.limit < int64(c.n) {
 		idx = ord.topK(c.n, int(o.limit))
@@ -73,11 +262,11 @@ func (o sortSpec) perm(db *engine.DB, c *Chunk, cols []int) ([]int, error) {
 // keepTop cuts c, a chunk of more than limit rows, to its first limit
 // rows, kept in row order so that a later sort of the candidates still
 // breaks ties by position.
-func (o sortSpec) keepTop(c *Chunk, cols []int) error {
+func (o sortSpec) keepTop(c *Chunk) error {
 	if o.limit < 0 || int64(c.n) <= o.limit {
 		return nil
 	}
-	ord := o.rowOrder(c, cols)
+	ord := o.rowOrder(c)
 	top := ord.topK(c.n, int(o.limit))
 	slices.Sort(top)
 	kept := Chunk{cols: make([]chunkCol, len(c.cols))}
@@ -86,14 +275,13 @@ func (o sortSpec) keepTop(c *Chunk, cols []int) error {
 	return ord.failed()
 }
 
-// rowOrder builds the comparator over c's key lanes: key k is column
-// cols[k] (column k when cols is nil).
-func (o sortSpec) rowOrder(c *Chunk, cols []int) *rowOrder {
+// rowOrder builds the comparator over c's key lanes.
+func (o sortSpec) rowOrder(c *Chunk) *rowOrder {
 	ord := &rowOrder{keys: make([]orderKey, len(o.desc))}
 	for k, desc := range o.desc {
 		ci := k
-		if cols != nil {
-			ci = cols[k]
+		if o.cols != nil {
+			ci = o.cols[k]
 		}
 		ord.keys[k] = orderKey{&c.cols[ci], desc}
 	}
@@ -101,16 +289,16 @@ func (o sortSpec) rowOrder(c *Chunk, cols []int) *rowOrder {
 }
 
 // sortChunks orders the rows of chunks, read in sequence, by the key
-// columns cols and returns the first limit of them, with the first w
+// columns and returns the first limit of them, with the first w
 // columns, as one chunk. Chunks a morsel has already cut to its top rows
 // (keepTop) make the final sort small; perm finds the exact answer
 // either way.
-func (o sortSpec) sortChunks(db *engine.DB, chunks []Chunk, cols []int, w int) (Chunk, error) {
+func (o sortSpec) sortChunks(db *engine.DB, chunks []Chunk, w int) (Chunk, error) {
 	if len(chunks) == 0 {
 		return Chunk{}, nil
 	}
 	all := concatChunks(chunks)
-	perm, err := o.perm(db, &all, cols)
+	perm, err := o.perm(db, &all)
 	if err != nil {
 		return Chunk{}, err
 	}
@@ -119,8 +307,7 @@ func (o sortSpec) sortChunks(db *engine.DB, chunks []Chunk, cols []int, w int) (
 	return out, nil
 }
 
-// concatChunks reads chunks, columnar, of one layout and at least one,
-// in sequence as one chunk.
+// concatChunks reads chunks, at least one, in sequence as one chunk.
 func concatChunks(chunks []Chunk) Chunk {
 	if len(chunks) == 1 {
 		return chunks[0]
@@ -148,7 +335,7 @@ type orderKey struct {
 
 // compare orders rows i and j by each key's lane in turn: a typed
 // compare, or compareOrderKeys over a boxed lane. NULL sorts as the
-// largest value, so NULLS LAST ascending and FIRST under DESC.
+// largest value, so NULLS LAST under ASC and FIRST under DESC.
 func (o *rowOrder) compare(i, j int) int {
 	for _, k := range o.keys {
 		a, b, l := i, j, k.l
@@ -282,26 +469,4 @@ func compareBools(a, b bool) int {
 		return -1
 	}
 	return 1
-}
-
-// ascending returns the positions of rows ordered by their first nk
-// cells, ascending, ties in position order: the default order of
-// groups.
-func ascending(db *engine.DB, rows [][]any, nk int) ([]int, error) {
-	kc := boxedKeys(rows, 0, nk)
-	return sortSpec{desc: make([]bool, nk), limit: -1}.perm(db, &kc, nil)
-}
-
-// boxedKeys gathers cells from, from+1, … from+nk-1 of every row into
-// one chunk of nk boxed key lanes.
-func boxedKeys(rows [][]any, from, nk int) Chunk {
-	c := Chunk{n: len(rows), cols: make([]chunkCol, nk)}
-	for k := range c.cols {
-		lane := make([]any, len(rows))
-		for i, row := range rows {
-			lane[i] = row[from+k]
-		}
-		c.cols[k] = chunkCol{kind: ckAny, boxed: lane}
-	}
-	return c
 }

@@ -133,9 +133,9 @@ func TestCompareOrderKeysNullLargest(t *testing.T) {
 
 func TestSortRowsStopsAfterComparisonError(t *testing.T) {
 	s := newSession(t)
-	// Each row is one output cell with its sort key behind it.
-	rows := [][]any{{int64(1), int64(1)}, {"x", "x"}, {int64(2), int64(2)}, {true, true}}
-	_, err := finishSelect(s.DB(), []string{"k"}, nil, rows, false, sortSpec{desc: []bool{false}, limit: -1})
+	// One boxed output column of mixed kinds, sorted by itself.
+	rs := newRowSet([]string{"k"}, nil, Chunk{n: 4, cols: []chunkCol{{kind: ckAny, boxed: []any{int64(1), "x", int64(2), true}}}})
+	err := sortSpec{desc: []bool{false}, limit: -1}.finish(s.DB(), rs, false)
 	if err == nil || !strings.Contains(err.Error(), "cannot compare") {
 		t.Fatalf("err = %v, want comparison error", err)
 	}

@@ -493,14 +493,6 @@ func bindAny(fn anyFn) func(engine.Row) (any, error) {
 	return func(r engine.Row) (any, error) { return fn(r, nil) }
 }
 
-// multiState is one group's finalized aggregate slot values plus its
-// GROUP BY key values: what the aggregate scan hands the per-group
-// output stage (HAVING, SELECT list, ORDER BY).
-type multiState struct {
-	slots   []any
-	keyVals []any
-}
-
 // outputName derives the column header for a select item, Postgres-style:
 // explicit alias, else the column or function name, else "?column?".
 func outputName(item SelectItem) string {

@@ -7,18 +7,20 @@ import (
 
 // The result path. Every statement's product is a RowSet: column names,
 // static column kinds, a command tag and a sequence of Chunks. A Chunk is
-// a ColBatch-shaped slab of output rows — one typed lane per column, an
+// a ColBatch-shaped slab of output rows: one typed lane per column, an
 // optional validity lane beside it, a boxed lane only for values that
-// have no typed lane — or, for the plans that box their rows before they
-// group or deduplicate them (finishSelect), the boxed rows themselves.
-// ORDER BY keeps a scan's chunks typed: they are sorted in their lanes
-// and gathered through the permutation (appendRows). A RowSet
-// has three sinks: RowSet.Result boxes it into Result.Rows for the
-// in-process API, the wire server renders DataRows cell by cell with
-// Chunk.AppendText, and CREATE TABLE AS reads the lanes column-wise
-// (RowSet.storageColumns), as does a table-valued call's staged input.
+// have no typed lane. A projection scan fills typed lanes per morsel;
+// the plans whose values come from closures (the aggregate output stage,
+// the window fold, table-valued calls, FROM-less SELECTs) fill boxed
+// lanes column by column, and EXPLAIN one text lane. Every SELECT shape
+// then ends in the same tail over those lanes (sortSpec.finish):
+// DISTINCT, ORDER BY, LIMIT. A RowSet has three sinks: RowSet.Result
+// boxes it into Result.Rows for the in-process API, the wire server
+// renders DataRows cell by cell with Chunk.AppendText, and CREATE TABLE
+// AS reads the lanes column-wise (RowSet.storageColumns), as does a
+// table-valued call's staged input.
 
-// chunkCol is one output column of a columnar Chunk: the lane matching
+// chunkCol is one output column of a Chunk: the lane matching
 // kind holds one value per row; kind ckAny means the boxed lane.
 type chunkCol struct {
 	kind   ckind
@@ -35,14 +37,20 @@ type chunkCol struct {
 	boxed []any
 }
 
-// Chunk is a run of output rows in one of two layouts: columnar (cols,
-// what a projection scan emits per morsel and what its ORDER BY
-// gathers) or boxed rows (rows, what every plan that groups or
-// deduplicates ends in).
+// Chunk is a run of output rows, one lane per column.
 type Chunk struct {
 	n    int
 	cols []chunkCol
-	rows [][]any
+}
+
+// boxedChunk returns a chunk of w boxed lanes of n rows, every cell
+// NULL until its plan writes it.
+func boxedChunk(w, n int) Chunk {
+	c := Chunk{n: n, cols: make([]chunkCol, w)}
+	for i := range c.cols {
+		c.cols[i] = chunkCol{kind: ckAny, boxed: make([]any, n)}
+	}
+	return c
 }
 
 // Len returns the number of rows in the chunk.
@@ -52,26 +60,21 @@ func (c *Chunk) Len() int { return c.n }
 // FormatValue would produce — and reports whether the cell is SQL NULL
 // (nothing appended).
 func (c *Chunk) AppendText(dst []byte, row, col int) (out []byte, null bool) {
-	var v any
-	if c.cols == nil {
-		v = c.rows[row][col]
-	} else {
-		l := &c.cols[col]
-		if l.valid != nil && !l.valid[row] {
-			return dst, true
-		}
-		switch l.kind {
-		case ckInt:
-			return strconv.AppendInt(dst, l.ints[row], 10), false
-		case ckFloat:
-			return strconv.AppendFloat(dst, l.floats[row], 'g', -1, 64), false
-		case ckStr:
-			return append(dst, l.strs[row]...), false
-		case ckBool:
-			return appendBool(dst, l.bools[row]), false
-		}
-		v = l.boxed[row]
+	l := &c.cols[col]
+	if l.valid != nil && !l.valid[row] {
+		return dst, true
 	}
+	switch l.kind {
+	case ckInt:
+		return strconv.AppendInt(dst, l.ints[row], 10), false
+	case ckFloat:
+		return strconv.AppendFloat(dst, l.floats[row], 'g', -1, 64), false
+	case ckStr:
+		return append(dst, l.strs[row]...), false
+	case ckBool:
+		return appendBool(dst, l.bools[row]), false
+	}
+	v := l.boxed[row]
 	if v == nil {
 		return dst, true
 	}
@@ -193,7 +196,7 @@ func appendAt[T any](dst, src []T, idx []int) []T {
 
 // truncate keeps the first n rows of c, in place.
 func (c *Chunk) truncate(n int) {
-	c.n, c.rows = n, head(c.rows, n)
+	c.n = n
 	for i := range c.cols {
 		l := &c.cols[i]
 		l.ints, l.floats, l.strs = head(l.ints, n), head(l.floats, n), head(l.strs, n)
@@ -203,13 +206,9 @@ func (c *Chunk) truncate(n int) {
 
 func head[T any](s []T, n int) []T { return s[:min(len(s), n)] }
 
-// appendBoxed boxes the chunk's rows onto rows. A columnar chunk boxes
-// column-wise into one cell array; a boxed chunk appends its rows as
-// they are.
+// appendBoxed boxes the chunk's rows onto rows, column-wise into one
+// cell array.
 func (c *Chunk) appendBoxed(rows [][]any) [][]any {
-	if c.cols == nil {
-		return append(rows, c.rows...)
-	}
 	w := len(c.cols)
 	cells := make([]any, c.n*w)
 	base := len(rows)
@@ -238,13 +237,26 @@ type RowSet struct {
 	n      int
 }
 
-// boxedRowSet wraps finished boxed rows as a one-chunk RowSet.
-func boxedRowSet(cols []string, kinds []ckind, rows [][]any, tag string) *RowSet {
-	rs := &RowSet{Cols: cols, Tag: tag, kinds: kinds, n: len(rows)}
-	if len(rows) > 0 {
-		rs.chunks = []Chunk{{n: len(rows), rows: rows}}
+// newRowSet is a SELECT's product as its plan made it, before the
+// output tail: the columns, their static kinds and the chunks that hold
+// rows.
+func newRowSet(cols []string, kinds []ckind, chunks ...Chunk) *RowSet {
+	rs := &RowSet{Cols: cols, kinds: kinds}
+	for _, c := range chunks {
+		if c.n > 0 {
+			rs.chunks = append(rs.chunks, c)
+			rs.n += c.n
+		}
 	}
 	return rs
+}
+
+// setChunk makes c the set's only chunk.
+func (rs *RowSet) setChunk(c Chunk) {
+	rs.chunks, rs.n = nil, c.n
+	if c.n > 0 {
+		rs.chunks = []Chunk{c}
+	}
 }
 
 // NumRows returns the number of rows in the set.
@@ -296,9 +308,6 @@ func (rs *RowSet) ColumnTypes() []string {
 
 // value boxes one cell; nil is SQL NULL.
 func (c *Chunk) value(row, col int) any {
-	if c.cols == nil {
-		return c.rows[row][col]
-	}
 	l := &c.cols[col]
 	if l.valid != nil && !l.valid[row] {
 		return nil
@@ -339,24 +348,14 @@ func valueKind(v any) ckind {
 }
 
 // Result boxes the set into the in-process API's Result: the one place
-// typed chunks become [][]any. A set that is already one boxed chunk
-// hands its rows over as they are.
+// chunks become [][]any.
 func (rs *RowSet) Result() *Result {
 	r := &Result{Cols: rs.Cols, Tag: rs.Tag}
-	switch {
-	case len(rs.chunks) == 1 && rs.chunks[0].cols == nil:
-		r.Rows = rs.chunks[0].rows
-	case len(rs.chunks) > 0:
-		r.Rows = rs.boxed()
+	if len(rs.chunks) > 0 {
+		r.Rows = make([][]any, 0, rs.n)
+		for i := range rs.chunks {
+			r.Rows = rs.chunks[i].appendBoxed(r.Rows)
+		}
 	}
 	return r
-}
-
-// boxed boxes every chunk into rows.
-func (rs *RowSet) boxed() [][]any {
-	rows := make([][]any, 0, rs.n)
-	for i := range rs.chunks {
-		rows = rs.chunks[i].appendBoxed(rows)
-	}
-	return rows
 }

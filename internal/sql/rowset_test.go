@@ -99,7 +99,6 @@ func TestAppendValueMatchesFormatValue(t *testing.T) {
 		layouts := map[string]*Chunk{
 			"lane+valid": {n: 2, cols: []chunkCol{col}},
 			"boxed lane": {n: 2, cols: []chunkCol{{kind: ckAny, boxed: []any{nil, v}}}},
-			"boxed rows": {n: 2, rows: [][]any{{nil}, {v}}},
 		}
 		if col.valid != nil {
 			plain := col
@@ -374,7 +373,7 @@ func TestStorageColumnsNamesFailures(t *testing.T) {
 		{"a", "sql: bootstrap argument 1: engine: value does not match column type: text value into double precision column"},
 		{nil, "sql: bootstrap argument 1: NULL values cannot be stored (the engine has no NULL representation)"},
 	} {
-		rs := boxedRowSet([]string{"_arg1"}, nil, [][]any{{1.5}, {tc.val}}, "")
+		rs := newRowSet([]string{"_arg1"}, nil, Chunk{n: 2, cols: []chunkCol{{kind: ckAny, boxed: []any{1.5, tc.val}}}})
 		if _, err := rs.storageColumns(schema, label); err == nil || err.Error() != tc.want {
 			t.Fatalf("%v: err = %v, want %s", tc.val, err, tc.want)
 		}

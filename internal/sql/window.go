@@ -36,16 +36,17 @@ import (
 // has none (Vector operands, madlib calls, parameters), through its row
 // closure driven over the selection into a boxed lane. One sort orders
 // the concatenated chunk with ORDER BY's comparator (sortSpec.perm):
-// partition keys ascending, then the order keys, then table position.
+// partition keys in ASC order, then the order keys, then table position.
 // That permutation is the fold order and the default output order at
 // once. Neighbours whose partition lanes compare unequal start a
 // partition and neighbours whose order lanes compare equal are rank()
 // peers; the partitions fold as contiguous runs of the permutation on
-// at most GOMAXPROCS goroutines. The output items and the outer ORDER
-// BY keys are compiled over the input row plus a slot vector per run:
-// the window values, then the output items, which ORDER BY keys may
-// name by alias. The gather and the fold run in one ForEachBatchCtx
-// callback, under one read latch on the input.
+// at most GOMAXPROCS goroutines, each writing its own rows of the
+// output lanes. The output items and the outer ORDER BY keys that are
+// not output columns are compiled over the input row plus a slot vector
+// per run: the window values, then the output items, which ORDER BY
+// keys may name by alias. The gather and the fold run in one
+// ForEachBatchCtx callback, under one read latch on the input.
 
 // windowFuncs names the supported window functions.
 var windowFuncs = map[string]bool{
@@ -77,7 +78,7 @@ type windowPlan struct {
 	keyItems []*projItem
 	nPart    int
 	native   bool
-	// window orders the key lanes: the partition keys ascending, then
+	// window orders the key lanes: the partition keys in ASC order, then
 	// the order keys in their directions.
 	window sortSpec
 
@@ -86,7 +87,7 @@ type windowPlan struct {
 	outNames []string
 	outKinds []ckind // static output kinds, for RowDescription
 	items    []anyFn
-	keys     []sortKey
+	keys     []anyFn  // the outer ORDER BY keys that are not output columns
 	order    sortSpec // the outer ORDER BY … LIMIT
 }
 
@@ -199,7 +200,7 @@ func planWindowSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		}
 		p.items[i] = c.a
 	}
-	if p.keys, err = compileSortKeys(st.OrderBy, len(st.Items), outputCompileCtx(&icc, p.outNames, len(p.specs))); err != nil {
+	if p.keys, err = p.order.compileKeys(st.OrderBy, p.outNames, st.Items, outputCompileCtx(&icc, p.outNames, len(p.specs))); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -245,28 +246,31 @@ func (p *windowPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	}
 	// The fold runs inside the scan's callback, under the read latch of
 	// the gather, so the row handles stay valid until the last step.
-	var rows [][]any
+	var out Chunk
 	err = s.db.ForEachBatchCtx(env.context(), input, func(morsels int, scan func(func(int, engine.ColBatch) error) error) error {
 		ms, err := gatherBatches(env, morsels, scan, p.prog, p.pred, p.gatherKeys)
 		if err == nil {
-			rows, err = p.fold(s.db, env, ms)
+			out, err = p.fold(s.db, env, ms)
 		}
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return finishSelect(s.db, p.outNames, p.outKinds, rows, false, p.order)
+	rs := newRowSet(p.outNames, p.outKinds, out)
+	return rs, p.order.finish(s.db, rs, false)
 }
 
 // fold sorts the gathered rows into window order and folds them into
-// their output rows, which it returns in that order: partitions
-// ascending by key, rows in window order, ties in table order — the
+// their output rows, which it returns in that order as one chunk of
+// boxed lanes, the outputs and then the ORDER BY key lanes: partitions
+// in key order, rows in window order, ties in table order — the
 // default output order. The partitions fold in parallel as contiguous
 // runs of the order; each run stops at its first error and the lowest
 // run's error wins, so the error is the earliest failing row's, as a
-// sequential fold would report it.
-func (p *windowPlan) fold(db *engine.DB, env *execEnv, ms []windowMorsel) ([][]any, error) {
+// sequential fold would report it. Each run writes its own rows of the
+// preallocated lanes.
+func (p *windowPlan) fold(db *engine.DB, env *execEnv, ms []windowMorsel) (Chunk, error) {
 	var chunks []Chunk
 	var handles []engine.Row
 	for i := range ms {
@@ -276,18 +280,18 @@ func (p *windowPlan) fold(db *engine.DB, env *execEnv, ms []windowMorsel) ([][]a
 		}
 	}
 	if len(handles) == 0 {
-		return nil, nil
+		return Chunk{}, nil
 	}
 	keys := concatChunks(chunks)
-	perm, err := p.window.perm(db, &keys, nil)
+	perm, err := p.window.perm(db, &keys)
 	if err != nil {
-		return nil, err
+		return Chunk{}, err
 	}
 	// A partition starts where the partition lanes of neighbours
 	// differ; neighbours whose order lanes compare equal are rank()
 	// peers. The sort has compared every pair of neighbours, so neither
 	// comparator can fail here.
-	ord := p.window.rowOrder(&keys, nil)
+	ord := p.window.rowOrder(&keys)
 	part, peers := &rowOrder{keys: ord.keys[:p.nPart]}, &rowOrder{keys: ord.keys[p.nPart:]}
 	n := len(perm)
 	starts := []int{0}
@@ -311,7 +315,7 @@ func (p *windowPlan) fold(db *engine.DB, env *execEnv, ms []windowMorsel) ([][]a
 	}
 	cuts = append(cuts, len(starts)-1)
 
-	out := make([][]any, n)
+	out := boxedChunk(len(p.items)+len(p.keys), n)
 	foldRun := func(bounds []int) error {
 		ws := windowState{accs: make([]numAccState, len(p.specs)), env: env.withSlots(len(p.specs) + len(p.items))}
 		for b := 0; b+1 < len(bounds); b++ {
@@ -324,11 +328,9 @@ func (p *windowPlan) fold(db *engine.DB, env *execEnv, ms []windowMorsel) ([][]a
 				if k == lo || peers.compare(perm[k-1], perm[k]) != 0 {
 					ws.rank = ws.pos
 				}
-				row, err := p.step(&ws, handles[perm[k]])
-				if err != nil {
+				if err := p.step(&ws, handles[perm[k]], &out, k); err != nil {
 					return err
 				}
-				out[k] = row
 			}
 		}
 		return nil
@@ -345,7 +347,7 @@ func (p *windowPlan) fold(db *engine.DB, env *execEnv, ms []windowMorsel) ([][]a
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return Chunk{}, err
 		}
 	}
 	return out, nil
@@ -361,10 +363,9 @@ type windowState struct {
 	env  *execEnv
 }
 
-// step folds one row into the partition's state and returns its output
-// row: the projection, then the outer ORDER BY keys, with the row's
-// window values bound.
-func (p *windowPlan) step(ws *windowState, row engine.Row) ([]any, error) {
+// step folds one row into the partition's state and writes its output
+// row, with the row's window values bound, into row k of out.
+func (p *windowPlan) step(ws *windowState, row engine.Row, out *Chunk, k int) error {
 	slots := ws.env.slots
 	for i, sp := range p.specs {
 		acc := &ws.accs[i]
@@ -378,7 +379,7 @@ func (p *windowPlan) step(ws *windowState, row engine.Row) ([]any, error) {
 			if sp.arg != nil {
 				var err error
 				if v, err = sp.arg(row, ws.env); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			if v != nil {
@@ -388,22 +389,13 @@ func (p *windowPlan) step(ws *windowState, row engine.Row) ([]any, error) {
 		case "sum", "avg":
 			v, err := sp.arg(row, ws.env)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := numAccAdd(acc, sp.name, v); err != nil {
-				return nil, err
+				return err
 			}
 			slots[i], _ = numAccFinal(sp.name)(*acc) // cannot fail
 		}
 	}
-	nSpecs := len(p.specs)
-	out := make([]any, len(p.items), len(p.items)+len(p.keys))
-	for i, fn := range p.items {
-		v, err := fn(row, ws.env)
-		if err != nil {
-			return nil, err
-		}
-		out[i], slots[nSpecs+i] = v, v
-	}
-	return evalSortKeys(p.keys, row, out, ws.env)
+	return outputRow(p.items, p.keys, row, ws.env, len(p.specs), out, k)
 }

@@ -116,7 +116,7 @@ PREDICT_COMPANIONS="SQLPredictRowLane"
 # name:max allocs/op — 20,000 result rows at 2 and at 0.1 per row.
 ALLOC_GATED="PGWireBulkSelect:40000 SQLBulkCTAS:2000"
 # The same for BenchmarkSQLSelectAgg sub-benchmarks.
-SUB_ALLOC_GATED="SQLOrderBy:10200 SQLOrderByTyped:150 SQLOrderByLimit:150 SQLWindow:23500 SQLGroupByMorsels:330"
+SUB_ALLOC_GATED="SQLOrderBy:10200 SQLOrderByTyped:150 SQLOrderByLimit:150 SQLWindow:15900 SQLGroupByMorsels:260 SQLDistinct:150"
 
 sub_alloc_names=$(for g in $SUB_ALLOC_GATED; do printf '%s ' "${g%%:*}"; done)
 pattern=$(echo "$GATED $COMPANIONS $sub_alloc_names" | xargs | tr ' ' '|')
