@@ -742,6 +742,45 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 			run()
 		}
 	})
+	// The analytic top-N shape over many morsels: ORDER BY … LIMIT 100
+	// of the 44 % of 200,000 rows a filter keeps. The morsels share one
+	// cut, so most rows are dropped on their first key before the rest
+	// of them is gathered. Read as the typed product.
+	b.Run("SQLTopNMorsels", func(b *testing.B) {
+		tdb := engine.Open(4)
+		ttbl, err := tdb.CreateTable("facts", engine.Schema{
+			{Name: "id", Kind: engine.Int}, {Name: "g", Kind: engine.Int}, {Name: "v", Kind: engine.Float},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		const rows = 200_000
+		for i := 0; i < rows; i++ {
+			if err := ttbl.Insert(int64(i), int64(i*31%64), float64(i*7919%100_000)/100); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if m := len(ttbl.Morsels()); m < 40 {
+			b.Fatalf("%d morsels, want at least 40", m)
+		}
+		tsess := sqlfe.NewSession(tdb)
+		run := func() {
+			sets, err := tsess.ExecRowSets(context.Background(),
+				`SELECT id, v FROM facts WHERE g < 28 ORDER BY v DESC, id LIMIT 100`)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n := sets[0].NumRows(); n != 100 {
+				b.Fatalf("rows = %d", n)
+			}
+		}
+		run()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+	})
 	const joinQuery = `SELECT dims.name, sum(t.v), count(*) FROM t JOIN dims ON t.g = dims.g GROUP BY dims.name`
 	// makeDims (re-)creates the 16-row dims table. A new table is a new
 	// join input, so the engine's join cache cannot serve it.
@@ -956,6 +995,8 @@ func BenchmarkSQLSelectAgg(b *testing.B) {
 		{"SQLOrderByTyped", orderByQuery, benchRows},
 		{"SQLOrderByLimit", `SELECT g, v FROM t WHERE v > 0.25 ORDER BY v DESC, g LIMIT 100`, 100},
 		{"SQLDistinct", `SELECT DISTINCT g, v FROM t WHERE v > 0.25`, 1498},
+		// The window with typed output lanes, cut by a top-N over them.
+		{"SQLWindowTyped", windowQuery + ` ORDER BY g LIMIT 100`, 100},
 	} {
 		b.Run(ob.name, func(b *testing.B) {
 			run := func() {

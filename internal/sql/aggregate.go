@@ -366,22 +366,37 @@ func numAccAny(name string) aggAcc[any] {
 // numAccAdd folds one boxed value into s: NULL is skipped, an int keeps
 // sum integral, anything else non-numeric is an error of aggregate name.
 func numAccAdd(s *numAccState, name string, v any) error {
-	if v == nil {
+	switch x := v.(type) {
+	case nil:
+		return nil
+	case int64:
+		s.addInt(x)
 		return nil
 	}
 	f, ok := toFloat(v)
 	if !ok {
 		return execErrf("%s: argument is %s, not numeric", name, valueTypeName(v))
 	}
-	if i, ok := v.(int64); ok {
-		s.sumInt += i
-	} else {
-		s.intOnly = false
-	}
+	s.addFloat(f)
+	return nil
+}
+
+// addInt and addFloat fold one value of a typed lane, as numAccAdd folds
+// it boxed.
+func (s *numAccState) addInt(i int64) {
+	s.sumInt += i
+	s.add(float64(i))
+}
+
+func (s *numAccState) addFloat(f float64) {
+	s.intOnly = false
+	s.add(f)
+}
+
+func (s *numAccState) add(f float64) {
 	s.n++
 	s.sum += f
 	s.sumSq += f * f
-	return nil
 }
 
 func mergeNumAcc(a, b numAccState) numAccState {

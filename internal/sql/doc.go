@@ -243,7 +243,13 @@
 // order sorts its typed group-key lanes the same way. Under LIMIT k a
 // bounded heap keeps each scan morsel's k first rows and only those
 // candidates meet in the final sort (EXPLAIN's "sort: top-N heap"
-// line). A full sort, like window partition
+// line). The morsels share one cut, the k-th best first key of the rows
+// finished morsels kept (order.go's topBound): when the first key is a
+// bare column with a typed lane, each batch evaluates it first, and
+// rows that sort strictly after the cut are dropped before the other
+// items are evaluated or gathered (sql_topn_rows_pruned counts them);
+// an item that can fail still evaluates over every selected row. A
+// full sort, like window partition
 // ordering, goes through engine.(*DB).SortFunc / SortStable, which run
 // per-worker pdqsorts with the index as the last key and merge them
 // stably; the order, ties included, is the same at any worker count,
@@ -342,11 +348,12 @@
 // typed lane. A projection scan emits typed lanes natively, one chunk
 // per morsel that kept rows; its boxed lanes hold Vector columns, $n-typed
 // expressions, madlib.* calls inside an expression, and everything in
-// oracle mode. The plans whose values come from compiled closures — the
-// aggregate output stage, the window fold, table-valued calls, FROM-less
-// SELECTs — write boxed lanes column by column (the window's parallel
-// runs each write their own rows of lanes sized to the result), and
-// EXPLAIN writes one text lane. An ORDER BY key that is not an output
+// oracle mode. The window fold writes typed lanes for its window values
+// and bare columns (its parallel runs each write their own rows of lanes
+// sized to the result) and boxed lanes only for the items that are
+// closures. The other plans whose values come from compiled closures —
+// the aggregate output stage, table-valued calls, FROM-less SELECTs —
+// write boxed lanes column by column, and EXPLAIN writes one text lane. An ORDER BY key that is not an output
 // column is a lane of its own behind the output lanes.
 //
 // Every SELECT shape then ends in the same output tail over those lanes
@@ -381,12 +388,16 @@
 // and RunRowSet are the Exec/ExecutePreparedContext/Run forms that
 // return the RowSet itself.
 //
-// What still boxes, and why: the window fold and the per-group output
-// stage read their slots boxed (once per row or group, through compiled
-// closures) and write boxed lanes, since HAVING and the items over
-// aggregate and window values have no kernels over the group chunk yet;
-// and a statement's result is held whole until its gather ends (no
-// in-scan streaming, no per-statement memory accounting yet).
+// What still boxes, and why: the per-group output stage reads its slots
+// boxed (once per group, through compiled closures) and writes boxed
+// lanes, since HAVING and the items over aggregate values have no
+// kernels over the group chunk yet; so does a window item that is an
+// expression over window values, or a window argument or outer ORDER BY
+// key that is not a bare column — those closures see the row's window
+// values boxed, while row_number, rank, count and the running sum/avg of
+// a bare column fold into typed lanes. A statement's result is held
+// whole until its gather ends (no in-scan streaming, no per-statement
+// memory accounting yet).
 //
 // # Types
 //

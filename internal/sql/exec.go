@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -567,6 +568,11 @@ func (s *Session) planSelect(st *Select) (stmtPlan, error) {
 	return pl, nil
 }
 
+// errDistinctOrder rejects an ORDER BY key of a SELECT DISTINCT that is
+// not an output column: sorting deduplicated rows by it would depend on
+// which duplicate happened to survive.
+var errDistinctOrder = execErrf("for SELECT DISTINCT, ORDER BY expressions must appear in the select list")
+
 // constPlan evaluates a FROM-less SELECT (e.g. SELECT 1+2, SELECT $1+$2).
 type constPlan struct {
 	cols  []string
@@ -600,6 +606,13 @@ func planConstSelect(st *Select) (stmtPlan, error) {
 		}
 		p.items[i] = c.a
 		p.cols = append(p.cols, outputName(item))
+	}
+	if st.Distinct {
+		for _, key := range st.OrderBy {
+			if _, ok, err := orderColumn(key.Expr, p.cols, st.Items); err != nil || !ok {
+				return nil, cmp.Or(err, errDistinctOrder)
+			}
+		}
 	}
 	var err error
 	p.keys, err = p.order.compileKeys(st.OrderBy, p.cols, st.Items, outputCompileCtx(nil, p.cols, 0))
@@ -666,7 +679,9 @@ func itemKinds(items []SelectItem, schema engine.Schema) []ckind {
 // the expression has none, its row closure driven over the selection
 // (lowering; such an item fills a boxed lane). The typed chunks go
 // through the output tail (sortSpec.finish) as they stand; under ORDER
-// BY … LIMIT each morsel first cuts its chunk to its top rows.
+// BY … LIMIT each morsel first cuts its chunk to its top rows, and when
+// the first key is a bare column every batch evaluates it first and
+// drops the rows that sort after the cut the morsels share (topBound).
 type scanPlan struct {
 	src      *planSource
 	distinct bool
@@ -693,6 +708,12 @@ type scanPlan struct {
 	// batch kernels (not row closures); EXPLAIN's lane line reports them.
 	nativePred  bool
 	nativeItems int
+	// topKey is the emit lane of the first ORDER BY key when the scan
+	// prunes by a topBound, -1 otherwise: under LIMIT, with no DISTINCT,
+	// a bare column first key and typed key lanes only, so that no
+	// comparison can fail. relSlot and keptSlot are its selection
+	// scratch.
+	topKey, relSlot, keptSlot int
 }
 
 func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
@@ -737,9 +758,7 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 			return nil, err
 		}
 		if !isOrd && p.distinct {
-			// Sorting deduplicated rows by a non-projected expression
-			// would depend on which duplicate happened to survive.
-			return nil, execErrf("for SELECT DISTINCT, ORDER BY expressions must appear in the select list")
+			return nil, errDistinctOrder
 		}
 		if isOrd {
 			p.order.cols = append(p.order.cols, ord)
@@ -753,6 +772,14 @@ func planScanSelect(st *Select, lw *lowering) (stmtPlan, error) {
 		}
 		p.order.cols = append(p.order.cols, len(p.emit))
 		p.emit = append(p.emit, pi)
+	}
+	p.topKey = -1
+	typed := true
+	for _, ci := range p.order.cols {
+		typed = typed && p.emit[ci].rowFn == nil
+	}
+	if typed && p.order.limit >= 0 && len(p.order.cols) > 0 && !p.distinct && p.emit[p.order.cols[0]].safe {
+		p.topKey, p.relSlot, p.keptSlot = p.order.cols[0], lw.bc.selSlot(), lw.bc.selSlot()
 	}
 	var err error
 	if p.pred, p.nativePred, err = lw.predicate(st.Where); err != nil {
@@ -776,9 +803,17 @@ func (p *scanPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 	if err != nil {
 		return nil, err
 	}
+	var top *topBound
+	if p.topKey >= 0 {
+		top = &topBound{k: int(p.order.limit), desc: p.order.desc[0]}
+		defer func() { s.metrics.topnPruned(top.pruned.Load()) }()
+	}
+	emit := func(e *batchEval, b engine.ColBatch, sel selVec, c *Chunk) error {
+		return p.emitChunk(e, b, sel, c, top)
+	}
 	var chunks []Chunk
 	err = s.db.ForEachBatchCtx(env.context(), input, func(morsels int, scan func(func(int, engine.ColBatch) error) error) (err error) {
-		chunks, err = gatherBatches(env, morsels, scan, p.prog, p.pred, p.emitChunk)
+		chunks, err = gatherBatches(env, morsels, scan, p.prog, p.pred, emit)
 		return err
 	})
 	if err != nil {
@@ -789,22 +824,53 @@ func (p *scanPlan) exec(s *Session, env *execEnv) (*RowSet, error) {
 }
 
 // emitChunk appends one batch's surviving rows to the morsel's chunk:
-// each lane's item evaluates once over the selection.
-func (p *scanPlan) emitChunk(e *batchEval, b engine.ColBatch, sel selVec, c *Chunk) error {
+// each lane's item evaluates once over the selection. Under a topBound
+// the first key evaluates first, and the rows it drops are neither
+// evaluated nor gathered by the items that cannot fail; an item that
+// can fail still evaluates over every selected row, so the statement
+// fails as it would without the cut, and its lane is then cut too.
+func (p *scanPlan) emitChunk(e *batchEval, b engine.ColBatch, sel selVec, c *Chunk, top *topBound) error {
 	if c.cols == nil {
 		c.cols = make([]chunkCol, len(p.emit))
 	}
 	left := batchesLeft(b)
-	for i, pi := range p.emit {
-		if err := pi.appendTo(e, b, sel, &c.cols[i], left); err != nil {
+	kept, rel := sel, []int32(nil)
+	if top != nil {
+		key, err := p.emit[p.topKey].view(e, b, sel)
+		if err != nil {
 			return err
 		}
+		if rel = top.keep(&key, len(sel), e.sel(p.relSlot, len(sel))[:0]); len(rel) < len(sel) {
+			key.keepTail(0, rel)
+			kept = e.sel(p.keptSlot, len(rel))
+			for m, j := range rel {
+				kept[m] = sel[j]
+			}
+		} else {
+			rel = nil
+		}
+		c.cols[p.topKey].appendLane(&key, left)
 	}
-	c.n += len(sel)
-	if len(p.order.desc) > 0 && batchesLeft(b) == 1 && !p.distinct {
+	for i, pi := range p.emit {
+		if top != nil && i == p.topKey {
+			continue
+		}
+		from, in := c.n, kept
+		if rel != nil && !pi.safe {
+			in = sel
+		}
+		if err := pi.appendTo(e, b, in, &c.cols[i], left); err != nil {
+			return err
+		}
+		if len(in) > len(kept) {
+			c.cols[i].keepTail(from, rel)
+		}
+	}
+	c.n += len(kept)
+	if len(p.order.desc) > 0 && left == 1 && !p.distinct {
 		// Under ORDER BY … LIMIT the morsel's worker cuts its chunk to
 		// its own top rows, a bounded heap over the morsel.
-		return p.order.keepTop(c)
+		return p.order.keepTop(c, top)
 	}
 	return nil
 }
@@ -899,7 +965,7 @@ func planAggSelect(st *Select, lw *lowering) (stmtPlan, error) {
 			continue
 		}
 		if st.Distinct {
-			return nil, execErrf("for SELECT DISTINCT, ORDER BY expressions must appear in the select list")
+			return nil, errDistinctOrder
 		}
 		if err := addSlots(key.Expr); err != nil {
 			return nil, err

@@ -65,6 +65,9 @@ type projItem struct {
 	// kind is the item's static result kind, ckAny when only its values
 	// tell ($n, NULL-padded LEFT JOIN columns).
 	kind ckind
+	// safe reports an item that cannot fail, a bare column: it may be
+	// evaluated late, over fewer rows than the selection.
+	safe bool
 }
 
 // buildProjItem lowers one projected expression to its native columnar
@@ -110,40 +113,57 @@ func (pi *projItem) appendTo(e *batchEval, b engine.ColBatch, sel selVec, dst *c
 		}
 		return nil
 	}
+	v, err := pi.view(e, b, sel)
+	if err != nil {
+		return err
+	}
+	dst.appendLane(&v, batches)
+	return nil
+}
+
+// view evaluates a native item over sel into a lane over the kernels'
+// scratch, which the caller may cut in place; it is valid until the
+// morsel's next batch.
+func (pi *projItem) view(e *batchEval, b engine.ColBatch, sel selVec) (v chunkCol, err error) {
 	if pi.validE != nil {
-		vl, err := pi.validE(e, b, sel)
-		if err != nil {
-			return err
+		if v.valid, err = pi.validE(e, b, sel); err != nil {
+			return v, err
 		}
-		dst.valid = append(reserve(dst.valid, len(vl), batches), vl...)
 	}
 	switch {
 	case pi.evalF != nil:
-		vals, err := pi.evalF(e, b, sel)
-		if err != nil {
-			return err
-		}
-		dst.kind, dst.floats = ckFloat, append(reserve(dst.floats, len(vals), batches), vals...)
+		v.kind = ckFloat
+		v.floats, err = pi.evalF(e, b, sel)
 	case pi.evalI != nil:
-		vals, err := pi.evalI(e, b, sel)
-		if err != nil {
-			return err
-		}
-		dst.kind, dst.ints = ckInt, append(reserve(dst.ints, len(vals), batches), vals...)
+		v.kind = ckInt
+		v.ints, err = pi.evalI(e, b, sel)
 	case pi.evalS != nil:
-		vals, err := pi.evalS(e, b, sel)
-		if err != nil {
-			return err
-		}
-		dst.kind, dst.strs = ckStr, append(reserve(dst.strs, len(vals), batches), vals...)
+		v.kind = ckStr
+		v.strs, err = pi.evalS(e, b, sel)
 	case pi.evalB != nil:
-		vals, err := pi.evalB(e, b, sel)
-		if err != nil {
-			return err
-		}
-		dst.kind, dst.bools = ckBool, append(reserve(dst.bools, len(vals), batches), vals...)
+		v.kind = ckBool
+		v.bools, err = pi.evalB(e, b, sel)
 	}
-	return nil
+	return v, err
+}
+
+// appendLane appends the rows of src, a typed lane, to dst, growing dst
+// as appendTo does.
+func (dst *chunkCol) appendLane(src *chunkCol, batches int) {
+	dst.kind = src.kind
+	if src.valid != nil {
+		dst.valid = append(reserve(dst.valid, len(src.valid), batches), src.valid...)
+	}
+	switch src.kind {
+	case ckFloat:
+		dst.floats = append(reserve(dst.floats, len(src.floats), batches), src.floats...)
+	case ckInt:
+		dst.ints = append(reserve(dst.ints, len(src.ints), batches), src.ints...)
+	case ckStr:
+		dst.strs = append(reserve(dst.strs, len(src.strs), batches), src.strs...)
+	case ckBool:
+		dst.bools = append(reserve(dst.bools, len(src.bools), batches), src.bools...)
+	}
 }
 
 // reserve returns lane with room for n more values, growing it to hold
@@ -158,8 +178,10 @@ func reserve[T any](lane []T, n, batches int) []T {
 // batchesLeft is the number of batches its morsel still has to deliver,
 // b included: a short batch ends its morsel, a full one may be followed
 // by up to the rest of engine.MorselRows. It is read off the engine's
-// morsel alignment and used as a hint only (lane sizing, early scratch
-// reuse) — an overestimate costs capacity, never rows.
+// morsel alignment and used as a hint (lane sizing, early scratch
+// reuse) — an overestimate costs capacity, never rows — and to find a
+// morsel's last batch: morsels start at multiples of MorselRows within
+// a segment, so it is 1 on at most one batch of a morsel, its last.
 func batchesLeft(b engine.ColBatch) int {
 	if b.Len() < engine.BatchSize {
 		return 1
@@ -230,13 +252,14 @@ func (lw *lowering) item(e Expr) (*projItem, error) {
 	if err != nil {
 		return nil, err
 	}
+	_, safe := e.(*ColumnRef)
 	if !lw.oracle {
 		if pi, ok := buildProjItem(e, lw.bc); ok {
-			pi.kind = c.kind
+			pi.kind, pi.safe = c.kind, safe
 			return pi, nil
 		}
 	}
-	return &projItem{rowFn: c.a, kind: c.kind}, nil
+	return &projItem{rowFn: c.a, kind: c.kind, safe: safe}, nil
 }
 
 // morselScratch is one morsel's kernel scratch under every batch

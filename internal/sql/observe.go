@@ -56,6 +56,15 @@ func (m *sessionMetrics) lanePicked(lane string) {
 	m.reg.Counter("sql_lane_" + lane).Inc()
 }
 
+// topnPruned counts the scan rows a top-N cut dropped before they were
+// gathered (sql_topn_rows_pruned), registered by the first statement
+// that drops any.
+func (m *sessionMetrics) topnPruned(n int64) {
+	if n > 0 {
+		m.reg.Counter("sql_topn_rows_pruned").Add(n)
+	}
+}
+
 // planLane names how a plan's consumers lowered. Scans, aggregates and
 // windows report batch (fused for the single-pass filter+aggregate) when
 // any consumer took a native kernel and row when all run row closures;

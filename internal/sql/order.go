@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"madlib/internal/engine"
@@ -30,7 +31,12 @@ import (
 // comparator (windowPlan.fold); the grouped aggregate sorts its typed
 // group keys into its default order. Under LIMIT k a bounded heap keeps
 // each scan morsel's k best rows, and only those candidates meet in the
-// final sort.
+// final sort. The morsels also share a cut (topBound): a heap of the k
+// best first-key values of the rows finished morsels kept. When the
+// first key is a bare column with a typed lane, every batch evaluates it
+// first and drops the rows that sort strictly after the cut before
+// anything else of them is evaluated or gathered; ties with the cut
+// survive, so the stable tie order is kept.
 
 // sortSpec is a SELECT's ORDER BY … LIMIT: each key's direction, its
 // text (for EXPLAIN) and its chunk column, and the row limit, -1 for
@@ -259,33 +265,185 @@ func (o sortSpec) perm(db *engine.DB, c *Chunk) ([]int, error) {
 	return idx, ord.failed()
 }
 
-// keepTop cuts c, a chunk of more than limit rows, to its first limit
-// rows, kept in row order so that a later sort of the candidates still
-// breaks ties by position.
-func (o sortSpec) keepTop(c *Chunk) error {
-	if o.limit < 0 || int64(c.n) <= o.limit {
+// keepTop cuts c, a morsel's chunk, to its first limit rows, kept in
+// row order so that a later sort of the candidates still breaks ties by
+// position, and offers the first keys of the rows it keeps to top, the
+// cut the scan's morsels share, when there is one. It runs once per
+// morsel, after its last batch, so no row is offered twice.
+func (o sortSpec) keepTop(c *Chunk, top *topBound) error {
+	if o.limit < 0 {
 		return nil
 	}
-	ord := o.rowOrder(c)
-	top := ord.topK(c.n, int(o.limit))
-	slices.Sort(top)
-	kept := Chunk{cols: make([]chunkCol, len(c.cols))}
-	kept.appendRows(c, top)
-	*c = kept
-	return ord.failed()
+	if int64(c.n) > o.limit {
+		ord := o.rowOrder(c)
+		h := ord.topK(c.n, int(o.limit))
+		if err := ord.failed(); err != nil {
+			return err
+		}
+		slices.Sort(h)
+		kept := Chunk{cols: make([]chunkCol, len(c.cols))}
+		kept.appendRows(c, h)
+		*c = kept
+	}
+	if top != nil && c.n > 0 {
+		top.offer(&c.cols[o.col(0)], c.n)
+	}
+	return nil
+}
+
+// topBound is the cut the morsels of one ORDER BY … LIMIT k scan share.
+// A max-heap holds the k best first-key values of the rows that finished
+// morsels kept, each value another row's; once it is full, its root,
+// the k-th, is the cut. k rows sort at or before it, so a row whose
+// first key sorts strictly after it cannot be among the first k and is
+// dropped before the scan evaluates or gathers anything else of it.
+// Rows that tie with the cut survive, and the exact order decides them.
+// The cut only ever improves.
+type topBound struct {
+	k      int
+	desc   bool
+	pruned atomic.Int64             // rows the cut dropped
+	cut    atomic.Pointer[chunkCol] // the root's value, one row; nil until the heap is full
+
+	mu   sync.Mutex
+	heap chunkCol // rows [0, size) are the heap, the worst at row 0
+	size int
+}
+
+// offer adds the n values of l, the first key lane of a morsel's kept
+// rows, to the heap, and publishes its root once it is full.
+func (t *topBound) offer(l *chunkCol, n int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	h := &t.heap
+	ord := &rowOrder{keys: []orderKey{{h, t.desc}}}
+	h.appendFrom(l, nil) // the candidates, rows size..size+n
+	for j, end := t.size, t.size+n; j < end; j++ {
+		if t.size < t.k {
+			// Fill: the candidate is row size already; sift it up.
+			for c := t.size; c > 0 && ord.compare((c-1)/2, c) < 0; c = (c - 1) / 2 {
+				h.swap(c, (c-1)/2)
+			}
+			t.size++
+			continue
+		}
+		if ord.compare(j, 0) >= 0 {
+			continue
+		}
+		// Replace the root and sift it down.
+		h.swap(0, j)
+		for c, ch := 0, 1; ch < t.k; c, ch = ch, 2*ch+1 {
+			if ch+1 < t.k && ord.compare(ch, ch+1) < 0 {
+				ch++
+			}
+			if ord.compare(c, ch) >= 0 {
+				break
+			}
+			h.swap(c, ch)
+		}
+	}
+	h.keepTail(t.size, nil) // drop the candidates' rows
+	if t.size == t.k {
+		root := &chunkCol{}
+		root.appendFrom(h, []int{0})
+		t.cut.Store(root)
+	}
+}
+
+// keep appends to rel the positions of the n rows of l whose key does
+// not sort strictly after the cut: every row while there is no cut, or
+// when l is a bool lane.
+func (t *topBound) keep(l *chunkCol, n int, rel []int32) []int32 {
+	cut := t.cut.Load()
+	if cut == nil || l.kind == ckBool {
+		for j := range n {
+			rel = append(rel, int32(j))
+		}
+		return rel
+	}
+	xNull := cut.valid != nil && !cut.valid[0]
+	switch l.kind {
+	case ckInt:
+		rel = keepNotAfter(l.ints, l.valid, cut.ints[0], xNull, t.desc, rel)
+	case ckFloat:
+		rel = keepNotAfter(l.floats, l.valid, cut.floats[0], xNull, t.desc, rel)
+	case ckStr:
+		rel = keepNotAfter(l.strs, l.valid, cut.strs[0], xNull, t.desc, rel)
+	}
+	if dropped := n - len(rel); dropped > 0 {
+		t.pruned.Add(int64(dropped))
+	}
+	return rel
+}
+
+// keepNotAfter appends to rel the positions of vals whose value, NULL
+// where valid says so, does not sort strictly after x, NULL when xNull,
+// under the direction, as rowOrder.compare orders them.
+func keepNotAfter[T cmp.Ordered](vals []T, valid []bool, x T, xNull, desc bool, rel []int32) []int32 {
+	if valid == nil && !xNull && x == x {
+		// Neither side is NULL and x is no NaN. A NaN value sorts after
+		// x ascending and before it descending, which is where both
+		// comparisons, false for a NaN, put it.
+		m := len(rel)
+		rel = slices.Grow(rel, len(vals))[:m+len(vals)]
+		if desc {
+			for j, v := range vals {
+				rel[m] = int32(j)
+				if !(v < x) {
+					m++
+				}
+			}
+		} else {
+			for j, v := range vals {
+				rel[m] = int32(j)
+				if v <= x {
+					m++
+				}
+			}
+		}
+		return rel[:m]
+	}
+	for j, v := range vals {
+		var c int
+		switch {
+		case valid != nil && !valid[j]:
+			c = compareBools(true, xNull)
+		case xNull:
+			c = -1
+		case v < x:
+			c = -1
+		case v > x:
+			c = 1
+		case v == x:
+			c = 0
+		default: // a NaN, above every other value (compareFloats)
+			c = compareBools(v != v, x != x)
+		}
+		if desc {
+			c = -c
+		}
+		if c <= 0 {
+			rel = append(rel, int32(j))
+		}
+	}
+	return rel
 }
 
 // rowOrder builds the comparator over c's key lanes.
 func (o sortSpec) rowOrder(c *Chunk) *rowOrder {
 	ord := &rowOrder{keys: make([]orderKey, len(o.desc))}
 	for k, desc := range o.desc {
-		ci := k
-		if o.cols != nil {
-			ci = o.cols[k]
-		}
-		ord.keys[k] = orderKey{&c.cols[ci], desc}
+		ord.keys[k] = orderKey{&c.cols[o.col(k)], desc}
 	}
 	return ord
+}
+
+// col is the chunk column of key k.
+func (o sortSpec) col(k int) int {
+	if o.cols == nil {
+		return k
+	}
+	return o.cols[k]
 }
 
 // sortChunks orders the rows of chunks, read in sequence, by the key

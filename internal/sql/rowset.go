@@ -9,10 +9,11 @@ import (
 // static column kinds, a command tag and a sequence of Chunks. A Chunk is
 // a ColBatch-shaped slab of output rows: one typed lane per column, an
 // optional validity lane beside it, a boxed lane only for values that
-// have no typed lane. A projection scan fills typed lanes per morsel;
-// the plans whose values come from closures (the aggregate output stage,
-// the window fold, table-valued calls, FROM-less SELECTs) fill boxed
-// lanes column by column, and EXPLAIN one text lane. Every SELECT shape
+// have no typed lane. A projection scan fills typed lanes per morsel,
+// and the window fold typed lanes for its window values and bare
+// columns; the values that come from closures (the aggregate output
+// stage, the window's other items, table-valued calls, FROM-less
+// SELECTs) fill boxed lanes column by column, and EXPLAIN one text lane. Every SELECT shape
 // then ends in the same tail over those lanes (sortSpec.finish):
 // DISTINCT, ORDER BY, LIMIT. A RowSet has three sinks: RowSet.Result
 // boxes it into Result.Rows for the in-process API, the wire server
@@ -48,9 +49,27 @@ type Chunk struct {
 func boxedChunk(w, n int) Chunk {
 	c := Chunk{n: n, cols: make([]chunkCol, w)}
 	for i := range c.cols {
-		c.cols[i] = chunkCol{kind: ckAny, boxed: make([]any, n)}
+		c.cols[i] = newLane(ckAny, n, false)
 	}
 	return c
+}
+
+// newLane returns a lane of n rows of the kind (int, float or else
+// boxed), with a validity lane when nullable.
+func newLane(kind ckind, n int, nullable bool) chunkCol {
+	l := chunkCol{kind: kind}
+	switch kind {
+	case ckInt:
+		l.ints = make([]int64, n)
+	case ckFloat:
+		l.floats = make([]float64, n)
+	default:
+		l.boxed = make([]any, n)
+	}
+	if nullable {
+		l.valid = make([]bool, n)
+	}
+	return l
 }
 
 // Len returns the number of rows in the chunk.
@@ -156,28 +175,33 @@ func (l *chunkCol) box(rows [][]any, col int) {
 // over c's columns (src's first ones).
 func (c *Chunk) appendRows(src *Chunk, idx []int) {
 	for ci := range c.cols {
-		l, dst := &src.cols[ci], &c.cols[ci]
-		dst.kind = l.kind
-		switch l.kind {
-		case ckInt:
-			dst.ints = appendAt(dst.ints, l.ints, idx)
-		case ckFloat:
-			dst.floats = appendAt(dst.floats, l.floats, idx)
-		case ckStr:
-			dst.strs = appendAt(dst.strs, l.strs, idx)
-		case ckBool:
-			dst.bools = appendAt(dst.bools, l.bools, idx)
-		default:
-			dst.boxed = appendAt(dst.boxed, l.boxed, idx)
-		}
-		if l.valid != nil {
-			dst.valid = appendAt(dst.valid, l.valid, idx)
-		}
+		c.cols[ci].appendFrom(&src.cols[ci], idx)
 	}
 	if idx == nil {
 		c.n += src.n
 	} else {
 		c.n += len(idx)
+	}
+}
+
+// appendFrom appends rows idx of l, every row when idx is nil, to dst,
+// which takes l's kind.
+func (dst *chunkCol) appendFrom(l *chunkCol, idx []int) {
+	dst.kind = l.kind
+	switch l.kind {
+	case ckInt:
+		dst.ints = appendAt(dst.ints, l.ints, idx)
+	case ckFloat:
+		dst.floats = appendAt(dst.floats, l.floats, idx)
+	case ckStr:
+		dst.strs = appendAt(dst.strs, l.strs, idx)
+	case ckBool:
+		dst.bools = appendAt(dst.bools, l.bools, idx)
+	default:
+		dst.boxed = appendAt(dst.boxed, l.boxed, idx)
+	}
+	if l.valid != nil {
+		dst.valid = appendAt(dst.valid, l.valid, idx)
 	}
 }
 
@@ -205,6 +229,42 @@ func (c *Chunk) truncate(n int) {
 }
 
 func head[T any](s []T, n int) []T { return s[:min(len(s), n)] }
+
+// swap exchanges rows i and j of the lane.
+func (l *chunkCol) swap(i, j int) {
+	switch l.kind {
+	case ckInt:
+		l.ints[i], l.ints[j] = l.ints[j], l.ints[i]
+	case ckFloat:
+		l.floats[i], l.floats[j] = l.floats[j], l.floats[i]
+	case ckStr:
+		l.strs[i], l.strs[j] = l.strs[j], l.strs[i]
+	case ckBool:
+		l.bools[i], l.bools[j] = l.bools[j], l.bools[i]
+	default:
+		l.boxed[i], l.boxed[j] = l.boxed[j], l.boxed[i]
+	}
+	if l.valid != nil {
+		l.valid[i], l.valid[j] = l.valid[j], l.valid[i]
+	}
+}
+
+// keepTail keeps, of l's rows from from on, those at the positions rel
+// (relative to from, ascending), in place.
+func (l *chunkCol) keepTail(from int, rel []int32) {
+	l.ints, l.floats, l.strs = keepAt(l.ints, from, rel), keepAt(l.floats, from, rel), keepAt(l.strs, from, rel)
+	l.bools, l.boxed, l.valid = keepAt(l.bools, from, rel), keepAt(l.boxed, from, rel), keepAt(l.valid, from, rel)
+}
+
+func keepAt[T any](s []T, from int, rel []int32) []T {
+	if len(s) <= from {
+		return s
+	}
+	for m, j := range rel {
+		s[from+m] = s[from+int(j)]
+	}
+	return s[:from+len(rel)]
+}
 
 // appendBoxed boxes the chunk's rows onto rows, column-wise into one
 // cell array.
@@ -307,8 +367,10 @@ func (rs *RowSet) ColumnTypes() []string {
 }
 
 // value boxes one cell; nil is SQL NULL.
-func (c *Chunk) value(row, col int) any {
-	l := &c.cols[col]
+func (c *Chunk) value(row, col int) any { return c.cols[col].value(row) }
+
+// value boxes the lane's cell at row; nil is SQL NULL.
+func (l *chunkCol) value(row int) any {
 	if l.valid != nil && !l.valid[row] {
 		return nil
 	}

@@ -70,11 +70,21 @@
 # fit under it. SQLOrderBy itself reads a Result, whose boxing of the
 # 10,000 float cells is 10,000 allocations (10,042-10,066 measured); its
 # gate of 10,200 leaves no room for a second per-row box in the sort.
-# SQLWindow (a running sum over the 7,490 rows v > 0.25) may allocate
-# at most 23,500 times per op: it measured 22,547-22,582 at GOMAXPROCS
-# 1-4, about three per output row (the boxed output row and cells), where
-# the window that boxed and map-cached every gathered key spent 45,735.
-# One more per-row allocation in the gather or the sort cannot fit.
+# SQLWindow (a running sum over the 7,490 rows v > 0.25, read through
+# Result) may allocate at most 7,970 times per op: it measured
+# 7,563-7,588 at GOMAXPROCS 1-4, about one per output row (Result's boxed
+# float cell), since the fold writes typed lanes; the fold that boxed
+# every output cell spent 15,062-15,099, and the window that boxed and
+# map-cached every gathered key 45,735. One more per-row allocation in
+# the gather, the sort or the fold cannot fit. SQLWindowTyped (the same
+# window cut by ORDER BY g LIMIT 100, read as the typed product) may
+# allocate at most 102 times per op: it measured 76-97, where the boxed
+# fold spent 15,066-15,099. SQLTopNMorsels (ORDER BY v DESC, id LIMIT 100
+# over the 44 % of a 200,000-row, 52-morsel table that a filter keeps,
+# read as the typed product) may allocate at most 366 times per op: it
+# measured 328-348, where each morsel cut its fully gathered rows to its
+# own heap and spent 523-536. One allocation per pruned batch is about
+# 200 more and cannot fit.
 # SQLGroupByMorsels (64 int groups with count/sum/avg over 200,000 rows
 # in 52 morsels, read as the typed product) may allocate at most 330
 # times per op: it measured 307-314 at GOMAXPROCS 1-4, where the grouped
@@ -116,7 +126,7 @@ PREDICT_COMPANIONS="SQLPredictRowLane"
 # name:max allocs/op — 20,000 result rows at 2 and at 0.1 per row.
 ALLOC_GATED="PGWireBulkSelect:40000 SQLBulkCTAS:2000"
 # The same for BenchmarkSQLSelectAgg sub-benchmarks.
-SUB_ALLOC_GATED="SQLOrderBy:10200 SQLOrderByTyped:150 SQLOrderByLimit:150 SQLWindow:15900 SQLGroupByMorsels:260 SQLDistinct:150"
+SUB_ALLOC_GATED="SQLOrderBy:10200 SQLOrderByTyped:150 SQLOrderByLimit:150 SQLWindow:7970 SQLGroupByMorsels:260 SQLDistinct:150 SQLWindowTyped:102 SQLTopNMorsels:366"
 
 sub_alloc_names=$(for g in $SUB_ALLOC_GATED; do printf '%s ' "${g%%:*}"; done)
 pattern=$(echo "$GATED $COMPANIONS $sub_alloc_names" | xargs | tr ' ' '|')
