@@ -595,8 +595,7 @@ func (lw *lowering) aggregate(call *FuncCall) (*batchAggSpec, error) {
 
 // nativeAggregate lowers a built-in call whose argument has a column
 // kernel of a kind its aggregate folds; ok=false (bool min/max, Vector
-// operands, $n arithmetic, scalar functions over possibly-NULL
-// arguments) leaves the call to its row closure.
+// operands, $n arithmetic) leaves the call to its row closure.
 func nativeAggregate(call *FuncCall, bc *batchCompiler) (*batchAggSpec, bool) {
 	spec := &batchAggSpec{native: true}
 	whole := func(e *batchEval, b engine.ColBatch) []int32 { return e.identSel(b.Len()) }

@@ -141,13 +141,15 @@ func kindOf(k engine.Kind) ckind {
 
 // Typed closure signatures. Every closure receives the row cursor and the
 // execution environment and may fail (division by zero, bad parameter).
+type rowFn[T any] func(engine.Row, *execEnv) (T, error)
+
 type (
-	floatFn func(engine.Row, *execEnv) (float64, error)
-	intFn   func(engine.Row, *execEnv) (int64, error)
-	strFn   func(engine.Row, *execEnv) (string, error)
-	boolFn  func(engine.Row, *execEnv) (bool, error)
-	vecFn   func(engine.Row, *execEnv) ([]float64, error)
-	anyFn   func(engine.Row, *execEnv) (any, error)
+	floatFn = rowFn[float64]
+	intFn   = rowFn[int64]
+	strFn   = rowFn[string]
+	boolFn  = rowFn[bool]
+	vecFn   = rowFn[[]float64]
+	anyFn   = rowFn[any]
 )
 
 // compiled is one lowered expression node: its static kind, the matching
@@ -909,166 +911,29 @@ func compileFuncCall(x *FuncCall, cc *compileCtx) (*compiled, error) {
 		return compilePredictRow(x, cc)
 	}
 	args := make([]*compiled, len(x.Args))
+	kinds := make([]ckind, len(x.Args))
 	for i, a := range x.Args {
 		c, err := compileExpr(a, cc)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = c
+		args[i], kinds[i] = c, c.kind
 	}
-	need := func(n int) error {
-		if len(args) != n {
-			return execErrf("%s expects %d argument(s), got %d", x.Name, n, len(args))
-		}
-		return nil
-	}
-	numArg := func(i int) (floatFn, error) {
-		if !args[i].isNumeric() {
-			return nil, execErrf("%s: argument %d is not numeric", x.Name, i+1)
-		}
-		return args[i].asFloat(), nil
-	}
-	switch x.Name {
-	case "abs":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if args[0].kind == ckInt {
-			fn := args[0].i
-			return cInt(func(r engine.Row, env *execEnv) (int64, error) {
-				v, err := fn(r, env)
-				if err != nil {
-					return 0, err
-				}
-				if v < 0 {
-					return -v, nil
-				}
-				return v, nil
-			}), nil
-		}
-		if args[0].kind == ckFloat {
-			fn := args[0].f
-			return cFloat(func(r engine.Row, env *execEnv) (float64, error) {
-				v, err := fn(r, env)
-				return math.Abs(v), err
-			}), nil
-		}
-	case "sqrt", "exp", "ln", "floor", "ceil":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if args[0].kind == ckAny {
-			break
-		}
-		fn, err := numArg(0)
-		if err != nil {
-			return nil, err
-		}
-		var mf func(float64) float64
-		switch x.Name {
-		case "sqrt":
-			mf = math.Sqrt
-		case "exp":
-			mf = math.Exp
-		case "ln":
-			mf = math.Log
-		case "floor":
-			mf = math.Floor
-		default:
-			mf = math.Ceil
-		}
-		return cFloat(func(r engine.Row, env *execEnv) (float64, error) {
-			v, err := fn(r, env)
-			return mf(v), err
-		}), nil
-	case "pow", "power":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		if args[0].kind == ckAny || args[1].kind == ckAny {
-			break
-		}
-		af, err := numArg(0)
-		if err != nil {
-			return nil, err
-		}
-		bf, err := numArg(1)
-		if err != nil {
-			return nil, err
-		}
-		return cFloat(func(r engine.Row, env *execEnv) (float64, error) {
-			a, err := af(r, env)
-			if err != nil {
-				return 0, err
-			}
-			b, err := bf(r, env)
-			return math.Pow(a, b), err
-		}), nil
-	case "length", "array_length":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		switch args[0].kind {
-		case ckStr:
-			fn := args[0].s
-			return cInt(func(r engine.Row, env *execEnv) (int64, error) {
-				v, err := fn(r, env)
-				return int64(len(v)), err
-			}), nil
-		case ckVec:
-			fn := args[0].v
-			return cInt(func(r engine.Row, env *execEnv) (int64, error) {
-				v, err := fn(r, env)
-				return int64(len(v)), err
-			}), nil
-		case ckAny:
-			// fall through to the generic path below
-		default:
-			return nil, execErrf("length: argument must be text or array, not %s", args[0].kind)
-		}
-	case "array_get":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		if args[0].kind == ckVec && args[1].kind == ckInt {
-			vf, idxf := args[0].v, args[1].i
-			return cFloat(func(r engine.Row, env *execEnv) (float64, error) {
-				vec, err := vf(r, env)
-				if err != nil {
-					return 0, err
-				}
-				i, err := idxf(r, env)
-				if err != nil {
-					return 0, err
-				}
-				if i < 1 || int(i) > len(vec) {
-					return 0, execErrf("array_get: index %v out of range 1..%d", i, len(vec))
-				}
-				return vec[i-1], nil
-			}), nil
-		}
-	default:
+	fn := scalarFuncs[x.Name]
+	switch {
+	case fn == nil:
 		return nil, execErrf("unknown function %s(...)", x.Name)
+	case len(args) != fn.arity:
+		return nil, execErrf("%s expects %d argument(s), got %d", x.Name, fn.arity, len(args))
 	}
-	// Generic fallback for arguments typed only at run time (a NULL, a
-	// parameter, an output-stage slot): evaluate them boxed and dispatch
-	// through the scalar-function table.
-	argFns := make([]anyFn, len(args))
-	for i, a := range args {
-		argFns[i] = a.a
+	f, err := fn.match(x.Name, kinds)
+	switch {
+	case err != nil:
+		return nil, err
+	case f == nil:
+		return fn.dynamic(x.Name, args), nil
 	}
-	call := x
-	return cAny(func(r engine.Row, env *execEnv) (any, error) {
-		vals := make([]any, len(argFns))
-		for i, fn := range argFns {
-			v, err := fn(r, env)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return applyScalarFunc(call, vals)
-	}), nil
+	return f.closure(args), nil
 }
 
 // exprMaxParam returns the highest $n placeholder index in e (0 when

@@ -32,11 +32,13 @@ type selVec = []int32
 
 // Batch kernel signatures. out has len(sel); out[j] receives the value
 // of row sel[j].
+type laneKernel[T any] func(e *batchEval, b engine.ColBatch, sel selVec, out []T) error
+
 type (
-	fBatchKernel func(e *batchEval, b engine.ColBatch, sel selVec, out []float64) error
-	iBatchKernel func(e *batchEval, b engine.ColBatch, sel selVec, out []int64) error
-	sBatchKernel func(e *batchEval, b engine.ColBatch, sel selVec, out []string) error
-	bBatchKernel func(e *batchEval, b engine.ColBatch, sel selVec, out []bool) error
+	fBatchKernel = laneKernel[float64]
+	iBatchKernel = laneKernel[int64]
+	sBatchKernel = laneKernel[string]
+	bBatchKernel = laneKernel[bool]
 )
 
 // bcompiled is one expression lowered to the batch lane: its static kind
@@ -215,43 +217,28 @@ func (e *batchEval) sel(slot, n int) []int32 {
 // that can specialize read the folded value instead.
 
 func bConstFloat(v float64) *bcompiled {
-	return &bcompiled{kind: ckFloat, isConst: true, cF: v,
-		f: func(_ *batchEval, _ engine.ColBatch, sel selVec, out []float64) error {
-			for j := range out {
-				out[j] = v
-			}
-			return nil
-		}}
+	return &bcompiled{kind: ckFloat, isConst: true, cF: v, f: broadcast(v)}
 }
 
 func bConstInt(v int64) *bcompiled {
-	return &bcompiled{kind: ckInt, isConst: true, cI: v,
-		i: func(_ *batchEval, _ engine.ColBatch, sel selVec, out []int64) error {
-			for j := range out {
-				out[j] = v
-			}
-			return nil
-		}}
+	return &bcompiled{kind: ckInt, isConst: true, cI: v, i: broadcast(v)}
 }
 
 func bConstStr(v string) *bcompiled {
-	return &bcompiled{kind: ckStr, isConst: true,
-		s: func(_ *batchEval, _ engine.ColBatch, sel selVec, out []string) error {
-			for j := range out {
-				out[j] = v
-			}
-			return nil
-		}}
+	return &bcompiled{kind: ckStr, isConst: true, s: broadcast(v)}
 }
 
 func bConstBool(v bool) *bcompiled {
-	return &bcompiled{kind: ckBool, isConst: true,
-		b: func(_ *batchEval, _ engine.ColBatch, sel selVec, out []bool) error {
-			for j := range out {
-				out[j] = v
-			}
-			return nil
-		}}
+	return &bcompiled{kind: ckBool, isConst: true, b: broadcast(v)}
+}
+
+func broadcast[T any](v T) laneKernel[T] {
+	return func(_ *batchEval, _ engine.ColBatch, _ selVec, out []T) error {
+		for j := range out {
+			out[j] = v
+		}
+		return nil
+	}
 }
 
 // bErrFloat/bErrInt produce kernels that fail whenever at least one row
@@ -259,23 +246,20 @@ func bConstBool(v bool) *bcompiled {
 // evaluation errors per row (e.g. 1/0): an empty selection must stay
 // silent, exactly as the row lane never evaluates an unselected row.
 func bErrFloat(err error) *bcompiled {
-	return &bcompiled{kind: ckFloat,
-		f: func(_ *batchEval, _ engine.ColBatch, sel selVec, _ []float64) error {
-			if len(sel) == 0 {
-				return nil
-			}
-			return err
-		}}
+	return &bcompiled{kind: ckFloat, f: failing[float64](err)}
 }
 
 func bErrInt(err error) *bcompiled {
-	return &bcompiled{kind: ckInt,
-		i: func(_ *batchEval, _ engine.ColBatch, sel selVec, _ []int64) error {
-			if len(sel) == 0 {
-				return nil
-			}
-			return err
-		}}
+	return &bcompiled{kind: ckInt, i: failing[int64](err)}
+}
+
+func failing[T any](err error) laneKernel[T] {
+	return func(_ *batchEval, _ engine.ColBatch, sel selVec, _ []T) error {
+		if len(sel) == 0 {
+			return nil
+		}
+		return err
+	}
 }
 
 // asF adapts a numeric node to a float kernel, widening int lanes.
@@ -361,43 +345,30 @@ func wrapNullable(c *bcompiled, valid bBatchKernel, bc *batchCompiler) (*bcompil
 	vs := newValidSub(valid, bc)
 	switch c.kind {
 	case ckFloat:
-		inner := c.f
-		slot := bc.floatSlot()
-		return &bcompiled{kind: ckFloat, valid: valid,
-			f: func(e *batchEval, b engine.ColBatch, sel selVec, out []float64) error {
-				sub, pos, err := vs.split(e, b, sel)
-				if err != nil || len(sub) == 0 {
-					return err
-				}
-				tmp := e.f(slot, len(sub))
-				if err := inner(e, b, sub, tmp); err != nil {
-					return err
-				}
-				for j2, p := range pos {
-					out[p] = tmp[j2]
-				}
-				return nil
-			}}, true
+		return &bcompiled{kind: ckFloat, valid: valid, f: onValid(c.f, vs, bc.floatLane())}, true
 	case ckInt:
-		inner := c.i
-		slot := bc.intSlot()
-		return &bcompiled{kind: ckInt, valid: valid,
-			i: func(e *batchEval, b engine.ColBatch, sel selVec, out []int64) error {
-				sub, pos, err := vs.split(e, b, sel)
-				if err != nil || len(sub) == 0 {
-					return err
-				}
-				tmp := e.i(slot, len(sub))
-				if err := inner(e, b, sub, tmp); err != nil {
-					return err
-				}
-				for j2, p := range pos {
-					out[p] = tmp[j2]
-				}
-				return nil
-			}}, true
+		return &bcompiled{kind: ckInt, valid: valid, i: onValid(c.i, vs, bc.intLane())}, true
 	}
 	return nil, false
+}
+
+// onValid runs inner over the valid sub-selection only and scatters its
+// results back into place.
+func onValid[T any](inner laneKernel[T], vs validSub, lane func(*batchEval, int) []T) laneKernel[T] {
+	return func(e *batchEval, b engine.ColBatch, sel selVec, out []T) error {
+		sub, pos, err := vs.split(e, b, sel)
+		if err != nil || len(sub) == 0 {
+			return err
+		}
+		tmp := lane(e, len(sub))
+		if err := inner(e, b, sub, tmp); err != nil {
+			return err
+		}
+		for j2, p := range pos {
+			out[p] = tmp[j2]
+		}
+		return nil
+	}
 }
 
 // collapseBool lowers a possibly-NULL boolean node to a plain boolean
@@ -494,80 +465,41 @@ func compileBatchColumnRef(x *ColumnRef, bc *batchCompiler) (*bcompiled, bool) {
 		// zero values that no consumer may observe) and the validity lane
 		// is the matched marker's Bool lane.
 		mi := bc.matchedIdx
-		c.valid = func(_ *batchEval, b engine.ColBatch, sel selVec, out []bool) error {
-			lane := b.ValidityFromBool(mi)
-			if len(sel) == len(lane) {
-				copy(out, lane)
-				return nil
-			}
-			for j, idx := range sel {
-				out[j] = lane[idx]
-			}
-			return nil
-		}
+		c.valid = gather(func(b engine.ColBatch) []bool { return b.ValidityFromBool(mi) })
 	}
 	return c, true
 }
 
 func gatherColumn(kind engine.Kind, ci int) (*bcompiled, bool) {
-	// Selection vectors are strictly increasing subsets of 0..Len-1, so a
-	// full-length selection is the identity and gathers become memmoves.
 	switch kind {
 	case engine.Float:
-		return &bcompiled{kind: ckFloat,
-			f: func(_ *batchEval, b engine.ColBatch, sel selVec, out []float64) error {
-				lane := b.Floats(ci)
-				if len(sel) == len(lane) {
-					copy(out, lane)
-					return nil
-				}
-				for j, idx := range sel {
-					out[j] = lane[idx]
-				}
-				return nil
-			}}, true
+		return &bcompiled{kind: ckFloat, f: gather(func(b engine.ColBatch) []float64 { return b.Floats(ci) })}, true
 	case engine.Int:
-		return &bcompiled{kind: ckInt,
-			i: func(_ *batchEval, b engine.ColBatch, sel selVec, out []int64) error {
-				lane := b.Ints(ci)
-				if len(sel) == len(lane) {
-					copy(out, lane)
-					return nil
-				}
-				for j, idx := range sel {
-					out[j] = lane[idx]
-				}
-				return nil
-			}}, true
+		return &bcompiled{kind: ckInt, i: gather(func(b engine.ColBatch) []int64 { return b.Ints(ci) })}, true
 	case engine.String:
-		return &bcompiled{kind: ckStr,
-			s: func(_ *batchEval, b engine.ColBatch, sel selVec, out []string) error {
-				lane := b.Strings(ci)
-				if len(sel) == len(lane) {
-					copy(out, lane)
-					return nil
-				}
-				for j, idx := range sel {
-					out[j] = lane[idx]
-				}
-				return nil
-			}}, true
+		return &bcompiled{kind: ckStr, s: gather(func(b engine.ColBatch) []string { return b.Strings(ci) })}, true
 	case engine.Bool:
-		return &bcompiled{kind: ckBool,
-			b: func(_ *batchEval, b engine.ColBatch, sel selVec, out []bool) error {
-				lane := b.Bools(ci)
-				if len(sel) == len(lane) {
-					copy(out, lane)
-					return nil
-				}
-				for j, idx := range sel {
-					out[j] = lane[idx]
-				}
-				return nil
-			}}, true
+		return &bcompiled{kind: ckBool, b: gather(func(b engine.ColBatch) []bool { return b.Bools(ci) })}, true
 	}
 	// Vector columns have no lane kernel.
 	return nil, false
+}
+
+// gather copies the selected rows of a batch's lane. Selection vectors
+// are strictly increasing subsets of 0..Len-1, so a full-length
+// selection is the identity and the gather becomes a memmove.
+func gather[T any](lane func(engine.ColBatch) []T) laneKernel[T] {
+	return func(_ *batchEval, b engine.ColBatch, sel selVec, out []T) error {
+		l := lane(b)
+		if len(sel) == len(l) {
+			copy(out, l)
+			return nil
+		}
+		for j, idx := range sel {
+			out[j] = l[idx]
+		}
+		return nil
+	}
 }
 
 func compileBatchUnary(x *Unary, bc *batchCompiler) (*bcompiled, bool) {
@@ -1331,122 +1263,31 @@ func compileBatchFuncCall(x *FuncCall, bc *batchCompiler) (*bcompiled, bool) {
 	if x.Name == "predict" && !x.Star && (x.Schema == "" || x.Schema == "madlib") {
 		return compileBatchPredict(x, bc)
 	}
-	if x.Schema != "" || x.Star || isAggregateCall(x) || isTableValuedCall(x) {
+	fn := scalarFuncs[x.Name]
+	if x.Schema != "" || x.Star || fn == nil || len(x.Args) != fn.arity {
 		return nil, false
 	}
 	args := make([]*bcompiled, len(x.Args))
+	kinds := make([]ckind, len(x.Args))
+	var valid bBatchKernel
 	for i, a := range x.Args {
 		c, ok := compileBatchExpr(a, bc)
-		if !ok || c.scalar != nil || c.valid != nil {
-			// Possibly-NULL argument: the row lane raises "argument is
-			// not numeric" on a NULL at run time; keep that behavior by
-			// not lowering the call.
+		if !ok || c.scalar != nil {
 			return nil, false
 		}
-		args[i] = c
+		args[i], kinds[i], valid = c, c.kind, validAnd(valid, c.valid, bc)
 	}
-	numeric := func(c *bcompiled) bool { return c.kind == ckFloat || c.kind == ckInt }
-	switch x.Name {
-	case "abs":
-		if len(args) != 1 {
-			return nil, false
-		}
-		switch args[0].kind {
-		case ckInt:
-			ik := args[0].i
-			return &bcompiled{kind: ckInt,
-				i: func(e *batchEval, b engine.ColBatch, sel selVec, out []int64) error {
-					if err := ik(e, b, sel, out); err != nil {
-						return err
-					}
-					for j, v := range out {
-						if v < 0 {
-							out[j] = -v
-						}
-					}
-					return nil
-				}}, true
-		case ckFloat:
-			fk := args[0].f
-			return &bcompiled{kind: ckFloat,
-				f: func(e *batchEval, b engine.ColBatch, sel selVec, out []float64) error {
-					if err := fk(e, b, sel, out); err != nil {
-						return err
-					}
-					for j := range out {
-						out[j] = math.Abs(out[j])
-					}
-					return nil
-				}}, true
-		}
+	f, err := fn.match(x.Name, kinds)
+	if f == nil || err != nil {
 		return nil, false
-	case "sqrt", "exp", "ln", "floor", "ceil":
-		if len(args) != 1 || !numeric(args[0]) {
-			return nil, false
-		}
-		var mf func(float64) float64
-		switch x.Name {
-		case "sqrt":
-			mf = math.Sqrt
-		case "exp":
-			mf = math.Exp
-		case "ln":
-			mf = math.Log
-		case "floor":
-			mf = math.Floor
-		default:
-			mf = math.Ceil
-		}
-		fk := args[0].asF(bc)
-		return &bcompiled{kind: ckFloat,
-			f: func(e *batchEval, b engine.ColBatch, sel selVec, out []float64) error {
-				if err := fk(e, b, sel, out); err != nil {
-					return err
-				}
-				for j := range out {
-					out[j] = mf(out[j])
-				}
-				return nil
-			}}, true
-	case "pow", "power":
-		if len(args) != 2 || !numeric(args[0]) || !numeric(args[1]) {
-			return nil, false
-		}
-		ak, bk := args[0].asF(bc), args[1].asF(bc)
-		slot := bc.floatSlot()
-		return &bcompiled{kind: ckFloat,
-			f: func(e *batchEval, b engine.ColBatch, sel selVec, out []float64) error {
-				if err := ak(e, b, sel, out); err != nil {
-					return err
-				}
-				tmp := e.f(slot, len(sel))
-				if err := bk(e, b, sel, tmp); err != nil {
-					return err
-				}
-				for j := range out {
-					out[j] = math.Pow(out[j], tmp[j])
-				}
-				return nil
-			}}, true
-	case "length", "array_length":
-		if len(args) != 1 || args[0].kind != ckStr {
-			return nil, false
-		}
-		sk := args[0].s
-		slot := bc.strSlot()
-		return &bcompiled{kind: ckInt,
-			i: func(e *batchEval, b engine.ColBatch, sel selVec, out []int64) error {
-				tmp := e.s(slot, len(sel))
-				if err := sk(e, b, sel, tmp); err != nil {
-					return err
-				}
-				for j, s := range tmp {
-					out[j] = int64(len(s))
-				}
-				return nil
-			}}, true
 	}
-	return nil, false
+	k, ok := f.kernel(args, bc)
+	if !ok || valid == nil {
+		return k, ok
+	}
+	// Strict: a NULL argument gives NULL, so the kernel runs over the
+	// rows whose arguments are all valid.
+	return wrapNullable(k, valid, bc)
 }
 
 // compileBatchPredicate lowers a WHERE clause to a boolean batch kernel;

@@ -230,6 +230,7 @@ func TestCompileErrors(t *testing.T) {
 		{"-s", "cannot negate"},
 		{"frobnicate(f)", "unknown function"},
 		{"sqrt(s)", "not numeric"},
+		{"abs(s)", "not numeric"},
 		{"length(f)", "must be text or array"},
 		{"avg(f)", "not allowed here"},
 	} {

@@ -279,11 +279,8 @@
 // or window keys), bool min/max, $n parameters anywhere other than a
 // comparison operand made of parameters and constants alone (id < $1 +
 // 20000 has a kernel: the operand is a per-execution scalar, evaluated
-// once per batch by the closure itself; sum(v + $1) has none), scalar
-// functions
-// over possibly-NULL arguments (the closure errors on a NULL argument;
-// a kernel cannot reproduce that per row), madlib scalar calls inside
-// expressions and registered madlib aggregates (their rows fold through
+// once per batch by the closure itself; sum(v + $1) has none), madlib
+// scalar calls inside expressions and registered madlib aggregates (their rows fold through
 // the aggregate's own transition function; the WHERE clause beside
 // them still vectorizes and the scan still parallelizes). A built-in
 // aggregate's closure lane feeds the same accumulator as its kernel
@@ -416,7 +413,23 @@
 // Arithmetic (+ - * / %, integer ops stay integral), comparisons
 // (= <> != < <= > >=), boolean logic (AND OR NOT), string literals with
 // ” escaping, and scalar functions: abs, sqrt, exp, ln, floor, ceil,
-// pow, length, array_length, array_get(v, i) (1-based).
+// pow/power, length/array_length (text or array), array_get(v, i)
+// (1-based).
+//
+// Each scalar function is defined once, in one table (scalar.go): its
+// forms — the argument kinds each takes, its result kind and its
+// per-value operation — and the error for an argument of a kind no form
+// takes. The closure compiler, the batch kernel compiler, the run-time
+// dispatch of arguments typed only at run time ($n, aggregate and
+// window results in an output stage, LEFT JOIN columns) and the static
+// typer all read it, so the lanes cannot disagree. An argument of a
+// known kind that no form takes fails at plan time (abs over text), one
+// typed only at run time with the same text at run time. The functions
+// are strict, as in Postgres: a NULL argument gives NULL, so abs(sum(v))
+// over no rows is one NULL row, and the kernel runs only over the rows
+// whose arguments are all valid. abs of the minimum bigint wraps (as
+// unary minus does), sqrt(-1) is NaN and ln(0) is -Infinity, where
+// Postgres raises an error.
 //
 // # Aggregates
 //

@@ -1181,14 +1181,15 @@ func inferKind(e Expr, schema engine.Schema) (engine.Kind, error) {
 		}
 		return engine.Float, nil
 	case *FuncCall:
+		if fn := scalarFuncs[x.Name]; fn != nil && (fn.out != ckAny || len(x.Args) == fn.arity) {
+			return fn.inferKind(x, schema)
+		}
 		switch x.Name {
-		case "sqrt", "exp", "ln", "floor", "ceil", "pow", "power", "array_get":
-			return engine.Float, nil
-		case "length", "array_length", "count", "row_number", "rank":
+		case "count", "row_number", "rank":
 			return engine.Int, nil
 		case "avg", "variance", "stddev":
 			return engine.Float, nil
-		case "abs", "sum", "min", "max":
+		case "sum", "min", "max":
 			if len(x.Args) == 1 {
 				return inferKind(x.Args[0], schema)
 			}

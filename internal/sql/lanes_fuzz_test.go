@@ -21,13 +21,17 @@ var exprLaneSeeds = []string{
 	"exp(0) = 1", "array_get(v, 1) >= 0", "array_get(v, 2)", "{g, f}",
 	"1 + 2 * 3", "7.5 / 2", "'x' = 'x'", "NOT false", "2 % 0", "-(3 - 5)",
 	"length('abc')", "1 + 'a'", "false AND 'x'", "true OR 1 / 0 > 1",
+	// Every scalar function over a column that the twin pads with NULL.
+	"abs(d.i)", "abs(d.f)", "sqrt(d.f)", "exp(d.f)", "ln(d.f)", "floor(d.f)",
+	"ceil(d.f)", "pow(d.f, 2)", "power(2, d.i)", "pow(d.f, d.i)", "length(d.s)",
+	"length(d.v)", "array_length(d.v)", "array_get(d.v, 1)",
 }
 
 // exprErrorSources counts the distinct runtime error texts e can raise:
 // every division or modulo raises "division by zero", array_get its own
-// range error, and over the LEFT JOIN-padded twin (padded) every function
-// call and non-constant array literal fails on a NULL argument with its
-// own text.
+// range error, and over the LEFT JOIN-padded twin (padded) every
+// non-constant array literal fails on a NULL element with its own text.
+// Scalar functions are strict, so a NULL argument raises nothing.
 func exprErrorSources(e Expr, padded bool) int {
 	sources := map[string]bool{}
 	walkExpr(e, func(x Expr) {
@@ -37,7 +41,7 @@ func exprErrorSources(e Expr, padded bool) int {
 				sources["/"] = true
 			}
 		case *FuncCall:
-			if padded || n.Name == "array_get" {
+			if n.Name == "array_get" {
 				sources[n.String()] = true
 			}
 		case *ArrayLit:

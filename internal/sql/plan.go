@@ -207,100 +207,6 @@ func compareValues(a, b any) (int, error) {
 	return 0, execErrf("cannot compare %s with %s", valueTypeName(a), valueTypeName(b))
 }
 
-// applyScalarFunc dispatches a built-in scalar function over evaluated
-// arguments: the generic fallback of compileFuncCall, for arguments whose
-// types are only known at run time.
-func applyScalarFunc(x *FuncCall, args []any) (any, error) {
-	num := func(i int) (float64, error) {
-		f, ok := toFloat(args[i])
-		if !ok {
-			return 0, execErrf("%s: argument %d is not numeric", x.Name, i+1)
-		}
-		return f, nil
-	}
-	need := func(n int) error {
-		if len(args) != n {
-			return execErrf("%s expects %d argument(s), got %d", x.Name, n, len(args))
-		}
-		return nil
-	}
-	switch x.Name {
-	case "abs":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		if n, ok := args[0].(int64); ok {
-			if n < 0 {
-				return -n, nil
-			}
-			return n, nil
-		}
-		f, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		return math.Abs(f), nil
-	case "sqrt", "exp", "ln", "floor", "ceil":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		f, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Name {
-		case "sqrt":
-			return math.Sqrt(f), nil
-		case "exp":
-			return math.Exp(f), nil
-		case "ln":
-			return math.Log(f), nil
-		case "floor":
-			return math.Floor(f), nil
-		default:
-			return math.Ceil(f), nil
-		}
-	case "pow", "power":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		a, err := num(0)
-		if err != nil {
-			return nil, err
-		}
-		b, err := num(1)
-		if err != nil {
-			return nil, err
-		}
-		return math.Pow(a, b), nil
-	case "length", "array_length":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		switch v := args[0].(type) {
-		case string:
-			return int64(len(v)), nil
-		case []float64:
-			return int64(len(v)), nil
-		}
-		return nil, execErrf("length: argument must be text or array, not %s", valueTypeName(args[0]))
-	case "array_get":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		vec, ok := args[0].([]float64)
-		if !ok {
-			return nil, execErrf("array_get: first argument must be an array")
-		}
-		i, ok := args[1].(int64)
-		if !ok || i < 1 || int(i) > len(vec) {
-			return nil, execErrf("array_get: index %v out of range 1..%d", args[1], len(vec))
-		}
-		return vec[i-1], nil
-	}
-	return nil, execErrf("unknown function %s(...)", x.Name)
-}
-
 // Built-in two-phase aggregates.
 var builtinAggs = map[string]bool{
 	"count": true, "sum": true, "avg": true, "min": true, "max": true,
